@@ -37,11 +37,21 @@ let cardinal t =
   let rec count b acc = if b = 0 then acc else count (b lsr 1) (acc + (b land 1)) in
   Array.fold_left (fun acc w -> count w acc) 0 t.bits
 
+(* Ascending; empty words cost one test each. *)
+let iter f t =
+  Array.iteri
+    (fun w bits ->
+      let b = ref bits and i = ref (w * bits_per_word) in
+      while !b <> 0 do
+        if !b land 1 <> 0 then f !i;
+        b := !b lsr 1;
+        incr i
+      done)
+    t.bits
+
 let elements t =
   let acc = ref [] in
-  for i = t.universe - 1 downto 0 do
-    if t.bits.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0 then acc := i :: !acc
-  done;
-  !acc
+  iter (fun i -> acc := i :: !acc) t;
+  List.rev !acc
 
 let universe t = t.universe

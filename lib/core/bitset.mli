@@ -13,5 +13,8 @@ val mem : t -> int -> bool
 val clear : t -> unit
 val is_empty : t -> bool
 val cardinal : t -> int
+val iter : (int -> unit) -> t -> unit
+(** In ascending order. *)
+
 val elements : t -> int list
 val universe : t -> int

@@ -124,9 +124,7 @@ let spawn ?(callers = []) built comps =
      their own batch — mirror [build], which covers the full thunk
      table for every isolated cubicle. *)
   Trampoline.extend built.trampolines ~syms ~cids:callers;
-  Trampoline.extend built.trampolines
-    ~syms:(Trampoline.syms built.trampolines)
-    ~cids:(List.map snd fresh);
+  Trampoline.guard_all built.trampolines ~cids:(List.map snd fresh);
   built.cids <- built.cids @ fresh;
   built.ifaces <- built.ifaces @ List.map (fun (c, _) -> (c.name, c.iface)) comps;
   List.iter

@@ -49,8 +49,10 @@ type t = {
   virtualise : bool;  (* libmpk-style tag virtualisation (paper §8) *)
   keymux : Hw.Keymux.t option;  (* Some iff [virtualise] *)
   mutable cur : Types.cid;
-  mutable page_allocs : (int * int) list;  (* (base page, npages) per cubicle-page alloc *)
+  page_allocs : (int, int) Hashtbl.t;  (* base page -> npages of each alloc_pages run *)
   cubicle_runs : (Types.cid, (int * int) list ref) Hashtbl.t;  (* every page run per cubicle *)
+  grants : (Types.cid, (Types.cid * Types.wid, Window.t) Hashtbl.t) Hashtbl.t;
+      (* grantee -> the windows currently open for it, by (owner, wid) *)
   max_cubicles : int;
 }
 
@@ -245,6 +247,26 @@ let handle_fault t (fault : Hw.Fault.t) =
 
 let monitor_reserved_pages = 16
 
+(* Every page [cid] owns, in ascending order. [alloc_owned_pages] is the
+   only way a page gets an owner and every release drops its run, so
+   the runs are exactly the cubicle's pages; they never overlap, so
+   visiting them by base page visits the pages in ascending order. *)
+let iter_owned_pages t cid f =
+  match Hashtbl.find_opt t.cubicle_runs cid with
+  | None -> ()
+  | Some runs ->
+      List.iter
+        (fun (page, n) ->
+          for p = page to page + n - 1 do
+            f p
+          done)
+        (List.sort compare !runs)
+
+let owned_pages t cid =
+  let acc = ref [] in
+  iter_owned_pages t cid (fun p -> acc := p :: !acc);
+  List.rev !acc
+
 let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_policy)
     ?(virtualise = false) ~protection () =
   let cpu = Hw.Cpu.create ~mem_bytes ?ncores ?model () in
@@ -271,18 +293,20 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       virtualise;
       keymux = (if virtualise then Some (Hw.Keymux.create cpu) else None);
       cur = monitor_cid;
-      page_allocs = [];
+      page_allocs = Hashtbl.create 16;
       cubicle_runs = Hashtbl.create 32;
+      grants = Hashtbl.create 32;
       max_cubicles = 1024;
     }
   in
   (* Eviction = walk the victim's still-resident pages back to the
-     monitor tag. Priced per page under the Keymux category (the same
-     pkey_mprotect cost as any runtime key write, but billed to the
-     virtualisation layer rather than plain Mpk), billed to whichever
-     cubicle's fault-in forced the eviction. The page-table hook fires
-     the cross-core TLB shootdowns; Keymux itself scrubs the evicted
-     tag from every core's PKRU and prices those wrpkrus. *)
+     monitor tag. The walk visits only the victim's own page runs, in
+     ascending page order. Priced per page under the Keymux category
+     (the same pkey_mprotect cost as any runtime key write, but billed
+     to the virtualisation layer rather than plain Mpk), billed to
+     whichever cubicle's fault-in forced the eviction. The page-table
+     hook fires the cross-core TLB shootdowns; Keymux itself scrubs the
+     evicted tag from every core's PKRU and prices those wrpkrus. *)
   (match t.keymux with
   | Some km ->
       Hw.Keymux.set_evict_hook km
@@ -291,17 +315,14 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
              let cost = Hw.Cpu.cost cpu in
              let pt = Hw.Cpu.page_table cpu in
              let count = ref 0 in
-             if Hashtbl.mem t.cubs cid then
-               List.iter
-                 (fun page ->
-                   if Hw.Page_table.key pt page = phys then begin
-                     Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
-                       cost.Hw.Cost.model.Hw.Cost.pkey_set;
-                     Hw.Page_table.set_key pt page monitor_key;
-                     emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
-                     incr count
-                   end)
-                 (Mm.Page_meta.owned_by t.meta cid);
+             iter_owned_pages t cid (fun page ->
+                 if Hw.Page_table.key pt page = phys then begin
+                   Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
+                     cost.Hw.Cost.model.Hw.Cost.pkey_set;
+                   Hw.Page_table.set_key pt page monitor_key;
+                   emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
+                   incr count
+                 end);
              !count))
   | None -> ());
   (* Monitor's own pages: present, trusted key. *)
@@ -345,25 +366,26 @@ let alloc_owned_pages t cid n ~kind ~perm =
   | None -> Hashtbl.replace t.cubicle_runs cid (ref [ (page, n) ]));
   Hw.Addr.base_of_page page
 
-(* Scrub, unmap and return every page run recorded for [cid]. Shared
-   between destroy_cubicle and create_cubicle's failure rollback. *)
+(* Scrub, unmap and return one page run. Each page is zeroed so the
+   next owner cannot read stale data, one page-sized privileged write
+   per page. *)
+let release_run t page n =
+  for p = page to page + n - 1 do
+    Hw.Cpu.priv_fill t.m_cpu (Hw.Addr.base_of_page p) Hw.Addr.page_size '\000';
+    Mm.Page_meta.release t.meta ~page:p;
+    Hw.Cpu.unmap_page t.m_cpu p
+  done;
+  Hashtbl.remove t.page_allocs page;
+  Mm.Page_alloc.free t.palloc page
+
+(* Release every page run recorded for [cid]. Shared between
+   destroy_cubicle and create_cubicle's failure rollback. *)
 let release_runs t cid =
-  (match Hashtbl.find_opt t.cubicle_runs cid with
+  match Hashtbl.find_opt t.cubicle_runs cid with
   | Some runs ->
-      List.iter
-        (fun (page, n) ->
-          for p = page to page + n - 1 do
-            (* scrub contents so the next owner cannot read stale data *)
-            Hw.Cpu.priv_write_bytes t.m_cpu (Hw.Addr.base_of_page p)
-              (Bytes.make Hw.Addr.page_size '\000');
-            Mm.Page_meta.release t.meta ~page:p;
-            Hw.Cpu.unmap_page t.m_cpu p
-          done;
-          t.page_allocs <- List.filter (fun (p, _) -> p <> page) t.page_allocs;
-          Mm.Page_alloc.free t.palloc page)
-        !runs;
+      List.iter (fun (page, n) -> release_run t page n) !runs;
       Hashtbl.remove t.cubicle_runs cid
-  | None -> ())
+  | None -> ()
 
 let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
   if Hashtbl.mem t.by_name name then Types.error "cubicle %s already exists" name;
@@ -618,7 +640,7 @@ let alloc_pages t cid n ~kind =
      happens before the system runs and is not charged). *)
   if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
   let base = alloc_owned_pages t cid n ~kind ~perm:Hw.Page_table.perm_rw in
-  t.page_allocs <- (Hw.Addr.page_of base, n) :: t.page_allocs;
+  Hashtbl.replace t.page_allocs (Hw.Addr.page_of base) n;
   base
 
 let free_pages t cid base =
@@ -626,27 +648,18 @@ let free_pages t cid base =
   (* returning pages strictly reassigns their owner (L4Sec-style), so
      the key write is paid on free as well *)
   let page = Hw.Addr.page_of base in
-  match List.assoc_opt page t.page_allocs with
+  match Hashtbl.find_opt t.page_allocs page with
   | None -> Types.error "free_pages: 0x%x is not an allocation base" base
   | Some n ->
       (match Mm.Page_meta.owner t.meta page with
       | Some owner when owner = cid -> ()
       | _ -> Types.error "free_pages: cubicle %d does not own 0x%x" cid base);
-      t.page_allocs <- List.filter (fun (p, _) -> p <> page) t.page_allocs;
       (match Hashtbl.find_opt t.cubicle_runs cid with
       | Some runs -> runs := List.filter (fun (p, _) -> p <> page) !runs
       | None -> ());
       if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
-      for p = page to page + n - 1 do
-        (* scrub contents so the next owner cannot read stale data —
-           same guarantee destroy_cubicle gives for whole-cubicle
-           teardown, extended to individual page returns *)
-        Hw.Cpu.priv_write_bytes t.m_cpu (Hw.Addr.base_of_page p)
-          (Bytes.make Hw.Addr.page_size '\000');
-        Mm.Page_meta.release t.meta ~page:p;
-        Hw.Cpu.unmap_page t.m_cpu p
-      done;
-      Mm.Page_alloc.free t.palloc page
+      (* scrubbed like a whole-cubicle teardown *)
+      release_run t page n
 
 (* --- window management (Table 1) ---------------------------------------- *)
 
@@ -665,6 +678,34 @@ let charge_window_op t =
 let emit_window t cid op ?(wid = -1) ?(peer = -1) ?(ptr = 0) ?(size = 0) ?(rw = true) () =
   if t.protection <> Types.None_ then
     emit t (Telemetry.Event.Window { cid; op; wid; peer; ptr; size; rw })
+
+(* Every grant goes through these two, so [t.grants] always lists
+   exactly the windows open for each grantee and teardown revokes a
+   dying cubicle's grants without scanning every peer's windows. *)
+let open_for t (w : Window.t) peer =
+  Window.open_for w peer;
+  let held =
+    match Hashtbl.find_opt t.grants peer with
+    | Some held -> held
+    | None ->
+        let held = Hashtbl.create 4 in
+        Hashtbl.replace t.grants peer held;
+        held
+  in
+  Hashtbl.replace held (w.Window.owner, w.Window.wid) w
+
+let forget_grant t (w : Window.t) peer =
+  match Hashtbl.find_opt t.grants peer with
+  | Some held -> Hashtbl.remove held (w.Window.owner, w.Window.wid)
+  | None -> ()
+
+let close_for t w peer =
+  Window.close_for w peer;
+  forget_grant t w peer
+
+(* Drop every grantee's index entry for [w], before its open set is
+   cleared or dies with its owner. *)
+let forget_grants t (w : Window.t) = Bitset.iter (forget_grant t w) w.Window.opened
 
 let window_init t cid ~klass =
   charge_window_op t;
@@ -752,7 +793,7 @@ let window_open t cid wid other =
   if other = cid then Types.error "window_open: cannot open a window to oneself";
   ignore (get t other);
   let w = find_window t cid wid in
-  Window.open_for w other;
+  open_for t w other;
   if mpk_on t && t.policy.mapping = `Eager_on_open then
     retag_window_pages t w ~to_key:(phys_of t (get t other));
   emit_window t cid Telemetry.Event.Open ~wid ~peer:other ()
@@ -760,7 +801,7 @@ let window_open t cid wid other =
 let window_close t cid wid other =
   charge_window_op t;
   let w = find_window t cid wid in
-  Window.close_for w other;
+  close_for t w other;
   (* Under causal tag consistency (the default, §5.6) nothing else
      happens: pages migrate back lazily when their owner (or another
      authorised cubicle) next touches them. *)
@@ -771,6 +812,7 @@ let window_close t cid wid other =
 let window_close_all t cid wid =
   charge_window_op t;
   let w = find_window t cid wid in
+  forget_grants t w;
   Window.close_all w;
   if mpk_on t && t.policy.revocation = `Eager_revoke then
     retag_window_pages t w ~to_key:(phys_of t (get t cid));
@@ -779,7 +821,9 @@ let window_close_all t cid wid =
 let window_destroy t cid wid =
   charge_window_op t;
   let c = get t cid in
-  Window.destroy c.windows (find_window t cid wid);
+  let w = find_window t cid wid in
+  forget_grants t w;
+  Window.destroy c.windows w;
   emit_window t cid Telemetry.Event.Destroy ~wid ()
 
 (* --- batched window ops + grant-and-forward (sendfile fast path) ------- *)
@@ -817,7 +861,7 @@ let window_open_many t cid wid peers =
   let w = find_window t cid wid in
   List.iter
     (fun other ->
-      Window.open_for w other;
+      open_for t w other;
       if mpk_on t && t.policy.mapping = `Eager_on_open then
         retag_window_pages t w ~to_key:(phys_of t (get t other)))
     peers;
@@ -840,7 +884,7 @@ let window_forward t cid ~owner wid other =
   if cid <> owner && not (Window.is_open_for w cid) then
     Types.error "window_forward: window %d of cubicle %d is not open for forwarder %d" wid
       owner cid;
-  Window.open_for w other;
+  open_for t w other;
   if mpk_on t && t.policy.mapping = `Eager_on_open then
     retag_window_pages t w ~to_key:(phys_of t (get t other));
   emit_window t owner Telemetry.Event.Forward ~wid ~peer:other ()
@@ -882,7 +926,7 @@ let window_open_dedicated t cid wid other =
   emit_window t cid Telemetry.Event.Open_dedicated ~wid ~peer:other ();
   if other = cid then Types.error "window_open_dedicated: cannot open to oneself";
   let w = find_window t cid wid in
-  Window.open_for w other;
+  open_for t w other;
   let key =
     match w.Window.dedicated_key with
     | Some k -> k
@@ -905,7 +949,7 @@ let window_close_dedicated t cid wid other =
   charge_window_op t;
   emit_window t cid Telemetry.Event.Close_dedicated ~wid ~peer:other ();
   let w = find_window t cid wid in
-  Window.close_for w other;
+  close_for t w other;
   match w.Window.dedicated_key with
   | None -> ()
   | Some key ->
@@ -967,37 +1011,35 @@ let destroy_cubicle t cid =
   if t.cur = cid then Types.error "cannot destroy the executing cubicle";
   let c = get t cid in
   (* remove its exports *)
-  let doomed =
-    Hashtbl.fold (fun sym e acc -> if e.e_owner = cid then sym :: acc else acc) t.symbols []
-  in
-  List.iter (Hashtbl.remove t.symbols) doomed;
+  List.iter (Hashtbl.remove t.symbols) c.exports;
   (* Revoke every grant the dying cubicle holds on peers' windows. The
      cid is about to be recycled, and a stale `opened` bit would hand
      the unrelated successor every window the dead cubicle was ever
      granted — the fault handler's is_open_for check cannot tell the
      two apart. Close events keep the replay mirror's opened-sets in
      step, so CubiCheck judges the recycled cid against the same clean
-     ACL state. *)
-  Hashtbl.iter
-    (fun ocid oc ->
-      if ocid <> cid then
-        List.iter
-          (fun w ->
-            if Window.is_open_for w cid then begin
-              Window.close_for w cid;
-              emit_window t ocid Telemetry.Event.Close ~wid:w.Window.wid ~peer:cid ()
-            end)
-          (Window.live_windows oc.windows))
-    t.cubs;
+     ACL state. The grant index lists exactly those windows; they are
+     closed in (owner, wid) order. *)
+  (match Hashtbl.find_opt t.grants cid with
+  | Some held ->
+      Hashtbl.fold (fun key w acc -> (key, w) :: acc) held []
+      |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.iter (fun ((owner, wid), w) ->
+             Window.close_for w cid;
+             emit_window t owner Telemetry.Event.Close ~wid ~peer:cid ());
+      Hashtbl.remove t.grants cid
+  | None -> ());
   (* The dying cubicle's own windows: the live table dies with the
      cubicle record, but the replay mirror only forgets a window on a
      Destroy event — emit them, or a recycled cid that never re-inits
-     the wid would inherit the dead window's grants in the mirror. A
-     dedicated window tag is returned to the pool and stripped from
-     every grantee's extra-key set, so the recycled tag cannot alias a
-     future window's pages through a stale PKRU grant. *)
+     the wid would inherit the dead window's grants in the mirror. Their
+     grantees' index entries go too. A dedicated window tag is returned
+     to the pool and stripped from every grantee's extra-key set, so the
+     recycled tag cannot alias a future window's pages through a stale
+     PKRU grant. *)
   List.iter
     (fun w ->
+      forget_grants t w;
       (match w.Window.dedicated_key with
       | Some k ->
           Hashtbl.iter

@@ -122,6 +122,10 @@ val alloc_owned_pages :
 (** Loader/monitor primitive: map [n] fresh pages owned by the cubicle,
     tagged with its key. Returns the base address. *)
 
+val owned_pages : t -> Types.cid -> int list
+(** Every page the cubicle owns, ascending, read from its page runs —
+    the walk a key eviction makes; costs the cubicle's own page count. *)
+
 val register_exports : t -> Types.cid -> export_spec list -> unit
 (** Raises {!Types.Error} on duplicate symbols (the system has one flat
     symbol namespace, as with Unikraft's exportsyms). *)

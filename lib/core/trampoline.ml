@@ -1,7 +1,8 @@
 type t = {
   mon : Monitor.t;
   thunks : (string, int) Hashtbl.t;  (* sym -> thunk address *)
-  guards : (Types.cid * string, int) Hashtbl.t;
+  guards : (Types.cid, (string, int) Hashtbl.t) Hashtbl.t;  (* cid -> sym -> entry *)
+  mutable sorted_syms : string list option;  (* [syms], until a thunk is added *)
 }
 
 (* One thunk: permission switch, the call into the callee's entry point
@@ -10,14 +11,18 @@ let thunk_code = Hw.Instr.assemble [ Wrpkru; Call 0; Wrpkru; Ret ]
 let thunk_size = Bytes.length thunk_code
 
 (* One guard entry: enable the monitor tag, jump to the thunk, then
-   no-op padding so a misaligned entry runs into the trap. *)
+   no-op padding so a misaligned entry runs into the trap. Entries
+   differ only in the jump displacement, so the entry is assembled once
+   and each write patches the displacement into a scratch copy. *)
 let guard_entry_size = 16
 
-let guard_entry ~thunk_off =
-  let body = Hw.Instr.assemble [ Wrpkru; Jmp thunk_off; Halt ] in
+let guard_template =
+  let body = Hw.Instr.assemble [ Wrpkru; Jmp 0; Halt ] in
   let padded = Bytes.make guard_entry_size '\xF4' (* halt *) in
   Bytes.blit body 0 padded 0 (Bytes.length body);
   padded
+
+let jmp_disp_off = Hw.Instr.length Wrpkru + 1
 
 (* Thunk pages: signed by the trusted builder, owned by the monitor's
    cubicle, execute-only. Only syms without a thunk get one, so
@@ -43,15 +48,28 @@ let alloc_thunks t syms =
     done;
     List.iteri
       (fun i sym -> Hashtbl.replace t.thunks sym (thunk_base + (i * thunk_size)))
-      fresh
+      fresh;
+    t.sorted_syms <- None
   end
+
+let guards_of t cid ~size =
+  match Hashtbl.find_opt t.guards cid with
+  | Some g -> g
+  | None ->
+      let g = Hashtbl.create size in
+      Hashtbl.replace t.guards cid g;
+      g
 
 (* Guard pages: in the calling cubicle's own pages so it can fetch
    them. Each batch of new entries gets its own page run; the run is
    owned by the cubicle, so destroy_cubicle releases it with the rest
    of its memory. *)
 let alloc_guards t cid syms =
-  let fresh = List.filter (fun s -> not (Hashtbl.mem t.guards (cid, s))) syms in
+  let g = guards_of t cid ~size:(List.length syms) in
+  let fresh =
+    if Hashtbl.length g = 0 then syms
+    else List.filter (fun s -> not (Hashtbl.mem g s)) syms
+  in
   if fresh <> [] then begin
     let cpu = Monitor.cpu t.mon in
     let nsyms = List.length fresh in
@@ -60,13 +78,14 @@ let alloc_guards t cid syms =
       Monitor.alloc_owned_pages t.mon cid gpages ~kind:Mm.Page_meta.Code
         ~perm:Hw.Page_table.perm_rw
     in
+    let entry = Bytes.copy guard_template in
     List.iteri
       (fun i sym ->
         let thunk = Hashtbl.find t.thunks sym in
         let entry_addr = gbase + (i * guard_entry_size) in
-        let entry = guard_entry ~thunk_off:(thunk - entry_addr) in
+        Bytes.set_int32_le entry jmp_disp_off (Int32.of_int (thunk - entry_addr));
         Hw.Cpu.priv_write_bytes cpu entry_addr entry;
-        Hashtbl.replace t.guards (cid, sym) entry_addr)
+        Hashtbl.replace g sym entry_addr)
       fresh;
     let gfirst = Hw.Addr.page_of gbase in
     for p = gfirst to gfirst + gpages - 1 do
@@ -75,7 +94,9 @@ let alloc_guards t cid syms =
   end
 
 let install mon ~syms =
-  let t = { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16 } in
+  let t =
+    { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16; sorted_syms = None }
+  in
   alloc_thunks t syms;
   List.iter
     (fun cid ->
@@ -83,33 +104,44 @@ let install mon ~syms =
     (Monitor.live_cids mon);
   t
 
-let extend t ~syms ~cids =
-  alloc_thunks t syms;
+let guard t ~syms ~cids =
   List.iter
     (fun cid ->
       if Monitor.cubicle_kind t.mon cid = Types.Isolated then alloc_guards t cid syms)
     cids
 
-let forget_cubicle t cid =
-  let dead =
-    Hashtbl.fold (fun ((c, _) as k) _ acc -> if c = cid then k :: acc else acc) t.guards []
-  in
-  List.iter (Hashtbl.remove t.guards) dead
+let extend t ~syms ~cids =
+  alloc_thunks t syms;
+  guard t ~syms ~cids
+
+let syms t =
+  match t.sorted_syms with
+  | Some l -> l
+  | None ->
+      let l = List.sort compare (Hashtbl.fold (fun sym _ acc -> sym :: acc) t.thunks []) in
+      t.sorted_syms <- Some l;
+      l
+
+let guard_all t ~cids = guard t ~syms:(syms t) ~cids
+
+let forget_cubicle t cid = Hashtbl.remove t.guards cid
 
 let thunk_addr t sym =
   match Hashtbl.find_opt t.thunks sym with
   | Some a -> a
   | None -> Types.error "no trampoline thunk for symbol %s" sym
 
+let find_guard t cid sym =
+  Option.bind (Hashtbl.find_opt t.guards cid) (fun g -> Hashtbl.find_opt g sym)
+
 let guard_addr t cid sym =
-  match Hashtbl.find_opt t.guards (cid, sym) with
+  match find_guard t cid sym with
   | Some a -> a
   | None -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
 
 let thunk_cid _ = Monitor.monitor_cid
-let syms t = Hashtbl.fold (fun sym _ acc -> sym :: acc) t.thunks [] |> List.sort compare
 let has_thunk t sym = Hashtbl.mem t.thunks sym
-let has_guard t cid sym = Hashtbl.mem t.guards (cid, sym)
+let has_guard t cid sym = Option.is_some (find_guard t cid sym)
 
 (* Run [f] with the machine configured as if [cid] were executing:
    PKRU narrowed to the cubicle's own tags. *)

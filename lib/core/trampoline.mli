@@ -29,11 +29,16 @@ val extend : t -> syms:string list -> cids:Types.cid list -> unit
     spawned cubicles and live callers that will now reach the new
     symbols. Non-isolated cids are ignored. *)
 
+val guard_all : t -> cids:Types.cid list -> unit
+(** Guard entries for every symbol with a thunk in each listed isolated
+    cubicle that lacks them — what a freshly spawned cubicle needs.
+    Non-isolated cids are ignored. *)
+
 val forget_cubicle : t -> Types.cid -> unit
-(** Drop all guard entries of a torn-down cubicle. The guard pages
-    themselves live in the cubicle's own memory, so
-    {!Monitor.destroy_cubicle} scrubs and releases them; this only
-    clears the address map so a recycled cid starts clean. *)
+(** Drop a torn-down cubicle's guard table (one entry: the table is
+    per cubicle). The guard pages themselves live in the cubicle's own
+    memory, so {!Monitor.destroy_cubicle} scrubs and releases them; this
+    only clears the address map so a recycled cid starts clean. *)
 
 val thunk_addr : t -> string -> int
 (** Address of the thunk for a symbol. Raises {!Types.Error} if the

@@ -387,6 +387,10 @@ let priv_write_string t a s =
   Cost.charge_mem t.cost (String.length s);
   Phys_mem.write_string t.mem a s
 
+let priv_fill t a len c =
+  Cost.charge_mem t.cost len;
+  Phys_mem.fill t.mem a len c
+
 let priv_blit t ~dst ~src ~len =
   Cost.charge_mem t.cost (2 * len);
   Phys_mem.blit t.mem ~src ~dst ~len

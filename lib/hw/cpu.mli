@@ -151,6 +151,11 @@ val check_range : t -> int -> int -> Fault.access -> unit
 val priv_read_bytes : t -> int -> int -> bytes
 val priv_write_bytes : t -> int -> bytes -> unit
 val priv_write_string : t -> int -> string -> unit
+
+val priv_fill : t -> int -> int -> char -> unit
+(** [priv_fill t addr len c]: charged like a [len]-byte
+    {!priv_write_bytes}, without building the buffer. *)
+
 val priv_blit : t -> dst:int -> src:int -> len:int -> unit
 val priv_read_u32 : t -> int -> int
 val priv_write_u32 : t -> int -> int -> unit

@@ -38,13 +38,6 @@ let kind t page =
   check t page;
   if t.kinds.(page) = 0 then None else Some (kind_of_int t.kinds.(page))
 
-let owned_by t cid =
-  let acc = ref [] in
-  for p = Array.length t.owners - 1 downto 0 do
-    if t.owners.(p) = cid then acc := p :: !acc
-  done;
-  !acc
-
 let kind_to_string = function
   | Code -> "code"
   | Global -> "global"

@@ -20,7 +20,5 @@ val assign : t -> page:int -> owner:int -> kind:kind -> unit
 val release : t -> page:int -> unit
 val owner : t -> int -> int option
 val kind : t -> int -> kind option
-val owned_by : t -> int -> int list
-(** All pages owned by a cubicle (for teardown); O(npages). *)
 
 val kind_to_string : kind -> string

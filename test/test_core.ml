@@ -720,14 +720,14 @@ let test_destroy_cubicle () =
   Api.window_add ctx wid ~ptr:buf ~size:16;
   Api.window_open ctx wid bar;
   ignore (Monitor.call mon ~caller:foo "bar" [| buf; 0 |]);
-  let bar_pages = Mm.Page_meta.owned_by (Monitor.meta mon) bar in
+  let bar_pages = Oracle.monitor_pages_owned_by mon bar in
   check_bool "bar owned pages" true (bar_pages <> []);
   Monitor.destroy_cubicle mon bar;
   (* its exports are gone: CFI error, not a crash *)
   check_bool "export unresolved" true
     (is_error (fun () -> Monitor.call mon ~caller:foo "bar" [| buf; 0 |]));
   (* its pages were released *)
-  check_bool "pages released" true (Mm.Page_meta.owned_by (Monitor.meta mon) bar = []);
+  check_bool "pages released" true (Oracle.monitor_pages_owned_by mon bar = []);
   (* the other cubicle is unaffected *)
   Monitor.run_as mon foo (fun () -> Api.write_u8 ctx buf 5)
 
@@ -778,6 +778,46 @@ let test_destroy_revokes_peer_grants () =
   (* FOO can re-grant to the successor explicitly, as for any peer *)
   Api.window_open ctx wid baz;
   check_int "explicit re-grant works" 0 (Monitor.call mon ~caller:baz "baz_poke" [| buf |])
+
+(* Teardown closes exactly the grants still open for the dying cid: not
+   one already closed by close_all, on a destroyed window, or on a
+   window whose owner died first. *)
+let test_destroy_closes_only_open_grants () =
+  let mon, foo, bar = mk_system () in
+  let qux =
+    Monitor.create_cubicle mon ~name:"QUX" ~kind:Types.Isolated ~heap_pages:4 ~stack_pages:1
+  in
+  let granted_window cid =
+    let ctx = Monitor.ctx_for mon cid in
+    let buf = Api.malloc_page_aligned ctx 16 in
+    let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
+    Api.window_add ctx wid ~ptr:buf ~size:16;
+    Api.window_open ctx wid bar;
+    (ctx, wid)
+  in
+  let _, kept = granted_window foo in
+  let ctx, cleared = granted_window foo in
+  Api.window_close_all ctx cleared;
+  let ctx, dropped = granted_window foo in
+  Api.window_destroy ctx dropped;
+  ignore (granted_window qux);
+  Monitor.destroy_cubicle mon qux;
+  let closes = ref [] in
+  let bus = Monitor.bus mon in
+  Telemetry.Bus.set_tracing bus true;
+  Telemetry.Bus.set_sink bus
+    (Some
+       (fun e ->
+         match e.Telemetry.Bus.ev with
+         | Telemetry.Event.Window { cid; op = Telemetry.Event.Close; wid; peer; _ } ->
+             closes := (cid, wid, peer) :: !closes
+         | _ -> ()));
+  Monitor.destroy_cubicle mon bar;
+  Alcotest.(check (list (triple int int int))) "one Close, for the open grant"
+    [ (foo, kept, bar) ] !closes;
+  List.iter
+    (fun w -> check_bool "grant revoked" false (Window.is_open_for w bar))
+    (Window.live_windows (Monitor.windows_of mon foo))
 
 let test_spawn_guards_cover_existing_exports () =
   (* A freshly spawned cubicle must be able to guard-call exports that
@@ -988,6 +1028,8 @@ let () =
           Alcotest.test_case "destroy cubicle" `Quick test_destroy_cubicle;
           Alcotest.test_case "destroy recycles key" `Quick test_destroy_recycles_key;
           Alcotest.test_case "destroy revokes grants" `Quick test_destroy_revokes_peer_grants;
+          Alcotest.test_case "destroy closes only open grants" `Quick
+            test_destroy_closes_only_open_grants;
           Alcotest.test_case "spawn guards old exports" `Quick
             test_spawn_guards_cover_existing_exports;
           Alcotest.test_case "destroy churn" `Quick test_destroy_full_slot_reuse;

@@ -315,6 +315,58 @@ let test_tenant_pressure_past_16_keys () =
   done;
   check_bool "evictions occurred" true (Monitor.tag_evictions mon > 0)
 
+(* The guard table is keyed per cubicle: a teardown drops the dead
+   pair's entries and nobody else's, and a respawn into the recycled
+   cids rebuilds exactly the table churn started from. *)
+let test_tenant_guards_follow_teardown () =
+  let tenants = 128 in
+  let all = List.init tenants (fun i -> i + 1) in
+  let sys = Httpd.Tenant.boot ~virtualise:true ~mem_bytes:(64 * 1024 * 1024) () in
+  let mon = Httpd.Tenant.mon sys in
+  let tr = (Httpd.Tenant.built sys).Builder.trampolines in
+  let guards_of cid = List.filter (Trampoline.has_guard tr cid) (Trampoline.syms tr) in
+  let table () = List.map (fun cid -> (cid, guards_of cid)) (Monitor.live_cids mon) in
+  let count tbl = List.fold_left (fun acc (_, syms) -> acc + List.length syms) 0 tbl in
+  List.iter (Httpd.Tenant.spawn sys) all;
+  (* tenant i's pair is spawned guarding the 2i syms live at the time;
+     the gateway gains each pair's syms as it arrives *)
+  check_int "guard entries after the initial spawns"
+    ((4 * (tenants * (tenants + 1) / 2)) + 256)
+    (count (table ()));
+  (* one teardown + respawn per tenant reaches the steady state: all
+     256 syms guarded in the gateway and all 256 tenant cubicles *)
+  List.iter
+    (fun t ->
+      Httpd.Tenant.teardown sys t;
+      Httpd.Tenant.spawn sys t)
+    all;
+  let before = table () in
+  check_int "guard entries at 128 tenants" 65_792 (count before);
+  let churned = [ 37; 1; 128; 64 ] in
+  List.iter
+    (fun t ->
+      let pair = [ Httpd.Tenant.web_name t; Httpd.Tenant.fs_name t ] in
+      let dead = List.map (Monitor.lookup_cubicle mon) pair in
+      let others = List.filter (fun (cid, _) -> not (List.mem cid dead)) (table ()) in
+      Httpd.Tenant.teardown sys t;
+      List.iter
+        (fun cid ->
+          check_int (Printf.sprintf "no guard left for dead cid %d" cid) 0
+            (List.length (guards_of cid)))
+        dead;
+      check_bool (Printf.sprintf "tenant %d: other cids' guards unchanged" t) true
+        (table () = others);
+      Httpd.Tenant.spawn sys t;
+      let reborn = List.map (Monitor.lookup_cubicle mon) pair in
+      Alcotest.(check (list int))
+        "respawn recycles the cids" (List.sort compare dead) (List.sort compare reborn))
+    churned;
+  check_int "guard entries after churn" (count before) (count (table ()));
+  check_bool "guard table rebuilt exactly" true (table () = before);
+  check_str "respawned tenant serves"
+    (Httpd.Tenant.expected ~tenant:37 ~off:3 ~len:20)
+    (Httpd.Tenant.request sys ~tenant:37 ~off:3 ~len:20)
+
 let () =
   Alcotest.run "httpd"
     [
@@ -350,5 +402,7 @@ let () =
           Alcotest.test_case "lifecycle recycles" `Quick test_tenant_lifecycle_recycles;
           Alcotest.test_case "spawn/teardown errors" `Quick test_tenant_teardown_errors;
           Alcotest.test_case "pressure past 16 keys" `Quick test_tenant_pressure_past_16_keys;
+          Alcotest.test_case "guards follow teardown" `Quick
+            test_tenant_guards_follow_teardown;
         ] );
     ]

