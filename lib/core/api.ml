@@ -51,6 +51,14 @@ let write_bytes (c : ctx) addr b =
   obs c addr (Bytes.length b) Telemetry.Event.Write;
   Hw.Cpu.write_bytes c.cpu addr b
 
+let read_into (c : ctx) addr buf ~pos ~len =
+  obs c addr len Telemetry.Event.Read;
+  Hw.Cpu.read_into c.cpu addr buf ~pos ~len
+
+let write_sub (c : ctx) addr buf ~pos ~len =
+  obs c addr len Telemetry.Event.Write;
+  Hw.Cpu.write_sub c.cpu addr buf ~pos ~len
+
 let read_u8 (c : ctx) addr =
   obs c addr 1 Telemetry.Event.Read;
   Hw.Cpu.read_u8 c.cpu addr

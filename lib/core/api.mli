@@ -68,6 +68,17 @@ val read_string : ctx -> int -> int -> string
 val write_string : ctx -> int -> string -> unit
 val read_bytes : ctx -> int -> int -> bytes
 val write_bytes : ctx -> int -> bytes -> unit
+
+val read_into : ctx -> int -> bytes -> pos:int -> len:int -> unit
+(** [read_into c addr buf ~pos ~len]: the same observation, checks and
+    charge as [read_bytes c addr len], copied into [buf] at [pos]
+    instead of a fresh buffer. *)
+
+val write_sub : ctx -> int -> bytes -> pos:int -> len:int -> unit
+(** [write_sub c addr buf ~pos ~len]: the same observation, checks and
+    charge as [write_bytes c addr (Bytes.sub buf pos len)], without the
+    intermediate copy. *)
+
 val read_u8 : ctx -> int -> int
 val write_u8 : ctx -> int -> int -> unit
 val read_u16 : ctx -> int -> int

@@ -355,6 +355,24 @@ let write_bytes t a b =
   Cost.charge_mem t.cost len;
   Phys_mem.write_bytes t.mem a b
 
+(* The host range of a caller-supplied buffer is validated before any
+   check, charge or copy, so a bad range has no simulated effect. *)
+let check_host buf pos len =
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+    invalid_arg "Cpu: host buffer range out of bounds"
+
+let read_into t a buf ~pos ~len =
+  check_host buf pos len;
+  if not (fast t a len 1) then check_range t a len Fault.Read;
+  Cost.charge_mem t.cost len;
+  Phys_mem.read_into t.mem a buf ~pos ~len
+
+let write_sub t a buf ~pos ~len =
+  check_host buf pos len;
+  if not (fast t a len 2) then check_range t a len Fault.Write;
+  Cost.charge_mem t.cost len;
+  Phys_mem.write_sub t.mem a buf ~pos ~len
+
 let write_string t a s =
   let len = String.length s in
   if not (fast t a len 2) then check_range t a len Fault.Write;
@@ -382,6 +400,16 @@ let priv_read_bytes t a len =
 let priv_write_bytes t a b =
   Cost.charge_mem t.cost (Bytes.length b);
   Phys_mem.write_bytes t.mem a b
+
+let priv_read_into t a buf ~pos ~len =
+  check_host buf pos len;
+  Cost.charge_mem t.cost len;
+  Phys_mem.read_into t.mem a buf ~pos ~len
+
+let priv_write_sub t a buf ~pos ~len =
+  check_host buf pos len;
+  Cost.charge_mem t.cost len;
+  Phys_mem.write_sub t.mem a buf ~pos ~len
 
 let priv_write_string t a s =
   Cost.charge_mem t.cost (String.length s);

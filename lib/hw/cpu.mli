@@ -135,6 +135,18 @@ val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
 val write_string : t -> int -> string -> unit
 
+val read_into : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [read_into t addr buf ~pos ~len]: checked and charged exactly like
+    [read_bytes t addr len] (same faults, TLB events and cycles), but
+    copies into [buf] at [pos] instead of allocating. A denied access
+    raises before [buf] changes; an out-of-bounds host range raises
+    [Invalid_argument] before anything is checked or charged. *)
+
+val write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [write_sub t addr buf ~pos ~len]: checked and charged exactly like
+    [write_bytes t addr (Bytes.sub buf pos len)], without the copy. A
+    denied access raises before simulated memory changes. *)
+
 val memcpy : t -> dst:int -> src:int -> len:int -> unit
 (** Checked copy within simulated memory. *)
 
@@ -151,6 +163,8 @@ val check_range : t -> int -> int -> Fault.access -> unit
 val priv_read_bytes : t -> int -> int -> bytes
 val priv_write_bytes : t -> int -> bytes -> unit
 val priv_write_string : t -> int -> string -> unit
+val priv_read_into : t -> int -> bytes -> pos:int -> len:int -> unit
+val priv_write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
 
 val priv_fill : t -> int -> int -> char -> unit
 (** [priv_fill t addr len c]: charged like a [len]-byte

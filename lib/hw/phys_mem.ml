@@ -76,6 +76,14 @@ let write_bytes t addr b =
   check t addr (Bytes.length b);
   Bytes.blit b 0 t.data addr (Bytes.length b)
 
+let read_into t addr buf ~pos ~len =
+  check t addr len;
+  Bytes.blit t.data addr buf pos len
+
+let write_sub t addr buf ~pos ~len =
+  check t addr len;
+  Bytes.blit buf pos t.data addr len
+
 let write_string t addr s =
   check t addr (String.length s);
   Bytes.blit_string s 0 t.data addr (String.length s)

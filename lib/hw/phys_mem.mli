@@ -36,6 +36,15 @@ val read_bytes : t -> int -> int -> bytes
 (** [read_bytes t addr len] copies [len] bytes out of simulated memory. *)
 
 val write_bytes : t -> int -> bytes -> unit
+
+val read_into : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [read_into t addr buf ~pos ~len] copies [len] bytes out of simulated
+    memory into [buf] at [pos], without allocating. *)
+
+val write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [write_sub t addr buf ~pos ~len] copies [buf.[pos .. pos+len-1]]
+    into simulated memory at [addr]. *)
+
 val write_string : t -> int -> string -> unit
 
 val blit : t -> src:int -> dst:int -> len:int -> unit

@@ -69,9 +69,8 @@ let tx_gather_fn state ctx (args : int array) =
       ignore (Api.read_u8 ctx (max payload (Hw.Addr.base_of_page p)))
     done;
     let frame = Bytes.create (hdr_len + plen) in
-    Bytes.blit (Hw.Cpu.priv_read_bytes ctx.Monitor.cpu ring.ring_base hdr_len) 0 frame 0
-      hdr_len;
-    Bytes.blit (Hw.Cpu.priv_read_bytes ctx.Monitor.cpu payload plen) 0 frame hdr_len plen;
+    Hw.Cpu.priv_read_into ctx.Monitor.cpu ring.ring_base frame ~pos:0 ~len:hdr_len;
+    Hw.Cpu.priv_read_into ctx.Monitor.cpu payload frame ~pos:hdr_len ~len:plen;
     Queue.push frame ring.dev_to_host;
     charge_frame ctx;
     state.tx_frames <- state.tx_frames + 1;

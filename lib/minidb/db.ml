@@ -58,15 +58,17 @@ let encode_catalog t =
     t.tables;
   Buffer.contents b
 
-let decode_catalog pager s =
-  if Int32.to_int (String.get_int32_le s 0) <> magic then
+(* Decodes page 0 from the pager's page image; everything it returns is
+   copied out of the image. *)
+let decode_catalog pager b =
+  if Int32.to_int (Bytes.get_int32_le b 0) <> magic then
     Types.error "db: bad catalog magic";
-  let ntables = Char.code s.[4] lor (Char.code s.[5] lsl 8) in
+  let ntables = Bytes.get_uint16_le b 4 in
   let pos = ref 6 in
-  let u8 () = let v = Char.code s.[!pos] in incr pos; v in
-  let str n = let v = String.sub s !pos n in pos := !pos + n; v in
-  let u32 () = let v = Int32.to_int (String.get_int32_le s !pos) in pos := !pos + 4; v in
-  let i64 () = let v = String.get_int64_le s !pos in pos := !pos + 8; v in
+  let u8 () = let v = Bytes.get_uint8 b !pos in incr pos; v in
+  let str n = let v = Bytes.sub_string b !pos n in pos := !pos + n; v in
+  let u32 () = let v = Int32.to_int (Bytes.get_int32_le b !pos) in pos := !pos + 4; v in
+  let i64 () = let v = Bytes.get_int64_le b !pos in pos := !pos + 8; v in
   List.init ntables (fun _ ->
       let name = str (u8 ()) in
       let root = u32 () in
@@ -86,7 +88,7 @@ let save_catalog t =
   let s = encode_catalog t in
   if String.length s > Pager.page_size then Types.error "db: catalog overflows page 0";
   Pager.write_page t.pager 0 (fun addr ->
-      Api.write_bytes (Pager.ctx t.pager) addr (Bytes.of_string s);
+      Api.write_string (Pager.ctx t.pager) addr s;
       Api.memset (Pager.ctx t.pager) (addr + String.length s)
         (Pager.page_size - String.length s) '\000');
   t.dirty_catalog <- false
@@ -101,11 +103,7 @@ let open_db ?cache_pages ?journal_mode os ~path =
     t
   end
   else begin
-    let s =
-      Pager.read_page pager 0 (fun addr ->
-          Bytes.to_string (Api.read_bytes (Pager.ctx pager) addr Pager.page_size))
-    in
-    { pager; tables = decode_catalog pager s; dirty_catalog = false }
+    { pager; tables = Pager.with_page_image pager 0 (decode_catalog pager); dirty_catalog = false }
   end
 
 let close t =
@@ -193,11 +191,7 @@ let commit t =
 let rollback t =
   Pager.rollback t.pager;
   (* roots may have moved and been rolled back: reload the catalog *)
-  let s =
-    Pager.read_page t.pager 0 (fun addr ->
-        Bytes.to_string (Api.read_bytes (Pager.ctx t.pager) addr Pager.page_size))
-  in
-  t.tables <- decode_catalog t.pager s;
+  t.tables <- Pager.with_page_image t.pager 0 (decode_catalog t.pager);
   t.dirty_catalog <- false
 
 let in_txn t = Pager.in_txn t.pager

@@ -83,7 +83,7 @@ let linux ctx =
             else begin
               let n = min len (f.size - off) in
               (* kernel copies into the user buffer *)
-              Hw.Cpu.write_bytes cpu buf (Bytes.sub f.data off n);
+              Hw.Cpu.write_sub cpu buf f.data ~pos:off ~len:n;
               n
             end);
     pwrite =
@@ -93,7 +93,7 @@ let linux ctx =
         | None -> Libos.Sysdefs.ebadf
         | Some f ->
             grow f (off + len);
-            Bytes.blit (Hw.Cpu.read_bytes cpu buf len) 0 f.data off len;
+            Hw.Cpu.read_into cpu buf f.data ~pos:off ~len;
             f.size <- max f.size (off + len);
             len);
     file_size =

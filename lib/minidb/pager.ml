@@ -50,6 +50,8 @@ type t = {
   mutable joff : int;
   mutable txn_orig_npages : int;
   scratch : int;  (* small buffer for journal record headers *)
+  image : Bytes.t;  (* host copy of one page, see [with_page_image] *)
+  mutable image_page : int;
   st : stats;
 }
 
@@ -117,6 +119,8 @@ let open_db ?(cache_pages = 64) ?(journal_mode = Rollback) (os : Os_iface.t) ~pa
     joff = 0;
     txn_orig_npages = 0;
     scratch;
+    image = Bytes.create page_size;
+    image_page = -1;
     st =
       {
         hits = 0;
@@ -251,6 +255,32 @@ let with_pinned t pageno f =
 
 let read_page t pageno f = with_pinned t pageno (fun frame -> f frame.addr)
 
+(* The page image is the one host buffer the B-tree codec works in: a
+   read copies the whole frame into it (the same checked, charged
+   [page_size] read a fresh [Bytes] copy would cost), a write encodes
+   into it and copies the encoded prefix back. [image_page] is the page
+   the image is held for, or -1. The buffer is reused by the next page
+   access, so nothing may keep a view into it after the callback
+   returns, and a page access from inside the callback is refused
+   rather than allowed to overwrite the bytes being read — except a
+   write of the page being read, which edits the image in place. *)
+let hold_image t pageno f =
+  if t.image_page >= 0 then Types.error "pager: page image re-entered";
+  t.image_page <- pageno;
+  match f () with
+  | v ->
+      t.image_page <- -1;
+      v
+  | exception e ->
+      t.image_page <- -1;
+      raise e
+
+let with_page_image t pageno f =
+  hold_image t pageno (fun () ->
+      with_pinned t pageno (fun frame ->
+          Api.read_into (ctx t) frame.addr t.image ~pos:0 ~len:page_size;
+          f t.image))
+
 (* Append the current (pre-modification) content of a page to the
    rollback journal: a [pageno] header then the 4 KiB of data. *)
 let journal_page t frame =
@@ -269,6 +299,18 @@ let write_page t pageno f =
       journal_page t frame;
       frame.dirty <- true;
       f frame.addr)
+
+let write_page_image t pageno ~len fill =
+  if len < 0 || len > page_size then
+    Types.error "pager: image length %d exceeds page" len;
+  let write () =
+    write_page t pageno (fun addr ->
+        fill t.image;
+        Api.write_sub (ctx t) addr t.image ~pos:0 ~len;
+        (* keep the rest of the page deterministic *)
+        if len < page_size then Api.memset (ctx t) (addr + len) (page_size - len) '\000')
+  in
+  if t.image_page = pageno then write () else hold_image t pageno write
 
 let allocate_page t =
   let pageno = t.npages in
@@ -432,4 +474,11 @@ let close t =
     ignore (t.os.close_file t.wal_fd);
     ignore (t.os.unlink t.wal_path)
   end;
-  ignore (t.os.close_file t.fd)
+  ignore (t.os.close_file t.fd);
+  (* hand the cache frames and the header scratch back to the heap:
+     every open allocates them afresh *)
+  let frames = Hashtbl.fold (fun _ f acc -> f.addr :: acc) t.frames t.free_frames in
+  List.iter (Api.free (ctx t)) (List.sort compare frames);
+  Api.free (ctx t) t.scratch;
+  Hashtbl.reset t.frames;
+  t.free_frames <- []

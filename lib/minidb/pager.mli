@@ -50,8 +50,9 @@ val wal_pages : t -> int
 (** Entries currently in the write-ahead log (0 in rollback mode). *)
 
 val close : t -> unit
-(** Commits nothing: flushes dirty pages outside a transaction, then
-    closes. Raises {!Cubicle.Types.Error} if a transaction is open. *)
+(** Commits nothing: flushes dirty pages outside a transaction, closes
+    the file and frees the cache frames. Raises {!Cubicle.Types.Error}
+    if a transaction is open. The pager must not be used afterwards. *)
 
 val page_count : t -> int
 val stats : t -> stats
@@ -73,6 +74,22 @@ val read_page : t -> int -> (int -> 'a) -> 'a
 val write_page : t -> int -> (int -> 'a) -> 'a
 (** Like {!read_page} but journals the original content first (inside a
     transaction) and marks the frame dirty. *)
+
+val with_page_image : t -> int -> (bytes -> 'a) -> 'a
+(** [with_page_image t pageno f] pins the page, copies all [page_size]
+    bytes of its frame into the pager's one host page image (a checked,
+    charged read identical to [Api.read_bytes] of the frame) and calls
+    [f] on that image. The image is reused by the next page access:
+    [f] must not let any view into it outlive the call. From inside
+    [f], the only page access allowed is {!write_page_image} of the
+    same page, which then sees the image still holding the page and
+    can edit it in place; any other raises {!Cubicle.Types.Error}. *)
+
+val write_page_image : t -> int -> len:int -> (bytes -> unit) -> unit
+(** [write_page_image t pageno ~len fill] is {!write_page} whose
+    callback lets [fill] put the page's first [len] bytes into the page
+    image, copies them into the frame and zeroes the rest of the page.
+    Outside {!with_page_image}, [fill] must write all [len] bytes. *)
 
 val begin_txn : t -> unit
 val in_txn : t -> bool

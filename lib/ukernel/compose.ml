@@ -103,8 +103,8 @@ let genode_os kern ~split ctx =
                   (* backend -> CORE (packet stream when split) *)
                   charge_backend backend_rpc n;
                   (* file store -> session buffer -> application *)
-                  if split then Rpc.copy_in session (Bytes.sub f.data off n);
-                  Hw.Cpu.write_bytes cpu buf (Bytes.sub f.data off n);
+                  if split then Rpc.copy_in_sub session f.data ~pos:off ~len:n;
+                  Hw.Cpu.write_sub cpu buf f.data ~pos:off ~len:n;
                   n
                 end));
     pwrite =
@@ -114,10 +114,9 @@ let genode_os kern ~split ctx =
             | None -> Libos.Sysdefs.ebadf
             | Some f ->
                 ggrow f (off + len);
-                let data = Hw.Cpu.read_bytes cpu buf len in
-                if split then Rpc.copy_in session data;
+                Hw.Cpu.read_into cpu buf f.data ~pos:off ~len;
+                if split then Rpc.copy_in_sub session f.data ~pos:off ~len;
                 charge_backend backend_rpc len;
-                Bytes.blit data 0 f.data off len;
                 f.size <- max f.size (off + len);
                 len));
     file_size =

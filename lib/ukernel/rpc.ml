@@ -45,10 +45,12 @@ let call t ~payload f =
 
 let signal t = Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Ipc t.kern.Kernel.signal_cycles
 
-let copy_in t data =
-  let len = min (Bytes.length data) msg_buf_size in
-  Hw.Cpu.priv_write_bytes t.ctx.Monitor.cpu t.buf (Bytes.sub data 0 len);
-  if Bytes.length data > len then charge_copy t (Bytes.length data - len)
+let copy_in_sub t data ~pos ~len =
+  let n = min len msg_buf_size in
+  Hw.Cpu.priv_write_sub t.ctx.Monitor.cpu t.buf data ~pos ~len:n;
+  if len > n then charge_copy t (len - n)
+
+let copy_in t data = copy_in_sub t data ~pos:0 ~len:(Bytes.length data)
 
 let copy_out t len =
   let n = min len msg_buf_size in

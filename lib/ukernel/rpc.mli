@@ -24,6 +24,10 @@ val signal : t -> unit
 val copy_in : t -> bytes -> unit
 (** Stage host-side data through the message buffer (charged copy). *)
 
+val copy_in_sub : t -> bytes -> pos:int -> len:int -> unit
+(** [copy_in_sub t data ~pos ~len] stages [data.[pos .. pos+len-1]],
+    charged like [copy_in t (Bytes.sub data pos len)]. *)
+
 val copy_out : t -> int -> bytes
 (** Read data back out of the message buffer (charged copy). *)
 

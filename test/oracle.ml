@@ -10,3 +10,59 @@ let monitor_pages_owned_by mon cid =
   pages_owned_by (Cubicle.Monitor.meta mon)
     ~npages:(Hw.Cpu.npages (Cubicle.Monitor.cpu mon))
     cid
+
+(* The B-tree node codec as it stood before nodes were coded in place in
+   the pager's page image: a page decoded into arrays, re-encoded through
+   a [Buffer]. Every node page the tree writes must re-encode to exactly
+   its own bytes. *)
+type btree_node =
+  | Leaf of { keys : int64 array; payloads : string array; next : int }
+  | Interior of { keys : int64 array; children : int array }
+
+let btree_encode_node node =
+  let b = Buffer.create 512 in
+  (match node with
+  | Leaf l ->
+      Buffer.add_uint8 b 1;
+      Buffer.add_uint16_le b (Array.length l.keys);
+      Buffer.add_int32_le b (Int32.of_int l.next);
+      Array.iteri
+        (fun i k ->
+          Buffer.add_int64_le b k;
+          Buffer.add_uint16_le b (String.length l.payloads.(i));
+          Buffer.add_string b l.payloads.(i))
+        l.keys
+  | Interior n ->
+      Buffer.add_uint8 b 2;
+      Buffer.add_uint16_le b (Array.length n.keys);
+      Buffer.add_int32_le b (Int32.of_int n.children.(0));
+      Array.iteri
+        (fun i k ->
+          Buffer.add_int64_le b k;
+          Buffer.add_int32_le b (Int32.of_int n.children.(i + 1)))
+        n.keys);
+  Buffer.contents b
+
+let btree_decode_node s =
+  let nkeys = Char.code s.[1] lor (Char.code s.[2] lsl 8) in
+  let u32 off = Int32.to_int (String.get_int32_le s off) in
+  match Char.code s.[0] with
+  | 1 ->
+      let keys = Array.make nkeys 0L and payloads = Array.make nkeys "" in
+      let pos = ref 7 in
+      for i = 0 to nkeys - 1 do
+        keys.(i) <- String.get_int64_le s !pos;
+        let len = Char.code s.[!pos + 8] lor (Char.code s.[!pos + 9] lsl 8) in
+        payloads.(i) <- String.sub s (!pos + 10) len;
+        pos := !pos + 10 + len
+      done;
+      Leaf { keys; payloads; next = u32 3 }
+  | 2 ->
+      let children = Array.make (nkeys + 1) (u32 3) in
+      let keys = Array.make nkeys 0L in
+      for i = 0 to nkeys - 1 do
+        keys.(i) <- String.get_int64_le s (7 + (12 * i));
+        children.(i + 1) <- u32 (7 + (12 * i) + 8)
+      done;
+      Interior { keys; children }
+  | k -> invalid_arg (Printf.sprintf "btree_decode_node: kind %d" k)

@@ -952,6 +952,136 @@ let prop_search_index_matches_linear =
       in
       !searches_agree && covers_agree)
 
+(* --- copy-free accessors ------------------------------------------------------ *)
+
+(* [Api.read_into] / [write_sub] must be [read_bytes] / [write_bytes]
+   with the host copy moved: same cycles, faults and events. Each run
+   boots a fresh FOO/BAR pair; FOO owns a two-page buffer (filled with a
+   pattern), optionally shared with BAR through a window, and BAR runs
+   [access] on it with tracing on. *)
+type access_run = {
+  cycles : int;
+  faults : int;
+  events : (int * Telemetry.Event.t) list;
+  raised : bool;
+  host : string;  (* the host buffer after the access *)
+  memory : string;  (* FOO's buffer after the access *)
+}
+
+let page = Hw.Addr.page_size
+
+let run_access ~window access =
+  let mon, foo, bar = mk_system () in
+  let fctx = Monitor.ctx_for mon foo and bctx = Monitor.ctx_for mon bar in
+  let buf = Api.malloc_page_aligned fctx (2 * page) in
+  Monitor.run_as mon foo (fun () ->
+      Api.write_string fctx buf (String.init (2 * page) (fun i -> Char.chr (i land 0xFF))));
+  if window then begin
+    let wid = Api.window_init fctx ~klass:Mm.Page_meta.Heap in
+    Api.window_add fctx wid ~ptr:buf ~size:(2 * page);
+    Api.window_open fctx wid bar
+  end;
+  let bus = Monitor.bus mon and cost = Monitor.cost mon in
+  let host = Bytes.make 512 'Z' in
+  let c0 = Hw.Cost.cycles cost and f0 = bus.Telemetry.Bus.faults in
+  Telemetry.Bus.set_tracing bus true;
+  let raised =
+    match Monitor.run_as mon bar (fun () -> access bctx buf host) with
+    | () -> false
+    | exception Hw.Fault.Violation _ -> true
+  in
+  Telemetry.Bus.set_tracing bus false;
+  let cycles = Hw.Cost.cycles cost - c0 and faults = bus.Telemetry.Bus.faults - f0 in
+  {
+    cycles;
+    faults;
+    events = List.map (fun (e : Telemetry.Bus.entry) -> (e.at, e.ev)) (Telemetry.Bus.events bus);
+    raised;
+    host = Bytes.to_string host;
+    memory = Bytes.to_string (Hw.Phys_mem.read_bytes (Hw.Cpu.mem (Monitor.cpu mon)) buf (2 * page));
+  }
+
+let check_same_run what (a : access_run) (b : access_run) =
+  check_int (what ^ ": cycles") a.cycles b.cycles;
+  check_int (what ^ ": faults") a.faults b.faults;
+  check_bool (what ^ ": events") true (a.events = b.events);
+  check_bool (what ^ ": raised") a.raised b.raised;
+  Alcotest.(check string) (what ^ ": memory") a.memory b.memory
+
+let has_fault_and_window_access r =
+  List.exists (function _, Telemetry.Event.Fault _ -> true | _ -> false) r.events
+  && List.exists (function _, Telemetry.Event.Window_access _ -> true | _ -> false) r.events
+
+let accessor_cases = [ ("one page", 100, 300); ("page boundary", page - 200, 500) ]
+
+let test_read_into_matches_read_bytes () =
+  List.iter
+    (fun (what, off, len) ->
+      (* twice: the first access faults and maps, the second hits the TLB *)
+      let copied =
+        run_access ~window:true (fun ctx buf host ->
+            for _ = 1 to 2 do
+              Bytes.blit (Api.read_bytes ctx (buf + off) len) 0 host 0 len
+            done)
+      in
+      let direct =
+        run_access ~window:true (fun ctx buf host ->
+            for _ = 1 to 2 do
+              Api.read_into ctx (buf + off) host ~pos:0 ~len
+            done)
+      in
+      check_bool (what ^ ": faulted") true (direct.faults > 0 && has_fault_and_window_access direct);
+      check_same_run what copied direct;
+      Alcotest.(check string) (what ^ ": bytes") copied.host direct.host)
+    accessor_cases
+
+let test_write_sub_matches_write_bytes () =
+  List.iter
+    (fun (what, off, len) ->
+      let src = Bytes.init 600 (fun i -> Char.chr ((7 * i) land 0xFF)) in
+      let copied =
+        run_access ~window:true (fun ctx buf _ ->
+            for _ = 1 to 2 do
+              Api.write_bytes ctx (buf + off) (Bytes.sub src 50 len)
+            done)
+      in
+      let direct =
+        run_access ~window:true (fun ctx buf _ ->
+            for _ = 1 to 2 do
+              Api.write_sub ctx (buf + off) src ~pos:50 ~len
+            done)
+      in
+      check_bool (what ^ ": faulted") true (direct.faults > 0 && has_fault_and_window_access direct);
+      check_same_run what copied direct)
+    accessor_cases
+
+(* Without a window BAR may not touch FOO's buffer: both accessors raise
+   exactly like their copying twins, before the host buffer or simulated
+   memory changes. *)
+let test_denied_access_changes_nothing () =
+  let untouched = run_access ~window:false (fun _ _ _ -> ()) in
+  let off = page - 200 and len = 500 in
+  let copied = run_access ~window:false (fun ctx buf host ->
+      Bytes.blit (Api.read_bytes ctx (buf + off) len) 0 host 0 len) in
+  let direct = run_access ~window:false (fun ctx buf host ->
+      Api.read_into ctx (buf + off) host ~pos:0 ~len) in
+  check_bool "read denied" true
+    (direct.raised && List.exists (function _, Telemetry.Event.Fault _ -> true | _ -> false) direct.events);
+  check_same_run "denied read" copied direct;
+  Alcotest.(check string) "host buffer untouched" untouched.host direct.host;
+  let src = Bytes.make len 'W' in
+  let copied = run_access ~window:false (fun ctx buf _ -> Api.write_bytes ctx (buf + off) src) in
+  let direct =
+    run_access ~window:false (fun ctx buf _ -> Api.write_sub ctx (buf + off) src ~pos:0 ~len)
+  in
+  check_bool "write denied" true direct.raised;
+  check_same_run "denied write" copied direct;
+  Alcotest.(check string) "memory untouched" untouched.memory direct.memory;
+  check_bool "bad host range rejected" true
+    (match run_access ~window:true (fun ctx buf host -> Api.read_into ctx buf host ~pos:500 ~len:100) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_window_acl; prop_scan_catches_planted; prop_search_index_matches_linear ]
@@ -1034,6 +1164,12 @@ let () =
             test_spawn_guards_cover_existing_exports;
           Alcotest.test_case "destroy churn" `Quick test_destroy_full_slot_reuse;
           Alcotest.test_case "destroy monitor rejected" `Quick test_destroy_monitor_rejected;
+        ] );
+      ( "accessors",
+        [
+          Alcotest.test_case "read_into = read_bytes" `Quick test_read_into_matches_read_bytes;
+          Alcotest.test_case "write_sub = write_bytes" `Quick test_write_sub_matches_write_bytes;
+          Alcotest.test_case "denied changes nothing" `Quick test_denied_access_changes_nothing;
         ] );
       ("properties", qsuite);
     ]

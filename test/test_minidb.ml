@@ -196,6 +196,27 @@ let test_pager_rollback_spilled_pages () =
     pages;
   Minidb.Pager.close p
 
+(* Every open allocates its cache frames from the application heap, so
+   close must give them back: a workload that reopens its database in a
+   loop must not grow the heap. *)
+let test_pager_close_frees_frames () =
+  let os = mk_os () in
+  let mon = os.ctx.Monitor.mon and app = os.ctx.Monitor.self in
+  let cycle () =
+    let p = Minidb.Pager.open_db ~cache_pages:16 os ~path:"/frames.db" in
+    for _ = 1 to 24 do
+      ignore (Minidb.Pager.allocate_page p)
+    done;
+    Minidb.Pager.close p
+  in
+  let owned () = List.length (Oracle.monitor_pages_owned_by mon app) in
+  cycle ();
+  let after_one = owned () in
+  for _ = 1 to 20 do
+    cycle ()
+  done;
+  check_int "heap pages after 21 open/close cycles" after_one (owned ())
+
 let test_pager_nested_txn_rejected () =
   let os = mk_os () in
   let p = Minidb.Pager.open_db os ~path:"/nest.db" in
@@ -283,6 +304,26 @@ let mk_tree ?(cache = 64) () =
   let p = Minidb.Pager.open_db ~cache_pages:cache os ~path:"/tree.db" in
   (Minidb.Btree.create p, p)
 
+(* Every node page reachable from the root must be exactly what the
+   reference Buffer-based encoder makes of it, zero-padded to the page. *)
+let node_pages_match_reference t p =
+  let page_size = Minidb.Pager.page_size in
+  let rec visit pageno =
+    let bytes =
+      Minidb.Pager.read_page p pageno (fun addr ->
+          Api.read_string (Minidb.Pager.ctx p) addr page_size)
+    in
+    let node = Oracle.btree_decode_node bytes in
+    let enc = Oracle.btree_encode_node node in
+    String.length enc <= page_size
+    && String.equal bytes (enc ^ String.make (page_size - String.length enc) '\000')
+    &&
+    match node with
+    | Oracle.Interior n -> Array.for_all visit n.children
+    | Oracle.Leaf _ -> true
+  in
+  visit (Minidb.Btree.root t)
+
 let test_btree_insert_find () =
   let t, _ = mk_tree () in
   Minidb.Btree.insert t ~key:5L ~payload:"five";
@@ -339,6 +380,22 @@ let test_btree_min_max () =
   check_bool "min" true (Minidb.Btree.min_key t = Some (-3L));
   check_bool "max" true (Minidb.Btree.max_key t = Some 42L)
 
+(* Four small entries then three full-size ones fill a leaf; a fourth
+   full-size entry overflows it, and splitting by entry count would put
+   all four big ones in the right half, which cannot fit a page. *)
+let test_btree_uneven_split () =
+  let t, p = mk_tree () in
+  let big k = String.make Minidb.Btree.max_payload (Char.chr (64 + k)) in
+  List.iter (fun k -> Minidb.Btree.insert t ~key:(Int64.of_int k) ~payload:"") [ 1; 2; 3; 4 ];
+  List.iter (fun k -> Minidb.Btree.insert t ~key:(Int64.of_int k) ~payload:(big k)) [ 10; 11; 12; 13 ];
+  check_int "split" 2 (Minidb.Btree.depth t);
+  List.iter
+    (fun k ->
+      check_bool (Printf.sprintf "find %d" k) true
+        (Minidb.Btree.find t (Int64.of_int k) = Some (if k < 10 then "" else big k)))
+    [ 1; 2; 3; 4; 10; 11; 12; 13 ];
+  check_bool "pages match the reference codec" true (node_pages_match_reference t p)
+
 let test_btree_payload_cap () =
   let t, _ = mk_tree () in
   check_bool "oversized rejected" true
@@ -374,6 +431,117 @@ let prop_btree_iter_sorted =
       Minidb.Btree.iter_all t (fun k _ -> seen := k :: !seen);
       let l = List.rev !seen in
       l = List.sort_uniq Int64.compare (List.map Int64.of_int keys))
+
+module Imap = Map.Make (Int64)
+
+type bt_op =
+  | B_insert of int * string
+  | B_delete of int
+  | B_find of int
+  | B_range of int * int
+  | B_reentrant of int * int * int
+      (** a scan whose callback looks up each key and a probe key in the same tree *)
+
+let show_bt_op = function
+  | B_insert (k, p) -> Printf.sprintf "insert %d (%d B)" k (String.length p)
+  | B_delete k -> Printf.sprintf "delete %d" k
+  | B_find k -> Printf.sprintf "find %d" k
+  | B_range (lo, hi) -> Printf.sprintf "range %d..%d" lo hi
+  | B_reentrant (lo, hi, probe) ->
+      Printf.sprintf "re-entrant range %d..%d probing %d" lo hi probe
+
+let bt_op_gen =
+  QCheck.Gen.(
+    let key = int_bound 199 in
+    let payload =
+      (* mostly small; a quarter up to the cap, so leaves split often *)
+      frequency
+        [ (3, int_bound 40); (1, int_range 500 Minidb.Btree.max_payload) ]
+      >>= fun len -> map (fun c -> String.make len c) printable
+    in
+    frequency
+      [
+        (5, map2 (fun k p -> B_insert (k, p)) key payload);
+        (2, map (fun k -> B_delete k) key);
+        (2, map (fun k -> B_find k) key);
+        (1, map2 (fun lo hi -> B_range (lo, hi)) key key);
+        (1, map3 (fun lo hi probe -> B_reentrant (lo, hi, probe)) key key key);
+      ])
+
+let in_range lo hi m = Imap.bindings (Imap.filter (fun k _ -> k >= lo && k <= hi) m)
+
+let collect t ~lo ~hi =
+  let acc = ref [] in
+  Minidb.Btree.iter_range t ~lo ~hi (fun k p -> acc := (k, p) :: !acc);
+  List.rev !acc
+
+(* One script step against the tree and the map; false on disagreement. *)
+let bt_step t m op =
+  match op with
+  | B_insert (k, p) ->
+      let k = Int64.of_int k in
+      Minidb.Btree.insert t ~key:k ~payload:p;
+      (true, Imap.add k p m)
+  | B_delete k ->
+      let k = Int64.of_int k in
+      (Minidb.Btree.delete t k = Imap.mem k m, Imap.remove k m)
+  | B_find k ->
+      let k = Int64.of_int k in
+      (Minidb.Btree.find t k = Imap.find_opt k m, m)
+  | B_range (lo, hi) ->
+      let lo = Int64.of_int lo and hi = Int64.of_int hi in
+      (collect t ~lo ~hi = in_range lo hi m, m)
+  | B_reentrant (lo, hi, probe) ->
+      let lo = Int64.of_int lo and hi = Int64.of_int hi and probe = Int64.of_int probe in
+      let seen = ref [] and lookups_ok = ref true in
+      Minidb.Btree.iter_range t ~lo ~hi (fun k p ->
+          (* each lookup reads pages through the pager's one page image
+             while the scan is still walking the leaf chain; the probe
+             usually lands in another leaf *)
+          if Minidb.Btree.find t k <> Some p || Minidb.Btree.find t probe <> Imap.find_opt probe m
+          then lookups_ok := false;
+          seen := (k, p) :: !seen);
+      (!lookups_ok && List.rev !seen = in_range lo hi m, m)
+
+let prop_btree_model =
+  QCheck.Test.make ~count:30
+    ~name:"btree: scripts agree with a map, pages with the reference codec"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_bt_op ops))
+       QCheck.Gen.(list_size (int_range 1 150) bt_op_gen))
+    (fun ops ->
+      (* a small cache: re-entrant scans also run through evictions *)
+      let t, p = mk_tree ~cache:8 () in
+      let rec go m = function
+        | [] -> true
+        | op :: rest ->
+            let agreed, m = bt_step t m op in
+            agreed
+            && Minidb.Btree.count_range t ~lo:Int64.min_int ~hi:Int64.max_int = Imap.cardinal m
+            && node_pages_match_reference t p
+            && go m rest
+      in
+      go Imap.empty ops)
+
+(* Full-size payloads fit three to a leaf, so 1,100 keys make more leaves
+   than one interior can index: the root interior splits. *)
+let prop_btree_interior_split =
+  QCheck.Test.make ~count:2 ~name:"btree: interior splits keep the reference codec"
+    (QCheck.make QCheck.Gen.(shuffle_l (List.init 1100 Fun.id)))
+    (fun keys ->
+      let t, p = mk_tree () in
+      let payload k = String.make Minidb.Btree.max_payload (Char.chr (65 + (k mod 26))) in
+      let pages_ok = ref true in
+      List.iteri
+        (fun i k ->
+          Minidb.Btree.insert t ~key:(Int64.of_int k) ~payload:(payload k);
+          if i mod 100 = 99 then pages_ok := !pages_ok && node_pages_match_reference t p)
+        keys;
+      !pages_ok
+      && node_pages_match_reference t p
+      && Minidb.Btree.depth t >= 3
+      && collect t ~lo:Int64.min_int ~hi:Int64.max_int
+         = List.init 1100 (fun k -> (Int64.of_int k, payload k)))
 
 (* --- db ------------------------------------------------------------------------- *)
 
@@ -579,6 +747,8 @@ let qsuite =
       prop_record_roundtrip;
       prop_btree_matches_map;
       prop_btree_iter_sorted;
+      prop_btree_model;
+      prop_btree_interior_split;
       prop_journal_modes_equivalent;
     ]
 
@@ -602,6 +772,7 @@ let () =
           Alcotest.test_case "rollback new pages" `Quick test_pager_rollback_drops_new_pages;
           Alcotest.test_case "rollback spilled" `Quick test_pager_rollback_spilled_pages;
           Alcotest.test_case "nested txn" `Quick test_pager_nested_txn_rejected;
+          Alcotest.test_case "close frees frames" `Quick test_pager_close_frees_frames;
         ] );
       ( "wal",
         [
@@ -619,6 +790,7 @@ let () =
           Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
           Alcotest.test_case "payload cap" `Quick test_btree_payload_cap;
+          Alcotest.test_case "uneven split" `Quick test_btree_uneven_split;
         ] );
       ( "db",
         [
