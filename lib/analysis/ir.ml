@@ -29,15 +29,15 @@ let of_built (b : Builder.built) =
   let mon = b.Builder.mon in
   let comps =
     List.map
-      (fun (name, cid) ->
+      (fun (name, cid, iface) ->
         {
           name;
           cid;
           kind = Monitor.cubicle_kind mon cid;
           exports = Monitor.exports_of mon cid;
-          iface = (try List.assoc name b.Builder.ifaces with Not_found -> []);
+          iface;
         })
-      b.Builder.cids
+      (Builder.live b)
   in
   {
     comps;

@@ -32,12 +32,23 @@ let merge name comps =
     iface = List.concat_map (fun c -> c.iface) comps;
   }
 
-type built = {
-  mon : Monitor.t;
-  mutable cids : (string * Types.cid) list;
-  trampolines : Trampoline.t;
-  mutable ifaces : (string * Iface.t) list;
-}
+(* The live components by name, each with the order it was loaded in:
+   spawn and unload cost one table update, not a copy of every live
+   component's entry. *)
+type loaded = { seq : int; l_cid : Types.cid; l_iface : Iface.t }
+type components = { by_name : (string, loaded) Hashtbl.t; mutable next_seq : int }
+type built = { mon : Monitor.t; trampolines : Trampoline.t; components : components }
+
+let add_loaded built name cid iface =
+  let cs = built.components in
+  Hashtbl.replace cs.by_name name { seq = cs.next_seq; l_cid = cid; l_iface = iface };
+  cs.next_seq <- cs.next_seq + 1
+
+let live built =
+  Hashtbl.fold (fun name l acc -> (l.seq, (name, l.l_cid, l.l_iface)) :: acc)
+    built.components.by_name []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 exception Undeclared_export of string * string
 
@@ -82,11 +93,15 @@ let build mon comps =
       let cid = List.assoc c.name cids in
       Monitor.run_as mon cid (fun () -> c.init (Monitor.ctx_for mon cid)))
     comps;
-  { mon; cids; trampolines; ifaces = List.map (fun (c, _) -> (c.name, c.iface)) comps }
+  let built =
+    { mon; trampolines; components = { by_name = Hashtbl.create 16; next_seq = 0 } }
+  in
+  List.iter (fun (c, _) -> add_loaded built c.name (List.assoc c.name cids) c.iface) comps;
+  built
 
 let cid built name =
-  match List.assoc_opt name built.cids with
-  | Some c -> c
+  match Hashtbl.find_opt built.components.by_name name with
+  | Some l -> l.l_cid
   | None -> Types.error "builder: unknown component %s" name
 
 (* Dynamic spawn: the runtime counterpart of [build] — load more
@@ -125,8 +140,7 @@ let spawn ?(callers = []) built comps =
      table for every isolated cubicle. *)
   Trampoline.extend built.trampolines ~syms ~cids:callers;
   Trampoline.guard_all built.trampolines ~cids:(List.map snd fresh);
-  built.cids <- built.cids @ fresh;
-  built.ifaces <- built.ifaces @ List.map (fun (c, _) -> (c.name, c.iface)) comps;
+  List.iter (fun (c, _) -> add_loaded built c.name (List.assoc c.name fresh) c.iface) comps;
   List.iter
     (fun (c, _) ->
       let cid = List.assoc c.name fresh in
@@ -140,6 +154,5 @@ let unload built names =
       let c = cid built name in
       Trampoline.forget_cubicle built.trampolines c;
       Monitor.destroy_cubicle built.mon c;
-      built.cids <- List.filter (fun (n, _) -> n <> name) built.cids;
-      built.ifaces <- List.filter (fun (n, _) -> n <> name) built.ifaces)
+      Hashtbl.remove built.components.by_name name)
     names

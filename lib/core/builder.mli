@@ -45,15 +45,15 @@ val merge : string -> component list -> component
     keep their symbols; calls between them become ordinary intra-cubicle
     calls with no trampoline cost. *)
 
-type built = {
-  mon : Monitor.t;
-  mutable cids : (string * Types.cid) list;
-  trampolines : Trampoline.t;
-  mutable ifaces : (string * Iface.t) list;
-      (** per-component interface summaries, in declaration order —
-          the input to [Analysis.Ir.of_built]. Both lists grow on
-          {!spawn} and shrink on {!unload}. *)
-}
+type components
+(** The live components by name, with the order they were loaded in. *)
+
+type built = { mon : Monitor.t; trampolines : Trampoline.t; components : components }
+
+val live : built -> (string * Types.cid * Iface.t) list
+(** The live components — name, cubicle, interface summary — in load
+    order: declaration order for {!build}, then each {!spawn} batch in
+    turn; {!unload} removes them. The input to [Analysis.Ir.of_built]. *)
 
 exception Undeclared_export of string * string
 (** (component, symbol): an export not listed in exportsyms. *)

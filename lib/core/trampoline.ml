@@ -1,7 +1,14 @@
+(* Every symbol with a thunk gets a slot, in thunk creation order; a
+   cubicle's guard table is an array indexed by slot holding the guard
+   entry address, 0 for none. Guard entries never sit at address 0:
+   page 0 belongs to the monitor. Slots only grow, so a table shorter
+   than the slot count simply lacks the newer symbols. *)
+type thunk = { slot : int; addr : int }
+
 type t = {
   mon : Monitor.t;
-  thunks : (string, int) Hashtbl.t;  (* sym -> thunk address *)
-  guards : (Types.cid, (string, int) Hashtbl.t) Hashtbl.t;  (* cid -> sym -> entry *)
+  thunks : (string, thunk) Hashtbl.t;
+  guards : (Types.cid, int array) Hashtbl.t;  (* cid -> slot -> entry *)
   mutable sorted_syms : string list option;  (* [syms], until a thunk is added *)
 }
 
@@ -46,17 +53,23 @@ let alloc_thunks t syms =
     for p = first to first + npages - 1 do
       Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
     done;
+    let first_slot = Hashtbl.length t.thunks in
     List.iteri
-      (fun i sym -> Hashtbl.replace t.thunks sym (thunk_base + (i * thunk_size)))
+      (fun i sym ->
+        Hashtbl.replace t.thunks sym
+          { slot = first_slot + i; addr = thunk_base + (i * thunk_size) })
       fresh;
     t.sorted_syms <- None
   end
 
-let guards_of t cid ~size =
+(* [cid]'s guard table, grown to cover every slot. *)
+let guards_of t cid =
+  let nslots = Hashtbl.length t.thunks in
   match Hashtbl.find_opt t.guards cid with
-  | Some g -> g
-  | None ->
-      let g = Hashtbl.create size in
+  | Some g when Array.length g = nslots -> g
+  | old ->
+      let g = Array.make nslots 0 in
+      Option.iter (fun o -> Array.blit o 0 g 0 (Array.length o)) old;
       Hashtbl.replace t.guards cid g;
       g
 
@@ -65,11 +78,8 @@ let guards_of t cid ~size =
    owned by the cubicle, so destroy_cubicle releases it with the rest
    of its memory. *)
 let alloc_guards t cid syms =
-  let g = guards_of t cid ~size:(List.length syms) in
-  let fresh =
-    if Hashtbl.length g = 0 then syms
-    else List.filter (fun s -> not (Hashtbl.mem g s)) syms
-  in
+  let g = guards_of t cid in
+  let fresh = List.filter (fun s -> g.((Hashtbl.find t.thunks s).slot) = 0) syms in
   if fresh <> [] then begin
     let cpu = Monitor.cpu t.mon in
     let nsyms = List.length fresh in
@@ -78,14 +88,15 @@ let alloc_guards t cid syms =
       Monitor.alloc_owned_pages t.mon cid gpages ~kind:Mm.Page_meta.Code
         ~perm:Hw.Page_table.perm_rw
     in
+    assert (gbase <> 0);
     let entry = Bytes.copy guard_template in
     List.iteri
       (fun i sym ->
         let thunk = Hashtbl.find t.thunks sym in
         let entry_addr = gbase + (i * guard_entry_size) in
-        Bytes.set_int32_le entry jmp_disp_off (Int32.of_int (thunk - entry_addr));
+        Bytes.set_int32_le entry jmp_disp_off (Int32.of_int (thunk.addr - entry_addr));
         Hw.Cpu.priv_write_bytes cpu entry_addr entry;
-        Hashtbl.replace g sym entry_addr)
+        g.(thunk.slot) <- entry_addr)
       fresh;
     let gfirst = Hw.Addr.page_of gbase in
     for p = gfirst to gfirst + gpages - 1 do
@@ -128,20 +139,23 @@ let forget_cubicle t cid = Hashtbl.remove t.guards cid
 
 let thunk_addr t sym =
   match Hashtbl.find_opt t.thunks sym with
-  | Some a -> a
+  | Some th -> th.addr
   | None -> Types.error "no trampoline thunk for symbol %s" sym
 
+(* The guard entry address for (cid, sym), 0 if there is none. *)
 let find_guard t cid sym =
-  Option.bind (Hashtbl.find_opt t.guards cid) (fun g -> Hashtbl.find_opt g sym)
+  match (Hashtbl.find_opt t.guards cid, Hashtbl.find_opt t.thunks sym) with
+  | Some g, Some th when th.slot < Array.length g -> g.(th.slot)
+  | _ -> 0
 
 let guard_addr t cid sym =
   match find_guard t cid sym with
-  | Some a -> a
-  | None -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
+  | 0 -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
+  | a -> a
 
 let thunk_cid _ = Monitor.monitor_cid
 let has_thunk t sym = Hashtbl.mem t.thunks sym
-let has_guard t cid sym = Option.is_some (find_guard t cid sym)
+let has_guard t cid sym = find_guard t cid sym <> 0
 
 (* Run [f] with the machine configured as if [cid] were executing:
    PKRU narrowed to the cubicle's own tags. *)

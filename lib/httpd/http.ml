@@ -1,23 +1,34 @@
 type request = { meth : string; path : string; keep_alive : bool }
 
+(* Index of the first occurrence of [needle] in [s], without
+   allocating. With [~fold], [s] is lowercased (ASCII) as it is
+   compared, and [needle] must already be lowercase. *)
+let find ?(fold = false) s needle =
+  let n = String.length needle and h = String.length s in
+  let rec matches i j =
+    j = n
+    ||
+    let c = String.unsafe_get s (i + j) in
+    (if fold then Char.lowercase_ascii c else c) = String.unsafe_get needle j
+    && matches i (j + 1)
+  in
+  let rec go i = if i > h - n then None else if matches i 0 then Some i else go (i + 1) in
+  go 0
+
+let header_end raw = Option.map (fun i -> i + 4) (find raw "\r\n\r\n")
+
 let find_header raw name =
-  let lower = String.lowercase_ascii raw in
   let needle = String.lowercase_ascii name ^ ":" in
-  let n = String.length needle in
-  let rec go i =
-    if i + n > String.length lower then None
-    else if String.sub lower i n = needle then begin
-      let vstart = i + n in
+  match find ~fold:true raw needle with
+  | None -> None
+  | Some i ->
+      let vstart = i + String.length needle in
       let vend =
         match String.index_from_opt raw vstart '\r' with
         | Some e -> e
         | None -> String.length raw
       in
       Some (String.trim (String.sub raw vstart (vend - vstart)))
-    end
-    else go (i + 1)
-  in
-  go 0
 
 let parse_request raw =
   match String.index_opt raw '\r' with

@@ -243,15 +243,7 @@ let poll_inner t =
       in
       (match drain () with () -> () | exception Types.Error _ -> ());
       let raw = Buffer.contents conn.req in
-      let header_end =
-        let rec find i =
-          if i + 4 > String.length raw then None
-          else if String.sub raw i 4 = "\r\n\r\n" then Some (i + 4)
-          else find (i + 1)
-        in
-        find 0
-      in
-      match header_end with
+      match Http.header_end raw with
       | None -> still_open := conn :: !still_open
       | Some hdr_end ->
           let keep = handle_request t conn (String.sub raw 0 hdr_end) in

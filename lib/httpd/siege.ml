@@ -14,80 +14,138 @@ let make sys server =
   | None -> Types.error "siege: system has no network device"
   | Some netdev -> { sys; server; netdev; next_conn = 1 }
 
-let find_substring haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = if i + n > h then None else if String.sub haystack i n = needle then Some i else go (i + 1) in
-  go 0
+(* A response reader over one connection's in-order byte stream. The
+   header block collects in [hdr] until its blank line and is parsed
+   once; the body is then allocated at exactly its content-length and
+   later bytes are blitted straight into it, so each body byte is
+   copied once. Every completed response goes to [on_response] as
+   (status, body); with [head_only] a response ends at its header
+   block, which is passed on in place of the body. Bytes after a
+   response start the next one (pipelining). *)
+type reader = {
+  head_only : bool;
+  on_response : int -> string -> unit;
+  hdr : Buffer.t;
+  mutable status : int;
+  mutable body : Bytes.t;  (* of the response being read; [in_body] *)
+  mutable filled : int;
+  mutable in_body : bool;
+  mutable received : int;  (* stream bytes fed so far *)
+}
 
-(* [None] while the first response in [raw] is still incomplete; raises
-   on malformed input. Returns the status, body and bytes consumed, so
-   pipelined responses can be parsed in sequence. *)
-let parse_one_response raw =
-  if String.length raw < 12 then None
+let reader ?(head_only = false) on_response =
+  {
+    head_only;
+    on_response;
+    hdr = Buffer.create 256;
+    status = 0;
+    body = Bytes.empty;
+    filled = 0;
+    in_body = false;
+    received = 0;
+  }
+
+let status_of block =
+  if String.length block < 12 then Types.error "siege: bad status line %S" block;
+  try int_of_string (String.sub block 9 3)
+  with _ -> Types.error "siege: bad status line %S" (String.sub block 0 12)
+
+let finish_body r =
+  let body = r.body in
+  r.body <- Bytes.empty;
+  r.in_body <- false;
+  (* [body] is never written again: it was the reader's only reference *)
+  r.on_response r.status (Bytes.unsafe_to_string body)
+
+let end_header r =
+  let block = Buffer.contents r.hdr in
+  Buffer.clear r.hdr;
+  let status = status_of block in
+  if r.head_only then r.on_response status block
   else begin
-    let status =
-      try int_of_string (String.sub raw 9 3)
-      with _ -> Types.error "siege: bad status line %S" (String.sub raw 0 12)
+    let len =
+      match Http.find_header block "content-length" with
+      | Some v -> int_of_string v
+      | None -> Types.error "siege: no content-length header"
     in
-    match find_substring raw "\r\n\r\n" with
-    | None -> None
-    | Some hdr_end -> (
-        let body_start = hdr_end + 4 in
-        let headers = String.lowercase_ascii (String.sub raw 0 body_start) in
-        match find_substring headers "content-length:" with
-        | None -> Types.error "siege: no content-length header"
-        | Some ki ->
-            let vstart = ki + String.length "content-length:" in
-            let vend =
-              match String.index_from_opt raw vstart '\r' with
-              | Some e -> e
-              | None -> String.length raw
-            in
-            let len = int_of_string (String.trim (String.sub raw vstart (vend - vstart))) in
-            let have = String.length raw - body_start in
-            if have >= len then
-              Some (status, String.sub raw body_start len, body_start + len)
-            else None)
+    r.status <- status;
+    r.body <- Bytes.create len;
+    r.filled <- 0;
+    r.in_body <- true;
+    if len = 0 then finish_body r
   end
 
-let parse_response raw =
-  Option.map (fun (status, body, _) -> (status, body)) (parse_one_response raw)
+(* The header block so far ends in "\r\n\r\n" (its last byte, '\n',
+   already checked). *)
+let header_done hdr =
+  let l = Buffer.length hdr in
+  l >= 4 && Buffer.nth hdr (l - 2) = '\r' && Buffer.nth hdr (l - 3) = '\n'
+  && Buffer.nth hdr (l - 4) = '\r'
 
-let fetch t path =
-  let conn = t.next_conn in
-  t.next_conn <- conn + 1;
-  let cost = Monitor.cost t.sys.Libos.Boot.mon in
-  let c0 = Hw.Cost.cycles cost in
-  Libos.Netdev.host_inject t.netdev (Libos.Lwip.Frame.encode ~conn ~kind:Syn ~payload:"" ());
-  Libos.Netdev.host_inject t.netdev
-    (Libos.Lwip.Frame.encode ~conn ~kind:Data
-       ~payload:(Printf.sprintf "GET %s HTTP/1.0\r\nHost: sim\r\n\r\n" path)
-       ());
+let feed r s =
+  let n = String.length s in
+  r.received <- r.received + n;
+  let rec go i =
+    if i < n then
+      if r.in_body then begin
+        let k = min (n - i) (Bytes.length r.body - r.filled) in
+        Bytes.blit_string s i r.body r.filled k;
+        r.filled <- r.filled + k;
+        if r.filled = Bytes.length r.body then finish_body r;
+        go (i + k)
+      end
+      else begin
+        let c = String.unsafe_get s i in
+        Buffer.add_char r.hdr c;
+        if c = '\n' && header_done r.hdr then end_header r;
+        go (i + 1)
+      end
+  in
+  go 0
+
+(* Poll the server, feeding connection [conn]'s data to [r] in sequence
+   order, until [is_done ()]; [stalled ()] raises once the server has
+   made no progress for several polls. *)
+let drive t ~conn r ~is_done ~stalled =
   let reasm = Libos.Lwip.Reassembly.create () in
-  let response = Buffer.create 1024 in
-  let finished = ref None in
-  let stalled = ref 0 in
-  while !finished = None do
+  let deliver = feed r in
+  let idle = ref 0 in
+  while not (is_done ()) do
     let served = Server.poll t.server in
     let frames = Libos.Netdev.host_collect t.netdev in
     List.iter
       (fun f ->
         let c, kind, seq, payload = Libos.Lwip.Frame.decode f in
         if c = conn && kind = Libos.Lwip.Frame.Data then
-          Libos.Lwip.Reassembly.push reasm ~seq payload)
+          Libos.Lwip.Reassembly.push_with reasm ~seq ~deliver payload)
       frames;
-    Buffer.add_string response (Libos.Lwip.Reassembly.pop_ready reasm);
-    (match parse_response (Buffer.contents response) with
-    | Some (status, body) -> finished := Some (status, body)
-    | None -> ());
-    if served = 0 && frames = [] then begin
-      incr stalled;
-      if !stalled > 3 then
-        Types.error "siege: server stalled fetching %s (%d bytes so far)" path
-          (Buffer.length response)
+    if served = 0 && frames = [] && not (is_done ()) then begin
+      incr idle;
+      if !idle > 3 then stalled ()
     end
-    else stalled := 0
-  done;
+    else idle := 0
+  done
+
+let open_conn t =
+  let conn = t.next_conn in
+  t.next_conn <- conn + 1;
+  Libos.Netdev.host_inject t.netdev (Libos.Lwip.Frame.encode ~conn ~kind:Syn ~payload:"" ());
+  conn
+
+let request t ~conn ?(seq = 0) payload =
+  Libos.Netdev.host_inject t.netdev (Libos.Lwip.Frame.encode ~seq ~conn ~kind:Data ~payload ())
+
+let fetch t path =
+  let cost = Monitor.cost t.sys.Libos.Boot.mon in
+  let c0 = Hw.Cost.cycles cost in
+  let conn = open_conn t in
+  request t ~conn (Printf.sprintf "GET %s HTTP/1.0\r\nHost: sim\r\n\r\n" path);
+  let finished = ref None in
+  let r = reader (fun status body -> if !finished = None then finished := Some (status, body)) in
+  drive t ~conn r
+    ~is_done:(fun () -> !finished <> None)
+    ~stalled:(fun () ->
+      Types.error "siege: server stalled fetching %s (%d bytes so far)" path r.received);
   let status, body = Option.get !finished in
   let cycles = Hw.Cost.cycles cost - c0 in
   {
@@ -100,84 +158,39 @@ let fetch t path =
 (* Send several requests over one keep-alive connection and collect the
    responses in order. *)
 let fetch_pipelined t paths =
-  let conn = t.next_conn in
-  t.next_conn <- conn + 1;
-  Libos.Netdev.host_inject t.netdev (Libos.Lwip.Frame.encode ~conn ~kind:Syn ~payload:"" ());
+  let conn = open_conn t in
+  let last = List.length paths - 1 in
   List.iteri
     (fun i path ->
-      let last = i = List.length paths - 1 in
-      let connection = if last then "close" else "keep-alive" in
-      Libos.Netdev.host_inject t.netdev
-        (Libos.Lwip.Frame.encode ~seq:i ~conn ~kind:Data
-           ~payload:
-             (Printf.sprintf "GET %s HTTP/1.0\r\nHost: sim\r\nConnection: %s\r\n\r\n"
-                path connection)
-           ()))
+      let connection = if i = last then "close" else "keep-alive" in
+      request t ~conn ~seq:i
+        (Printf.sprintf "GET %s HTTP/1.0\r\nHost: sim\r\nConnection: %s\r\n\r\n" path
+           connection))
     paths;
-  let reasm = Libos.Lwip.Reassembly.create () in
-  let response = Buffer.create 1024 in
   let results = ref [] in
   let pending = ref (List.length paths) in
-  let stalled = ref 0 in
-  while !pending > 0 do
-    let served = Server.poll t.server in
-    let frames = Libos.Netdev.host_collect t.netdev in
-    List.iter
-      (fun f ->
-        let c, kind, seq, payload = Libos.Lwip.Frame.decode f in
-        if c = conn && kind = Libos.Lwip.Frame.Data then
-          Libos.Lwip.Reassembly.push reasm ~seq payload)
-      frames;
-    Buffer.add_string response (Libos.Lwip.Reassembly.pop_ready reasm);
-    let rec consume () =
-      match parse_one_response (Buffer.contents response) with
-      | Some (status, body, consumed) ->
+  let r =
+    reader (fun status body ->
+        if !pending > 0 then begin
           results := (status, body) :: !results;
-          decr pending;
-          let rest = Buffer.contents response in
-          Buffer.clear response;
-          Buffer.add_string response (String.sub rest consumed (String.length rest - consumed));
-          if !pending > 0 then consume ()
-      | None -> ()
-    in
-    consume ();
-    if served = 0 && frames = [] && !pending > 0 then begin
-      incr stalled;
-      if !stalled > 3 then Types.error "siege: pipelined fetch stalled (%d pending)" !pending
-    end
-    else stalled := 0
-  done;
+          decr pending
+        end)
+  in
+  drive t ~conn r
+    ~is_done:(fun () -> !pending = 0)
+    ~stalled:(fun () -> Types.error "siege: pipelined fetch stalled (%d pending)" !pending);
   List.rev !results
 
 let fetch_head t path =
-  let conn = t.next_conn in
-  t.next_conn <- conn + 1;
-  Libos.Netdev.host_inject t.netdev (Libos.Lwip.Frame.encode ~conn ~kind:Syn ~payload:"" ());
-  Libos.Netdev.host_inject t.netdev
-    (Libos.Lwip.Frame.encode ~conn ~kind:Data
-       ~payload:(Printf.sprintf "HEAD %s HTTP/1.0\r\nHost: sim\r\n\r\n" path)
-       ());
-  let response = Buffer.create 256 in
+  let conn = open_conn t in
+  request t ~conn (Printf.sprintf "HEAD %s HTTP/1.0\r\nHost: sim\r\n\r\n" path);
   let finished = ref None in
-  let stalled = ref 0 in
-  while !finished = None do
-    let served = Server.poll t.server in
-    let frames = Libos.Netdev.host_collect t.netdev in
-    List.iter
-      (fun f ->
-        let c, kind, _seq, payload = Libos.Lwip.Frame.decode f in
-        if c = conn && kind = Libos.Lwip.Frame.Data then Buffer.add_string response payload)
-      frames;
-    (* a HEAD response is just the header block *)
-    (match find_substring (Buffer.contents response) "\r\n\r\n" with
-    | Some _ -> finished := Some (Buffer.contents response)
-    | None -> ());
-    if served = 0 && frames = [] && !finished = None then begin
-      incr stalled;
-      if !stalled > 3 then Types.error "siege: HEAD stalled"
-    end
-    else stalled := 0
-  done;
+  let r =
+    reader ~head_only:true (fun _ block -> if !finished = None then finished := Some block)
+  in
+  drive t ~conn r
+    ~is_done:(fun () -> !finished <> None)
+    ~stalled:(fun () -> Types.error "siege: HEAD stalled");
   Option.get !finished
 
 let latency_for_sizes t ~sizes ?(repeats = 3) ~populate () =

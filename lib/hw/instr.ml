@@ -12,31 +12,36 @@ type t =
   | Rdpkru
   | Syscall
 
-let u32 v =
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int v);
-  Bytes.to_string b
-
 (* Opcode bytes are chosen to avoid colliding with 0x0F prefixes except
    for the genuine x86 encodings of the privileged instructions. *)
-let encode = function
-  | Nop -> "\x90"
-  | Ret -> "\xC3"
-  | Halt -> "\xF4"
-  | Jmp d -> "\xE9" ^ u32 d
-  | Call d -> "\xE8" ^ u32 d
-  | Mov_imm (r, imm) -> Printf.sprintf "\xB8%c" (Char.chr (r land 0xFF)) ^ u32 imm
-  | Load (r, a) -> Printf.sprintf "\x8B%c" (Char.chr (r land 0xFF)) ^ u32 a
-  | Store (r, a) -> Printf.sprintf "\x89%c" (Char.chr (r land 0xFF)) ^ u32 a
-  | Add (r1, r2) -> Printf.sprintf "\x01%c%c" (Char.chr (r1 land 0xFF)) (Char.chr (r2 land 0xFF))
-  | Wrpkru -> "\x0F\x01\xEF"
-  | Rdpkru -> "\x0F\x01\xEE"
-  | Syscall -> "\x0F\x05"
+let add_reg b r = Buffer.add_char b (Char.chr (r land 0xFF))
+let add_u32 b v = Buffer.add_int32_le b (Int32.of_int v)
+
+let emit b = function
+  | Nop -> Buffer.add_char b '\x90'
+  | Ret -> Buffer.add_char b '\xC3'
+  | Halt -> Buffer.add_char b '\xF4'
+  | Jmp d -> Buffer.add_char b '\xE9'; add_u32 b d
+  | Call d -> Buffer.add_char b '\xE8'; add_u32 b d
+  | Mov_imm (r, imm) -> Buffer.add_char b '\xB8'; add_reg b r; add_u32 b imm
+  | Load (r, a) -> Buffer.add_char b '\x8B'; add_reg b r; add_u32 b a
+  | Store (r, a) -> Buffer.add_char b '\x89'; add_reg b r; add_u32 b a
+  | Add (r1, r2) -> Buffer.add_char b '\x01'; add_reg b r1; add_reg b r2
+  | Wrpkru -> Buffer.add_string b "\x0F\x01\xEF"
+  | Rdpkru -> Buffer.add_string b "\x0F\x01\xEE"
+  | Syscall -> Buffer.add_string b "\x0F\x05"
+
+let encode i =
+  let b = Buffer.create 6 in
+  emit b i;
+  Buffer.contents b
 
 let length i = String.length (encode i)
 
 let assemble instrs =
-  Bytes.of_string (String.concat "" (List.map encode instrs))
+  let b = Buffer.create 1024 in
+  List.iter (emit b) instrs;
+  Buffer.to_bytes b
 
 let rd32 code off =
   if off + 4 > Bytes.length code then None
@@ -86,17 +91,22 @@ let forbidden_seqs = [ ("\x0F\x01\xEF", "wrpkru"); ("\x0F\x05", "syscall") ]
 let scan_forbidden code =
   let n = Bytes.length code in
   let hits = ref [] in
-  for off = n - 1 downto 0 do
-    List.iter
-      (fun (seq, what) ->
+  (* one closure for the whole scan, not one per offset *)
+  let rec at off = function
+    | [] -> ()
+    | (seq, what) :: rest ->
         let len = String.length seq in
-        if off + len <= n then
+        if off + len <= n then begin
           let matches = ref true in
           for i = 0 to len - 1 do
             if Bytes.get code (off + i) <> seq.[i] then matches := false
           done;
-          if !matches then hits := { offset = off; what } :: !hits)
-      forbidden_seqs
+          if !matches then hits := { offset = off; what } :: !hits
+        end;
+        at off rest
+  in
+  for off = n - 1 downto 0 do
+    at off forbidden_seqs
   done;
   !hits
 

@@ -1,12 +1,16 @@
 (** Raw simulated physical memory: a flat byte array with unchecked
     accessors. All permission checking lives in {!Cpu}; only trusted
-    code (monitor, loader, host bridge) touches this module directly. *)
+    code (monitor, loader, host bridge) touches this module directly.
+
+    The bytes live off the OCaml heap and are freed when [t] is
+    collected. *)
 
 type t
 
 val create : int -> t
 (** [create bytes] allocates [bytes] of zeroed memory, rounded up to a
-    whole number of pages. *)
+    whole number of pages. Nothing is written at creation: a page costs
+    host memory only once it is written, and reads as zero until then. *)
 
 val size : t -> int
 val npages : t -> int
@@ -39,7 +43,9 @@ val write_bytes : t -> int -> bytes -> unit
 
 val read_into : t -> int -> bytes -> pos:int -> len:int -> unit
 (** [read_into t addr buf ~pos ~len] copies [len] bytes out of simulated
-    memory into [buf] at [pos], without allocating. *)
+    memory into [buf] at [pos], without allocating. Raises
+    [Invalid_argument], before any byte moves, if either range is out
+    of bounds; so does {!write_sub}. *)
 
 val write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
 (** [write_sub t addr buf ~pos ~len] copies [buf.[pos .. pos+len-1]]

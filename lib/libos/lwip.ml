@@ -38,18 +38,20 @@ module Reassembly = struct
 
   let create () = { parked = Hashtbl.create 8; next_seq = 0; ready = Buffer.create 256 }
 
-  let push t ~seq payload =
+  let push_with t ~seq ~deliver payload =
     if seq >= t.next_seq then Hashtbl.replace t.parked seq payload;
     let rec drain () =
       match Hashtbl.find_opt t.parked t.next_seq with
       | Some p ->
-          Buffer.add_string t.ready p;
           Hashtbl.remove t.parked t.next_seq;
           t.next_seq <- t.next_seq + 1;
+          deliver p;
           drain ()
       | None -> ()
     in
     drain ()
+
+  let push t ~seq payload = push_with t ~seq ~deliver:(Buffer.add_string t.ready) payload
 
   let pop_ready t =
     let s = Buffer.contents t.ready in

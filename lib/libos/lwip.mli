@@ -55,6 +55,12 @@ module Reassembly : sig
   val pop_ready : t -> string
   (** The consecutive bytes accumulated so far (consumed). *)
 
+  val push_with : t -> seq:int -> deliver:(string -> unit) -> string -> unit
+  (** Like {!push}, but each payload that becomes in-order is handed to
+      [deliver], in stream order, instead of accumulating for
+      {!pop_ready}: a reader can copy the stream straight to where it
+      belongs. Duplicates and stale frames are dropped as by {!push}. *)
+
   val pending : t -> int
   (** Frames parked waiting for a gap to fill. *)
 end

@@ -66,3 +66,34 @@ let btree_decode_node s =
       done;
       Interior { keys; children }
   | k -> invalid_arg (Printf.sprintf "btree_decode_node: kind %d" k)
+
+(* Simulated memory as it stood before it moved off the OCaml heap: one
+   [Bytes], every access bounds-checked by [Bytes] itself after the same
+   simulated-range check. [Hw.Phys_mem] must answer every access as
+   this does, raising [Invalid_argument] exactly when it does. *)
+module Mem = struct
+  type t = bytes
+
+  let create size = Bytes.make size '\000'
+
+  let check t addr len =
+    if addr < 0 || len < 0 || addr + len > Bytes.length t then invalid_arg "Mem: out of memory"
+
+  let get_u8 t a = check t a 1; Bytes.get_uint8 t a
+  let set_u8 t a v = check t a 1; Bytes.set_uint8 t a (v land 0xFF)
+  let get_u16 t a = check t a 2; Bytes.get_uint16_le t a
+  let set_u16 t a v = check t a 2; Bytes.set_uint16_le t a (v land 0xFFFF)
+  let get_u32 t a = check t a 4; Int32.to_int (Bytes.get_int32_le t a) land 0xFFFF_FFFF
+  let set_u32 t a v = check t a 4; Bytes.set_int32_le t a (Int32.of_int v)
+  let get_i64 t a = check t a 8; Bytes.get_int64_le t a
+  let set_i64 t a v = check t a 8; Bytes.set_int64_le t a v
+  let read_into t a buf ~pos ~len = check t a len; Bytes.blit t a buf pos len
+  let write_sub t a buf ~pos ~len = check t a len; Bytes.blit buf pos t a len
+
+  let write_string t a s =
+    check t a (String.length s);
+    Bytes.blit_string s 0 t a (String.length s)
+
+  let blit t ~src ~dst ~len = check t src len; check t dst len; Bytes.blit t src t dst len
+  let fill t a len c = check t a len; Bytes.fill t a len c
+end

@@ -836,6 +836,43 @@ let test_spawn_guards_cover_existing_exports () =
   check_int "call to pre-existing export works" 1
     (Monitor.call built.Builder.mon ~caller:gamma "alpha_fn" [||])
 
+(* Guard tables are indexed by thunk slot and grow as [extend] adds
+   thunks: a cubicle guarded for the new symbols gets entries for them,
+   another keeps its old entries and gains none until it is guarded
+   itself. *)
+let test_extend_grows_guard_tables () =
+  let built = mk_built () in
+  let tr = built.Builder.trampolines in
+  let alpha = Builder.cid built "ALPHA" and beta = Builder.cid built "BETA" in
+  let old_syms = Trampoline.syms tr in
+  let before = List.map (fun s -> (s, Trampoline.guard_addr tr beta s)) old_syms in
+  let fresh = [ "late_a"; "late_b"; "late_c" ] in
+  Trampoline.extend tr ~syms:fresh ~cids:[ alpha ];
+  List.iter
+    (fun s ->
+      check_bool ("thunk for " ^ s) true (Trampoline.has_thunk tr s);
+      check_bool ("ALPHA guards " ^ s) true (Trampoline.has_guard tr alpha s);
+      check_bool ("BETA not yet guarding " ^ s) false (Trampoline.has_guard tr beta s))
+    fresh;
+  List.iter
+    (fun (s, a) -> check_int ("BETA keeps its entry for " ^ s) a (Trampoline.guard_addr tr beta s))
+    before;
+  Trampoline.guard_all tr ~cids:[ beta ];
+  List.iter
+    (fun s ->
+      check_bool ("BETA guards " ^ s ^ " once guarded") true (Trampoline.has_guard tr beta s);
+      check_bool "entries are per cubicle" true
+        (Trampoline.guard_addr tr beta s <> Trampoline.guard_addr tr alpha s);
+      Trampoline.enter_via_guard tr ~caller:beta s)
+    fresh;
+  List.iter
+    (fun (s, a) -> check_int ("BETA's old entry for " ^ s ^ " kept") a (Trampoline.guard_addr tr beta s))
+    before;
+  Trampoline.forget_cubicle tr beta;
+  check_bool "forgotten cubicle has no guards" false
+    (List.exists (Trampoline.has_guard tr beta) (Trampoline.syms tr));
+  check_bool "unknown symbol has no guard" false (Trampoline.has_guard tr alpha "never_exported")
+
 let test_destroy_full_slot_reuse () =
   (* churn: create and destroy cubicles repeatedly without exhausting
      the 14 keys *)
@@ -1164,6 +1201,7 @@ let () =
             test_spawn_guards_cover_existing_exports;
           Alcotest.test_case "destroy churn" `Quick test_destroy_full_slot_reuse;
           Alcotest.test_case "destroy monitor rejected" `Quick test_destroy_monitor_rejected;
+          Alcotest.test_case "extend grows guard tables" `Quick test_extend_grows_guard_tables;
         ] );
       ( "accessors",
         [

@@ -120,6 +120,139 @@ let test_phys_mem_bounds () =
     (Invalid_argument "Phys_mem: access [0x1000, +1) out of memory") (fun () ->
       Hw.Phys_mem.set_u8 m 4096 1)
 
+(* Random access scripts against the [Bytes] model in [Oracle.Mem], on a
+   three-page memory so that accesses straddle page boundaries and run
+   off either end. Each step must return what the model returns and
+   raise exactly when it raises; after every step the two memories,
+   and the host buffer of a [read_into], hold the same bytes, so an
+   access that raises has moved nothing. *)
+type width = W8 | W16 | W32 | W64
+
+type mem_op =
+  | Get of width * int * bool  (* [true]: the unchecked accessor, when in range *)
+  | Set of width * int * int64 * bool
+  | Read_into of int * int * int * int  (* addr, host buffer size, pos, len *)
+  | Write_sub of int * string * int * int  (* addr, source, pos, len *)
+  | Write_string of int * string
+  | Blit of int * int * int  (* src, dst, len *)
+  | Fill of int * int * char
+
+let mem_pages = 3
+let mem_size = mem_pages * Hw.Addr.page_size
+
+let width_bits = function W8 -> 8 | W16 -> 16 | W32 -> 32 | W64 -> 64
+let unchecked u = if u then " unchecked" else ""
+
+let pp_mem_op = function
+  | Get (w, a, u) -> Printf.sprintf "get%d(%d)%s" (width_bits w) a (unchecked u)
+  | Set (w, a, v, u) -> Printf.sprintf "set%d(%d,%Ld)%s" (width_bits w) a v (unchecked u)
+  | Read_into (a, n, pos, len) -> Printf.sprintf "read_into(%d,buf%d,pos %d,len %d)" a n pos len
+  | Write_sub (a, s, pos, len) -> Printf.sprintf "write_sub(%d,%S,pos %d,len %d)" a s pos len
+  | Write_string (a, s) -> Printf.sprintf "write_string(%d,%S)" a s
+  | Blit (src, dst, len) -> Printf.sprintf "blit(%d->%d,%d)" src dst len
+  | Fill (a, len, c) -> Printf.sprintf "fill(%d,%d,%C)" a len c
+
+let gen_mem_script =
+  let open QCheck.Gen in
+  (* mostly near a page boundary or an end of memory, sometimes past it *)
+  let addr =
+    frequency
+      [
+        (3, map2 (fun p d -> (p * Hw.Addr.page_size) + d) (int_bound mem_pages) (int_range (-12) 12));
+        (2, int_bound (mem_size - 1));
+        (1, int_range (-40) (mem_size + 40));
+      ]
+  in
+  let len = frequency [ (6, int_bound 40); (1, int_range 4000 4200); (1, int_range (-3) (-1)) ] in
+  let width = oneofl [ W8; W16; W32; W64 ] in
+  let value = map Int64.of_int (int_bound max_int) in
+  let text = string_size ~gen:printable (int_bound 40) in
+  let op =
+    frequency
+      [
+        (3, map3 (fun w a u -> Get (w, a, u)) width addr bool);
+        (4, map3 (fun (w, a) v u -> Set (w, a, v, u)) (pair width addr) value bool);
+        (2, map3 (fun a n (pos, l) -> Read_into (a, n, pos, l)) addr (int_bound 64) (pair (int_range (-2) 66) len));
+        (2, map3 (fun a s (pos, l) -> Write_sub (a, s, pos, l)) addr text (pair (int_range (-2) 42) len));
+        (2, map2 (fun a s -> Write_string (a, s)) addr text);
+        (2, map3 (fun src dst l -> Blit (src, dst, l)) addr addr len);
+        (1, map3 (fun a l c -> Fill (a, l, c)) addr len printable);
+      ]
+  in
+  list_size (int_range 1 60) op
+
+let prop_phys_mem_matches_model =
+  QCheck.Test.make ~count:300 ~name:"phys_mem: scripts agree with a Bytes model"
+    (QCheck.make ~print:(QCheck.Print.list pp_mem_op) gen_mem_script)
+    (fun script ->
+      let module M = Hw.Phys_mem in
+      let module R = Oracle.Mem in
+      let m = M.create mem_size and r = R.create mem_size in
+      let outcome f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+      let in_range a n = a >= 0 && a + n <= mem_size in
+      let step = function
+        | Get (w, a, u) ->
+            let n, get, unsafe_get, model =
+              match w with
+              | W8 -> (1, M.get_u8, M.unsafe_get_u8, R.get_u8)
+              | W16 -> (2, M.get_u16, M.unsafe_get_u16, R.get_u16)
+              | W32 -> (4, M.get_u32, M.unsafe_get_u32, R.get_u32)
+              | W64 ->
+                  let i64 f t a = Int64.to_int (f t a) in
+                  (8, i64 M.get_i64, i64 M.get_i64, i64 R.get_i64)
+            in
+            let get = if u && in_range a n then unsafe_get else get in
+            outcome (fun () -> get m a) = outcome (fun () -> model r a)
+        | Set (w, a, v, u) ->
+            let n, set, unsafe_set, model =
+              match w with
+              | W8 -> (1, M.set_u8, M.unsafe_set_u8, R.set_u8)
+              | W16 -> (2, M.set_u16, M.unsafe_set_u16, R.set_u16)
+              | W32 -> (4, M.set_u32, M.unsafe_set_u32, R.set_u32)
+              | W64 ->
+                  let i64 f t a v = f t a (Int64.of_int v) in
+                  (8, i64 M.set_i64, i64 M.set_i64, i64 R.set_i64)
+            in
+            let set = if u && in_range a n then unsafe_set else set in
+            let v = Int64.to_int v in
+            outcome (fun () -> set m a v) = outcome (fun () -> model r a v)
+        | Read_into (a, n, pos, len) ->
+            let host = Bytes.init n (fun i -> Char.chr (65 + (i mod 26))) in
+            let model_host = Bytes.copy host in
+            outcome (fun () -> M.read_into m a host ~pos ~len)
+            = outcome (fun () -> R.read_into r a model_host ~pos ~len)
+            && Bytes.equal host model_host
+        | Write_sub (a, s, pos, len) ->
+            let b = Bytes.of_string s in
+            outcome (fun () -> M.write_sub m a b ~pos ~len)
+            = outcome (fun () -> R.write_sub r a b ~pos ~len)
+        | Write_string (a, s) ->
+            outcome (fun () -> M.write_string m a s) = outcome (fun () -> R.write_string r a s)
+        | Blit (src, dst, len) ->
+            outcome (fun () -> M.blit m ~src ~dst ~len)
+            = outcome (fun () -> R.blit r ~src ~dst ~len)
+        | Fill (a, len, c) ->
+            outcome (fun () -> M.fill m a len c) = outcome (fun () -> R.fill r a len c)
+      in
+      List.for_all
+        (fun op -> step op && Bytes.equal (M.read_bytes m 0 mem_size) r)
+        script)
+
+(* Memory comes zeroed without being written at boot: a 512 MiB
+   machine reads zero at random pages nobody has touched. *)
+let big_mem = lazy (Hw.Phys_mem.create (512 * 1024 * 1024))
+let zero_page = Bytes.make Hw.Addr.page_size '\000'
+
+let prop_untouched_pages_read_zero =
+  QCheck.Test.make ~count:100 ~name:"phys_mem: untouched pages of a 512 MiB machine read zero"
+    QCheck.(pair (int_bound ((512 * 256) - 1)) (int_bound (Hw.Addr.page_size - 8)))
+    (fun (page, off) ->
+      let m = Lazy.force big_mem in
+      let base = Hw.Addr.base_of_page page in
+      Hw.Phys_mem.npages m = 512 * 256
+      && Hw.Phys_mem.get_i64 m (base + off) = 0L
+      && Bytes.equal (Hw.Phys_mem.read_bytes m base Hw.Addr.page_size) zero_page)
+
 (* --- Instr --------------------------------------------------------------- *)
 
 let test_instr_roundtrip () =
@@ -533,7 +666,8 @@ let prop_scan_iff_privileged =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_addr_roundtrip; prop_pkru_deny_allow_inverse; prop_cpu_write_read_roundtrip;
-    prop_instr_assemble_decode; prop_scan_iff_privileged ]
+    prop_instr_assemble_decode; prop_scan_iff_privileged; prop_phys_mem_matches_model;
+    prop_untouched_pages_read_zero ]
 
 let () =
   Alcotest.run "hw"

@@ -432,7 +432,43 @@ let prop_fs_roundtrip =
       Libos.Fileio.write_file fio "/p" contents;
       Libos.Fileio.read_file fio "/p" = contents)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_frame_roundtrip; prop_fs_roundtrip ]
+(* [push_with] hands over exactly the stream [push] + [pop_ready]
+   would: frames of a stream arrive shuffled, some twice, some stale;
+   after every frame both readers hold the same bytes and park the same
+   number of frames. *)
+let prop_reassembly_push_with =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 12) (string_size ~gen:printable (int_bound 6)) >>= fun payloads ->
+      let n = List.length payloads in
+      list_size (int_bound (3 * n)) (int_bound (n - 1)) >>= fun extra ->
+      shuffle_l (List.init n Fun.id @ extra) >|= fun order -> (payloads, order))
+  in
+  let print (payloads, order) =
+    Printf.sprintf "payloads [%s], arrival order [%s]"
+      (String.concat "; " (List.map (Printf.sprintf "%S") payloads))
+      (String.concat "; " (List.map string_of_int order))
+  in
+  QCheck.Test.make ~count:300 ~name:"lwip reassembly: push_with delivers what push readies"
+    (QCheck.make ~print gen)
+    (fun (payloads, order) ->
+      let module R = Libos.Lwip.Reassembly in
+      let payloads = Array.of_list payloads in
+      let a = R.create () and b = R.create () in
+      let via_push = Buffer.create 64 and via_deliver = Buffer.create 64 in
+      List.for_all
+        (fun seq ->
+          R.push a ~seq payloads.(seq);
+          Buffer.add_string via_push (R.pop_ready a);
+          R.push_with b ~seq ~deliver:(Buffer.add_string via_deliver) payloads.(seq);
+          Buffer.contents via_push = Buffer.contents via_deliver && R.pending a = R.pending b)
+        order
+      && Buffer.contents via_deliver = String.concat "" (Array.to_list payloads)
+      && R.pop_ready b = "")
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_frame_roundtrip; prop_fs_roundtrip; prop_reassembly_push_with ]
 
 let () =
   Alcotest.run "libos"
