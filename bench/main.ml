@@ -1,20 +1,25 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§6). Results are simulated cycles from the machine's
-   cost model, reported in the paper's units. Run with no arguments for
-   everything, or with a subset of: table2 fig5 fig6 fig7 fig8 fig10a
-   fig10b ablation micro hw smp. The extra target `trace` (never part of
-   `all`) captures the Fig. 2 write path on the telemetry bus and writes
-   trace.json / trace.folded; `--sample N` keeps 1 in N events and
-   `--stream` writes the JSON incrementally through a bus sink instead
-   of from the ring. `fig6 --attrib` appends the per-cubicle
-   cycle-attribution tables; `--latency` (on fig6/fig10a/fig10b)
-   appends per-edge call-latency percentiles and, for fig6, writes
-   BENCH_latency.json. EXPERIMENTS.md records paper-vs-measured
-   numbers. *)
+   cost model, reported in the paper's units. Each target is a
+   subcommand taking only its own flags (`main.exe fig6 --help`); with
+   no subcommand, or with `all`, every target except `trace` runs:
+   table2 fig5 fig6 fig7 fig8 fig10a fig10b ablation hw smp sendfile
+   keys analyze. `trace` captures the Fig. 2 write path on the
+   telemetry bus and writes trace.json / trace.folded; `--sample N`
+   keeps 1 in N events and `--stream` writes the JSON incrementally
+   through a bus sink instead of from the ring. `fig6 --attrib` appends
+   the per-cubicle cycle-attribution tables; `--latency` (on
+   fig6/fig7/fig10a/fig10b) appends per-edge call-latency percentiles
+   and, for fig6/fig7, writes BENCH_latency.json. `--golden FILE` checks
+   a target's deterministic rows against a golden file (module Golden)
+   and exits 1 on drift; a bad command line exits 124. EXPERIMENTS.md
+   records paper-vs-measured numbers. *)
 
 open Cubicle
 
 let fprintf = Printf.printf
+
+let cname mon cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid
 
 let heading title =
   fprintf "\n=======================================================================\n";
@@ -137,14 +142,13 @@ let speedtest_for_protection ?(latency = false) protection ~n =
 let attrib_table mon =
   let cost = Monitor.cost mon in
   let attrib = cost.Hw.Cost.attrib in
-  let cname cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
   fprintf "%-10s" "cubicle";
   List.iter (fun c -> fprintf "%13s" (Telemetry.Attrib.cat_name c)) Telemetry.Attrib.categories;
   fprintf "%15s %6s\n" "total" "share";
   let grand = Telemetry.Attrib.total attrib in
   List.iter
     (fun (cid, row) ->
-      fprintf "%-10s" (cname cid);
+      fprintf "%-10s" (cname mon cid);
       Array.iter (fun v -> fprintf "%13d" v) row;
       let tot = Array.fold_left ( + ) 0 row in
       fprintf "%15d %5.1f%%\n" tot (100. *. float_of_int tot /. float_of_int (max 1 grand)))
@@ -170,7 +174,6 @@ let latency_table mon =
   match Telemetry.Bus.latency bus with
   | None -> fprintf "  (no latency sink attached)\n"
   | Some lat ->
-      let cname cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
       let edges = Telemetry.Latency.edges lat in
       if edges = [] then fprintf "  (no cross-cubicle calls observed)\n"
       else begin
@@ -179,8 +182,8 @@ let latency_table mon =
         List.iter
           (fun ((caller, callee), h) ->
             let open Telemetry.Hist in
-            fprintf "  %-10s %-10s %9d %9d %9d %9d %9d %11.1f\n" (cname caller)
-              (cname callee) (count h) (percentile h 0.50) (percentile h 0.90)
+            fprintf "  %-10s %-10s %9d %9d %9d %9d %9d %11.1f\n" (cname mon caller)
+              (cname mon callee) (count h) (percentile h 0.50) (percentile h 0.90)
               (percentile h 0.99) (max_value h) (mean h))
           edges
       end;
@@ -197,7 +200,7 @@ let latency_table mon =
           in
           if c <> n then begin
             fprintf "FATAL: edge %s->%s: latency count %d <> calls_between %d\n"
-              (cname caller) (cname callee) c n;
+              (cname mon caller) (cname mon callee) c n;
             exit 1
           end)
         (Telemetry.Bus.edges bus)
@@ -209,12 +212,11 @@ let latency_json_rows mon ~config =
   match Telemetry.Bus.latency bus with
   | None -> []
   | Some lat ->
-      let cname cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
       List.concat_map
         (fun ((caller, callee), h) ->
           let key field =
-            Printf.sprintf "%s.%s->%s.%s" (json_key_sanitize config) (cname caller)
-              (cname callee) field
+            Printf.sprintf "%s.%s->%s.%s" (json_key_sanitize config) (cname mon caller)
+              (cname mon callee) field
           in
           let open Telemetry.Hist in
           [
@@ -224,84 +226,6 @@ let latency_json_rows mon ~config =
             (key "p99", percentile h 0.99);
           ])
         (Telemetry.Latency.edges lat)
-
-let write_flat_json path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  List.iteri
-    (fun i (k, v) ->
-      Printf.fprintf oc "  \"%s\": %d%s\n" k v (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-(* Golden files are flat {"key": int} objects; this scanner is all the
-   JSON we need. *)
-let parse_flat_json s =
-  let pairs = ref [] in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '"' then begin
-      let j = String.index_from s (!i + 1) '"' in
-      let key = String.sub s (!i + 1) (j - !i - 1) in
-      let k = ref (j + 1) in
-      while !k < n && (s.[!k] = ':' || s.[!k] = ' ') do
-        incr k
-      done;
-      let st = !k in
-      while !k < n && (match s.[!k] with '0' .. '9' | '-' -> true | _ -> false) do
-        incr k
-      done;
-      if !k > st then pairs := (key, int_of_string (String.sub s st (!k - st))) :: !pairs;
-      i := !k
-    end
-    else incr i
-  done;
-  !pairs
-
-let read_flat_json path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  parse_flat_json s
-
-(* The per-edge latency analogue of the hw suite's golden-cycles guard:
-   the simulator is deterministic, so every percentile must match the
-   checked-in golden file bit-for-bit at the same --n. *)
-let latency_check_golden path ~n rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- fig6 --latency --n %d --write-golden %s\n"
-      path n path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but edge not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN LATENCY DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model or stack change, recalibrate with:\n\
-      \  dune exec bench/main.exe -- fig6 --latency --n %d --write-golden %s\n"
-      n path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: per-edge latency percentiles match %s\n" path
 
 let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
     ?(lat_out = "BENCH_latency.json") ?golden ?write_golden () =
@@ -383,8 +307,12 @@ let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
     let rows =
       List.concat_map (fun (name, (_, mon)) -> latency_json_rows mon ~config:name) full_runs
     in
-    write_flat_json lat_out rows;
-    fprintf "\nwrote %s\n" lat_out;
+    fprintf "\n";
+    Golden.emit ?golden ?write_golden ~out:lat_out
+      ~what:(Printf.sprintf "per-edge latencies (--n %d)" n)
+      ~ok:"per-edge latency percentiles match"
+      ~recalibrate:(Printf.sprintf "fig6 --latency --n %d" n)
+      rows;
     if hdr then begin
       (* HdrHistogram-compatible percentile dump, loadable by hdr-plot
          and the HdrHistogram plotFiles viewer: one section per
@@ -399,24 +327,15 @@ let fig6 ?(n = 150) ?(attrib = false) ?(latency = false) ?(hdr = false)
       (match Telemetry.Bus.latency bus with
       | None -> ()
       | Some lat ->
-          let cname cid =
-            try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid
-          in
           let oc = open_out hdr_out in
           List.iter
             (fun ((caller, callee), h) ->
-              Printf.fprintf oc "#[Edge: %s->%s]\n%s\n" (cname caller) (cname callee)
+              Printf.fprintf oc "#[Edge: %s->%s]\n%s\n" (cname mon caller) (cname mon callee)
                 (Telemetry.Export.hdr h))
             (Telemetry.Latency.edges lat);
           close_out oc;
           fprintf "wrote HdrHistogram percentile dump to %s\n" hdr_out)
-    end;
-    (match write_golden with
-    | Some path ->
-        write_flat_json path rows;
-        fprintf "wrote golden per-edge latencies (--n %d) to %s\n" n path
-    | None -> ());
-    match golden with Some path -> latency_check_golden path ~n rows | None -> ()
+    end
   end
 
 (* --- Figure 7: NGINX download latency vs transfer size ---------------------- *)
@@ -490,14 +409,14 @@ let fig7 ?(repeats = 3) ?(latency = false) ?(lat_out = "BENCH_latency.json") () 
       if Sys.file_exists lat_out then
         List.filter
           (fun (k, _) -> not (String.length k >= 5 && String.sub k 0 5 = "fig7-"))
-          (read_flat_json lat_out)
+          (Golden.read lat_out)
       else []
     in
     let rows =
       prior
       @ List.concat_map (fun (name, mon) -> latency_json_rows mon ~config:name) runs
     in
-    write_flat_json lat_out rows;
+    Golden.write lat_out rows;
     fprintf "\nwrote %s\n" lat_out
   end
 
@@ -596,6 +515,23 @@ let fig10b ?(n = 120) ?(latency = false) () =
 
 (* --- Ablations: the design-space choices of §5.6/§8 --------------------------- *)
 
+(* Two isolated cubicles under full protection: FOO (32 heap pages) owns
+   a 16-page buffer [buf] registered in window [wid]; BAR (8 heap pages)
+   exports [sym] = [fn]. *)
+let foo_bar_rig ?policy ~sym fn =
+  let mon = Monitor.create ?policy ~protection:Types.Full () in
+  let cubicle name heap_pages =
+    Monitor.create_cubicle mon ~name ~kind:Types.Isolated ~heap_pages ~stack_pages:2
+  in
+  let foo = cubicle "FOO" 32 in
+  let bar = cubicle "BAR" 8 in
+  Monitor.register_exports mon bar [ { Monitor.sym; fn; stack_bytes = 0 } ];
+  let ctx = Monitor.ctx_for mon foo in
+  let buf = Api.malloc_page_aligned ctx (16 * 4096) in
+  let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
+  Api.window_add ctx wid ~ptr:buf ~size:(16 * 4096);
+  (mon, ctx, foo, bar, buf, wid)
+
 let ablation () =
   heading "Ablation: window mapping/revocation policies and window-specific tags";
   fprintf
@@ -663,21 +599,9 @@ let ablation () =
     "\nScenario B: 500 calls, 16-page window opened each time, 1 page touched\n\
      (conservatively sized grants, where lazy trap-and-map shines):\n\n";
   let run_wide ~policy =
-    let mon = Monitor.create ~policy ~protection:Types.Full () in
-    let foo = Monitor.create_cubicle mon ~name:"FOO" ~kind:Types.Isolated ~heap_pages:32 ~stack_pages:2 in
-    let bar = Monitor.create_cubicle mon ~name:"BAR" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
-    Monitor.register_exports mon bar
-      [
-        {
-          Monitor.sym = "bar_peek";
-          fn = (fun c a -> Api.read_u8 c a.(0));
-          stack_bytes = 0;
-        };
-      ];
-    let ctx = Monitor.ctx_for mon foo in
-    let buf = Api.malloc_page_aligned ctx (16 * 4096) in
-    let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
-    Api.window_add ctx wid ~ptr:buf ~size:(16 * 4096);
+    let mon, ctx, foo, bar, buf, wid =
+      foo_bar_rig ~policy ~sym:"bar_peek" (fun c a -> Api.read_u8 c a.(0))
+    in
     let c0 = Hw.Cost.cycles (Monitor.cost mon) in
     for _ = 1 to 500 do
       Api.window_open ctx wid bar;
@@ -772,70 +696,13 @@ let ablation () =
           Minidb.Db.close db))
     [ ("rollback journal", Minidb.Pager.Rollback); ("write-ahead log", Minidb.Pager.Wal) ]
 
-(* --- Bechamel microbenchmarks -------------------------------------------------- *)
-
-let micro () =
-  heading "Microbenchmarks (Bechamel; wall-clock of the simulator itself)";
-  let open Bechamel in
-  let mon = Monitor.create ~protection:Types.Full () in
-  let foo = Monitor.create_cubicle mon ~name:"FOO" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
-  let bar = Monitor.create_cubicle mon ~name:"BAR" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
-  Monitor.register_exports mon bar
-    [
-      {
-        Monitor.sym = "bar_fn";
-        fn = (fun ctx a -> Api.write_u8 ctx a.(0) 1; 0);
-        stack_bytes = 0;
-      };
-    ];
-  let ctx = Monitor.ctx_for mon foo in
-  let buf = Api.malloc_page_aligned ctx 4096 in
-  let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
-  Api.window_add ctx wid ~ptr:buf ~size:4096;
-  Api.window_open ctx wid bar;
-  let cpu = Monitor.cpu mon in
-  let tests =
-    Test.make_grouped ~name:"cubicleos"
-      [
-        Test.make ~name:"wrpkru"
-          (Staged.stage (fun () -> Hw.Cpu.wrpkru cpu Hw.Pkru.all_allow));
-        Test.make ~name:"window-open-close"
-          (Staged.stage (fun () ->
-               Api.window_close ctx wid bar;
-               Api.window_open ctx wid bar));
-        Test.make ~name:"cross-cubicle-call-warm"
-          (Staged.stage (fun () -> ignore (Monitor.call mon ~caller:foo "bar_fn" [| buf |])));
-        Test.make ~name:"trap-and-map-fault"
-          (Staged.stage (fun () ->
-               Hw.Cpu.set_page_key cpu (Hw.Addr.page_of buf) (Monitor.cubicle_key mon foo);
-               ignore (Monitor.call mon ~caller:foo "bar_fn" [| buf |])));
-        Test.make ~name:"memcpy-2KiB-simulated"
-          (Staged.stage (fun () -> Hw.Cpu.memcpy cpu ~dst:(buf + 2048) ~src:buf ~len:2048));
-      ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> fprintf "  %-40s %12.1f ns/op\n" name est
-      | _ -> fprintf "  %-40s (no estimate)\n" name)
-    (List.sort compare rows)
-
 (* --- hw: software-TLB wall-clock suite -> BENCH_hw.json --------------------------- *)
 
-(* Unlike the bechamel [micro] suite this one is bounded by fixed
-   iteration counts, so its simulated-cycle counts are deterministic:
-   CI compares them against bench/golden_cycles.json to catch cost-model
-   drift, and the wall-clock columns track the trajectory of the
-   simulator itself. The TLB must never change simulated behaviour —
+(* Bounded by fixed iteration counts, so its simulated-cycle counts are
+   deterministic: CI compares them against bench/golden_cycles.json to
+   catch cost-model drift, and the wall-clock columns track the
+   trajectory of the simulator itself (the host cost of crossings and
+   trap-and-map). The TLB must never change simulated behaviour —
    every scenario runs twice (TLB on / TLB off) and the harness fails
    if cycles, faults or wrpkru counts differ. *)
 
@@ -851,29 +718,11 @@ type hw_row = {
 
 let hw_scenario ~name body =
   let run tlb_on =
-    let mon = Monitor.create ~protection:Types.Full () in
+    let mon, ctx, foo, bar, buf, wid =
+      foo_bar_rig ~sym:"bar_fn" (fun ctx a -> Api.write_u8 ctx a.(0) 1; 0)
+    in
     let cpu = Monitor.cpu mon in
     Hw.Cpu.set_tlb_enabled cpu tlb_on;
-    let foo =
-      Monitor.create_cubicle mon ~name:"FOO" ~kind:Types.Isolated ~heap_pages:32
-        ~stack_pages:2
-    in
-    let bar =
-      Monitor.create_cubicle mon ~name:"BAR" ~kind:Types.Isolated ~heap_pages:8
-        ~stack_pages:2
-    in
-    Monitor.register_exports mon bar
-      [
-        {
-          Monitor.sym = "bar_fn";
-          fn = (fun ctx a -> Api.write_u8 ctx a.(0) 1; 0);
-          stack_bytes = 0;
-        };
-      ];
-    let ctx = Monitor.ctx_for mon foo in
-    let buf = Api.malloc_page_aligned ctx (16 * 4096) in
-    let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
-    Api.window_add ctx wid ~ptr:buf ~size:(16 * 4096);
     let tlb = Hw.Cpu.tlb cpu in
     Hw.Tlb.reset_counters tlb;
     let c0 = Hw.Cost.cycles (Monitor.cost mon) in
@@ -957,50 +806,6 @@ let hw_write_json path rows =
   Printf.fprintf oc "}\n";
   close_out oc
 
-let hw_write_golden path rows =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "  \"%s.cycles\": %d,\n  \"%s.faults\": %d,\n  \"%s.wrpkru\": %d%s\n"
-        r.hw_name r.hw_cycles r.hw_name r.hw_faults r.hw_name r.hw_wrpkru
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let hw_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf "GOLDEN FILE MISSING: %s\nGenerate it with:\n  dune exec bench/main.exe -- hw --write-golden %s\n" path path;
-    exit 1
-  end;
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let golden = parse_flat_json (really_input_string ic len) in
-  close_in ic;
-  let drift = ref [] in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (field, v) ->
-          let key = r.hw_name ^ "." ^ field in
-          match List.assoc_opt key golden with
-          | Some g when g = v -> ()
-          | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-          | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-        [ ("cycles", r.hw_cycles); ("faults", r.hw_faults); ("wrpkru", r.hw_wrpkru) ])
-    rows;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN CYCLE DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model change, recalibrate with:\n\
-      \  dune exec bench/main.exe -- hw --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: simulated cycles match %s\n" path
-
 let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
   heading "Software TLB: wall-clock of the simulator (simulated cycles unchanged)";
   let rows = hw_rows () in
@@ -1015,8 +820,20 @@ let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
     rows;
   hw_write_json out rows;
   fprintf "wrote %s\n" out;
-  Option.iter (fun path -> hw_write_golden path rows; fprintf "wrote %s\n" path) write_golden;
-  Option.iter (fun path -> hw_check_golden path rows) golden
+  let rows =
+    List.concat_map
+      (fun r ->
+        [
+          (r.hw_name ^ ".cycles", r.hw_cycles);
+          (r.hw_name ^ ".faults", r.hw_faults);
+          (r.hw_name ^ ".wrpkru", r.hw_wrpkru);
+        ])
+      rows
+  in
+  Option.iter (fun path -> Golden.write path rows; fprintf "wrote %s\n" path) write_golden;
+  Option.iter
+    (fun path -> Golden.check ~path ~rows ~ok:"simulated cycles match" ~recalibrate:"hw")
+    golden
 
 (* --- trace: event capture of the Fig. 2 write path -------------------------------- *)
 
@@ -1065,9 +882,8 @@ let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(strea
     let bus = Monitor.bus mon in
     if sample > 1 then Telemetry.Bus.set_sampling bus ~every:sample;
     if stream then begin
-      let names cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
       let st =
-        Telemetry.Export.Stream.create ~names ~cycles_per_us
+        Telemetry.Export.Stream.create ~names:(cname mon) ~cycles_per_us
           ~write:(Buffer.add_string streamed) ()
       in
       stream_st := Some st;
@@ -1091,7 +907,7 @@ let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(strea
   fprintf "tracing%s on/off bit-identical: cycles=%d faults=%d wrpkru=%d\n" mode c_on f_on
     k_on;
   let bus = Monitor.bus mon in
-  let names cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
+  let names = cname mon in
   let entries = Telemetry.Bus.events bus in
   fprintf "events: %d captured, %d dropped (ring capacity %d), %d sampled out, %d emitted\n"
     (Telemetry.Bus.captured bus) (Telemetry.Bus.dropped bus) (Telemetry.Bus.capacity bus)
@@ -1136,23 +952,45 @@ let trace ?(out = "trace.json") ?(folded = "trace.folded") ?(sample = 1) ?(strea
 
 (* --- CubiCheck: static isolation analyzer + trace-driven detectors ---------- *)
 
-(* Dynamic plane: seed the replay mirror from the freshly booted
-   monitor (standing __init windows were granted before tracing
-   started), trace the workload through a bus sink — so ring capacity
-   never truncates the trace — and judge every foreign access against
-   the mirrored ACLs. *)
+(* Attach the replay window mirror to [mon]'s telemetry bus, seeded from
+   the monitor's current ACLs (standing __init windows were granted
+   before tracing starts); [sink mirror] receives every event while
+   tracing is on. Bus sinks charge no simulated cycles, so golden curves
+   are unaffected. *)
+let attach_mirror mon ~sink =
+  let bus = Monitor.bus mon in
+  let mirror = Analysis.Replay.create ~name_of:(cname mon) in
+  Analysis.Replay.seed_from_monitor mirror mon;
+  Telemetry.Bus.clear_ring bus;
+  Telemetry.Bus.set_sink bus (Some (sink mirror));
+  Telemetry.Bus.set_tracing bus true;
+  mirror
+
+let detach_mirror mon =
+  Telemetry.Bus.set_tracing (Monitor.bus mon) false;
+  Telemetry.Bus.set_sink (Monitor.bus mon) None
+
+(* The online race gate's verdict: detach the mirror and abort the run
+   with the findings table if it saw any violation. *)
+let race_verdict mon mirror ~label =
+  detach_mirror mon;
+  match Analysis.Replay.findings mirror with
+  | [] -> ()
+  | violations ->
+      fprintf "FATAL: %s: online race sink flagged %d violation(s):\n" label
+        (List.length violations);
+      Analysis.Report.print_table Format.std_formatter violations;
+      exit 1
+
+(* Dynamic plane: trace the workload through a bus sink — so ring
+   capacity never truncates the trace — and judge every foreign access
+   against the mirrored ACLs. *)
 let traced_replay sys workload =
   let mon = sys.Libos.Boot.mon in
-  let bus = Monitor.bus mon in
-  let name_of cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
-  let r = Analysis.Replay.create ~name_of in
-  Analysis.Replay.seed_from_monitor r mon;
   let acc = ref [] in
-  Telemetry.Bus.set_sink bus (Some (fun e -> acc := e :: !acc));
-  Telemetry.Bus.set_tracing bus true;
+  let r = attach_mirror mon ~sink:(fun _ e -> acc := e :: !acc) in
   workload ();
-  Telemetry.Bus.set_tracing bus false;
-  Telemetry.Bus.set_sink bus None;
+  detach_mirror mon;
   let entries = List.rev !acc in
   Analysis.Replay.run r entries;
   (* the same trace also feeds summary inference: per-edge access modes
@@ -1316,7 +1154,7 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
   fprintf "\nwrote %s\n" out;
   (match write_baseline with
   | Some path ->
-      write_flat_json path (Analysis.Report.baseline_counts shipped);
+      Golden.write path (Analysis.Report.baseline_counts shipped);
       fprintf "wrote baseline (%d key(s)) to %s\n"
         (List.length (Analysis.Report.baseline_counts shipped))
         path
@@ -1324,14 +1162,8 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
   let fail = ref false in
   (match baseline with
   | Some path ->
-      if not (Sys.file_exists path) then begin
-        fprintf
-          "BASELINE MISSING: %s\nGenerate it with:\n\
-          \  dune exec bench/main.exe -- analyze --write-baseline %s\n"
-          path path;
-        exit 1
-      end;
-      let fresh, resolved = Analysis.Report.diff_baseline ~baseline:(read_flat_json path) shipped in
+      let baseline = Golden.load path ~generate:"analyze --write-baseline" in
+      let fresh, resolved = Analysis.Report.diff_baseline ~baseline shipped in
       if fresh <> [] then begin
         fprintf "\nFINDINGS ABOVE BASELINE (%s):\n" path;
         List.iter (fun (k, c) -> fprintf "  %s (x%d)\n" k c) fresh;
@@ -1400,15 +1232,8 @@ let smp_run ~ncores =
   let workers = Array.init ncores (fun shard -> Httpd.Server.start ~shard sys) in
   (* online race gate: the ACL mirror rides the telemetry bus for the
      whole serving phase, judging every foreign access as it happens.
-     Bus sinks are tracing-gated and charge no simulated cycles, so the
-     golden scaling curve is unaffected. *)
-  let bus = Monitor.bus mon in
-  let name_of cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
-  let mirror = Analysis.Replay.create ~name_of in
-  Analysis.Replay.seed_from_monitor mirror mon;
-  Telemetry.Bus.clear_ring bus;
-  Telemetry.Bus.set_sink bus (Some (Analysis.Replay.online_sink mirror));
-  Telemetry.Bus.set_tracing bus true;
+     The golden scaling curve is unaffected. *)
+  let mirror = attach_mirror mon ~sink:Analysis.Replay.online_sink in
   let per_shard = Array.make ncores 0 in
   for conn = 1 to smp_conns do
     let ring = conn mod ncores in
@@ -1463,15 +1288,7 @@ let smp_run ~ncores =
       exit 1
     end
   done;
-  Telemetry.Bus.set_tracing bus false;
-  Telemetry.Bus.set_sink bus None;
-  (match Analysis.Replay.findings mirror with
-  | [] -> ()
-  | violations ->
-      fprintf "FATAL: smp %d cores: online race sink flagged %d violation(s):\n" ncores
-        (List.length violations);
-      Analysis.Report.print_table Format.std_formatter violations;
-      exit 1);
+  race_verdict mon mirror ~label:(Printf.sprintf "smp %d cores" ncores);
   let served = Array.fold_left (fun acc w -> acc + Httpd.Server.requests_served w) 0 workers in
   if served <> smp_conns then begin
     fprintf "FATAL: smp %d cores: served %d of %d requests\n" ncores served smp_conns;
@@ -1536,40 +1353,6 @@ let smp_json_rows rows =
           (Array.mapi (fun c d -> (key (Printf.sprintf "core%d_cycles" c), d)) r.smp_core_deltas))
     rows
 
-let smp_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- smp --write-golden %s\n"
-      path path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN SMP DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model, scheduler or stack change,\n\
-       recalibrate with:\n\
-      \  dune exec bench/main.exe -- smp --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: scaling curve matches %s\n" path
-
 let smp ?(out = "BENCH_smp.json") ?golden ?write_golden () =
   heading
     (Printf.sprintf "SMP scale-out: %d siege connections over 1/2/4/8 simulated cores"
@@ -1601,15 +1384,8 @@ let smp ?(out = "BENCH_smp.json") ?golden ?write_golden () =
     [ (2, 170); (4, 300) ];
   fprintf "scaling floors OK: >=1.70x at 2 cores, >=3.00x at 4 cores\n";
   fprintf "race sink OK: online window mirror saw zero violations on every soak\n";
-  let json = smp_json_rows rows in
-  write_flat_json out json;
-  fprintf "wrote %s\n" out;
-  (match write_golden with
-  | Some path ->
-      write_flat_json path json;
-      fprintf "wrote golden scaling curve to %s\n" path
-  | None -> ());
-  match golden with Some path -> smp_check_golden path json | None -> ()
+  Golden.emit ?golden ?write_golden ~out ~what:"scaling curve" ~ok:"scaling curve matches"
+    ~recalibrate:"smp" (smp_json_rows rows)
 
 (* --- sendfile: zero-copy vs copy serving -> BENCH_zerocopy.json -------------------- *)
 
@@ -1703,39 +1479,6 @@ let zc_json_rows rows =
           r.zc_cats)
     rows
 
-let zc_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- sendfile --write-golden %s\n"
-      path path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN ZEROCOPY DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model or stack change, recalibrate with:\n\
-      \  dune exec bench/main.exe -- sendfile --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: zero-copy decomposition matches %s\n" path
-
 let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
   heading
     (Printf.sprintf "Zero-copy sendfile: %d requests for a %d KiB file, copy vs grant-and-forward"
@@ -1775,15 +1518,8 @@ let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
       fprintf "memcpy floor OK: %.1fx fewer data-copy cycles on the zero-copy path\n"
         (float_of_int cm /. float_of_int zm)
   | _ -> ());
-  let json = zc_json_rows rows in
-  write_flat_json out json;
-  fprintf "wrote %s\n" out;
-  (match write_golden with
-  | Some path ->
-      write_flat_json path json;
-      fprintf "wrote golden zero-copy decomposition to %s\n" path
-  | None -> ());
-  match golden with Some path -> zc_check_golden path json | None -> ()
+  Golden.emit ?golden ?write_golden ~out ~what:"zero-copy decomposition"
+    ~ok:"zero-copy decomposition matches" ~recalibrate:"sendfile" (zc_json_rows rows)
 
 (* --- keys: key virtualisation under multi-tenant pressure -> BENCH_keys.json ------ *)
 
@@ -1862,13 +1598,7 @@ let keys_run ~tenants =
   in
   let cubicles = List.length (Monitor.live_cids mon) in
   (* online race gate over the serving phase, as in the smp bench *)
-  let bus = Monitor.bus mon in
-  let name_of cid = try Monitor.cubicle_name mon cid with _ -> Printf.sprintf "C%d" cid in
-  let mirror = Analysis.Replay.create ~name_of in
-  Analysis.Replay.seed_from_monitor mirror mon;
-  Telemetry.Bus.clear_ring bus;
-  Telemetry.Bus.set_sink bus (Some (Analysis.Replay.online_sink mirror));
-  Telemetry.Bus.set_tracing bus true;
+  let mirror = attach_mirror mon ~sink:Analysis.Replay.online_sink in
   let st = Hw.Keymux.stats km in
   let c0 = Hw.Cost.cycles cost in
   let f0 = st.Hw.Keymux.fault_ins
@@ -1876,15 +1606,7 @@ let keys_run ~tenants =
   and r0 = st.Hw.Keymux.retag_pages
   and s0 = st.Hw.Keymux.key_shootdowns in
   let responses = keys_serve sys ~tenants ~check:true in
-  Telemetry.Bus.set_tracing bus false;
-  Telemetry.Bus.set_sink bus None;
-  (match Analysis.Replay.findings mirror with
-  | [] -> ()
-  | violations ->
-      fprintf "FATAL: keys %d tenants: online race sink flagged %d violation(s):\n" tenants
-        (List.length violations);
-      Analysis.Report.print_table Format.std_formatter violations;
-      exit 1);
+  race_verdict mon mirror ~label:(Printf.sprintf "keys %d tenants" tenants);
   (* whole-run pricing invariant: every cycle in the Keymux category is
      a fault-in, a page retag or a PKRU shootdown at the model's exact
      rates — nothing else may bill the virtualisation layer *)
@@ -1941,40 +1663,6 @@ let keys_json_rows rows =
       ])
     rows
 
-let keys_check_golden path rows =
-  if not (Sys.file_exists path) then begin
-    Printf.printf
-      "GOLDEN FILE MISSING: %s\nGenerate it with:\n\
-      \  dune exec bench/main.exe -- keys --write-golden %s\n"
-      path path;
-    exit 1
-  end;
-  let golden = read_flat_json path in
-  let drift = ref [] in
-  List.iter
-    (fun (key, v) ->
-      match List.assoc_opt key golden with
-      | Some g when g = v -> ()
-      | Some g -> drift := Printf.sprintf "%s: golden %d, measured %d" key g v :: !drift
-      | None -> drift := Printf.sprintf "%s: missing from golden file" key :: !drift)
-    rows;
-  List.iter
-    (fun (key, _) ->
-      if not (List.mem_assoc key rows) then
-        drift := Printf.sprintf "%s: in golden file but not measured" key :: !drift)
-    golden;
-  if !drift <> [] then begin
-    fprintf "\nGOLDEN KEYS DRIFT vs %s:\n" path;
-    List.iter (fprintf "  %s\n") (List.rev !drift);
-    fprintf
-      "If the drift is an intentional cost-model, keymux or lifecycle change,\n\
-       recalibrate with:\n\
-      \  dune exec bench/main.exe -- keys --write-golden %s\n"
-      path;
-    exit 1
-  end;
-  fprintf "\ngolden check OK: key-pressure curve matches %s\n" path
-
 let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
   heading
     (Printf.sprintf
@@ -2003,97 +1691,106 @@ let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
     top.k_cubicles;
   fprintf "byte-identity OK: every response matches the oracle and the no-protection baseline\n";
   fprintf "race sink OK: online window mirror saw zero violations at every step\n";
-  let json = keys_json_rows rows in
-  write_flat_json out json;
-  fprintf "wrote %s\n" out;
-  (match write_golden with
-  | Some path ->
-      write_flat_json path json;
-      fprintf "wrote golden key-pressure curve to %s\n" path
-  | None -> ());
-  match golden with Some path -> keys_check_golden path json | None -> ()
+  Golden.emit ?golden ?write_golden ~out ~what:"key-pressure curve"
+    ~ok:"key-pressure curve matches" ~recalibrate:"keys" (keys_json_rows rows)
 
 (* --- driver ---------------------------------------------------------------------- *)
 
+open Cmdliner
+
+let all () =
+  table2 ();
+  fig5 ();
+  fig6 ();
+  fig7 ();
+  fig8 ();
+  fig10a ();
+  fig10b ();
+  ablation ();
+  hw ();
+  smp ();
+  sendfile ();
+  keys ();
+  analyze ()
+
+(* Every option defaults to None, so the defaults (--out file, --n, ...)
+   live in one place: the target's own signature. *)
+let optional kind docv name doc =
+  Arg.(value & opt (some kind) None & info [ name ] ~docv ~doc)
+
+let file_opt = optional Arg.string "FILE"
+let int_opt = optional Arg.int "N"
+let flag name doc = Arg.(value & flag & info [ name ] ~doc)
+let out = file_opt "out" "Write the results to $(docv)."
+let golden = file_opt "golden" "Check the simulated rows against golden $(docv); exit 1 on drift."
+let write_golden = file_opt "write-golden" "Write the simulated rows to $(docv) as a new golden file."
+let latency = flag "latency" "Append per-edge call-latency percentiles."
+let lat_out = file_opt "lat-out" "Write the per-edge latencies to $(docv)."
+let started = Unix.gettimeofday ()
+
+let completed term =
+  Term.(
+    const (fun () ->
+        fprintf "\n[bench completed in %.1f s wall clock]\n" (Unix.gettimeofday () -. started))
+    $ term)
+
+let run f = Term.(const f $ const ())
+let target name doc term = Cmd.v (Cmd.info name ~doc) (completed term)
+
+let golden_target name doc
+    (f : ?out:string -> ?golden:string -> ?write_golden:string -> unit -> unit) =
+  target name doc
+    Term.(
+      const (fun out golden write_golden -> f ?out ?golden ?write_golden ())
+      $ out $ golden $ write_golden)
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* flags with a value: --out FILE, --golden FILE, --write-golden FILE,
-     --folded FILE, --sample N, --n N, --repeats N, --lat-out FILE,
-     --baseline FILE, --write-baseline FILE; boolean flags: --attrib,
-     --latency, --stream, --hdr — matched before the generic rule so
-     they never swallow the following token *)
-  let rec split_flags targets flags = function
-    | [] -> (List.rev targets, List.rev flags)
-    | (("--attrib" | "--latency" | "--stream" | "--hdr") as flag) :: rest ->
-        split_flags targets ((flag, "true") :: flags) rest
-    | flag :: value :: rest when String.length flag > 2 && String.sub flag 0 2 = "--" ->
-        split_flags targets ((flag, value) :: flags) rest
-    | t :: rest -> split_flags (t :: targets) flags rest
+  let n = int_opt "n" "speedtest1 scale factor." in
+  let targets =
+    [
+      target "table2" "Table 2: component inventory." (run table2);
+      target "fig5" "Figure 5: NGINX cubicle call graph." (run fig5);
+      target "fig6" "Figure 6: SQLite speedtest1 query times under the four configurations."
+        Term.(
+          const (fun n attrib latency hdr lat_out golden write_golden ->
+              fig6 ?n ~attrib ~latency ~hdr ?lat_out ?golden ?write_golden ())
+          $ n
+          $ flag "attrib" "Append the per-cubicle cycle-attribution tables."
+          $ latency
+          $ flag "hdr" "Also write an HdrHistogram percentile dump."
+          $ lat_out $ golden $ write_golden);
+      target "fig7" "Figure 7: NGINX download latency vs transfer size."
+        Term.(
+          const (fun repeats latency lat_out -> fig7 ?repeats ~latency ?lat_out ())
+          $ int_opt "repeats" "Downloads per transfer size."
+          $ latency $ lat_out);
+      target "fig8" "Figure 8: SQLite cubicle call graph." (run fig8);
+      target "fig10a" "Figure 10a: slowdown vs Linux."
+        Term.(const (fun n latency -> fig10a ?n ~latency ()) $ n $ latency);
+      target "fig10b" "Figure 10b: slowdown of 4 vs 3 components."
+        Term.(const (fun n latency -> fig10b ?n ~latency ()) $ n $ latency);
+      target "ablation" "Window policy, tag and journal-mode ablations." (run ablation);
+      golden_target "hw" "Software-TLB wall clock; simulated cycles golden-checked." hw;
+      golden_target "smp" "Multi-core throughput scaling." smp;
+      golden_target "sendfile" "Zero-copy vs copy serving." sendfile;
+      golden_target "keys" "Key virtualisation under multi-tenant pressure." keys;
+      target "analyze" "CubiCheck static and trace-driven isolation analysis."
+        Term.(
+          const (fun out baseline write_baseline -> analyze ?out ?baseline ?write_baseline ())
+          $ out
+          $ file_opt "baseline" "Fail on findings above the baseline $(docv)."
+          $ file_opt "write-baseline" "Write the findings to $(docv) as a new baseline.");
+      target "trace" "Telemetry capture of the Fig. 2 write path (not part of all)."
+        Term.(
+          const (fun out folded sample stream -> trace ?out ?folded ?sample ~stream ())
+          $ out
+          $ file_opt "folded" "Write folded stacks to $(docv)."
+          $ int_opt "sample" "Keep 1 in $(docv) events."
+          $ flag "stream" "Write the JSON through a bus sink during the run.");
+      target "all" "Every target except trace (the default)." (run all);
+    ]
   in
-  let targets, flags = split_flags [] [] args in
-  let all = targets = [] || targets = [ "all" ] in
-  let want name = all || List.mem name targets in
-  let bool_flag name = List.mem_assoc name flags in
-  let int_flag name = Option.map int_of_string (List.assoc_opt name flags) in
-  let t0 = Unix.gettimeofday () in
-  if want "table2" then table2 ();
-  if want "fig5" then fig5 ();
-  if want "fig6" then
-    fig6 ?n:(int_flag "--n") ~attrib:(bool_flag "--attrib") ~latency:(bool_flag "--latency")
-      ~hdr:(bool_flag "--hdr")
-      ?lat_out:(List.assoc_opt "--lat-out" flags)
-      ?golden:(if List.mem "fig6" targets then List.assoc_opt "--golden" flags else None)
-      ?write_golden:
-        (if List.mem "fig6" targets then List.assoc_opt "--write-golden" flags else None)
-      ();
-  if want "fig7" then
-    fig7 ?repeats:(int_flag "--repeats") ~latency:(bool_flag "--latency")
-      ?lat_out:(List.assoc_opt "--lat-out" flags)
-      ();
-  if want "fig8" then fig8 ();
-  if want "fig10a" then fig10a ?n:(int_flag "--n") ~latency:(bool_flag "--latency") ();
-  if want "fig10b" then fig10b ?n:(int_flag "--n") ~latency:(bool_flag "--latency") ();
-  if want "ablation" then ablation ();
-  if want "micro" then micro ();
-  if want "hw" then
-    hw
-      ?out:(List.assoc_opt "--out" flags)
-      ?golden:(if List.mem "hw" targets then List.assoc_opt "--golden" flags else None)
-      ?write_golden:
-        (if List.mem "hw" targets then List.assoc_opt "--write-golden" flags else None)
-      ();
-  if want "smp" then
-    smp
-      ?out:(if List.mem "smp" targets then List.assoc_opt "--out" flags else None)
-      ?golden:(if List.mem "smp" targets then List.assoc_opt "--golden" flags else None)
-      ?write_golden:
-        (if List.mem "smp" targets then List.assoc_opt "--write-golden" flags else None)
-      ();
-  if want "sendfile" then
-    sendfile
-      ?out:(if List.mem "sendfile" targets then List.assoc_opt "--out" flags else None)
-      ?golden:(if List.mem "sendfile" targets then List.assoc_opt "--golden" flags else None)
-      ?write_golden:
-        (if List.mem "sendfile" targets then List.assoc_opt "--write-golden" flags else None)
-      ();
-  if want "keys" then
-    keys
-      ?out:(if List.mem "keys" targets then List.assoc_opt "--out" flags else None)
-      ?golden:(if List.mem "keys" targets then List.assoc_opt "--golden" flags else None)
-      ?write_golden:
-        (if List.mem "keys" targets then List.assoc_opt "--write-golden" flags else None)
-      ();
-  if want "analyze" then
-    analyze
-      ?out:(if List.mem "analyze" targets then List.assoc_opt "--out" flags else None)
-      ?baseline:(List.assoc_opt "--baseline" flags)
-      ?write_baseline:(List.assoc_opt "--write-baseline" flags)
-      ();
-  if List.mem "trace" targets then
-    trace
-      ?out:(List.assoc_opt "--out" flags)
-      ?folded:(List.assoc_opt "--folded" flags)
-      ?sample:(int_flag "--sample")
-      ~stream:(bool_flag "--stream")
-      ();
-  fprintf "\n[bench completed in %.1f s wall clock]\n" (Unix.gettimeofday () -. t0)
+  let info = Cmd.info "main" ~doc:"Regenerate the paper's tables and figures." in
+  (* Cmdliner spells one-letter options -n; keep accepting --n *)
+  let argv = Array.map (function "--n" -> "-n" | a -> a) Sys.argv in
+  exit (Cmd.eval ~argv (Cmd.group ~default:(completed (run all)) info targets))
