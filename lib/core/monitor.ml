@@ -2,10 +2,6 @@ let monitor_cid = 0
 let shared_key = 15
 let monitor_key = 0
 
-let log_src = Logs.Src.create "cubicle.monitor" ~doc:"CubicleOS monitor events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type cubicle = {
   cid : Types.cid;
   name : string;
@@ -44,11 +40,10 @@ type t = {
   mutable next_cid : Types.cid;
   mutable free_cids : Types.cid list;  (* cids recycled by destroy_cubicle *)
   symbols : (string, export) Hashtbl.t;
-  mutable next_key : int;
-  mutable free_keys : int list;  (* returned dedicated window tags *)
   virtualise : bool;  (* libmpk-style tag virtualisation (paper §8) *)
-  keymux : Hw.Keymux.t option;  (* Some iff [virtualise] *)
-  mutable cur : Types.cid;
+  keys : Hw.Keymux.t;
+      (* the one tag pool: vkeys under [virtualise], pinned tags otherwise *)
+  exec : Telemetry.Attrib.t;  (* the execution context; [exec.cur] is the current cubicle *)
   page_allocs : (int, int) Hashtbl.t;  (* base page -> npages of each alloc_pages run *)
   cubicle_runs : (Types.cid, (int * int) list ref) Hashtbl.t;  (* every page run per cubicle *)
   grants : (Types.cid, (Types.cid * Types.wid, Window.t) Hashtbl.t) Hashtbl.t;
@@ -71,13 +66,12 @@ let bus t = Hw.Cpu.bus t.m_cpu
 let stats t = t.stats
 let protection t = t.protection
 let meta t = t.meta
-let current t = t.cur
+let[@inline] current t = t.exec.Telemetry.Attrib.cur
 
-(* Every change of the executing cubicle goes through here so cycle
-   attribution ({!Telemetry.Attrib}) always bills the right row. *)
-let set_cur t cid =
-  t.cur <- cid;
-  Telemetry.Attrib.set_current (Hw.Cpu.cost t.m_cpu).Hw.Cost.attrib cid
+(* Every change of the executing cubicle goes through here, the one
+   writer besides [Hw.Cpu.set_core] of the execution context, so cycle
+   attribution always bills the right row. *)
+let set_cur t cid = Telemetry.Attrib.set_current t.exec cid
 
 let[@inline] emit t ev =
   let b = Hw.Cpu.bus t.m_cpu in
@@ -98,12 +92,7 @@ let mpk_on t = match t.protection with Types.Mpk | Types.Full -> true | _ -> fal
    leak access — this scrubbing (plus per-core PKRU shootdowns and the
    libmpk reassignment cost, both priced inside Keymux) is the
    virtualisation cost the paper alludes to when it points at libmpk. *)
-let phys_of t (c : cubicle) =
-  match t.keymux with
-  | Some km when Hw.Keymux.is_virtual c.key -> Hw.Keymux.phys_of km c.key
-  | _ -> c.key
-
-let cub_key t cid = phys_of t (get t cid)
+let phys_of t (c : cubicle) = Hw.Keymux.phys_of t.keys c.key
 
 (* PKRU for an executing cubicle: its own tag, the shared tag, and any
    dedicated window tags it has been granted. Ordinary windowed pages
@@ -125,9 +114,11 @@ let pkru_for t cid =
    cubicle instead (re-faulting its key in if it was evicted). A
    fully-permissive register belongs to trusted context and is
    restored verbatim, as is anything saved while a trusted cubicle was
-   current (host-side drivers may narrow PKRU without moving [cur]);
-   without virtualisation tags are never rebound and the raw restore
-   stays exact. *)
+   current (host-side drivers may narrow PKRU without moving [cur]).
+   Without virtualisation the raw restore is kept, although tags are
+   recycled there too: [destroy_cubicle] and the last
+   [window_close_dedicated] return a pinned tag to the pool, and a
+   register saved before that may still grant it. *)
 let restore_pkru t ~saved_cur ~saved_pkru =
   if
     t.virtualise
@@ -141,13 +132,11 @@ let restore_pkru t ~saved_cur ~saved_pkru =
 (* --- trap-and-map fault handler (paper Fig. 4) ------------------------- *)
 
 let retag t page ~to_key =
-  Log.debug (fun m -> m "retag page %d -> key %d" page to_key);
   Hw.Cpu.set_page_key t.m_cpu page to_key;
   Stats.count_retag t.stats;
   emit t (Telemetry.Event.Retag { page; to_key })
 
 let handle_fault t (fault : Hw.Fault.t) =
-  Log.debug (fun m -> m "fault: %a (cubicle %d)" Hw.Fault.pp fault t.cur);
   Stats.count_fault t.stats;
   match fault.reason with
   | Hw.Fault.Not_present | Hw.Fault.Page_perm ->
@@ -158,7 +147,7 @@ let handle_fault t (fault : Hw.Fault.t) =
         fault.access = Hw.Fault.Exec
         && not
              (t.virtualise
-             && Mm.Page_meta.owner t.meta (Hw.Addr.page_of fault.addr) = Some t.cur)
+             && Mm.Page_meta.owner t.meta (Hw.Addr.page_of fault.addr) = Some (current t))
       then
         (* CFI: a cross-cubicle instruction fetch is never resolved by
            trap-and-map; only trampolines switch execution. A cubicle
@@ -170,7 +159,7 @@ let handle_fault t (fault : Hw.Fault.t) =
         match Mm.Page_meta.owner t.meta page with
         | None -> false
         | Some owner_cid -> (
-            let cur = t.cur in
+            let cur = current t in
             if List.mem fault.key (get t cur).extra_keys then begin
               (* the page carries a dedicated window tag this cubicle is
                  entitled to, but the active PKRU predates the grant:
@@ -288,11 +277,9 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       next_cid = monitor_cid + 1;
       free_cids = [];
       symbols = Hashtbl.create 256;
-      next_key = 1;
-      free_keys = [];
       virtualise;
-      keymux = (if virtualise then Some (Hw.Keymux.create cpu) else None);
-      cur = monitor_cid;
+      keys = Hw.Keymux.create cpu;
+      exec = Hw.Cost.attrib (Hw.Cpu.cost cpu);
       page_allocs = Hashtbl.create 16;
       cubicle_runs = Hashtbl.create 32;
       grants = Hashtbl.create 32;
@@ -306,25 +293,23 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
      to the virtualisation layer rather than plain Mpk), billed to
      whichever cubicle's fault-in forced the eviction. The page-table
      hook fires the cross-core TLB shootdowns; Keymux itself scrubs the
-     evicted tag from every core's PKRU and prices those wrpkrus. *)
-  (match t.keymux with
-  | Some km ->
-      Hw.Keymux.set_evict_hook km
-        (Some
-           (fun ~cid ~vkey:_ ~phys ->
-             let cost = Hw.Cpu.cost cpu in
-             let pt = Hw.Cpu.page_table cpu in
-             let count = ref 0 in
-             iter_owned_pages t cid (fun page ->
-                 if Hw.Page_table.key pt page = phys then begin
-                   Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
-                     cost.Hw.Cost.model.Hw.Cost.pkey_set;
-                   Hw.Page_table.set_key pt page monitor_key;
-                   emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
-                   incr count
-                 end);
-             !count))
-  | None -> ());
+     evicted tag from every core's PKRU and prices those wrpkrus. Only
+     vkeys are ever evicted, so without virtualisation it never runs. *)
+  Hw.Keymux.set_evict_hook t.keys
+    (Some
+       (fun ~cid ~vkey:_ ~phys ->
+         let cost = Hw.Cpu.cost cpu in
+         let pt = Hw.Cpu.page_table cpu in
+         let count = ref 0 in
+         iter_owned_pages t cid (fun page ->
+             if Hw.Page_table.key pt page = phys then begin
+               Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
+                 cost.Hw.Cost.model.Hw.Cost.pkey_set;
+               Hw.Page_table.set_key pt page monitor_key;
+               emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
+               incr count
+             end);
+         !count));
   (* Monitor's own pages: present, trusted key. *)
   for p = 0 to monitor_reserved_pages - 1 do
     Hw.Cpu.map_page cpu p Hw.Page_table.perm_rw ~key:monitor_key
@@ -407,28 +392,17 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     match kind with
     | Types.Trusted -> monitor_key
     | Types.Shared -> shared_key
+    | Types.Isolated when t.virtualise ->
+        (* virtual key: bound to a physical tag on demand *)
+        Hw.Keymux.alloc t.keys ~cid
     | Types.Isolated -> (
-        match t.keymux with
-        | Some km ->
-            (* virtual key: bound to a physical tag on demand *)
-            Hw.Keymux.alloc km ~cid
-        | None -> (
-            match t.free_keys with
-            | k :: rest ->
-                t.free_keys <- rest;
-                k
-            | [] ->
-                if t.next_key >= shared_key then begin
-                  undo_cid ();
-                  Types.error
-                    "out of MPK protection keys (15 in use); enable tag virtualisation \
-                     (libmpk-style) to run more isolated cubicles"
-                end
-                else begin
-                  let k = t.next_key in
-                  t.next_key <- t.next_key + 1;
-                  k
-                end))
+        match Hw.Keymux.pin t.keys with
+        | Some k -> k
+        | None ->
+            undo_cid ();
+            Types.error
+              "out of MPK protection keys (15 in use); enable tag virtualisation \
+               (libmpk-style) to run more isolated cubicles")
   in
   let cub =
     {
@@ -470,12 +444,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     release_runs t cid;
     Hashtbl.remove t.cubs cid;
     Hashtbl.remove t.by_name name;
-    (match kind with
-    | Types.Isolated -> (
-        match t.keymux with
-        | Some km -> Hw.Keymux.free km key
-        | None -> t.free_keys <- key :: t.free_keys)
-    | Types.Trusted | Types.Shared -> ());
+    if kind = Types.Isolated then Hw.Keymux.free t.keys key;
     undo_cid ();
     raise e
 
@@ -485,10 +454,10 @@ let live_cids t =
   List.sort compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) t.cubs [])
 
 let free_page_count t = Mm.Page_alloc.free_pages t.palloc
-let keymux t = t.keymux
+let keymux t = if t.virtualise then Some t.keys else None
 let cubicle_name t cid = (get t cid).name
 let cubicle_kind t cid = (get t cid).kind
-let cubicle_key t cid = cub_key t cid
+let cubicle_key t cid = phys_of t (get t cid)
 let cubicle_raw_key t cid = (get t cid).key
 
 let cubicle_heap_bytes t cid =
@@ -523,7 +492,7 @@ let has_export t sym = Hashtbl.mem t.symbols sym
 
 let invoke_switched t exp ~caller args =
   let callee = exp.e_owner in
-  let saved_cur = t.cur in
+  let saved_cur = current t in
   set_cur t callee;
   Fun.protect
     ~finally:(fun () -> set_cur t saved_cur)
@@ -536,10 +505,8 @@ let call t ~caller sym args =
     | None ->
         Stats.count_rejected t.stats;
         emit t (Telemetry.Event.Rejected { cid = caller });
-        Log.warn (fun m -> m "CFI: call to unresolved symbol %s from cubicle %d" sym caller);
         Types.error "cross-cubicle call to unresolved symbol %s (CFI)" sym
   in
-  Log.debug (fun m -> m "call %s: cubicle %d -> %d" sym caller exp.e_owner);
   let callee_cub = get t exp.e_owner in
   let model = (Hw.Cpu.cost t.m_cpu).model in
   match callee_cub.kind with
@@ -549,7 +516,7 @@ let call t ~caller sym args =
       Stats.count_shared_call t.stats ~caller ~sym;
       Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Tramp model.call_direct;
       exp.e_fn (ctx_call t caller caller) args
-  | Types.Trusted | Types.Isolated when exp.e_owner = caller && t.cur = caller ->
+  | Types.Trusted | Types.Isolated when exp.e_owner = caller && current t = caller ->
       (* Intra-cubicle call (e.g. components merged into one cubicle,
          Fig. 9a): the target is in the cubicle that is already
          executing — an ordinary function call, no trampoline. *)
@@ -576,7 +543,7 @@ let call t ~caller sym args =
             Hw.Cpu.priv_blit t.m_cpu ~src:caller_cub.stack_base ~dst:callee_cub.stack_base
               ~len:(min exp.e_stack_bytes (callee_cub.stack_pages * Hw.Addr.page_size));
           if mpk_on t then begin
-            let saved_cur = t.cur in
+            let saved_cur = current t in
             let saved_pkru = Hw.Cpu.pkru t.m_cpu in
             Hw.Cpu.wrpkru t.m_cpu (pkru_for t exp.e_owner);
             Fun.protect
@@ -586,7 +553,7 @@ let call t ~caller sym args =
           else invoke_switched t exp ~caller args)
 
 let run_as t cid f =
-  let saved_cur = t.cur in
+  let saved_cur = current t in
   set_cur t cid;
   if mpk_on t then begin
     let saved_pkru = Hw.Cpu.pkru t.m_cpu in
@@ -898,73 +865,73 @@ let window_grants ?(access = Window.Read) t cid ~peer ~ptr ~size =
     (fun w -> Window.is_open_for w peer && Window.covers w ~access ~ptr ~size)
     (Window.live_windows (get t cid).windows)
 
-let alloc_dedicated_key t =
+(* A window-specific tag comes from the one pool, pinned. Exhaustion
+   and virtualisation are reported before anything is mutated. *)
+let pin_dedicated_key t =
   if t.virtualise then
     Types.error "window-specific tags are not supported with tag virtualisation";
-  match t.free_keys with
-  | k :: rest ->
-      t.free_keys <- rest;
-      k
-  | [] ->
-      if t.next_key >= shared_key then
-        Types.error
-          "out of MPK protection keys: window-specific tags consume one tag per \
-           shared buffer and exhaust the 16 keys quickly (paper §5.6)"
-      else begin
-        let k = t.next_key in
-        t.next_key <- t.next_key + 1;
-        k
-      end
+  match Hw.Keymux.pin t.keys with
+  | Some k -> k
+  | None ->
+      Types.error
+        "out of MPK protection keys: window-specific tags consume one tag per \
+         shared buffer and exhaust the 16 keys quickly (paper §5.6)"
+
+(* Refresh the active PKRU if an affected cubicle is executing. *)
+let refresh_pkru_if_current t cid other =
+  let cur = current t in
+  if mpk_on t && (cur = cid || cur = other) then Hw.Cpu.wrpkru t.m_cpu (pkru_for t cur)
 
 (* ERIM/Hodor-style window-specific tags (contrasted in §5.6, suggested
    as a hybrid in §8): the window's pages get a tag of their own, which
    both the owner and the grantee enable in PKRU. Accesses to a hot
    window then never fault — at the price of one of the 16 keys per
-   window. *)
+   window. Both services validate, then allocate, then mutate, then
+   emit, so a failing call changes nothing but the billed cycles. *)
 let window_open_dedicated t cid wid other =
   charge_window_op t;
-  emit_window t cid Telemetry.Event.Open_dedicated ~wid ~peer:other ();
   if other = cid then Types.error "window_open_dedicated: cannot open to oneself";
+  let grantee = get t other in
   let w = find_window t cid wid in
-  open_for t w other;
   let key =
     match w.Window.dedicated_key with
     | Some k -> k
     | None ->
-        let k = alloc_dedicated_key t in
+        let k = pin_dedicated_key t in
         Window.set_dedicated_key w (Some k);
         let owner = get t cid in
         owner.extra_keys <- k :: owner.extra_keys;
         if mpk_on t then retag_window_pages t w ~to_key:k;
         k
   in
-  let grantee = get t other in
+  open_for t w other;
   if not (List.mem key grantee.extra_keys) then
     grantee.extra_keys <- key :: grantee.extra_keys;
-  (* refresh the active PKRU if the affected cubicle is executing *)
-  if mpk_on t && (t.cur = cid || t.cur = other) then
-    Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur)
+  refresh_pkru_if_current t cid other;
+  emit_window t cid Telemetry.Event.Open_dedicated ~wid ~peer:other ()
 
 let window_close_dedicated t cid wid other =
   charge_window_op t;
-  emit_window t cid Telemetry.Event.Close_dedicated ~wid ~peer:other ();
   let w = find_window t cid wid in
+  let grantee = get t other in
   close_for t w other;
-  match w.Window.dedicated_key with
+  (match w.Window.dedicated_key with
   | None -> ()
   | Some key ->
-      let grantee = get t other in
       grantee.extra_keys <- List.filter (fun k -> k <> key) grantee.extra_keys;
       (* last grantee gone: return the tag and the pages to the owner *)
-      if Bitset.is_empty w.Window.opened then begin
+      let last = Bitset.is_empty w.Window.opened in
+      if last then begin
         let owner = get t cid in
         owner.extra_keys <- List.filter (fun k -> k <> key) owner.extra_keys;
         Window.set_dedicated_key w None;
-        if mpk_on t then retag_window_pages t w ~to_key:owner.key;
-        t.free_keys <- key :: t.free_keys
+        if mpk_on t then retag_window_pages t w ~to_key:owner.key
       end;
-      if mpk_on t && (t.cur = cid || t.cur = other) then
-        Hw.Cpu.wrpkru t.m_cpu (pkru_for t t.cur)
+      refresh_pkru_if_current t cid other;
+      (* after the refresh, so only registers the refresh did not
+         rewrite still hold the tag and need the pool's scrub *)
+      if last then Hw.Keymux.free t.keys key);
+  emit_window t cid Telemetry.Event.Close_dedicated ~wid ~peer:other ()
 
 (* Dynamic-plane observability: record a checked memory access that
    touches pages owned by a different cubicle. Only runs while tracing
@@ -976,17 +943,18 @@ let window_close_dedicated t cid wid other =
    §5.6) is invisible to the fault handler by design. *)
 let observe_access t ~addr ~len ~access =
   let b = Hw.Cpu.bus t.m_cpu in
-  if b.Telemetry.Bus.tracing && t.cur <> monitor_cid then
-    match (get t t.cur).kind with
+  let cur = current t in
+  if b.Telemetry.Bus.tracing && cur <> monitor_cid then
+    match (get t cur).kind with
     | Types.Trusted -> ()
     | Types.Isolated | Types.Shared ->
         let first = Hw.Addr.page_of addr
         and last = Hw.Addr.page_of (addr + max 1 len - 1) in
         for p = first to last do
           match Mm.Page_meta.owner t.meta p with
-          | Some owner when owner <> t.cur ->
+          | Some owner when owner <> cur ->
               Telemetry.Bus.emit b
-                (Telemetry.Event.Window_access { cid = t.cur; owner; page = p; access })
+                (Telemetry.Event.Window_access { cid = cur; owner; page = p; access })
           | _ -> ()
         done
 
@@ -1008,7 +976,7 @@ let dedicated_keys_in_use t =
    pools for reuse by a later spawn. *)
 let destroy_cubicle t cid =
   if cid = monitor_cid then Types.error "cannot destroy the monitor";
-  if t.cur = cid then Types.error "cannot destroy the executing cubicle";
+  if current t = cid then Types.error "cannot destroy the executing cubicle";
   let c = get t cid in
   (* remove its exports *)
   List.iter (Hashtbl.remove t.symbols) c.exports;
@@ -1046,27 +1014,22 @@ let destroy_cubicle t cid =
             (fun _ oc -> oc.extra_keys <- List.filter (fun k' -> k' <> k) oc.extra_keys)
             t.cubs;
           Window.set_dedicated_key w None;
-          t.free_keys <- k :: t.free_keys
+          Hw.Keymux.free t.keys k
       | None -> ());
       emit_window t cid Telemetry.Event.Destroy ~wid:w.Window.wid ())
     (Window.live_windows c.windows);
   (* scrub and release every page run *)
   release_runs t cid;
   (* recycle the key: a virtual key's binding is dropped without the
-     eviction price (the pages were just scrubbed and unmapped) and
-     both the physical slot and the vkey number become reusable *)
-  (match c.kind with
-  | Types.Isolated -> (
-      match t.keymux with
-      | Some km -> Hw.Keymux.free km c.key
-      | None -> t.free_keys <- c.key :: t.free_keys)
-  | Types.Shared | Types.Trusted -> ());
+     eviction price (the pages were just scrubbed and unmapped), the
+     physical slot (and a vkey number) become reusable, and every core
+     still caching the tag is scrubbed *)
+  if c.kind = Types.Isolated then Hw.Keymux.free t.keys c.key;
   c.heaps <- [];
   Hashtbl.remove t.cubs cid;
   Hashtbl.remove t.by_name c.name;
   t.free_cids <- cid :: t.free_cids
 
-let tag_evictions t =
-  match t.keymux with Some km -> (Hw.Keymux.stats km).Hw.Keymux.evictions | None -> 0
+let tag_evictions t = (Hw.Keymux.stats t.keys).Hw.Keymux.evictions
 let page_owner t page = Mm.Page_meta.owner t.meta page
 let retag_count t = Stats.retags t.stats

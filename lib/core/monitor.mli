@@ -70,6 +70,8 @@ val stats : t -> Stats.t
 val protection : t -> Types.protection
 val meta : t -> Mm.Page_meta.t
 val current : t -> Types.cid
+(** The executing cubicle: [cur] of the machine's one execution context
+    ({!Hw.Cost.attrib}), which the cross-cubicle call path moves. *)
 
 (** {1 Cubicle management (loader/TCB only)} *)
 
@@ -96,7 +98,9 @@ val free_page_count : t -> int
 
 val keymux : t -> Hw.Keymux.t option
 (** The key-virtualisation plane, present iff the monitor was created
-    with [~virtualise:true]. *)
+    with [~virtualise:true]. Every monitor allocates its tags from one
+    {!Hw.Keymux} pool; without virtualisation it hands out pinned tags
+    only and is not exposed here. *)
 
 val cubicle_name : t -> Types.cid -> string
 val cubicle_kind : t -> Types.cid -> Types.kind
@@ -257,10 +261,15 @@ val window_open_dedicated : t -> Types.cid -> Types.wid -> Types.cid -> unit
     the window's pages are retagged once to a tag of their own, which
     both owner and grantee enable in PKRU — no faults on access, but
     one of the 16 keys is consumed per window ({!Types.Error} on
-    exhaustion). *)
+    exhaustion, and always under [~virtualise:true]). Failure-atomic:
+    the peer, the window and the tag are checked or allocated before
+    anything changes, so a failing call leaves no grant, no tag and no
+    event behind; only the service charge is billed. *)
 
 val window_close_dedicated : t -> Types.cid -> Types.wid -> Types.cid -> unit
 (** Revoke a dedicated grant; when the last grantee goes, the tag is
-    returned to the pool and the pages to their owner. *)
+    returned to the pool (scrubbed from every core's PKRU) and the pages
+    to their owner. An unknown window or peer raises {!Types.Error}
+    before anything changes or is emitted. *)
 
 val dedicated_keys_in_use : t -> int

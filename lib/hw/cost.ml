@@ -36,21 +36,14 @@ let default_model =
 type t = {
   mutable cycles : int;
   mutable mem_bytes : int;
-  mutable per_core : int array;  (* per-core share of [cycles]; always sums to it *)
-  mutable cur_core : int;
+  per_core : int array;  (* per-core share of [cycles]; always sums to it *)
   model : model;
-  attrib : Telemetry.Attrib.t;
+  attrib : Telemetry.Attrib.t;  (* also the current core *)
 }
 
-let create ?(model = default_model) () =
-  {
-    cycles = 0;
-    mem_bytes = 0;
-    per_core = [| 0 |];
-    cur_core = 0;
-    model;
-    attrib = Telemetry.Attrib.create ();
-  }
+let create ?(model = default_model) ?(ncores = 1) () =
+  let attrib = Telemetry.Attrib.create ~ncores () in
+  { cycles = 0; mem_bytes = 0; per_core = Array.make ncores 0; model; attrib }
 
 let reset t =
   t.cycles <- 0;
@@ -60,26 +53,15 @@ let reset t =
 
 let attrib t = t.attrib
 
-let set_core t core =
-  if core < 0 then invalid_arg "Cost.set_core: negative core id";
-  let n = Array.length t.per_core in
-  if core >= n then begin
-    let a = Array.make (core + 1) 0 in
-    Array.blit t.per_core 0 a 0 n;
-    t.per_core <- a
-  end;
-  t.cur_core <- core;
-  Telemetry.Attrib.set_core t.attrib core
-
-let core t = t.cur_core
-let ncores t = Array.length t.per_core
 let core_cycles t core = if core >= 0 && core < Array.length t.per_core then t.per_core.(core) else 0
 
-(* [cur_core < Array.length per_core] is maintained by [set_core], so
-   the unsafe accesses below stay in bounds. *)
+(* [per_core] and the attribution table are sized from the same
+   [ncores] and [Attrib.set_core] rejects a core outside it, so the
+   unsafe accesses below stay in bounds. *)
 let[@inline] bump t n =
   t.cycles <- t.cycles + n;
-  Array.unsafe_set t.per_core t.cur_core (Array.unsafe_get t.per_core t.cur_core + n)
+  let c = t.attrib.Telemetry.Attrib.cur_core in
+  Array.unsafe_set t.per_core c (Array.unsafe_get t.per_core c + n)
 
 let[@inline] charge_cat t cat n =
   bump t n;

@@ -37,22 +37,25 @@ val default_model : model
 type t = {
   mutable cycles : int;
   mutable mem_bytes : int;  (** total bytes moved, for reporting *)
-  mutable per_core : int array;
+  per_core : int array;
       (** per-core cycle counters: each charge lands on the current
           core's counter as well as [cycles], so the per-core counters
           always sum exactly to [cycles]. On an N-core run the makespan
           is the {e maximum} per-core counter, which is what the SMP
           scaling curve measures. *)
-  mutable cur_core : int;
   model : model;
   attrib : Telemetry.Attrib.t;
-      (** attribution sink: every charge is billed to the currently
-          executing cubicle under a cost category, so the per-cubicle
-          table always sums to [cycles]. The monitor keeps the current
-          cubicle up to date via [Telemetry.Attrib.set_current]. *)
+      (** attribution sink and execution context: every charge is
+          billed to the currently executing cubicle under a cost
+          category, so the per-cubicle table always sums to [cycles],
+          and lands on the per-core counter of [attrib.cur_core]. The
+          monitor moves the current cubicle, [Hw.Cpu.set_core] the
+          current core. *)
 }
 
-val create : ?model:model -> unit -> t
+val create : ?model:model -> ?ncores:int -> unit -> t
+(** [ncores] (default 1) sizes the per-core counters and the
+    attribution table's core planes once. *)
 
 val reset : t -> unit
 (** Also resets the per-core counters and the attribution table (their
@@ -60,13 +63,6 @@ val reset : t -> unit
 
 val attrib : t -> Telemetry.Attrib.t
 
-val set_core : t -> int -> unit
-(** Route subsequent charges to [core]'s counter (growing the array on
-    demand) and move the attribution table's core plane with it. Called
-    by [Hw.Cpu.set_core]; never charges cycles itself. *)
-
-val core : t -> int
-val ncores : t -> int
 val core_cycles : t -> int -> int
 
 val charge : t -> int -> unit

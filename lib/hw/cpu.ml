@@ -2,8 +2,9 @@
    the real hardware does); memory, page table and the cycle/telemetry
    sinks are shared. Execution is still one host thread: the scheduler
    interleaves thread slices and calls [set_core] before each, which
-   swaps the architectural per-core state and routes cycle charges and
-   events to that core's counters/track. *)
+   swaps the architectural per-core state and moves the execution
+   context ([Cost.attrib]) that cycle charges and events read to pick
+   their per-core counter and track. *)
 
 type core_state = {
   tlb : Tlb.t;
@@ -16,8 +17,7 @@ type t = {
   cost : Cost.t;
   bus : Telemetry.Bus.t;
   cores : core_state array;
-  mutable cur : core_state;  (* == cores.(cur_core); cached for the fast path *)
-  mutable cur_core : int;
+  mutable cur : core_state;  (* == cores.(core_id t); cached for the fast path *)
   mutable mpk_enabled : bool;
   mutable exec_follows_access : bool;
   mutable handler : handler option;
@@ -37,8 +37,8 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?(ncores = 1) ?model () =
     Array.init ncores (fun _ ->
         { tlb = Tlb.create (Phys_mem.npages mem); pkru = Pkru.all_allow })
   in
-  let cost = Cost.create ?model () in
-  let bus = Telemetry.Bus.create ~now:(fun () -> Cost.cycles cost) () in
+  let cost = Cost.create ?model ~ncores () in
+  let bus = Telemetry.Bus.create ~now:(fun () -> Cost.cycles cost) ~ctx:(Cost.attrib cost) () in
   let t =
     {
       mem;
@@ -47,7 +47,6 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?(ncores = 1) ?model () =
       bus;
       cores;
       cur = cores.(0);
-      cur_core = 0;
       mpk_enabled = false;
       exec_follows_access = false;
       handler = None;
@@ -84,16 +83,14 @@ let set_handler t h = t.handler <- h
 let mpk_enabled t = t.mpk_enabled
 
 let ncores t = Array.length t.cores
-let core_id t = t.cur_core
+let core_id t = t.cost.Cost.attrib.Telemetry.Attrib.cur_core
 let shootdown_count t = t.shootdowns
 
 let set_core t c =
   if c < 0 || c >= Array.length t.cores then
     invalid_arg (Printf.sprintf "Cpu.set_core: no core %d (machine has %d)" c (ncores t));
-  t.cur_core <- c;
   t.cur <- t.cores.(c);
-  Cost.set_core t.cost c;
-  Telemetry.Bus.set_core t.bus c
+  Telemetry.Attrib.set_core t.cost.Cost.attrib c
 
 let flush_all_tlbs t =
   Array.iter (fun c -> Tlb.flush c.tlb) t.cores;
@@ -146,7 +143,7 @@ let scrub_pkru_key t c ~key =
   if v <> core.pkru then begin
     core.pkru <- v;
     Tlb.flush core.tlb;
-    if c <> t.cur_core then t.shootdowns <- t.shootdowns + 1;
+    if c <> core_id t then t.shootdowns <- t.shootdowns + 1;
     emit_tlb_event t Telemetry.Event.Flush
   end
 

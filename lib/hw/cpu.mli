@@ -35,8 +35,9 @@ val core_id : t -> int
 
 val set_core : t -> int -> unit
 (** Switch execution to core [c]: subsequent accesses check against that
-    core's PKRU and TLB, cycle charges land on its counter
-    ([Cost.set_core]) and events on its bus track ([Bus.set_core]).
+    core's PKRU and TLB, and cycle charges and events land on its
+    counter and bus track: both read the core from the one execution
+    context, [Cost.attrib], which this moves.
     Free of simulated cycles — the scheduler models parallelism by
     interleaving slices, and wall-clock per-core time is read back from
     [Cost.core_cycles]. Raises [Invalid_argument] for an out-of-range

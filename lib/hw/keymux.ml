@@ -18,7 +18,12 @@
    [pkey_set] per page) and scrubs the evicted tag from every core's
    PKRU that still caches it — one [wrpkru] charge plus a TLB shootdown
    per core. Everything lands under the [Keymux] attribution category,
-   billed to the cubicle whose fault-in triggered the eviction. *)
+   billed to the cubicle whose fault-in triggered the eviction.
+
+   The same pool hands out {e pinned} tags: physical tags given to one
+   holder for good (a cubicle's key without virtualisation, a dedicated
+   window tag), which the LRU never evicts. Freeing either kind scrubs
+   the tag from every core, so no register outlives its grant. *)
 
 type stats = {
   mutable fault_ins : int;
@@ -31,7 +36,7 @@ type t = {
   cpu : Cpu.t;
   lo : int;
   hi : int;
-  owner : int array;  (* phys tag -> resident vkey, or -1 *)
+  owner : int array;  (* phys tag -> resident vkey, [free], or [pinned] *)
   last_used : int array;  (* phys tag -> LRU tick (ticks are unique) *)
   binding : (int, int) Hashtbl.t;  (* vkey -> phys, residents only *)
   vkey_cid : (int, int) Hashtbl.t;  (* vkey -> owning cubicle *)
@@ -43,6 +48,8 @@ type t = {
 }
 
 let is_virtual k = k >= Pkru.nkeys
+let free_tag = -1
+let pinned = -2
 
 let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) cpu =
   if lo < 0 || hi >= Pkru.nkeys || lo > hi then invalid_arg "Keymux.create: bad tag range";
@@ -50,7 +57,7 @@ let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) cpu =
     cpu;
     lo;
     hi;
-    owner = Array.make Pkru.nkeys (-1);
+    owner = Array.make Pkru.nkeys free_tag;
     last_used = Array.make Pkru.nkeys 0;
     binding = Hashtbl.create 64;
     vkey_cid = Hashtbl.create 64;
@@ -63,7 +70,6 @@ let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) cpu =
 
 let set_evict_hook t h = t.evict_hook <- h
 let stats t = t.stats
-let slots t = t.hi - t.lo + 1
 
 let alloc t ~cid =
   let vkey =
@@ -80,6 +86,7 @@ let alloc t ~cid =
   vkey
 
 let resident t vkey = Hashtbl.find_opt t.binding vkey
+let is_pinned t k = k >= t.lo && k <= t.hi && t.owner.(k) = pinned
 let resident_vkey t phys = if t.owner.(phys) >= 0 then Some t.owner.(phys) else None
 let cid_of_vkey t vkey = Hashtbl.find_opt t.vkey_cid vkey
 
@@ -116,51 +123,65 @@ let scrub_cores t ~phys =
     end
   done
 
-(* Drop a vkey's binding without the page-walk part of the eviction
-   price: the caller is destroying the cubicle and scrubs/unmaps its
-   pages itself, so there is nothing left to retag. The per-core PKRU
-   scrub is NOT skippable, though — a core may still cache the tag
-   from an earlier run of the dead cubicle, and the freed slot is
-   about to be rebound; without the scrub that register would retain
-   access to whatever binds the slot next (the aliasing [scrub_cores]
-   exists to prevent). The physical slot becomes free and the vkey
-   number is recycled for the next [alloc]. *)
-let free t vkey =
-  (match Hashtbl.find_opt t.binding vkey with
+let free_slot t =
+  let found = ref (-1) in
+  for k = t.hi downto t.lo do
+    if t.owner.(k) = free_tag then found := k
+  done;
+  !found
+
+let pin t =
+  match free_slot t with
+  | -1 -> None
+  | k ->
+      t.owner.(k) <- pinned;
+      Some k
+
+let release_slot t phys =
+  t.owner.(phys) <- free_tag;
+  t.last_used.(phys) <- 0;
+  scrub_cores t ~phys
+
+(* Return a pinned tag, or drop a vkey's binding without the page-walk
+   part of the eviction price: the caller is destroying the holder and
+   scrubs/unmaps its pages itself, so there is nothing left to retag.
+   The per-core PKRU scrub is NOT skippable, though — a core may still
+   cache the tag from an earlier run of the dead holder, and the freed
+   slot is about to be handed out again; without the scrub that
+   register would retain access to whatever gets the slot next (the
+   aliasing [scrub_cores] exists to prevent). The physical slot becomes
+   free and a vkey number is recycled for the next [alloc]. *)
+let free t key =
+  if is_pinned t key then release_slot t key;
+  (match Hashtbl.find_opt t.binding key with
   | Some phys ->
-      t.owner.(phys) <- -1;
-      t.last_used.(phys) <- 0;
-      Hashtbl.remove t.binding vkey;
-      scrub_cores t ~phys
+      Hashtbl.remove t.binding key;
+      release_slot t phys
   | None -> ());
-  if Hashtbl.mem t.vkey_cid vkey then begin
-    Hashtbl.remove t.vkey_cid vkey;
-    t.free_vkeys <- vkey :: t.free_vkeys
+  if Hashtbl.mem t.vkey_cid key then begin
+    Hashtbl.remove t.vkey_cid key;
+    t.free_vkeys <- key :: t.free_vkeys
   end
 
 let evict t ~phys =
   let vkey = t.owner.(phys) in
   let cid = match cid_of_vkey t vkey with Some c -> c | None -> -1 in
   Hashtbl.remove t.binding vkey;
-  t.owner.(phys) <- -1;
+  t.owner.(phys) <- free_tag;
   let pages = match t.evict_hook with Some h -> h ~cid ~vkey ~phys | None -> 0 in
   t.stats.evictions <- t.stats.evictions + 1;
   t.stats.retag_pages <- t.stats.retag_pages + pages;
   scrub_cores t ~phys;
   emit t (Telemetry.Event.Key_evict { cid; vkey; phys; pages })
 
-let free_slot t =
-  let found = ref (-1) in
-  for k = t.hi downto t.lo do
-    if t.owner.(k) = -1 then found := k
-  done;
-  !found
-
+(* The least recently used resident vkey's tag; pinned tags are never
+   candidates. *)
 let lru_slot t =
-  let best = ref t.lo in
-  for k = t.lo + 1 to t.hi do
-    if t.last_used.(k) < t.last_used.(!best) then best := k
+  let best = ref (-1) in
+  for k = t.lo to t.hi do
+    if t.owner.(k) >= 0 && (!best < 0 || t.last_used.(k) < t.last_used.(!best)) then best := k
   done;
+  if !best < 0 then invalid_arg "Keymux.phys_of: every physical tag is pinned";
   !best
 
 let phys_of t vkey =

@@ -15,6 +15,10 @@
     libmpk-style reassignment cost — all under the [Keymux] attribution
     category, billed to the cubicle whose fault-in triggered the work.
 
+    It is also the monitor's only tag allocator: without
+    virtualisation, isolated cubicles and dedicated window tags take
+    {e pinned} physical tags ({!pin}), which the LRU never evicts.
+
     The multiplexer never touches page metadata itself; the owning
     monitor supplies the page walk through the hook. *)
 
@@ -33,12 +37,6 @@ val create : ?lo:int -> ?hi:int -> Cpu.t -> t
     tags except the monitor's 0 and the shared 15). Raises
     [Invalid_argument] on an empty or out-of-range tag interval. *)
 
-val is_virtual : int -> bool
-(** [is_virtual k] — keys >= [Pkru.nkeys] are virtual. *)
-
-val slots : t -> int
-(** Size of the physical tag pool. *)
-
 val set_evict_hook : t -> (cid:int -> vkey:int -> phys:int -> int) option -> unit
 (** The monitor's page walk: called with the victim's cubicle, virtual
     key and (former) physical tag; must retag the victim's
@@ -51,13 +49,19 @@ val alloc : t -> cid:int -> int
     [cid], recycling numbers released by {!free}. The key is not yet
     resident; the first {!phys_of} faults it in. *)
 
+val pin : t -> int option
+(** [pin t] hands out the lowest free physical tag in [lo..hi] for good:
+    the LRU never evicts it and it stays out of {!residents}. [None]
+    when every tag is in use; the caller reports the exhaustion. *)
+
 val free : t -> int -> unit
-(** [free t vkey] releases a virtual key at cubicle teardown: drops its
-    binding (without the page-walk eviction price — the caller scrubs
-    and unmaps the dead cubicle's pages itself), scrubs the freed tag
-    from every core's PKRU still caching it (so the recycled slot's
-    next owner cannot be aliased by a stale register) and recycles the
-    key number. Idempotent. *)
+(** [free t key] releases a pinned tag or a virtual key at teardown. A
+    virtual key's binding is dropped without the page-walk eviction
+    price (the caller scrubs and unmaps the dead holder's pages itself)
+    and its number is recycled. Either way the freed physical tag is
+    scrubbed from every core's narrowed PKRU still caching it, so the
+    slot's next holder cannot be aliased by a stale register.
+    Idempotent. *)
 
 val phys_of : t -> int -> int
 (** [phys_of t vkey] — the fault-in. Physical keys pass through

@@ -29,7 +29,7 @@ let cat_name = function
    row, total, ...) sums across cores, so single-core callers see the
    same numbers as before. *)
 type t = {
-  mutable cores : int array array array;  (* core -> cubicle id -> per-category cycles *)
+  cores : int array array array;  (* core -> cubicle id -> per-category cycles *)
   mutable cur_core : int;
   mutable cur : int;
   mutable cur_row : int array;  (* == cores.(cur_core).(cur); cached for the hot path *)
@@ -38,9 +38,10 @@ type t = {
 let initial_rows = 8
 let fresh_rows n = Array.init n (fun _ -> Array.make ncat 0)
 
-let create () =
-  let rows = fresh_rows initial_rows in
-  { cores = [| rows |]; cur_core = 0; cur = 0; cur_row = rows.(0) }
+let create ?(ncores = 1) () =
+  if ncores < 1 then invalid_arg "Attrib.create: ncores must be >= 1";
+  let cores = Array.init ncores (fun _ -> fresh_rows initial_rows) in
+  { cores; cur_core = 0; cur = 0; cur_row = cores.(0).(0) }
 
 let grow_rows t core cid =
   let rows = t.cores.(core) in
@@ -57,17 +58,12 @@ let set_current t cid =
   t.cur_row <- t.cores.(t.cur_core).(cid)
 
 let set_core t core =
-  if core < 0 then invalid_arg "Attrib.set_core: negative core id";
-  let n = Array.length t.cores in
-  if core >= n then
-    t.cores <-
-      Array.init (core + 1) (fun i -> if i < n then t.cores.(i) else fresh_rows initial_rows);
+  if core < 0 || core >= Array.length t.cores then
+    invalid_arg (Printf.sprintf "Attrib.set_core: no core %d" core);
   t.cur_core <- core;
   grow_rows t core t.cur;
   t.cur_row <- t.cores.(core).(t.cur)
 
-let current t = t.cur
-let core t = t.cur_core
 let ncores t = Array.length t.cores
 
 let[@inline] charge t cat n =
@@ -115,25 +111,7 @@ let category_total t cat =
     (fun acc rows -> Array.fold_left (fun acc r -> acc + r.(i)) acc rows)
     0 t.cores
 
-(* Per-core views, used by the SMP scheduler and bench to show one
-   attribution table per simulated core. *)
-
-let core_row t ~core ~cid =
-  if core >= 0 && core < Array.length t.cores && cid >= 0 && cid < Array.length t.cores.(core)
-  then Array.copy t.cores.(core).(cid)
-  else Array.make ncat 0
-
-let core_rows t ~core =
-  if core < 0 || core >= Array.length t.cores then []
-  else begin
-    let rows = t.cores.(core) in
-    let acc = ref [] in
-    for cid = Array.length rows - 1 downto 0 do
-      if row_total rows.(cid) > 0 then acc := (cid, Array.copy rows.(cid)) :: !acc
-    done;
-    !acc
-  end
-
+(* The per-core view the SMP bench checks against each core's counter. *)
 let core_total t ~core =
   if core < 0 || core >= Array.length t.cores then 0
   else Array.fold_left (fun acc r -> acc + row_total r) 0 t.cores.(core)

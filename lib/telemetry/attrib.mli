@@ -35,28 +35,35 @@ val ncat : int
 val cat_index : category -> int
 val cat_name : category -> string
 
-type t
+type t = private {
+  cores : int array array array;  (** core -> cubicle id -> per-category cycles *)
+  mutable cur_core : int;  (** the executing core *)
+  mutable cur : int;  (** the executing cubicle *)
+  mutable cur_row : int array;  (** [cores.(cur_core).(cur)], cached for {!charge} *)
+}
+(** The machine's one execution context. The current core and the
+    current cubicle are stored here and nowhere else: [Hw.Cost] reads
+    [cur_core] to pick its per-core counter, [Bus] to pick its event
+    track, and the monitor reads [cur]. The record is read-only outside
+    this module; {!set_core} and {!set_current} are its only writers. *)
 
-val create : unit -> t
-(** All cycles are billed to cubicle 0 (the monitor) on core 0 until
+val create : ?ncores:int -> unit -> t
+(** A table with [ncores] core planes (default 1), sized once. All
+    cycles are billed to cubicle 0 (the monitor) on core 0 until
     {!set_current} / {!set_core} say otherwise. *)
 
 val set_current : t -> int -> unit
 (** [set_current t cid] — subsequent charges are billed to [cid]. The
     table grows on demand. *)
 
-val current : t -> int
-
 val set_core : t -> int -> unit
 (** [set_core t core] — subsequent charges are billed to [core]'s plane
-    of the table (still under the current cubicle). The scheduler moves
-    this on every slice via [Hw.Cpu.set_core]; the table grows on
-    demand. *)
-
-val core : t -> int
+    of the table (still under the current cubicle). [Hw.Cpu.set_core]
+    moves it on every scheduler slice. Raises [Invalid_argument] for a
+    core outside [0 .. ncores - 1]. *)
 
 val ncores : t -> int
-(** Number of core planes the table has grown to (>= 1). *)
+(** Number of core planes (>= 1). *)
 
 val charge : t -> category -> int -> unit
 (** Bill [n] cycles; allocation-free hot path. *)
@@ -80,8 +87,6 @@ val category_total : t -> category -> int
     extends per core: [core_total t ~core] equals the machine's
     per-core cycle counter, and the core totals sum to {!total}. *)
 
-val core_row : t -> core:int -> cid:int -> int array
-val core_rows : t -> core:int -> (int * int array) list
 val core_total : t -> core:int -> int
 
 val reset : t -> unit

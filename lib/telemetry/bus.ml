@@ -7,8 +7,8 @@ type t = {
   (* one event track per simulated core; a chatty core can only evict
      its own history. [seq] is the global emission order, so merging
      the tracks reproduces the exact interleaving. *)
-  mutable rings : entry Ring.t array;
-  mutable cur_core : int;
+  rings : entry Ring.t array;
+  ctx : Attrib.t;  (* [ctx.cur_core] is the emitting core *)
   mutable seq : int;
   (* event-plane sampling: keep 1 in [every] emissions (1 = keep all).
      [countdown] is the distance to the next kept event. *)
@@ -34,13 +34,14 @@ type t = {
 let default_capacity = 65536
 let dummy_entry = { at = 0; core = 0; seq = 0; ev = Event.Mark "" }
 
-let create ?(capacity = default_capacity) ?(now = fun () -> 0) () =
+let create ?(capacity = default_capacity) ?(now = fun () -> 0) ?(ctx = Attrib.create ()) () =
   {
     tracing = false;
     now;
     ring_capacity = capacity;
-    rings = [| Ring.create ~capacity ~dummy:dummy_entry |];
-    cur_core = 0;
+    rings =
+      Array.init (Attrib.ncores ctx) (fun _ -> Ring.create ~capacity ~dummy:dummy_entry);
+    ctx;
     seq = 0;
     every = 1;
     countdown = 1;
@@ -60,19 +61,6 @@ let set_now t f = t.now <- f
 let tracing t = t.tracing
 let set_tracing t b = t.tracing <- b
 
-let set_core t core =
-  if core < 0 then invalid_arg "Bus.set_core: negative core id";
-  let n = Array.length t.rings in
-  if core >= n then
-    t.rings <-
-      Array.init (core + 1) (fun i ->
-          if i < n then t.rings.(i)
-          else Ring.create ~capacity:t.ring_capacity ~dummy:dummy_entry);
-  t.cur_core <- core
-
-let core t = t.cur_core
-let ncores t = Array.length t.rings
-
 let set_sampling t ~every =
   if every < 1 then invalid_arg "Bus.set_sampling: every must be >= 1";
   t.every <- every;
@@ -89,9 +77,11 @@ let[@inline] emit t ev =
     t.countdown <- t.countdown - 1;
     if t.countdown <= 0 then begin
       t.countdown <- t.every;
-      let e = { at = t.now (); core = t.cur_core; seq = t.seq; ev } in
+      (* one track per core of [ctx], so [cur_core] is in bounds *)
+      let core = t.ctx.Attrib.cur_core in
+      let e = { at = t.now (); core; seq = t.seq; ev } in
       t.seq <- t.seq + 1;
-      Ring.push (Array.unsafe_get t.rings t.cur_core) e;
+      Ring.push (Array.unsafe_get t.rings core) e;
       match t.sink with None -> () | Some f -> f e
     end
     else t.sampled_out <- t.sampled_out + 1

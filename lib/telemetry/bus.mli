@@ -37,8 +37,8 @@ type t = {
   mutable tracing : bool;
   mutable now : unit -> int;
   ring_capacity : int;
-  mutable rings : entry Ring.t array;
-  mutable cur_core : int;
+  rings : entry Ring.t array;  (** one track per core of [ctx] *)
+  ctx : Attrib.t;  (** the execution context: [ctx.cur_core] picks the track *)
   mutable seq : int;
   mutable every : int;
   mutable countdown : int;
@@ -60,27 +60,20 @@ type t = {
 
 val default_capacity : int
 
-val create : ?capacity:int -> ?now:(unit -> int) -> unit -> t
+val create : ?capacity:int -> ?now:(unit -> int) -> ?ctx:Attrib.t -> unit -> t
 (** Tracing starts disabled, unsampled, with no sink and no latency
     sink; [now] defaults to a constant 0 until {!set_now} installs the
-    machine's cycle clock. *)
+    machine's cycle clock. The bus keeps one event track per core of
+    the machine's execution context [ctx] (one {!Ring} of {!capacity}
+    entries each), so a chatty core can only evict its own history,
+    and emits to the current core's track; without [ctx] it has one
+    track. Everything below that reads "the ring" sums or merges the
+    per-core tracks. *)
 
 val set_now : t -> (unit -> int) -> unit
 
 val tracing : t -> bool
 val set_tracing : t -> bool -> unit
-
-val set_core : t -> int -> unit
-(** Route subsequent emissions to [core]'s event track (one {!Ring} per
-    simulated core, each of {!capacity} entries, created on demand) —
-    a chatty core can only evict its own history. Moved by
-    [Hw.Cpu.set_core]; everything below that reads "the ring" sums or
-    merges the per-core tracks. *)
-
-val core : t -> int
-
-val ncores : t -> int
-(** Number of event tracks the bus has grown to (>= 1). *)
 
 val set_sampling : t -> every:int -> unit
 (** Keep 1 in [every] event-plane emissions ([every = 1] keeps all; the

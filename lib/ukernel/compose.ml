@@ -20,15 +20,6 @@ type instance = { os : Minidb.Os_iface.t; mon : Monitor.t }
 
 (* --- the Genode file system service ------------------------------------- *)
 
-type gfile = { mutable data : Bytes.t; mutable size : int }
-
-let ggrow f want =
-  if Bytes.length f.data < want then begin
-    let ndata = Bytes.make (max want (2 * Bytes.length f.data + 4096)) '\000' in
-    Bytes.blit f.data 0 ndata 0 f.size;
-    f.data <- ndata
-  end
-
 let packet_size = Hw.Addr.page_size
 
 (* In the 3-component deployment Genode's VFS (with the built-in RAMFS
@@ -61,97 +52,27 @@ let genode_os kern ~split ctx =
       f ()
     end
   in
-  let files : (string, gfile) Hashtbl.t = Hashtbl.create 16 in
-  let fds : (int, gfile) Hashtbl.t = Hashtbl.create 16 in
-  let next_fd = ref 3 in
-  let cpu = ctx.Monitor.cpu in
   let meta_call f = session_call 32 (fun () -> charge_backend backend_rpc 32; f ()) in
-  {
-    Minidb.Os_iface.ctx;
-    open_file =
-      (fun path ~create ->
-        meta_call (fun () ->
-            match Hashtbl.find_opt files path with
-            | Some f ->
-                let fd = !next_fd in
-                incr next_fd;
-                Hashtbl.replace fds fd f;
-                fd
-            | None ->
-                if not create then Libos.Sysdefs.enoent
-                else begin
-                  let f = { data = Bytes.create 4096; size = 0 } in
-                  Hashtbl.replace files path f;
-                  let fd = !next_fd in
-                  incr next_fd;
-                  Hashtbl.replace fds fd f;
-                  fd
-                end));
-    close_file =
-      (fun fd ->
-        meta_call (fun () ->
-            if Hashtbl.mem fds fd then (Hashtbl.remove fds fd; 0) else Libos.Sysdefs.ebadf));
-    pread =
-      (fun ~fd ~buf ~len ~off ->
-        session_call 32 (fun () ->
-            match Hashtbl.find_opt fds fd with
-            | None -> Libos.Sysdefs.ebadf
-            | Some f ->
-                if off >= f.size then 0
-                else begin
-                  let n = min len (f.size - off) in
-                  (* backend -> CORE (packet stream when split) *)
-                  charge_backend backend_rpc n;
-                  (* file store -> session buffer -> application *)
-                  if split then Rpc.copy_in_sub session f.data ~pos:off ~len:n;
-                  Hw.Cpu.write_sub cpu buf f.data ~pos:off ~len:n;
-                  n
-                end));
-    pwrite =
-      (fun ~fd ~buf ~len ~off ->
-        session_call 32 (fun () ->
-            match Hashtbl.find_opt fds fd with
-            | None -> Libos.Sysdefs.ebadf
-            | Some f ->
-                ggrow f (off + len);
-                Hw.Cpu.read_into cpu buf f.data ~pos:off ~len;
-                if split then Rpc.copy_in_sub session f.data ~pos:off ~len;
-                charge_backend backend_rpc len;
-                f.size <- max f.size (off + len);
-                len));
-    file_size =
-      (fun fd ->
-        meta_call (fun () ->
-            match Hashtbl.find_opt fds fd with
-            | None -> Libos.Sysdefs.ebadf
-            | Some f -> f.size));
-    truncate =
-      (fun ~fd ~size ->
-        meta_call (fun () ->
-            match Hashtbl.find_opt fds fd with
-            | None -> Libos.Sysdefs.ebadf
-            | Some f ->
-                ggrow f size;
-                if size < f.size then Bytes.fill f.data size (f.size - size) '\000';
-                f.size <- size;
-                0));
-    fsync = (fun _fd -> meta_call (fun () -> 0));
-    unlink =
-      (fun path ->
-        meta_call (fun () ->
-            if Hashtbl.mem files path then (Hashtbl.remove files path; 0)
-            else Libos.Sysdefs.enoent));
-    exists = (fun path -> meta_call (fun () -> if Hashtbl.mem files path then 1 else 0) = 1);
-    rename =
-      (fun ~old_name ~new_name ->
-        meta_call (fun () ->
-            match Hashtbl.find_opt files old_name with
-            | None -> Libos.Sysdefs.enoent
-            | Some f ->
-                Hashtbl.remove files old_name;
-                Hashtbl.replace files new_name f;
-                0));
-  }
+  (* file store -> session buffer (-> application), with the
+     CORE <-> RAMFS packet stream on the backend side when split *)
+  let stage data ~pos ~len = if split then Rpc.copy_in_sub session data ~pos ~len in
+  Minidb.Os_iface.host_store
+    {
+      op =
+        (fun kind f ->
+          match kind with
+          | Minidb.Os_iface.Meta -> meta_call f
+          | Minidb.Os_iface.Data -> session_call 32 f);
+      on_read =
+        (fun data ~pos ~len ->
+          charge_backend backend_rpc len;
+          stage data ~pos ~len);
+      on_write =
+        (fun data ~pos ~len ->
+          stage data ~pos ~len;
+          charge_backend backend_rpc len);
+    }
+    ctx
 
 (* --- configuration instances ----------------------------------------------- *)
 

@@ -204,6 +204,59 @@ let test_dedicated_reuse_after_release () =
   done;
   check_int "keys recycled" 0 (Monitor.dedicated_keys_in_use mon)
 
+(* Failure atomicity: a failing dedicated-window service leaves no
+   grant, no tag and no event behind (validate -> allocate -> mutate ->
+   emit); only the service charge is billed. *)
+
+let dedicated_events mon op =
+  List.length
+    (List.filter
+       (fun (e : Telemetry.Bus.entry) ->
+         match e.Telemetry.Bus.ev with Telemetry.Event.Window w -> w.op = op | _ -> false)
+       (Telemetry.Bus.events (Monitor.bus mon)))
+
+let check_failed_open mon ctx wid ~buf ~peer =
+  Telemetry.Bus.set_tracing (Monitor.bus mon) true;
+  (match Api.window_open_dedicated ctx wid peer with
+  | () -> Alcotest.fail "window_open_dedicated unexpectedly succeeded"
+  | exception Types.Error _ -> ());
+  check_bool "no grant" false
+    (Monitor.window_grants mon (Api.self ctx) ~peer ~ptr:buf ~size:4096);
+  check_int "no tag" 0 (Monitor.dedicated_keys_in_use mon);
+  check_int "no event" 0 (dedicated_events mon Telemetry.Event.Open_dedicated)
+
+let test_dedicated_open_virtualised_atomic () =
+  let mon = Monitor.create ~virtualise:true ~protection:Types.Full () in
+  let foo = Monitor.create_cubicle mon ~name:"FOO" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
+  let bar = Monitor.create_cubicle mon ~name:"BAR" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
+  let ctx, buf, wid = windowed_buffer mon foo in
+  check_failed_open mon ctx wid ~buf ~peer:bar
+
+let test_dedicated_open_unknown_peer_atomic () =
+  let mon, foo, _ = mk_system () in
+  let ctx, buf, wid = windowed_buffer mon foo in
+  check_failed_open mon ctx wid ~buf ~peer:77
+
+let test_dedicated_open_exhausted_atomic () =
+  let mon, foo, bar = mk_system () in
+  (* FOO and BAR hold 2 of the 14 tags; 12 more cubicles take the rest *)
+  for i = 1 to 12 do
+    ignore
+      (Monitor.create_cubicle mon ~name:(Printf.sprintf "X%02d" i) ~kind:Types.Isolated
+         ~heap_pages:1 ~stack_pages:1)
+  done;
+  let ctx, buf, wid = windowed_buffer mon foo in
+  check_failed_open mon ctx wid ~buf ~peer:bar
+
+let test_dedicated_close_unknown_window_silent () =
+  let mon, foo, bar = mk_system () in
+  let ctx = Monitor.ctx_for mon foo in
+  Telemetry.Bus.set_tracing (Monitor.bus mon) true;
+  (match Api.window_close_dedicated ctx 999 bar with
+  | () -> Alcotest.fail "window_close_dedicated on wid 999 unexpectedly succeeded"
+  | exception Types.Error _ -> ());
+  check_int "no event" 0 (dedicated_events mon Telemetry.Event.Close_dedicated)
+
 let test_hybrid_cheaper_for_hot_window () =
   (* §8's suggested hybrid: a frequently re-opened window is cheaper
      with a dedicated tag than with per-cycle trap-and-map. *)
@@ -255,5 +308,13 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_dedicated_tags_exhaust;
           Alcotest.test_case "key recycling" `Quick test_dedicated_reuse_after_release;
           Alcotest.test_case "hybrid wins when hot" `Quick test_hybrid_cheaper_for_hot_window;
+          Alcotest.test_case "failed open: virtualised" `Quick
+            test_dedicated_open_virtualised_atomic;
+          Alcotest.test_case "failed open: unknown peer" `Quick
+            test_dedicated_open_unknown_peer_atomic;
+          Alcotest.test_case "failed open: tags exhausted" `Quick
+            test_dedicated_open_exhausted_atomic;
+          Alcotest.test_case "failed close: unknown window" `Quick
+            test_dedicated_close_unknown_window_silent;
         ] );
     ]

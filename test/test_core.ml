@@ -454,40 +454,6 @@ let test_stack_argument_copy () =
   Alcotest.(check string) "full copy" "stack args: 0123456789ABCDEF"
     (Bytes.to_string (Hw.Cpu.priv_read_bytes cpu bar_sp 28))
 
-let test_monitor_logs_events () =
-  (* the monitor emits Logs events; capture them with a reporter *)
-  let captured = ref 0 in
-  let reporter =
-    {
-      Logs.report =
-        (fun _src _level ~over k msgf ->
-          incr captured;
-          msgf (fun ?header:_ ?tags:_ fmt ->
-              Format.ikfprintf
-                (fun _ ->
-                  over ();
-                  k ())
-                Format.str_formatter fmt));
-    }
-  in
-  let saved = Logs.reporter () in
-  Logs.set_reporter reporter;
-  Logs.set_level (Some Logs.Debug);
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter saved;
-      Logs.set_level (Some Logs.Warning))
-    (fun () ->
-      let mon, foo, bar = mk_system () in
-      register_bar mon bar;
-      let ctx = Monitor.ctx_for mon foo in
-      let buf = Api.malloc_page_aligned ctx 16 in
-      let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
-      Api.window_add ctx wid ~ptr:buf ~size:16;
-      Api.window_open ctx wid bar;
-      ignore (Monitor.call mon ~caller:foo "bar" [| buf; 0 |]);
-      check_bool "events captured" true (!captured > 0))
-
 (* --- loader ------------------------------------------------------------------- *)
 
 let test_loader_rejects_wrpkru () =
@@ -1164,7 +1130,6 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_call_pkru_restored_on_exception;
           Alcotest.test_case "nested calls" `Quick test_nested_calls;
           Alcotest.test_case "stack arguments" `Quick test_stack_argument_copy;
-          Alcotest.test_case "logging" `Quick test_monitor_logs_events;
           Alcotest.test_case "shared cubicle" `Quick test_shared_cubicle_runs_with_caller_privileges;
         ] );
       ( "loader",

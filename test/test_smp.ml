@@ -149,7 +149,7 @@ let check_core_invariants mon =
   let cost = Monitor.cost mon in
   let attrib = cost.Hw.Cost.attrib in
   let sum = ref 0 in
-  for c = 0 to Hw.Cost.ncores cost - 1 do
+  for c = 0 to Hw.Cpu.ncores (Monitor.cpu mon) - 1 do
     sum := !sum + Hw.Cost.core_cycles cost c;
     check_int
       (Printf.sprintf "attrib core %d == cost core %d" c c)
@@ -204,7 +204,7 @@ let prop_random_schedules =
       let attrib = cost.Hw.Cost.attrib in
       let sum = ref 0 in
       let planes_ok = ref true in
-      for c = 0 to Hw.Cost.ncores cost - 1 do
+      for c = 0 to Hw.Cpu.ncores (Monitor.cpu mon) - 1 do
         sum := !sum + Hw.Cost.core_cycles cost c;
         if Telemetry.Attrib.core_total attrib ~core:c <> Hw.Cost.core_cycles cost c then
           planes_ok := false

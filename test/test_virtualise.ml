@@ -184,25 +184,61 @@ let test_failed_spawns_leak_nothing () =
 
 (* Keymux.free at teardown must scrub the freed tag from every core's
    PKRU still caching it: a register narrowed on another core would
-   otherwise retain access to whatever cubicle next binds the slot. *)
-let test_teardown_scrubs_core_registers () =
-  let mon = Monitor.create ~virtualise:true ~ncores:2 ~protection:Types.Full () in
+   otherwise retain access to whatever cubicle next gets the tag. This
+   holds for a virtual key's binding and for a pinned tag alike. *)
+let test_teardown_scrubs_core_registers ~virtualise () =
+  let mon = Monitor.create ~virtualise ~ncores:2 ~protection:Types.Full () in
   let a =
     Monitor.create_cubicle mon ~name:"A" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
   in
   let phys_a = Monitor.cubicle_key mon a in
   let cpu = Monitor.cpu mon in
+  let cost = Monitor.cost mon in
+  let keymux_cycles () =
+    Telemetry.Attrib.category_total cost.Hw.Cost.attrib Telemetry.Attrib.Keymux
+  in
   (* core 1 caches A's physical tag in a narrowed register *)
   Hw.Cpu.set_core cpu 1;
   Hw.Cpu.wrpkru cpu (Hw.Pkru.of_keys [ phys_a; Monitor.shared_key ]);
   Hw.Cpu.set_core cpu 0;
   check_bool "core 1 caches the tag" true
     (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) phys_a);
+  let k0 = keymux_cycles () in
   Monitor.destroy_cubicle mon a;
   check_bool "teardown scrubbed core 1" false
     (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) phys_a);
-  let km = Option.get (Monitor.keymux mon) in
-  check_bool "shootdown counted" true ((Hw.Keymux.stats km).Hw.Keymux.key_shootdowns > 0)
+  (* the pool bills each shootdown as one wrpkru under Keymux *)
+  check_int "one shootdown billed" cost.Hw.Cost.model.Hw.Cost.wrpkru (keymux_cycles () - k0);
+  Option.iter
+    (fun km ->
+      check_int "shootdown counted" 1 (Hw.Keymux.stats km).Hw.Keymux.key_shootdowns)
+    (Monitor.keymux mon);
+  (* the next spawn gets the freed tag, out of core 1's reach *)
+  let b =
+    Monitor.create_cubicle mon ~name:"B" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
+  in
+  check_int "freed tag recycled" phys_a (Monitor.cubicle_key mon b);
+  check_bool "core 1 cannot reach the next holder" false
+    (Hw.Pkru.can_read (Hw.Cpu.core_pkru cpu 1) phys_a)
+
+(* One pool for both kinds: pinned tags are handed out lowest first and
+   the LRU never evicts them, however hard vkeys compete for the rest. *)
+let test_pinned_tags_never_evicted () =
+  let km = Hw.Keymux.create (Hw.Cpu.create ~mem_bytes:(16 * 4096) ()) in
+  let pinned = List.init 4 (fun _ -> Option.get (Hw.Keymux.pin km)) in
+  Alcotest.(check (list int)) "lowest free tags" [ 1; 2; 3; 4 ] pinned;
+  let vkeys = List.init 30 (fun cid -> Hw.Keymux.alloc km ~cid) in
+  for _ = 1 to 3 do
+    List.iter
+      (fun v ->
+        check_bool "vkey never bound to a pinned tag" false
+          (List.mem (Hw.Keymux.phys_of km v) pinned))
+      vkeys
+  done;
+  check_bool "evictions happened" true ((Hw.Keymux.stats km).Hw.Keymux.evictions > 0);
+  Hw.Keymux.free km 2;
+  Alcotest.(check (option int)) "a freed pinned tag is handed out again" (Some 2)
+    (Hw.Keymux.pin km)
 
 (* Returning from a nested call must not re-admit a physical tag that
    was evicted and rebound to a different cubicle while the call ran:
@@ -545,7 +581,10 @@ let () =
           Alcotest.test_case "failed spawns leak nothing" `Quick
             test_failed_spawns_leak_nothing;
           Alcotest.test_case "teardown scrubs cores" `Quick
-            test_teardown_scrubs_core_registers;
+            (test_teardown_scrubs_core_registers ~virtualise:true);
+          Alcotest.test_case "teardown scrubs cores (pinned)" `Quick
+            (test_teardown_scrubs_core_registers ~virtualise:false);
+          Alcotest.test_case "pinned tags never evicted" `Quick test_pinned_tags_never_evicted;
           Alcotest.test_case "return recomputes pkru" `Quick
             test_return_does_not_readmit_recycled_tag;
         ] );
