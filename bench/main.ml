@@ -752,9 +752,26 @@ type hw_row = {
   hw_faults : int;
   hw_wrpkru : int;
   hw_hit_rate : float;
+  hw_attrib : (string * int) list;
 }
 
-let hw_scenario ~name body =
+(* The cycles each cubicle was billed per category between two
+   [Telemetry.Attrib.rows] snapshots, keyed "CUBICLE.category": which
+   side of a crossing pays for a wrpkru or a stack copy, which totals
+   alone do not pin. *)
+let attrib_delta mon ~before ~after =
+  List.concat_map
+    (fun (cid, row) ->
+      let b = Option.value (List.assoc_opt cid before) ~default:(Array.map (fun _ -> 0) row) in
+      let d = Array.map2 ( - ) row b in
+      if Array.for_all (( = ) 0) d then []
+      else
+        List.mapi
+          (fun i c -> (cname mon cid ^ "." ^ Telemetry.Attrib.cat_name c, d.(i)))
+          Telemetry.Attrib.categories)
+    after
+
+let hw_scenario ?(pin_attrib = false) ~name body =
   let run tlb_on =
     let mon, ctx, foo, bar, buf, wid =
       foo_bar_rig ~sym:"bar_fn" (fun ctx a -> Api.write_u8 ctx a.(0) 1; 0)
@@ -766,6 +783,8 @@ let hw_scenario ~name body =
     let c0 = Hw.Cost.cycles (Monitor.cost mon) in
     let f0 = Hw.Cpu.fault_count cpu in
     let k0 = Hw.Cpu.wrpkru_count cpu in
+    let attrib () = Telemetry.Attrib.rows (Monitor.cost mon).Hw.Cost.attrib in
+    let a0 = attrib () in
     let t0 = Unix.gettimeofday () in
     body mon ctx ~foo ~bar ~buf ~wid;
     let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
@@ -773,11 +792,15 @@ let hw_scenario ~name body =
       Hw.Cost.cycles (Monitor.cost mon) - c0,
       Hw.Cpu.fault_count cpu - f0,
       Hw.Cpu.wrpkru_count cpu - k0,
-      Hw.Tlb.hit_rate tlb )
+      Hw.Tlb.hit_rate tlb,
+      attrib_delta mon ~before:a0 ~after:(attrib ()) )
   in
-  let wall_ns_on, cycles_on, faults_on, wrpkru_on, hit_rate = run true in
-  let wall_ns_off, cycles_off, faults_off, wrpkru_off, _ = run false in
-  if (cycles_on, faults_on, wrpkru_on) <> (cycles_off, faults_off, wrpkru_off) then begin
+  let wall_ns_on, cycles_on, faults_on, wrpkru_on, hit_rate, attrib_on = run true in
+  let wall_ns_off, cycles_off, faults_off, wrpkru_off, _, attrib_off = run false in
+  if
+    (cycles_on, faults_on, wrpkru_on, attrib_on)
+    <> (cycles_off, faults_off, wrpkru_off, attrib_off)
+  then begin
     fprintf
       "FATAL: %s: TLB changed simulated behaviour\n\
       \  on : cycles=%d faults=%d wrpkru=%d\n\
@@ -793,6 +816,9 @@ let hw_scenario ~name body =
     hw_faults = faults_on;
     hw_wrpkru = wrpkru_on;
     hw_hit_rate = hit_rate;
+    hw_attrib =
+      (if pin_attrib then List.map (fun (k, v) -> (name ^ ".attrib." ^ k, v)) attrib_on
+       else []);
   }
 
 let hw_rows () =
@@ -809,7 +835,7 @@ let hw_rows () =
             done));
     (* Window trap-and-map storm: open/fault/retag/close per call —
        dominated by monitor work, the TLB must stay out of the way. *)
-    hw_scenario ~name:"trap_and_map_storm" (fun mon ctx ~foo ~bar ~buf ~wid ->
+    hw_scenario ~pin_attrib:true ~name:"trap_and_map_storm" (fun mon ctx ~foo ~bar ~buf ~wid ->
         for _ = 1 to 2_000 do
           Api.window_open ctx wid bar;
           ignore (Monitor.call mon ~caller:foo "bar_fn" [| buf |]);
@@ -817,7 +843,7 @@ let hw_rows () =
         done);
     (* Warm cross-cubicle call churn: trampoline PKRU flips flush the
        TLB twice per call, so this measures flush overhead. *)
-    hw_scenario ~name:"call_churn" (fun mon ctx ~foo ~bar ~buf ~wid ->
+    hw_scenario ~pin_attrib:true ~name:"call_churn" (fun mon ctx ~foo ~bar ~buf ~wid ->
         Api.window_open ctx wid bar;
         ignore (Monitor.call mon ~caller:foo "bar_fn" [| buf |]);
         for _ = 1 to 20_000 do
@@ -867,6 +893,7 @@ let hw ?(out = "BENCH_hw.json") ?golden ?write_golden () =
           (r.hw_name ^ ".wrpkru", r.hw_wrpkru);
         ])
       rows
+    @ List.concat_map (fun r -> r.hw_attrib) rows
   in
   Option.iter (fun path -> Golden.write path rows; fprintf "wrote %s\n" path) write_golden;
   Option.iter
