@@ -10,14 +10,14 @@ type component = {
   iface : Iface.t;
 }
 
-let component ?exportsyms ?(code_ops = 256) ?(data_bytes = 256) ?(heap_pages = 16)
-    ?(stack_pages = 4) ?(init = fun _ -> ()) ?(exports = []) ?(iface = []) name =
+let component ?exportsyms ?(code_ops = 256) ?(heap_pages = 16) ?(stack_pages = 4)
+    ?(init = fun _ -> ()) ?(exports = []) ?(iface = []) name =
   let exportsyms =
     match exportsyms with
     | Some syms -> syms
     | None -> List.map (fun (e : Monitor.export_spec) -> e.sym) exports
   in
-  { name; exportsyms; code_ops; data_bytes; heap_pages; stack_pages; exports; init; iface }
+  { name; exportsyms; code_ops; data_bytes = 256; heap_pages; stack_pages; exports; init; iface }
 
 let merge name comps =
   {
@@ -58,57 +58,16 @@ let check_exports c =
       if not (List.mem e.sym c.exportsyms) then raise (Undeclared_export (c.name, e.sym)))
     c.exports
 
-let build mon comps =
-  List.iter (fun (c, _) -> check_exports c) comps;
-  let cids =
-    List.map
-      (fun (c, kind) ->
-        let img =
-          Loader.image_of_ops ~name:c.name ~data_bytes:c.data_bytes ~ops:c.code_ops ()
-        in
-        let loaded =
-          Loader.load mon img ~kind ~heap_pages:c.heap_pages ~stack_pages:c.stack_pages
-            ~exports:c.exports
-        in
-        (c.name, loaded.Loader.cid))
-      comps
-  in
-  (* Trampolines cover every public symbol of isolated and trusted
-     cubicles; shared-cubicle calls do not transit the monitor. *)
-  let syms =
-    List.concat_map
-      (fun (c, kind) ->
-        match kind with
-        | Types.Isolated | Types.Trusted ->
-            List.map (fun (e : Monitor.export_spec) -> e.sym) c.exports
-        | Types.Shared -> [])
-      comps
-  in
-  let trampolines = Trampoline.install mon ~syms in
-  (* Initialisers run in declaration order, each entered as its own
-     cubicle (the loader jumps to the component's init through a
-     trampoline) — this is where callback tables get filled in. *)
-  List.iter
-    (fun (c, _) ->
-      let cid = List.assoc c.name cids in
-      Monitor.run_as mon cid (fun () -> c.init (Monitor.ctx_for mon cid)))
-    comps;
-  let built =
-    { mon; trampolines; components = { by_name = Hashtbl.create 16; next_seq = 0 } }
-  in
-  List.iter (fun (c, _) -> add_loaded built c.name (List.assoc c.name cids) c.iface) comps;
-  built
-
 let cid built name =
   match Hashtbl.find_opt built.components.by_name name with
   | Some l -> l.l_cid
   | None -> Types.error "builder: unknown component %s" name
 
-(* Dynamic spawn: the runtime counterpart of [build] — load more
-   components into the running system, extend the trampoline table and
-   run the newcomers' initialisers. [callers] names already-live
-   cubicles that will call into the new exports; they receive guard
-   entries for the fresh symbols alongside the spawned cubicles. *)
+(* The one link path: load more components into the system, extend the
+   trampoline table and run the newcomers' initialisers. [callers] names
+   already-live cubicles that will call into the new exports; they
+   receive guard entries for the fresh symbols alongside the loaded
+   cubicles. [build] is a spawn into an empty system. *)
 let spawn ?(callers = []) built comps =
   List.iter (fun (c, _) -> check_exports c) comps;
   let fresh =
@@ -124,6 +83,8 @@ let spawn ?(callers = []) built comps =
         (c.name, loaded.Loader.cid))
       comps
   in
+  (* Trampolines cover every public symbol of isolated and trusted
+     cubicles; shared-cubicle calls do not transit the monitor. *)
   let syms =
     List.concat_map
       (fun (c, kind) ->
@@ -134,19 +95,31 @@ let spawn ?(callers = []) built comps =
       comps
   in
   (* Live callers only need guard entries for the new symbols (they
-     already hold the rest); the freshly spawned cubicles must be able
-     to guard-call every live export, not just the ones introduced in
-     their own batch — mirror [build], which covers the full thunk
-     table for every isolated cubicle. *)
+     already hold the rest); the fresh cubicles must be able to
+     guard-call every live export, not just the ones introduced in
+     their own batch. *)
   Trampoline.extend built.trampolines ~syms ~cids:callers;
   Trampoline.guard_all built.trampolines ~cids:(List.map snd fresh);
-  List.iter (fun (c, _) -> add_loaded built c.name (List.assoc c.name fresh) c.iface) comps;
-  List.iter
-    (fun (c, _) ->
-      let cid = List.assoc c.name fresh in
+  (* Initialisers run in declaration order, each entered as its own
+     cubicle (the loader jumps to the component's init through a
+     trampoline) — this is where callback tables get filled in. *)
+  List.iter2
+    (fun (c, _) (_, cid) ->
+      add_loaded built c.name cid c.iface;
       Monitor.run_as built.mon cid (fun () -> c.init (Monitor.ctx_for built.mon cid)))
-    comps;
+    comps fresh;
   fresh
+
+let build mon comps =
+  let built =
+    {
+      mon;
+      trampolines = Trampoline.create mon;
+      components = { by_name = Hashtbl.create 16; next_seq = 0 };
+    }
+  in
+  ignore (spawn ~callers:(Monitor.live_cids mon) built comps);
+  built
 
 let unload built names =
   List.iter

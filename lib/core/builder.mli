@@ -14,7 +14,7 @@ type component = {
   exportsyms : string list;
       (** public symbols; exports not listed here are rejected *)
   code_ops : int;  (** size of the synthesized code image, in instructions *)
-  data_bytes : int;
+  data_bytes : int;  (** size of the data segment: 256 per linked component *)
   heap_pages : int;
   stack_pages : int;
   exports : Monitor.export_spec list;
@@ -28,7 +28,6 @@ type component = {
 val component :
   ?exportsyms:string list ->
   ?code_ops:int ->
-  ?data_bytes:int ->
   ?heap_pages:int ->
   ?stack_pages:int ->
   ?init:(Monitor.ctx -> unit) ->
@@ -59,7 +58,8 @@ exception Undeclared_export of string * string
 (** (component, symbol): an export not listed in exportsyms. *)
 
 val build : Monitor.t -> (component * Types.kind) list -> built
-(** Load all components, install trampolines, run initialisers. *)
+(** {!spawn} into an empty system: every cubicle already live in the
+    monitor is a caller. *)
 
 val cid : built -> string -> Types.cid
 
@@ -69,14 +69,13 @@ val spawn :
   (component * Types.kind) list ->
   (string * Types.cid) list
 (** Load more components into a running system: the cubicle lifecycle's
-    birth half. Checks exports, loads each component, extends the
-    trampoline table (thunks for the new symbols; guard entries in each
-    spawned isolated cubicle for {e every} live export, matching what
-    {!build} gives statically-built cubicles, and in each cubicle of
-    [callers] for the new symbols), runs initialisers in declaration
-    order, and returns the fresh [(name, cid)] pairs. Component names
-    must not collide with live cubicles ({!Types.Error} from the
-    monitor if they do). *)
+    birth half, and the one link path. Checks exports, loads each
+    component, extends the trampoline table (thunks for the new
+    symbols; guard entries in each loaded isolated cubicle for {e every}
+    live export, and in each cubicle of [callers] for the new symbols),
+    runs initialisers in declaration order, and returns the fresh
+    [(name, cid)] pairs. Component names must not collide with live
+    cubicles ({!Types.Error} from the monitor if they do). *)
 
 val unload : built -> string list -> unit
 (** Tear the named components down: drop their guard entries, then

@@ -104,16 +104,8 @@ let alloc_guards t cid syms =
     done
   end
 
-let install mon ~syms =
-  let t =
-    { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16; sorted_syms = None }
-  in
-  alloc_thunks t syms;
-  List.iter
-    (fun cid ->
-      if Monitor.cubicle_kind mon cid = Types.Isolated then alloc_guards t cid syms)
-    (Monitor.live_cids mon);
-  t
+let create mon =
+  { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16; sorted_syms = None }
 
 let guard t ~syms ~cids =
   List.iter
@@ -153,7 +145,6 @@ let guard_addr t cid sym =
   | 0 -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
   | a -> a
 
-let thunk_cid _ = Monitor.monitor_cid
 let has_thunk t sym = Hashtbl.mem t.thunks sym
 let has_guard t cid sym = find_guard t cid sym <> 0
 
