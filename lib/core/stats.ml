@@ -1,35 +1,20 @@
-(* Stats is now a read-side view over the telemetry bus: the count
-   sites feed Telemetry.Bus's always-on counter plane, and every getter
-   here folds/delegates over it. TLB counters are read through the live
-   Hw.Tlb.t instead of being synced in by the monitor (the old
-   [set_tlb_counters] contract), so they can never go stale. *)
+(* A read-side view over the telemetry bus: the monitor counts straight
+   into Telemetry.Bus's always-on counter plane, and every getter here
+   delegates to it. TLB counters are read through the live Hw.Tlb.t, so
+   they can never go stale. *)
 
 type t = { bus : Telemetry.Bus.t; tlb : Hw.Tlb.t option }
 type snapshot = (Types.cid * Types.cid, int) Hashtbl.t
 
 let of_bus ?tlb bus = { bus; tlb }
-let create () = of_bus (Telemetry.Bus.create ())
 
 let reset t =
   Telemetry.Bus.reset_counters t.bus;
   Option.iter Hw.Tlb.reset_counters t.tlb
 
-let count_call t ~caller ~callee ~sym = Telemetry.Bus.count_call t.bus ~caller ~callee ~sym
-
-let count_return t ~caller ~callee ~sym =
-  Telemetry.Bus.count_return t.bus ~caller ~callee ~sym
-let count_shared_call t ~caller ~sym = Telemetry.Bus.count_shared_call t.bus ~caller ~sym
-let count_fault t = Telemetry.Bus.count_fault t.bus
-let count_retag t = Telemetry.Bus.count_retag t.bus
-let count_window_op t = Telemetry.Bus.count_window_op t.bus
-let count_rejected t = Telemetry.Bus.count_rejected t.bus
-
 let tlb_hits t = match t.tlb with Some tlb -> Hw.Tlb.hits tlb | None -> 0
 let tlb_misses t = match t.tlb with Some tlb -> Hw.Tlb.misses tlb | None -> 0
 let tlb_flushes t = match t.tlb with Some tlb -> Hw.Tlb.flushes tlb | None -> 0
-
-let tlb_invalidations t =
-  match t.tlb with Some tlb -> Hw.Tlb.invalidations tlb | None -> 0
 
 let tlb_hit_rate t =
   let total = tlb_hits t + tlb_misses t in

@@ -2,10 +2,9 @@
     per edge (Figures 5 and 8), trap-and-map activity, window
     operations.
 
-    Since the telemetry refactor this is a read-side view over
-    {!Telemetry.Bus}: the [count_*] functions feed the bus's always-on
-    counter plane (and, when tracing is enabled, its event ring), and
-    every getter folds over bus state. TLB counters are read live from
+    A read-side view over {!Telemetry.Bus}: the monitor counts into the
+    bus's always-on counter plane (and, when tracing is enabled, its
+    event ring), and every getter folds over bus state. TLB counters are read live from
     the machine's {!Hw.Tlb} — there is no sync step and no way for them
     to go stale. *)
 
@@ -15,29 +14,11 @@ val of_bus : ?tlb:Hw.Tlb.t -> Telemetry.Bus.t -> t
 (** View over an existing bus (the monitor passes the machine's bus and
     TLB). Without [?tlb] the TLB getters return 0. *)
 
-val create : unit -> t
-(** Standalone stats over a private bus (tests, tools). *)
-
 val reset : t -> unit
-
-val count_call : t -> caller:Types.cid -> callee:Types.cid -> sym:string -> unit
-
-val count_return : t -> caller:Types.cid -> callee:Types.cid -> sym:string -> unit
-(** The return edge of {!count_call}: no counter is bumped (the call
-    was already counted), but the bus's latency plane — and, when
-    tracing, the event ring — see the return. *)
-
-val count_shared_call : t -> caller:Types.cid -> sym:string -> unit
-val count_fault : t -> unit
-val count_retag : t -> unit
-val count_window_op : t -> unit
-val count_rejected : t -> unit
-(** CFI / isolation violations that were caught. *)
 
 val tlb_hits : t -> int
 val tlb_misses : t -> int
 val tlb_flushes : t -> int
-val tlb_invalidations : t -> int
 
 val tlb_hit_rate : t -> float
 (** Hits over lookups, in [0,1]; 0 when the TLB was never consulted. *)

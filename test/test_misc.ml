@@ -9,15 +9,16 @@ let check_bool = Alcotest.(check bool)
 (* --- stats -------------------------------------------------------------- *)
 
 let test_stats_counters () =
-  let s = Stats.create () in
-  Stats.count_call s ~caller:1 ~callee:2 ~sym:"f";
-  Stats.count_call s ~caller:1 ~callee:2 ~sym:"f";
-  Stats.count_call s ~caller:2 ~callee:3 ~sym:"g";
-  Stats.count_shared_call s ~caller:1 ~sym:"memcpy";
-  Stats.count_fault s;
-  Stats.count_retag s;
-  Stats.count_window_op s;
-  Stats.count_rejected s;
+  let b = Telemetry.Bus.create () in
+  let s = Stats.of_bus b in
+  Telemetry.Bus.count_call b ~caller:1 ~callee:2 ~sym:"f";
+  Telemetry.Bus.count_call b ~caller:1 ~callee:2 ~sym:"f";
+  Telemetry.Bus.count_call b ~caller:2 ~callee:3 ~sym:"g";
+  Telemetry.Bus.count_shared_call b ~caller:1 ~sym:"memcpy";
+  Telemetry.Bus.count_fault b;
+  Telemetry.Bus.count_retag b;
+  Telemetry.Bus.count_window_op b;
+  Telemetry.Bus.count_rejected b;
   check_int "edge 1->2" 2 (Stats.calls_between s ~caller:1 ~callee:2);
   check_int "into 2" 2 (Stats.calls_into s 2);
   check_int "into 3" 1 (Stats.calls_into s 3);
@@ -30,22 +31,24 @@ let test_stats_counters () =
   check_int "rejected" 1 (Stats.rejected s)
 
 let test_stats_edges_sorted () =
-  let s = Stats.create () in
-  for _ = 1 to 5 do Stats.count_call s ~caller:1 ~callee:2 ~sym:"hot" done;
-  Stats.count_call s ~caller:3 ~callee:4 ~sym:"cold";
+  let b = Telemetry.Bus.create () in
+  let s = Stats.of_bus b in
+  for _ = 1 to 5 do Telemetry.Bus.count_call b ~caller:1 ~callee:2 ~sym:"hot" done;
+  Telemetry.Bus.count_call b ~caller:3 ~callee:4 ~sym:"cold";
   (match Stats.edges s with
   | ((1, 2), 5) :: ((3, 4), 1) :: [] -> ()
   | _ -> Alcotest.fail "expected sorted edges");
   let snap = Stats.snapshot s in
-  Stats.count_call s ~caller:3 ~callee:4 ~sym:"cold";
+  Telemetry.Bus.count_call b ~caller:3 ~callee:4 ~sym:"cold";
   (match Stats.diff_edges s ~since:snap with
   | [ ((3, 4), 1) ] -> ()
   | _ -> Alcotest.fail "expected only the delta")
 
 let test_stats_reset () =
-  let s = Stats.create () in
-  Stats.count_call s ~caller:1 ~callee:2 ~sym:"f";
-  Stats.count_fault s;
+  let b = Telemetry.Bus.create () in
+  let s = Stats.of_bus b in
+  Telemetry.Bus.count_call b ~caller:1 ~callee:2 ~sym:"f";
+  Telemetry.Bus.count_fault b;
   Stats.reset s;
   check_int "calls cleared" 0 (Stats.total_calls s);
   check_int "faults cleared" 0 (Stats.faults s)

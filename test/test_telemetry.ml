@@ -225,7 +225,7 @@ let test_tlb_read_through () =
 (* --- standalone Stats (no machine) --------------------------------------- *)
 
 let test_standalone_stats_tlb_zero () =
-  let s = Stats.create () in
+  let s = Stats.of_bus (Telemetry.Bus.create ()) in
   check_int "tlb hits 0 without machine" 0 (Stats.tlb_hits s);
   Alcotest.(check (float 0.0)) "hit rate 0" 0.0 (Stats.tlb_hit_rate s)
 
