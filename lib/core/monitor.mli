@@ -146,7 +146,12 @@ val call : t -> caller:Types.cid -> string -> int array -> int
     - shared cubicle → direct call with the caller's privileges;
     - isolated/trusted → trampoline: fixed cost, per-cubicle stack
       switch (+ copying [stack_bytes] of stack arguments), two PKRU
-      writes when MPK is on, shadow-stack discipline for returns. *)
+      writes when MPK is on, shadow-stack discipline for returns. Both
+      PKRU writes are billed to the cubicle executing at the call: the
+      first precedes the switch, the restoring one follows the switch
+      back. One unwind runs on every exit, a raise from the callee
+      included: it restores the current cubicle, then PKRU, then
+      records the Return. *)
 
 val run_as : t -> Types.cid -> (unit -> 'a) -> 'a
 (** Enter a cubicle from the trusted boot path: set the current cubicle
@@ -175,8 +180,8 @@ val window_table_extend : t -> Types.cid -> klass:Mm.Page_meta.kind -> unit
 
 val window_add :
   t -> Types.cid -> ?perm:Window.perm -> Types.wid -> ptr:int -> size:int -> unit
-(** Checks that every page the range touches is owned by the caller and
-    matches the window's data class. [perm] (default [RW]) is the
+(** [window_add_ranges] of one range. Checks that every page the range
+    touches is owned by the caller and matches the window's data class. [perm] (default [RW]) is the
     grant's permission; an [R] grant lets peers read but makes a
     {e first-touch} write fault a priced rejection. (Under lazy
     trap-and-map a peer that read first holds the page at its own key,
@@ -193,6 +198,8 @@ val window_downgrade : t -> Types.cid -> Types.wid -> ptr:int -> unit
     are always visible window ops. *)
 
 val window_open : t -> Types.cid -> Types.wid -> Types.cid -> unit
+(** [window_open_many] of one peer. *)
+
 val window_close : t -> Types.cid -> Types.wid -> Types.cid -> unit
 val window_close_all : t -> Types.cid -> Types.wid -> unit
 val window_destroy : t -> Types.cid -> Types.wid -> unit
