@@ -161,8 +161,7 @@ let online_sink t (e : Telemetry.Bus.entry) = feed ~core:e.Telemetry.Bus.core t 
 
 let findings t = Races.findings t.races
 
-let of_bus ?monitor bus ~name_of =
+let of_bus bus ~name_of =
   let t = create ~name_of in
-  (match monitor with Some m -> seed_from_monitor t m | None -> ());
   run t (Telemetry.Bus.events bus);
   findings t

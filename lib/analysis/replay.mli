@@ -42,6 +42,5 @@ val online_sink : t -> Telemetry.Bus.entry -> unit
 val findings : t -> Report.finding list
 
 val of_bus :
-  ?monitor:Monitor.t -> Telemetry.Bus.t -> name_of:(int -> string) -> Report.finding list
-(** One-shot convenience: seed (optionally), replay the bus ring, return
-    the findings. *)
+  Telemetry.Bus.t -> name_of:(int -> string) -> Report.finding list
+(** One-shot convenience: replay the bus ring, return the findings. *)

@@ -17,6 +17,7 @@ let severity_name = function
   | Medium -> "medium"
   | Info -> "info"
 
+(* 0 = most severe. *)
 let severity_rank = function Critical -> 0 | High -> 1 | Medium -> 2 | Info -> 3
 let plane_name = function Static -> "static" | Dynamic -> "dynamic"
 

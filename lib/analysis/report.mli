@@ -19,10 +19,6 @@ type finding = {
 }
 
 val severity_name : severity -> string
-val severity_rank : severity -> int
-(** 0 = most severe. *)
-
-val plane_name : plane -> string
 
 val make :
   pass:string ->

@@ -27,14 +27,4 @@ val ro_write : unit -> scenario
 (** static, [Critical] — a summary-declared write reachable only
     through a read-only grant *)
 
-val write_race : unit -> scenario
-(** dynamic, [High] *)
-
-val use_after_close : unit -> scenario
-(** dynamic, [Critical] *)
-
-val write_through_ro : unit -> scenario
-(** dynamic, [Critical] — caught by the {e online} sink
-    ({!Replay.online_sink}), not post-hoc replay *)
-
 val all : unit -> scenario list

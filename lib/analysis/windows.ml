@@ -74,6 +74,10 @@ let accessors p =
     ~shared_forward:(fun _ _ _ -> true)
     p
 
+(* The same fixpoint seeded from [fd_writes] only: components that may
+   write through the argument. A forward into shared code counts only
+   when the shared declaration writes that position (memcpy writes arg
+   0, merely reads arg 1). *)
 let write_accessors p =
   accessors_gen
     ~self_positions:(fun fd -> fd.Iface.fd_writes)

@@ -15,12 +15,6 @@ val accessors : Ir.program -> string -> int -> Set.Make(String).t
     Forwarding to shared code attributes the dereference to the
     forwarder (shared code runs with the caller's privileges). *)
 
-val write_accessors : Ir.program -> string -> int -> Set.Make(String).t
-(** Same fixpoint seeded from [fd_writes] only: components that may
-    write through the argument. A forward into shared code counts only
-    when the shared declaration writes that position (memcpy writes
-    arg 0, merely reads arg 1). *)
-
 val check : Ir.program -> Report.finding list
 (** Coverage findings (static, pass ["coverage"]):
     [no-grant] ([High]) — no live window grants the buffer at all;

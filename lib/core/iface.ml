@@ -25,31 +25,3 @@ type t = fundecl list
 
 let fundecl ?(derefs = []) ?(writes = []) sym body =
   { fd_sym = sym; fd_derefs = derefs; fd_writes = writes; fd_body = body }
-
-let pp_buf ppf = function
-  | Param i -> Format.fprintf ppf "arg%d" i
-  | Local b -> Format.fprintf ppf "%s" b
-
-let pp_stmt ppf = function
-  | Alloc { buf; bytes } -> Format.fprintf ppf "%s = alloc(%d)" buf bytes
-  | Call { sym; ptr_args } ->
-      Format.fprintf ppf "call %s(%a)" sym
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-           (fun ppf (i, b, n) -> Format.fprintf ppf "#%d=%a[%d]" i pp_buf b n))
-        ptr_args
-  | Direct_call { sym } -> Format.fprintf ppf "direct_call %s" sym
-  | Window_add { win; buf; bytes; standing; rw } ->
-      Format.fprintf ppf "window_add %s <- %a[%d]%s%s" win pp_buf buf bytes
-        (if rw then "" else " ro")
-        (if standing then " (standing)" else "")
-  | Window_remove { win; buf } -> Format.fprintf ppf "window_remove %s -> %a" win pp_buf buf
-  | Window_open { win; peer } -> Format.fprintf ppf "window_open %s for %s" win peer
-  | Window_forward { win; peer } ->
-      Format.fprintf ppf "window_forward %s to %s" win peer
-  | Window_close { win; peer } -> Format.fprintf ppf "window_close %s for %s" win peer
-  | Window_close_all { win } -> Format.fprintf ppf "window_close_all %s" win
-  | Window_destroy { win } -> Format.fprintf ppf "window_destroy %s" win
-  | Branch arms ->
-      Format.fprintf ppf "branch(%d arms)" (List.length arms)
-  | Loop body -> Format.fprintf ppf "loop(%d stmts)" (List.length body)

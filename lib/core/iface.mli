@@ -82,5 +82,3 @@ val fundecl : ?derefs:int list -> ?writes:int list -> string -> stmt list -> fun
 (** [fundecl ~derefs ~writes sym body]; [writes] (default none) lists
     the argument positions written through. *)
 
-val pp_buf : Format.formatter -> buf -> unit
-val pp_stmt : Format.formatter -> stmt -> unit

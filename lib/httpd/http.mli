@@ -21,8 +21,6 @@ val find_header : string -> string -> string option
 val response_header :
   ?content_type:string -> ?keep_alive:bool -> status:int -> content_length:int -> unit -> string
 
-val status_line : int -> string
-
 val mime_type : string -> string
 (** By file extension: text/html, text/plain, text/css,
     application/javascript, image/png, application/octet-stream. *)

@@ -114,7 +114,6 @@ let boot ?(protection = Types.Full) ?virtualise ?(mem_bytes = 512 * 1024 * 1024)
 
 let mon t = t.mon
 let built t = t.built
-let gateway_cid t = t.gw
 let live t = List.sort compare t.live
 
 let spawn t i =

@@ -18,7 +18,6 @@ val boot :
 
 val mon : t -> Cubicle.Monitor.t
 val built : t -> Cubicle.Builder.built
-val gateway_cid : t -> Cubicle.Types.cid
 val live : t -> int list
 (** Live tenant ids, sorted. *)
 

@@ -78,12 +78,10 @@ val charge_mem : t -> int -> unit
 
 val cycles : t -> int
 
-val cycles_per_ms : float
-(** Conversion used when reporting latencies: the paper's testbed is a
-    2.2 GHz Xeon, so 2.2e6 cycles per millisecond. *)
-
 val cycles_per_us : float
-(** [cycles_per_ms /. 1000.] — the conversion the trace exporters take. *)
+(** Conversion used when reporting latencies: the paper's testbed is a
+    2.2 GHz Xeon, so 2200 cycles per microsecond. The trace exporters
+    take it. *)
 
 val to_ms : int -> float
 val to_us : int -> float

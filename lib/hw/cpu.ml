@@ -76,7 +76,6 @@ let[@inline] emit_tlb_event t op =
 let page_table t = t.pt
 let cost t = t.cost
 let tlb t = t.cur.tlb
-let tlb_enabled t = Tlb.enabled t.cur.tlb
 let set_tlb_enabled t b = Array.iter (fun c -> Tlb.set_enabled c.tlb b) t.cores
 let npages t = Phys_mem.npages t.mem
 let set_handler t h = t.handler <- h
@@ -100,7 +99,6 @@ let set_mpk_enabled t b =
   if b <> t.mpk_enabled then flush_all_tlbs t;
   t.mpk_enabled <- b
 
-let exec_follows_access t = t.exec_follows_access
 
 let set_exec_follows_access t b =
   if b <> t.exec_follows_access then flush_all_tlbs t;
@@ -419,14 +417,6 @@ let priv_fill t a len c =
 let priv_blit t ~dst ~src ~len =
   Cost.charge_mem t.cost (2 * len);
   Phys_mem.blit t.mem ~src ~dst ~len
-
-let priv_read_u32 t a =
-  Cost.charge_mem t.cost 4;
-  Phys_mem.get_u32 t.mem a
-
-let priv_write_u32 t a v =
-  Cost.charge_mem t.cost 4;
-  Phys_mem.set_u32 t.mem a v
 
 let map_page t p perm ~key =
   Page_table.set_present t.pt p true;

@@ -74,8 +74,6 @@ val bus : t -> Telemetry.Bus.t
 val tlb : t -> Tlb.t
 (** The current core's TLB. *)
 
-val tlb_enabled : t -> bool
-
 val set_tlb_enabled : t -> bool -> unit
 (** Applies to every core. Off forces every access down the full-walk
     slow path (used by the benchmark harness to measure the TLB's
@@ -85,8 +83,6 @@ val set_handler : t -> handler option -> unit
 
 val mpk_enabled : t -> bool
 val set_mpk_enabled : t -> bool -> unit
-
-val exec_follows_access : t -> bool
 
 val set_exec_follows_access : t -> bool -> unit
 (** The paper's proposed hardware modification: when on, instruction
@@ -172,8 +168,6 @@ val priv_fill : t -> int -> int -> char -> unit
     {!priv_write_bytes}, without building the buffer. *)
 
 val priv_blit : t -> dst:int -> src:int -> len:int -> unit
-val priv_read_u32 : t -> int -> int
-val priv_write_u32 : t -> int -> int -> unit
 
 (** {1 Page-table management} — loader/monitor only. *)
 

@@ -15,4 +15,4 @@ let pp fmt t =
   Format.fprintf fmt "fault(%s at 0x%x, key %d: %s)" (access_to_string t.access)
     t.addr t.key (reason_to_string t.reason)
 
-let violation ?(who = "?") t = raise (Violation (t, who))
+let violation t = raise (Violation (t, "?"))

@@ -14,7 +14,5 @@ exception Violation of t * string
     equivalent of a fatal SIGSEGV. The string names the failing
     subsystem or cubicle for diagnostics. *)
 
-val access_to_string : access -> string
-val reason_to_string : reason -> string
 val pp : Format.formatter -> t -> unit
-val violation : ?who:string -> t -> 'a
+val violation : t -> 'a

@@ -1,10 +1,8 @@
 type perm = { r : bool; w : bool; x : bool }
 
-let perm_none = { r = false; w = false; x = false }
 let perm_r = { r = true; w = false; x = false }
 let perm_rw = { r = true; w = true; x = false }
 let perm_x = { r = false; w = false; x = true }
-let perm_rx = { r = true; w = false; x = true }
 
 (* Entries are packed into an int array: bit 0 present, bits 1-3 R/W/X,
    bits 4-7 the MPK key. [on_change] fires after every entry mutation

@@ -8,13 +8,10 @@
 
 type perm = { r : bool; w : bool; x : bool }
 
-val perm_none : perm
 val perm_r : perm
 val perm_rw : perm
 val perm_x : perm
 (** Execute-only, as CubicleOS sets on code pages. *)
-
-val perm_rx : perm
 
 type t
 

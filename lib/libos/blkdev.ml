@@ -9,7 +9,6 @@ let create_disk ~sectors =
   if sectors <= 0 then invalid_arg "Blkdev.create_disk: need at least one sector";
   { data = Bytes.make (sectors * sector_size) '\000'; sectors }
 
-let disk_sectors d = d.sectors
 
 type state = {
   disk : disk;

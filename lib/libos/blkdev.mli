@@ -12,7 +12,6 @@ type disk
 val create_disk : sectors:int -> disk
 (** A zeroed disk. *)
 
-val disk_sectors : disk -> int
 val sector_size : int
 (** 512 bytes. *)
 

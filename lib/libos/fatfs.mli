@@ -27,4 +27,3 @@ val make : unit -> state * Cubicle.Builder.component
 
 val file_count : state -> int
 val free_clusters : state -> int
-val cluster_size : int

@@ -149,5 +149,4 @@ let host_collect state =
     state.rings;
   List.rev !acc
 
-let tx_frames state = state.tx_frames
 let rx_frames state = state.rx_frames

@@ -33,5 +33,4 @@ val host_collect : state -> bytes list
 (** Drain all frames the device has transmitted, every ring, oldest
     first within a ring. *)
 
-val tx_frames : state -> int
 val rx_frames : state -> int

@@ -2,7 +2,6 @@ open Cubicle
 
 type state = {
   console : Buffer.t;
-  echo : bool;
   mutable rand_state : int;
   mutable halted : bool;
 }
@@ -10,7 +9,6 @@ type state = {
 let putc_fn state _ctx (args : int array) =
   let c = Char.chr (args.(0) land 0xFF) in
   Buffer.add_char state.console c;
-  if state.echo then print_char c;
   0
 
 let rand_fn state _ctx _ =
@@ -26,8 +24,8 @@ let halt_fn state _ctx _ =
   state.halted <- true;
   0
 
-let make ?(echo = false) () =
-  let state = { console = Buffer.create 256; echo; rand_state = 0x2545F491; halted = false } in
+let make () =
+  let state = { console = Buffer.create 256; rand_state = 0x2545F491; halted = false } in
   let comp =
     Builder.component "PLAT" ~code_ops:512 ~heap_pages:2 ~stack_pages:2
       ~iface:
@@ -46,5 +44,3 @@ let make ?(echo = false) () =
   (state, comp)
 
 let console_contents state = Buffer.contents state.console
-let clear_console state = Buffer.clear state.console
-let halted state = state.halted

@@ -3,10 +3,8 @@
 
 type state
 
-val make : ?echo:bool -> unit -> state * Cubicle.Builder.component
+val make : unit -> state * Cubicle.Builder.component
 (** Exports: [plat_putc(c)], [plat_rand()] (deterministic PRNG),
-    [plat_halt()]. With [echo] the console also prints to stdout. *)
+    [plat_halt()]. *)
 
 val console_contents : state -> string
-val clear_console : state -> unit
-val halted : state -> bool

@@ -18,32 +18,27 @@ type runnable =
 type t = {
   mon : Monitor.t;
   queues : runnable Queue.t array;  (* one run queue per simulated core *)
-  quantum : int;  (* min cycles a slice keeps the core across yields; 0 = rotate on every yield *)
   mutable next_tid : int;
   mutable switches : int;
   mutable migrations : int;  (* slices run on a different core than the thread's last *)
   mutable steals : int;  (* slices an idle core took from another core's queue *)
-  mutable slice_start : int;  (* Cost.cycles at the start of the running slice *)
   mutable running : bool;
 }
 
-let create ?ncores ?(quantum = 0) mon =
+let create ?ncores mon =
   let machine_cores = Hw.Cpu.ncores (Monitor.cpu mon) in
   let ncores = Option.value ~default:machine_cores ncores in
   if ncores < 1 || ncores > machine_cores then
     invalid_arg
       (Printf.sprintf "Sched.create: ncores %d out of range (machine has %d)" ncores
          machine_cores);
-  if quantum < 0 then invalid_arg "Sched.create: negative quantum";
   {
     mon;
     queues = Array.init ncores (fun _ -> Queue.create ());
-    quantum;
     next_tid = 1;
     switches = 0;
     migrations = 0;
     steals = 0;
-    slice_start = 0;
     running = false;
   }
 
@@ -78,11 +73,9 @@ let yield () =
   | None -> invalid_arg "Sched.yield: not inside a scheduler thread"
 
 (* Run one slice of a thread on [core] under its cubicle's PKRU; a
-   Yield effect either continues in place (slice quantum not yet used
-   up) or parks the continuation on the core's run queue. The
-   continuation is resumed under the handler installed at the thread's
-   first slice, so the quantum test reads the scheduler's slice clock
-   rather than closing over a start time. *)
+   Yield effect parks the continuation on the run queue of the core it
+   yielded on. The continuation is resumed under the handler installed
+   at the thread's first slice. *)
 let slice t core runnable =
   let thread = match runnable with Fresh th | Resumed (th, _) -> th in
   t.switches <- t.switches + 1;
@@ -91,7 +84,6 @@ let slice t core runnable =
   thread.last_core <- core;
   let cpu = Monitor.cpu t.mon in
   if Hw.Cpu.core_id cpu <> core then Hw.Cpu.set_core cpu core;
-  t.slice_start <- Hw.Cost.cycles (Monitor.cost t.mon);
   let b = Monitor.bus t.mon in
   if b.Telemetry.Bus.tracing then
     Telemetry.Bus.emit b (Telemetry.Event.Sched_switch { tid = thread.tid; cid = thread.cid });
@@ -108,14 +100,8 @@ let slice t core runnable =
                   | Yield ->
                       Some
                         (fun (k : (a, unit) Effect.Deep.continuation) ->
-                          if
-                            t.quantum > 0
-                            && Hw.Cost.cycles (Monitor.cost t.mon) - t.slice_start
-                               < t.quantum
-                          then Effect.Deep.continue k ()
-                          else
-                            Queue.push (Resumed (th, k))
-                              t.queues.(Hw.Cpu.core_id (Monitor.cpu t.mon)))
+                          Queue.push (Resumed (th, k))
+                            t.queues.(Hw.Cpu.core_id (Monitor.cpu t.mon)))
                   | _ -> None);
             }
       | Resumed (_, k) -> Effect.Deep.continue k ())

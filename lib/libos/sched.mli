@@ -13,20 +13,17 @@
     thread's cubicle ({!Cubicle.Monitor.run_as}) around every slice, so
     each user-level thread runs under its own PKRU view — the
     per-thread access permissions MPK provides (§2.2). Yielding
-    suspends the thread via an OCaml effect; whether a yield actually
-    rotates is governed by the slice quantum. *)
+    suspends the thread via an OCaml effect and rotates to the next
+    runnable thread. *)
 
 type t
 type tid = int
 
-val create : ?ncores:int -> ?quantum:int -> Cubicle.Monitor.t -> t
+val create : ?ncores:int -> Cubicle.Monitor.t -> t
 (** [ncores] defaults to the machine's core count ([Hw.Cpu.ncores]) and
-    may not exceed it. [quantum] is the minimum number of simulated
-    cycles a slice keeps its core: yields before the quantum is used up
-    continue in place, the first yield past it rotates. The default 0
-    rotates on {e every} yield (exact round-robin — the pre-SMP
-    behaviour). Preemption happens at yield points: a thread that never
-    yields keeps its core, as under any cooperative model. *)
+    may not exceed it. Every yield rotates (exact round-robin).
+    Preemption happens at yield points: a thread that never yields
+    keeps its core, as under any cooperative model. *)
 
 val ncores : t -> int
 

@@ -8,7 +8,6 @@ val eexist : int
 val ebadf : int
 val einval : int
 val eagain : int
-val eio : int
 
 val mtu : int
 (** Maximum frame payload carried by NETDEV (Ethernet-like, 1514). *)

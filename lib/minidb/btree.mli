@@ -33,9 +33,6 @@ val delete : t -> int64 -> bool
 val iter_range : t -> lo:int64 -> hi:int64 -> (int64 -> string -> unit) -> unit
 (** In key order over [lo, hi] inclusive. *)
 
-val fold_range :
-  t -> lo:int64 -> hi:int64 -> init:'a -> f:('a -> int64 -> string -> 'a) -> 'a
-
 val count_range : t -> lo:int64 -> hi:int64 -> int
 val iter_all : t -> (int64 -> string -> unit) -> unit
 val min_key : t -> int64 option

@@ -16,7 +16,6 @@ val encode : value list -> string
 val decode : string -> value list
 (** Raises [Invalid_argument] on malformed input. *)
 
-val encoded_size : value list -> int
 val compare_value : value -> value -> int
 (** NULL < Int < Text; ints numerically, texts lexicographically. *)
 

@@ -53,5 +53,4 @@ let free t page =
 
 let run_size t page = Hashtbl.find_opt t.allocated page
 let used_pages t = t.used
-let total_pages t = t.npages
 let free_pages t = t.npages - t.used

@@ -24,4 +24,3 @@ val run_size : t -> int -> int option
 
 val free_pages : t -> int
 val used_pages : t -> int
-val total_pages : t -> int

@@ -59,7 +59,6 @@ let free t addr =
 
 let block_size t addr = Hashtbl.find_opt t.blocks addr
 let used_bytes t = t.used
-let free_bytes t = t.size - t.used
 let base t = t.base
 let size t = t.size
 let live_blocks t = Hashtbl.length t.blocks

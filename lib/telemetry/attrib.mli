@@ -31,8 +31,6 @@ type category =
 val categories : category list
 (** In display order. *)
 
-val ncat : int
-val cat_index : category -> int
 val cat_name : category -> string
 
 type t = private {
@@ -71,7 +69,7 @@ val charge : t -> category -> int -> unit
 val cycles : t -> cid:int -> category -> int
 val row : t -> cid:int -> int array
 (** A copy of one cubicle's per-category cycles summed across all cores,
-    indexed by {!cat_index}. *)
+    in {!categories} order. *)
 
 val rows : t -> (int * int array) list
 (** All cubicles with non-zero totals (summed across cores), ascending

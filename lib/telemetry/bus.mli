@@ -22,7 +22,7 @@
       histograms that are exact under sampling and ring wrap.
 
     Timestamps are simulated cycles, read through the [now] closure the
-    owning machine installs ({!set_now}); the bus itself never charges
+    owning machine passes to {!create}; the bus itself never charges
     cycles, so tracing on vs off (sampled or streamed or neither) is
     bit-identical in simulated time. *)
 
@@ -35,7 +35,7 @@ type entry = {
 
 type t = {
   mutable tracing : bool;
-  mutable now : unit -> int;
+  now : unit -> int;
   ring_capacity : int;
   rings : entry Ring.t array;  (** one track per core of [ctx] *)
   ctx : Attrib.t;  (** the execution context: [ctx.cur_core] picks the track *)
@@ -58,19 +58,14 @@ type t = {
     (the same deal as [Hw.Tlb]). Treat it as owned by the machine: all
     other code must go through the functions below. *)
 
-val default_capacity : int
-
 val create : ?capacity:int -> ?now:(unit -> int) -> ?ctx:Attrib.t -> unit -> t
 (** Tracing starts disabled, unsampled, with no sink and no latency
-    sink; [now] defaults to a constant 0 until {!set_now} installs the
-    machine's cycle clock. The bus keeps one event track per core of
-    the machine's execution context [ctx] (one {!Ring} of {!capacity}
-    entries each), so a chatty core can only evict its own history,
-    and emits to the current core's track; without [ctx] it has one
-    track. Everything below that reads "the ring" sums or merges the
-    per-core tracks. *)
-
-val set_now : t -> (unit -> int) -> unit
+    sink; [now] (the machine's cycle clock) defaults to a constant 0.
+    The bus keeps one event track per core of the machine's execution
+    context [ctx] (one {!Ring} of {!capacity} entries each), so a
+    chatty core can only evict its own history, and emits to the
+    current core's track; without [ctx] it has one track. Everything
+    below that reads "the ring" sums or merges the per-core tracks. *)
 
 val tracing : t -> bool
 val set_tracing : t -> bool -> unit

@@ -63,11 +63,11 @@ module Stream = struct
     mutable finished : bool;
   }
 
-  let create ?(process_name = "cubicleos-sim") ~names ~cycles_per_us ~write () =
+  let create ~names ~cycles_per_us ~write () =
     let b = Buffer.create 256 in
     Buffer.add_string b "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
     Buffer.add_string b "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":";
-    buf_add_json_string b process_name;
+    buf_add_json_string b "cubicleos-sim";
     Buffer.add_string b "}}";
     write (Buffer.contents b);
     {
@@ -185,9 +185,9 @@ module Stream = struct
     end
 end
 
-let trace_json ?process_name ~names ~cycles_per_us entries =
+let trace_json ~names ~cycles_per_us entries =
   let b = Buffer.create 65536 in
-  let st = Stream.create ?process_name ~names ~cycles_per_us ~write:(Buffer.add_string b) () in
+  let st = Stream.create ~names ~cycles_per_us ~write:(Buffer.add_string b) () in
   List.iter (Stream.entry st) entries;
   Stream.finish st;
   Buffer.contents b

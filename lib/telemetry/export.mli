@@ -20,7 +20,6 @@ module Stream : sig
   type t
 
   val create :
-    ?process_name:string ->
     names:(int -> string) ->
     cycles_per_us:float ->
     write:(string -> unit) ->
@@ -46,7 +45,6 @@ module Stream : sig
 end
 
 val trace_json :
-  ?process_name:string ->
   names:(int -> string) ->
   cycles_per_us:float ->
   Bus.entry list ->

@@ -36,5 +36,3 @@ val speedtest_run : ?n:int -> instance -> (Minidb.Speedtest.query * int) list
 val speedtest_total_cycles : ?n:int -> config -> int
 (** Run the whole speedtest suite on a fresh instance and return total
     simulated cycles. *)
-
-val speedtest_per_query : ?n:int -> config -> (Minidb.Speedtest.query * int) list

@@ -13,7 +13,6 @@ let create ctx kern =
   { ctx; kern; buf = Api.malloc_page_aligned ctx msg_buf_size; rpcs = 0 }
 
 let kernel t = t.kern
-let buffer_addr t = t.buf
 let rpc_count t = t.rpcs
 
 let cost t = Monitor.cost t.ctx.Monitor.mon

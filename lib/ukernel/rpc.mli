@@ -31,5 +31,4 @@ val copy_in_sub : t -> bytes -> pos:int -> len:int -> unit
 val copy_out : t -> int -> bytes
 (** Read data back out of the message buffer (charged copy). *)
 
-val buffer_addr : t -> int
 val rpc_count : t -> int
