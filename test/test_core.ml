@@ -378,14 +378,72 @@ let test_call_counts_edges () =
   check_int "edge count" 5 (Stats.calls_between (Monitor.stats mon) ~caller:foo ~callee:bar);
   check_int "sym count" 5 (Stats.calls_to_sym (Monitor.stats mon) "bar")
 
+(* A raising callee unwinds its crossing once: cubicle and PKRU are
+   restored at every level and each Call still gets its Return, traced
+   or not, with or without tag virtualisation. *)
 let test_call_pkru_restored_on_exception () =
-  let mon, _foo, bar = mk_system () in
-  Monitor.register_exports mon bar
-    [ { Monitor.sym = "bar_raise"; fn = (fun _ _ -> failwith "boom"); stack_bytes = 0 } ];
-  let saved = Hw.Cpu.pkru (Monitor.cpu mon) in
-  (try ignore (Monitor.call mon ~caller:1 "bar_raise" [||]) with Failure _ -> ());
-  check_bool "pkru restored" true (Hw.Cpu.pkru (Monitor.cpu mon) = saved);
-  check_int "cur restored" Monitor.monitor_cid (Monitor.current mon)
+  List.iter
+    (fun (virtualise, traced) ->
+      let mon = Monitor.create ~virtualise ~protection:Types.Full () in
+      let cubicle name =
+        Monitor.create_cubicle mon ~name ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2
+      in
+      let foo = cubicle "FOO" and bar = cubicle "BAR" in
+      let cpu = Monitor.cpu mon and bus = Monitor.bus mon in
+      let lat = Telemetry.Latency.create () in
+      Telemetry.Bus.set_tracing bus traced;
+      Telemetry.Bus.set_latency bus (Some lat);
+      let boom _ _ = failwith "boom" in
+      (* BAR calls back into a raising FOO export; after the inner
+         unwind BAR must be executing again under its own PKRU. *)
+      let inner = ref None in
+      let bar_mid ctx _ =
+        let entry = Hw.Cpu.pkru cpu in
+        try Api.call ctx "foo_raise" [||]
+        with e ->
+          inner := Some (Monitor.current mon, Hw.Cpu.pkru cpu = entry);
+          raise e
+      in
+      Monitor.register_exports mon bar
+        [
+          { Monitor.sym = "bar_raise"; fn = boom; stack_bytes = 0 };
+          { Monitor.sym = "bar_mid"; fn = bar_mid; stack_bytes = 0 };
+        ];
+      Monitor.register_exports mon foo [ { Monitor.sym = "foo_raise"; fn = boom; stack_bytes = 0 } ];
+      let calls_and_returns () =
+        List.fold_left
+          (fun (c, r) (e : Telemetry.Bus.entry) ->
+            match e.ev with
+            | Telemetry.Event.Call _ -> (c + 1, r)
+            | Telemetry.Event.Return _ -> (c, r + 1)
+            | _ -> (c, r))
+          (0, 0) (Telemetry.Bus.events bus)
+      in
+      let expect_unwound what ~calls =
+        check_int (what ^ ": nothing in flight") 0 (Telemetry.Latency.in_flight lat);
+        check_int (what ^ ": no unmatched return") 0 (Telemetry.Latency.unmatched lat);
+        check_int (what ^ ": latency samples") calls (Telemetry.Latency.observed lat);
+        if traced then
+          Alcotest.(check (pair int int)) (what ^ ": Call/Return events") (calls, calls)
+            (calls_and_returns ())
+      in
+      let saved = Hw.Cpu.pkru cpu in
+      (try ignore (Monitor.call mon ~caller:foo "bar_raise" [||]) with Failure _ -> ());
+      check_bool "pkru restored" true (Hw.Cpu.pkru cpu = saved);
+      check_int "cur restored" Monitor.monitor_cid (Monitor.current mon);
+      expect_unwound "one level" ~calls:1;
+      Monitor.run_as mon foo (fun () ->
+          let entry = Hw.Cpu.pkru cpu in
+          (try ignore (Monitor.call mon ~caller:foo "bar_mid" [||]) with Failure _ -> ());
+          check_bool "outer: pkru restored" true (Hw.Cpu.pkru cpu = entry);
+          check_int "outer: cur restored" foo (Monitor.current mon));
+      (match !inner with
+      | Some (cur, pkru_ok) ->
+          check_int "inner: cur restored" bar cur;
+          check_bool "inner: pkru restored" true pkru_ok
+      | None -> Alcotest.fail "inner callee did not raise");
+      expect_unwound "nested" ~calls:3)
+    [ (false, false); (false, true); (true, true) ]
 
 let test_nested_calls () =
   (* FOO -> BAR -> FOO reentry: the shadow discipline restores each
