@@ -32,23 +32,17 @@ let merge name comps =
     iface = List.concat_map (fun c -> c.iface) comps;
   }
 
-(* The live components by name, each with the order it was loaded in:
-   spawn and unload cost one table update, not a copy of every live
-   component's entry. *)
-type loaded = { seq : int; l_cid : Types.cid; l_iface : Iface.t }
-type components = { by_name : (string, loaded) Hashtbl.t; mutable next_seq : int }
-type built = { mon : Monitor.t; trampolines : Trampoline.t; components : components }
+type built = { mon : Monitor.t; trampolines : Trampoline.t }
 
-let add_loaded built name cid iface =
-  let cs = built.components in
-  Hashtbl.replace cs.by_name name { seq = cs.next_seq; l_cid = cid; l_iface = iface };
-  cs.next_seq <- cs.next_seq + 1
-
+(* The monitor's records are the one table of live components: the
+   builder-loaded ones are those carrying an interface summary. *)
 let live built =
-  Hashtbl.fold (fun name l acc -> (l.seq, (name, l.l_cid, l.l_iface)) :: acc)
-    built.components.by_name []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
+  List.filter_map
+    (fun cid ->
+      Option.map
+        (fun iface -> (Monitor.cubicle_name built.mon cid, cid, iface))
+        (Monitor.iface built.mon cid))
+    (Monitor.live_cids built.mon)
 
 exception Undeclared_export of string * string
 
@@ -58,10 +52,7 @@ let check_exports c =
       if not (List.mem e.sym c.exportsyms) then raise (Undeclared_export (c.name, e.sym)))
     c.exports
 
-let cid built name =
-  match Hashtbl.find_opt built.components.by_name name with
-  | Some l -> l.l_cid
-  | None -> Types.error "builder: unknown component %s" name
+let cid built name = Monitor.lookup_cubicle built.mon name
 
 (* The one link path: load more components into the system, extend the
    trampoline table and run the newcomers' initialisers. [callers] names
@@ -80,6 +71,7 @@ let spawn ?(callers = []) built comps =
           Loader.load built.mon img ~kind ~heap_pages:c.heap_pages
             ~stack_pages:c.stack_pages ~exports:c.exports
         in
+        Monitor.set_iface built.mon loaded.Loader.cid c.iface;
         (c.name, loaded.Loader.cid))
       comps
   in
@@ -105,27 +97,14 @@ let spawn ?(callers = []) built comps =
      trampoline) — this is where callback tables get filled in. *)
   List.iter2
     (fun (c, _) (_, cid) ->
-      add_loaded built c.name cid c.iface;
       Monitor.run_as built.mon cid (fun () -> c.init (Monitor.ctx_for built.mon cid)))
     comps fresh;
   fresh
 
 let build mon comps =
-  let built =
-    {
-      mon;
-      trampolines = Trampoline.create mon;
-      components = { by_name = Hashtbl.create 16; next_seq = 0 };
-    }
-  in
+  let built = { mon; trampolines = Trampoline.create mon } in
   ignore (spawn ~callers:(Monitor.live_cids mon) built comps);
   built
 
 let unload built names =
-  List.iter
-    (fun name ->
-      let c = cid built name in
-      Trampoline.forget_cubicle built.trampolines c;
-      Monitor.destroy_cubicle built.mon c;
-      Hashtbl.remove built.components.by_name name)
-    names
+  List.iter (fun name -> Monitor.destroy_cubicle built.mon (cid built name)) names

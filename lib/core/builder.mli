@@ -44,15 +44,13 @@ val merge : string -> component list -> component
     keep their symbols; calls between them become ordinary intra-cubicle
     calls with no trampoline cost. *)
 
-type components
-(** The live components by name, with the order they were loaded in. *)
-
-type built = { mon : Monitor.t; trampolines : Trampoline.t; components : components }
+type built = { mon : Monitor.t; trampolines : Trampoline.t }
 
 val live : built -> (string * Types.cid * Iface.t) list
-(** The live components — name, cubicle, interface summary — in load
-    order: declaration order for {!build}, then each {!spawn} batch in
-    turn; {!unload} removes them. The input to [Analysis.Ir.of_built]. *)
+(** The live builder-loaded components — name, cubicle, interface
+    summary, read off the monitor's cubicle records — in cid order. That
+    is load order until a teardown frees a cid for reuse. The input to
+    [Analysis.Ir.of_built]. *)
 
 exception Undeclared_export of string * string
 (** (component, symbol): an export not listed in exportsyms. *)
@@ -62,6 +60,8 @@ val build : Monitor.t -> (component * Types.kind) list -> built
     monitor is a caller. *)
 
 val cid : built -> string -> Types.cid
+(** {!Monitor.lookup_cubicle}: raises {!Types.Error} for a name that is
+    not live. *)
 
 val spawn :
   ?callers:Types.cid list ->
@@ -78,7 +78,7 @@ val spawn :
     cubicles ({!Types.Error} from the monitor if they do). *)
 
 val unload : built -> string list -> unit
-(** Tear the named components down: drop their guard entries, then
-    {!Monitor.destroy_cubicle} each (exports unregistered, pages
-    scrubbed and released, key and cid recycled). The names must not be
-    executing at the time of the call. *)
+(** Tear the named components down: {!Monitor.destroy_cubicle} each
+    (exports unregistered, pages scrubbed and released, guard table and
+    interface summary dropped, key and cid recycled). The names must not
+    be executing at the time of the call. *)

@@ -2,18 +2,25 @@ let monitor_cid = 0
 let shared_key = 15
 let monitor_key = 0
 
+(* Everything the monitor knows about one cubicle: [destroy_cubicle]
+   drops it all by dropping the record. *)
 type cubicle = {
   cid : Types.cid;
   name : string;
   kind : Types.kind;
   key : int;
-  stack_base : int;
+  mutable stack_base : int;
   stack_pages : int;
   mutable heaps : Mm.Suballoc.t list;
   windows : Window.table;
   mutable exports : string list;
   heap_grow_pages : int;
   mutable extra_keys : int list;  (* dedicated window tags this cubicle may use *)
+  mutable runs : (int * int) list;  (* every page run it owns, newest first *)
+  grants : (Types.cid * Types.wid, Window.t) Hashtbl.t;
+      (* the peers' windows currently open for it, by (owner, wid) *)
+  mutable guards : int array;  (* trampoline slot -> guard entry address, 0 for none *)
+  mutable iface : Iface.t option;  (* the interface summary it was built with *)
 }
 
 type policy = {
@@ -30,7 +37,7 @@ let default_policy = { mapping = `Lazy_trap; revocation = `Causal }
 
 type t = {
   m_cpu : Hw.Cpu.t;
-  palloc : Mm.Page_alloc.t;
+  palloc : Mm.Suballoc.t;  (* page frames: page units, alignment 1 *)
   meta : Mm.Page_meta.t;
   protection : Types.protection;
   policy : policy;
@@ -45,9 +52,6 @@ type t = {
       (* the one tag pool: vkeys under [virtualise], pinned tags otherwise *)
   exec : Telemetry.Attrib.t;  (* the execution context; [exec.cur] is the current cubicle *)
   page_allocs : (int, int) Hashtbl.t;  (* base page -> npages of each alloc_pages run *)
-  cubicle_runs : (Types.cid, (int * int) list ref) Hashtbl.t;  (* every page run per cubicle *)
-  grants : (Types.cid, (Types.cid * Types.wid, Window.t) Hashtbl.t) Hashtbl.t;
-      (* grantee -> the windows currently open for it, by (owner, wid) *)
   max_cubicles : int;
 }
 
@@ -61,8 +65,6 @@ let cpu t = t.m_cpu
 let cost t = Hw.Cpu.cost t.m_cpu
 let bus t = Hw.Cpu.bus t.m_cpu
 
-(* Stats reads TLB counters through the live Hw.Tlb.t, so there is
-   nothing to sync here any more. *)
 let stats t = t.stats
 let protection t = t.protection
 let meta t = t.meta
@@ -241,33 +243,50 @@ let monitor_reserved_pages = 16
    the runs are exactly the cubicle's pages; they never overlap, so
    visiting them by base page visits the pages in ascending order. *)
 let iter_owned_pages t cid f =
-  match Hashtbl.find_opt t.cubicle_runs cid with
+  match Hashtbl.find_opt t.cubs cid with
   | None -> ()
-  | Some runs ->
+  | Some c ->
       List.iter
         (fun (page, n) ->
           for p = page to page + n - 1 do
             f p
           done)
-        (List.sort compare !runs)
+        (List.sort compare c.runs)
 
 let owned_pages t cid =
   let acc = ref [] in
   iter_owned_pages t cid (fun p -> acc := p :: !acc);
   List.rev !acc
 
+let new_cubicle t ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages =
+  {
+    cid;
+    name;
+    kind;
+    key;
+    stack_base = 0;
+    stack_pages;
+    heaps = [];
+    windows = Window.create_table ~owner:cid ~ncubicles:t.max_cubicles;
+    exports = [];
+    heap_grow_pages;
+    extra_keys = [];
+    runs = [];
+    grants = Hashtbl.create 4;
+    guards = [||];
+    iface = None;
+  }
+
 let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_policy)
     ?(virtualise = false) ~protection () =
   let cpu = Hw.Cpu.create ~mem_bytes ?ncores ?model () in
   let npages = Hw.Cpu.npages cpu in
-  let palloc =
-    Mm.Page_alloc.create ~first_page:monitor_reserved_pages
-      ~npages:(npages - monitor_reserved_pages)
-  in
   let t =
     {
       m_cpu = cpu;
-      palloc;
+      palloc =
+        Mm.Suballoc.create ~base:monitor_reserved_pages
+          ~size:(npages - monitor_reserved_pages);
       meta = Mm.Page_meta.create npages;
       protection;
       policy;
@@ -281,8 +300,6 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       keys = Hw.Keymux.create cpu;
       exec = Hw.Cost.attrib (Hw.Cpu.cost cpu);
       page_allocs = Hashtbl.create 16;
-      cubicle_runs = Hashtbl.create 32;
-      grants = Hashtbl.create 32;
       max_cubicles = 1024;
     }
   in
@@ -315,19 +332,8 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
     Hw.Cpu.map_page cpu p Hw.Page_table.perm_rw ~key:monitor_key
   done;
   let mon_cubicle =
-    {
-      cid = monitor_cid;
-      name = "MONITOR";
-      kind = Types.Trusted;
-      key = monitor_key;
-      stack_base = 0;
-      stack_pages = 2;
-      heaps = [];
-      windows = Window.create_table ~owner:monitor_cid ~ncubicles:t.max_cubicles;
-      exports = [];
-      heap_grow_pages = 4;
-      extra_keys = [];
-    }
+    new_cubicle t ~cid:monitor_cid ~name:"MONITOR" ~kind:Types.Trusted ~key:monitor_key
+      ~stack_pages:2 ~heap_grow_pages:4
   in
   Hashtbl.replace t.cubs monitor_cid mon_cubicle;
   Hashtbl.replace t.by_name mon_cubicle.name monitor_cid;
@@ -341,14 +347,12 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
 let alloc_owned_pages t cid n ~kind ~perm =
   let c = get t cid in
   let key = if mpk_on t then phys_of t c else c.key land 0xF in
-  let page = Mm.Page_alloc.alloc t.palloc n in
+  let page = Mm.Suballoc.alloc ~align:1 t.palloc n in
   for p = page to page + n - 1 do
     Hw.Cpu.map_page t.m_cpu p perm ~key;
     Mm.Page_meta.assign t.meta ~page:p ~owner:cid ~kind
   done;
-  (match Hashtbl.find_opt t.cubicle_runs cid with
-  | Some runs -> runs := (page, n) :: !runs
-  | None -> Hashtbl.replace t.cubicle_runs cid (ref [ (page, n) ]));
+  c.runs <- (page, n) :: c.runs;
   Hw.Addr.base_of_page page
 
 (* Scrub, unmap and return one page run. Each page is zeroed so the
@@ -361,16 +365,13 @@ let release_run t page n =
     Hw.Cpu.unmap_page t.m_cpu p
   done;
   Hashtbl.remove t.page_allocs page;
-  Mm.Page_alloc.free t.palloc page
+  Mm.Suballoc.free t.palloc page
 
-(* Release every page run recorded for [cid]. Shared between
-   destroy_cubicle and create_cubicle's failure rollback. *)
-let release_runs t cid =
-  match Hashtbl.find_opt t.cubicle_runs cid with
-  | Some runs ->
-      List.iter (fun (page, n) -> release_run t page n) !runs;
-      Hashtbl.remove t.cubicle_runs cid
-  | None -> ()
+(* Release every page run of [c]. Shared between destroy_cubicle and
+   create_cubicle's failure rollback. *)
+let release_runs t c =
+  List.iter (fun (page, n) -> release_run t page n) c.runs;
+  c.runs <- []
 
 let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
   if Hashtbl.mem t.by_name name then Types.error "cubicle %s already exists" name;
@@ -405,19 +406,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
                (libmpk-style) to run more isolated cubicles")
   in
   let cub =
-    {
-      cid;
-      name;
-      kind;
-      key;
-      stack_base = 0;
-      stack_pages;
-      heaps = [];
-      windows = Window.create_table ~owner:cid ~ncubicles:t.max_cubicles;
-      exports = [];
-      heap_grow_pages = max 4 heap_pages;
-      extra_keys = [];
-    }
+    new_cubicle t ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages:(max 4 heap_pages)
   in
   Hashtbl.replace t.cubs cid cub;
   Hashtbl.replace t.by_name name cid;
@@ -425,14 +414,10 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
      not leak the pages, key, cid or name already claimed — a spawn
      either fully succeeds or leaves the monitor exactly as it was. *)
   try
-    let stack_base =
-      if stack_pages > 0 then
+    if stack_pages > 0 then
+      cub.stack_base <-
         alloc_owned_pages t cid stack_pages ~kind:Mm.Page_meta.Stack
-          ~perm:Hw.Page_table.perm_rw
-      else 0
-    in
-    let cub = { cub with stack_base } in
-    Hashtbl.replace t.cubs cid cub;
+          ~perm:Hw.Page_table.perm_rw;
     if heap_pages > 0 then begin
       let base =
         alloc_owned_pages t cid heap_pages ~kind:Mm.Page_meta.Heap ~perm:Hw.Page_table.perm_rw
@@ -441,7 +426,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     end;
     cid
   with e ->
-    release_runs t cid;
+    release_runs t cub;
     Hashtbl.remove t.cubs cid;
     Hashtbl.remove t.by_name name;
     if kind = Types.Isolated then Hw.Keymux.free t.keys key;
@@ -453,7 +438,7 @@ let ncubicles t = Hashtbl.length t.cubs
 let live_cids t =
   List.sort compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) t.cubs [])
 
-let free_page_count t = Mm.Page_alloc.free_pages t.palloc
+let free_page_count t = Mm.Suballoc.size t.palloc - Mm.Suballoc.used_bytes t.palloc
 let keymux t = if t.virtualise then Some t.keys else None
 let cubicle_name t cid = (get t cid).name
 let cubicle_kind t cid = (get t cid).kind
@@ -471,6 +456,12 @@ let lookup_cubicle t name =
   | None -> Types.error "no cubicle named %s" name
 
 let cubicle_exists t name = Hashtbl.mem t.by_name name
+
+(* A cid that is not live has no guard entries. *)
+let guards t cid = match Hashtbl.find_opt t.cubs cid with Some c -> c.guards | None -> [||]
+let set_guards t cid g = (get t cid).guards <- g
+let iface t cid = (get t cid).iface
+let set_iface t cid iface = (get t cid).iface <- Some iface
 let windows_of t cid = (get t cid).windows
 let ctx_for t cid = { mon = t; self = cid; caller = cid; cpu = t.m_cpu }
 let ctx_call t cid caller = { mon = t; self = cid; caller; cpu = t.m_cpu }
@@ -579,7 +570,7 @@ let malloc t cid ?(align = 8) size =
         let h = Mm.Suballoc.create ~base ~size:(pages * Hw.Addr.page_size) in
         c.heaps <- h :: c.heaps;
         Mm.Suballoc.alloc ~align h size
-    | h :: rest -> ( try Mm.Suballoc.alloc ~align h size with Mm.Suballoc.Out_of_heap -> try_heaps rest)
+    | h :: rest -> ( try Mm.Suballoc.alloc ~align h size with Mm.Suballoc.Exhausted -> try_heaps rest)
   in
   try_heaps c.heaps
 
@@ -616,9 +607,8 @@ let free_pages t cid base =
       (match Mm.Page_meta.owner t.meta page with
       | Some owner when owner = cid -> ()
       | _ -> Types.error "free_pages: cubicle %d does not own 0x%x" cid base);
-      (match Hashtbl.find_opt t.cubicle_runs cid with
-      | Some runs -> runs := List.filter (fun (p, _) -> p <> page) !runs
-      | None -> ());
+      let c = get t cid in
+      c.runs <- List.filter (fun (p, _) -> p <> page) c.runs;
       if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
       (* scrubbed like a whole-cubicle teardown *)
       release_run t page n
@@ -641,24 +631,16 @@ let emit_window t cid op ?(wid = -1) ?(peer = -1) ?(ptr = 0) ?(size = 0) ?(rw = 
   if t.protection <> Types.None_ then
     emit t (Telemetry.Event.Window { cid; op; wid; peer; ptr; size; rw })
 
-(* Every grant goes through these two, so [t.grants] always lists
-   exactly the windows open for each grantee and teardown revokes a
+(* Every grant goes through these two, so each grantee's [grants]
+   always lists exactly the windows open for it and teardown revokes a
    dying cubicle's grants without scanning every peer's windows. *)
 let open_for t (w : Window.t) peer =
   Window.open_for w peer;
-  let held =
-    match Hashtbl.find_opt t.grants peer with
-    | Some held -> held
-    | None ->
-        let held = Hashtbl.create 4 in
-        Hashtbl.replace t.grants peer held;
-        held
-  in
-  Hashtbl.replace held (w.Window.owner, w.Window.wid) w
+  Hashtbl.replace (get t peer).grants (w.Window.owner, w.Window.wid) w
 
 let forget_grant t (w : Window.t) peer =
-  match Hashtbl.find_opt t.grants peer with
-  | Some held -> Hashtbl.remove held (w.Window.owner, w.Window.wid)
+  match Hashtbl.find_opt t.cubs peer with
+  | Some c -> Hashtbl.remove c.grants (w.Window.owner, w.Window.wid)
   | None -> ()
 
 let close_for t w peer =
@@ -974,15 +956,11 @@ let destroy_cubicle t cid =
      step, so CubiCheck judges the recycled cid against the same clean
      ACL state. The grant index lists exactly those windows; they are
      closed in (owner, wid) order. *)
-  (match Hashtbl.find_opt t.grants cid with
-  | Some held ->
-      Hashtbl.fold (fun key w acc -> (key, w) :: acc) held []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun ((owner, wid), w) ->
-             Window.close_for w cid;
-             emit_window t owner Telemetry.Event.Close ~wid ~peer:cid ());
-      Hashtbl.remove t.grants cid
-  | None -> ());
+  Hashtbl.fold (fun key w acc -> (key, w) :: acc) c.grants []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun ((owner, wid), w) ->
+         Window.close_for w cid;
+         emit_window t owner Telemetry.Event.Close ~wid ~peer:cid ());
   (* The dying cubicle's own windows: the live table dies with the
      cubicle record, but the replay mirror only forgets a window on a
      Destroy event — emit them, or a recycled cid that never re-inits
@@ -1005,13 +983,12 @@ let destroy_cubicle t cid =
       emit_window t cid Telemetry.Event.Destroy ~wid:w.Window.wid ())
     (Window.live_windows c.windows);
   (* scrub and release every page run *)
-  release_runs t cid;
+  release_runs t c;
   (* recycle the key: a virtual key's binding is dropped without the
      eviction price (the pages were just scrubbed and unmapped), the
      physical slot (and a vkey number) become reusable, and every core
      still caching the tag is scrubbed *)
   if c.kind = Types.Isolated then Hw.Keymux.free t.keys c.key;
-  c.heaps <- [];
   Hashtbl.remove t.cubs cid;
   Hashtbl.remove t.by_name c.name;
   t.free_cids <- cid :: t.free_cids

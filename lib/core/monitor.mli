@@ -119,6 +119,19 @@ val lookup_cubicle : t -> string -> Types.cid
 
 val cubicle_exists : t -> string -> bool
 val windows_of : t -> Types.cid -> Window.table
+
+val guards : t -> Types.cid -> int array
+(** The cubicle's trampoline guard table, kept on its record for
+    {!Trampoline}: guard entry address by thunk slot, 0 for none. Empty
+    for a cid that is not live. *)
+
+val set_guards : t -> Types.cid -> int array -> unit
+
+val iface : t -> Types.cid -> Iface.t option
+(** The interface summary {!Builder} loaded the cubicle with; [None]
+    for a cubicle the builder did not load. *)
+
+val set_iface : t -> Types.cid -> Iface.t -> unit
 val ctx_for : t -> Types.cid -> ctx
 
 val alloc_owned_pages :
@@ -256,9 +269,11 @@ val tag_evictions : t -> int
 
 val destroy_cubicle : t -> Types.cid -> unit
 (** Unload a cubicle (the loader's [dlclose] counterpart): removes its
-    exports from the symbol table, scrubs and releases all its pages,
-    and returns its MPK key (virtual or physical) and its cid to the
-    pools for reuse by a later spawn. Raises {!Types.Error} for the
+    exports from the symbol table, closes the grants it holds and
+    destroys its own windows, scrubs and releases all its pages, drops
+    its guard table and interface summary, and returns its MPK key
+    (virtual or physical) and its cid to the pools for reuse by a later
+    spawn. Every teardown path ends here. Raises {!Types.Error} for the
     monitor or the currently executing cubicle. *)
 
 (** {1 Window-specific tags (ablation; §5.6/§8)} *)

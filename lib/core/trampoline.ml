@@ -1,14 +1,14 @@
 (* Every symbol with a thunk gets a slot, in thunk creation order; a
-   cubicle's guard table is an array indexed by slot holding the guard
-   entry address, 0 for none. Guard entries never sit at address 0:
-   page 0 belongs to the monitor. Slots only grow, so a table shorter
-   than the slot count simply lacks the newer symbols. *)
+   cubicle's guard table, kept on its monitor record, is an array
+   indexed by slot holding the guard entry address, 0 for none. Guard
+   entries never sit at address 0: page 0 belongs to the monitor. Slots
+   only grow, so a table shorter than the slot count simply lacks the
+   newer symbols. *)
 type thunk = { slot : int; addr : int }
 
 type t = {
   mon : Monitor.t;
   thunks : (string, thunk) Hashtbl.t;
-  guards : (Types.cid, int array) Hashtbl.t;  (* cid -> slot -> entry *)
   mutable sorted_syms : string list option;  (* [syms], until a thunk is added *)
 }
 
@@ -64,19 +64,20 @@ let alloc_thunks t syms =
 
 (* [cid]'s guard table, grown to cover every slot. *)
 let guards_of t cid =
+  let old = Monitor.guards t.mon cid in
   let nslots = Hashtbl.length t.thunks in
-  match Hashtbl.find_opt t.guards cid with
-  | Some g when Array.length g = nslots -> g
-  | old ->
-      let g = Array.make nslots 0 in
-      Option.iter (fun o -> Array.blit o 0 g 0 (Array.length o)) old;
-      Hashtbl.replace t.guards cid g;
-      g
+  if Array.length old = nslots then old
+  else begin
+    let g = Array.make nslots 0 in
+    Array.blit old 0 g 0 (Array.length old);
+    Monitor.set_guards t.mon cid g;
+    g
+  end
 
 (* Guard pages: in the calling cubicle's own pages so it can fetch
    them. Each batch of new entries gets its own page run; the run is
    owned by the cubicle, so destroy_cubicle releases it with the rest
-   of its memory. *)
+   of its memory, and the guard table with the rest of its record. *)
 let alloc_guards t cid syms =
   let g = guards_of t cid in
   let fresh = List.filter (fun s -> g.((Hashtbl.find t.thunks s).slot) = 0) syms in
@@ -104,8 +105,7 @@ let alloc_guards t cid syms =
     done
   end
 
-let create mon =
-  { mon; thunks = Hashtbl.create 16; guards = Hashtbl.create 16; sorted_syms = None }
+let create mon = { mon; thunks = Hashtbl.create 16; sorted_syms = None }
 
 let guard t ~syms ~cids =
   List.iter
@@ -127,8 +127,6 @@ let syms t =
 
 let guard_all t ~cids = guard t ~syms:(syms t) ~cids
 
-let forget_cubicle t cid = Hashtbl.remove t.guards cid
-
 let thunk_addr t sym =
   match Hashtbl.find_opt t.thunks sym with
   | Some th -> th.addr
@@ -136,8 +134,9 @@ let thunk_addr t sym =
 
 (* The guard entry address for (cid, sym), 0 if there is none. *)
 let find_guard t cid sym =
-  match (Hashtbl.find_opt t.guards cid, Hashtbl.find_opt t.thunks sym) with
-  | Some g, Some th when th.slot < Array.length g -> g.(th.slot)
+  let g = Monitor.guards t.mon cid in
+  match Hashtbl.find_opt t.thunks sym with
+  | Some th when th.slot < Array.length g -> g.(th.slot)
   | _ -> 0
 
 let guard_addr t cid sym =

@@ -19,8 +19,9 @@
 type t
 
 val create : Monitor.t -> t
-(** An empty table: no thunks, no guard entries. {!Builder.spawn} fills
-    it through {!extend} and {!guard_all}. *)
+(** An empty table: no thunks. {!Builder.spawn} fills it through
+    {!extend} and {!guard_all}. Guard tables live on the monitor's
+    cubicle records, so a monitor has one trampoline table. *)
 
 val extend : t -> syms:string list -> cids:Types.cid list -> unit
 (** Install thunks for any of [syms] that lack one (respawned symbols
@@ -32,12 +33,6 @@ val guard_all : t -> cids:Types.cid list -> unit
 (** Guard entries for every symbol with a thunk in each listed isolated
     cubicle that lacks them — what a freshly spawned cubicle needs.
     Non-isolated cids are ignored. *)
-
-val forget_cubicle : t -> Types.cid -> unit
-(** Drop a torn-down cubicle's guard table (one entry: the table is
-    per cubicle). The guard pages themselves live in the cubicle's own
-    memory, so {!Monitor.destroy_cubicle} scrubs and releases them; this
-    only clears the address map so a recycled cid starts clean. *)
 
 val thunk_addr : t -> string -> int
 (** Address of the thunk for a symbol. Raises {!Types.Error} if the
@@ -55,7 +50,9 @@ val has_thunk : t -> string -> bool
 
 val has_guard : t -> Types.cid -> string -> bool
 (** Whether (caller cubicle, symbol) has a guard entry — isolated
-    cubicles can only reach a thunk through their guard page. *)
+    cubicles can only reach a thunk through their guard page. False for
+    a cid that is not live: {!Monitor.destroy_cubicle} drops the guard
+    table with the rest of the cubicle. *)
 
 val enter_via_guard : t -> caller:Types.cid -> string -> unit
 (** Model a well-behaved call entry: fetch the guard entry (in the

@@ -1,4 +1,4 @@
-exception Out_of_heap
+exception Exhausted
 
 type t = {
   base : int;
@@ -19,9 +19,10 @@ let alloc ?(align = 8) t n =
   if align <= 0 || align land (align - 1) <> 0 then
     invalid_arg "Suballoc.alloc: alignment must be a power of two";
   (* First fit: find a free chunk that can hold an aligned block of n
-     bytes; split off any leading pad and trailing remainder. *)
+     units; split off any leading pad and trailing remainder. The pieces
+     stay in address order, so the list needs no sorting. *)
   let rec take = function
-    | [] -> raise Out_of_heap
+    | [] -> raise Exhausted
     | (addr, len) :: rest ->
         let start = round_up addr align in
         let pad = start - addr in
@@ -37,7 +38,7 @@ let alloc ?(align = 8) t n =
           (start', (addr, len) :: remainder)
   in
   let addr, remainder = take t.free_list in
-  t.free_list <- List.sort compare remainder;
+  t.free_list <- remainder;
   Hashtbl.replace t.blocks addr n;
   t.used <- t.used + n;
   addr

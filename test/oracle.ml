@@ -11,6 +11,47 @@ let monitor_pages_owned_by mon cid =
     ~npages:(Hw.Cpu.npages (Cubicle.Monitor.cpu mon))
     cid
 
+(* First fit the slow, obvious way: one flag per unit of
+   [base, base+size), and an allocation of [n] units takes the lowest
+   [align]-aligned base whose [n] units are all free ([None] when there
+   is none). [Mm.Suballoc] must return the same base every time. *)
+module First_fit = struct
+  type t = { base : int; used : bool array; blocks : (int, int) Hashtbl.t }
+
+  let create ~base ~size = { base; used = Array.make size false; blocks = Hashtbl.create 16 }
+
+  let mark t addr n v = Array.fill t.used (addr - t.base) n v
+  let aligned a align = (a + align - 1) / align * align
+
+  let alloc t ~align n =
+    let size = Array.length t.used in
+    (* The last used unit of [a, a+n), if any: no base at or below it
+       can hold the block. *)
+    let rec last_used a i =
+      if i < 0 then None else if t.used.(a - t.base + i) then Some (a + i) else last_used a (i - 1)
+    in
+    let rec first a =
+      if a - t.base + n > size then None
+      else
+        match last_used a (n - 1) with
+        | None -> Some a
+        | Some u -> first (aligned (u + 1) align)
+    in
+    let found = first (aligned t.base align) in
+    Option.iter
+      (fun a ->
+        mark t a n true;
+        Hashtbl.replace t.blocks a n)
+      found;
+    found
+
+  let free t addr =
+    mark t addr (Hashtbl.find t.blocks addr) false;
+    Hashtbl.remove t.blocks addr
+
+  let used t = Hashtbl.fold (fun _ n acc -> acc + n) t.blocks 0
+end
+
 (* The B-tree node codec as it stood before nodes were coded in place in
    the pager's page image: a page decoded into arrays, re-encoded through
    a [Buffer]. Every node page the tree writes must re-encode to exactly

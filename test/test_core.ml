@@ -726,12 +726,34 @@ let test_free_foreign_pointer () =
   check_bool "foreign free rejected" true
     (is_error (fun () -> Monitor.free mon foo bar_buf))
 
+(* free_pages takes back exactly an alloc_pages run of the caller's:
+   every other base is refused, with page ownership and the free page
+   count left as they were. *)
 let test_alloc_pages_ownership () =
-  let mon, foo, _ = mk_system () in
+  let mon, foo, bar = mk_system () in
   let base = Monitor.alloc_pages mon foo 3 ~kind:Mm.Page_meta.Heap in
   check_bool "owned" true (Monitor.page_owner mon (Hw.Addr.page_of base) = Some foo);
+  let peer_base = Monitor.alloc_pages mon bar 2 ~kind:Mm.Page_meta.Heap in
+  let heap_base =
+    List.find
+      (fun p -> Mm.Page_meta.kind (Monitor.meta mon) p = Some Mm.Page_meta.Heap)
+      (Oracle.monitor_pages_owned_by mon foo)
+    |> Hw.Addr.base_of_page
+  in
+  let npages = Hw.Cpu.npages (Monitor.cpu mon) in
+  let state () = (Monitor.free_page_count mon, List.init npages (Monitor.page_owner mon)) in
+  let refused what addr =
+    let before = state () in
+    check_bool (what ^ " refused") true (is_error (fun () -> Monitor.free_pages mon foo addr));
+    check_bool (what ^ " changes nothing") true (state () = before)
+  in
+  refused "stack base" (Monitor.stack_base mon foo);
+  refused "initial heap base" heap_base;
+  refused "peer's alloc_pages base" peer_base;
+  refused "interior page" (base + Hw.Addr.page_size);
   Monitor.free_pages mon foo base;
-  check_bool "released" true (Monitor.page_owner mon (Hw.Addr.page_of base) = None)
+  check_bool "released" true (Monitor.page_owner mon (Hw.Addr.page_of base) = None);
+  refused "double free" base
 
 (* --- teardown (dlclose) ------------------------------------------------------------- *)
 
@@ -863,7 +885,7 @@ let test_spawn_guards_cover_existing_exports () =
 (* Guard tables are indexed by thunk slot and grow as [extend] adds
    thunks: a cubicle guarded for the new symbols gets entries for them,
    another keeps its old entries and gains none until it is guarded
-   itself. *)
+   itself; a destroyed cubicle's table goes with it. *)
 let test_extend_grows_guard_tables () =
   let built = mk_built () in
   let tr = built.Builder.trampolines in
@@ -892,10 +914,34 @@ let test_extend_grows_guard_tables () =
   List.iter
     (fun (s, a) -> check_int ("BETA's old entry for " ^ s ^ " kept") a (Trampoline.guard_addr tr beta s))
     before;
-  Trampoline.forget_cubicle tr beta;
-  check_bool "forgotten cubicle has no guards" false
+  check_bool "unknown symbol has no guard" false (Trampoline.has_guard tr alpha "never_exported");
+  (* Tearing BETA down through the monitor alone drops everything the
+     builder and the trampolines knew about it: a successor spawned
+     into the recycled cid inherits none of it. *)
+  let mon = built.Builder.mon in
+  Monitor.destroy_cubicle mon beta;
+  check_bool "destroyed cubicle has no guards" false
     (List.exists (Trampoline.has_guard tr beta) (Trampoline.syms tr));
-  check_bool "unknown symbol has no guard" false (Trampoline.has_guard tr alpha "never_exported")
+  check_bool "name gone" true (is_error (fun () -> Builder.cid built "BETA"));
+  let gamma_comp =
+    Builder.component
+      ~exports:[ { Monitor.sym = "gamma_fn"; fn = (fun _ _ -> 3); stack_bytes = 0 } ]
+      "GAMMA"
+  in
+  let gamma = List.assoc "GAMMA" (Builder.spawn built [ (gamma_comp, Types.Isolated) ]) in
+  check_int "GAMMA reuses BETA's cid" beta gamma;
+  Alcotest.(check (list string)) "live" [ "ALPHA"; "GAMMA" ]
+    (List.map (fun (name, _, _) -> name) (Builder.live built));
+  Alcotest.(check (list string)) "analysed"
+    [ "ALPHA"; "GAMMA" ]
+    (List.map (fun (c : Analysis.Ir.comp) -> c.name) (Analysis.Ir.of_built built).comps);
+  check_bool "guard entry on GAMMA's own page" true
+    (Monitor.page_owner mon (Hw.Addr.page_of (Trampoline.guard_addr tr gamma "alpha_fn"))
+    = Some gamma);
+  Trampoline.enter_via_guard tr ~caller:gamma "alpha_fn";
+  Monitor.destroy_cubicle mon gamma;
+  check_bool "destroyed successor has no guards" false
+    (List.exists (Trampoline.has_guard tr gamma) (Trampoline.syms tr))
 
 let test_destroy_full_slot_reuse () =
   (* churn: create and destroy cubicles repeatedly without exhausting

@@ -3,58 +3,64 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* --- Page_alloc ----------------------------------------------------------- *)
+(* --- Page units -------------------------------------------------------------
+   The monitor's page-frame allocator is a Suballoc over page numbers
+   with alignment 1: coalescing, exhaustion, bad frees and run sizes in
+   those units. *)
+
+let pages ~first_page ~npages = Mm.Suballoc.create ~base:first_page ~size:npages
+let alloc_run pa n = Mm.Suballoc.alloc ~align:1 pa n
+let free_units pa = Mm.Suballoc.size pa - Mm.Suballoc.used_bytes pa
 
 let test_palloc_alloc_free () =
-  let pa = Mm.Page_alloc.create ~first_page:10 ~npages:100 in
-  let a = Mm.Page_alloc.alloc pa 10 in
+  let pa = pages ~first_page:10 ~npages:100 in
+  let a = alloc_run pa 10 in
   check_int "first run at base" 10 a;
-  let b = Mm.Page_alloc.alloc pa 5 in
+  let b = alloc_run pa 5 in
   check_int "second run after first" 20 b;
-  check_int "used" 15 (Mm.Page_alloc.used_pages pa);
-  Mm.Page_alloc.free pa a;
-  check_int "used after free" 5 (Mm.Page_alloc.used_pages pa);
+  check_int "used" 15 (Mm.Suballoc.used_bytes pa);
+  Mm.Suballoc.free pa a;
+  check_int "used after free" 5 (Mm.Suballoc.used_bytes pa);
   (* freed space is reused *)
-  let c = Mm.Page_alloc.alloc pa 10 in
+  let c = alloc_run pa 10 in
   check_int "reuse" 10 c
 
 let test_palloc_coalesce () =
-  let pa = Mm.Page_alloc.create ~first_page:0 ~npages:30 in
-  let a = Mm.Page_alloc.alloc pa 10 in
-  let b = Mm.Page_alloc.alloc pa 10 in
-  let c = Mm.Page_alloc.alloc pa 10 in
-  check_int "exhausted" 0 (Mm.Page_alloc.free_pages pa);
-  Mm.Page_alloc.free pa a;
-  Mm.Page_alloc.free pa c;
-  Mm.Page_alloc.free pa b;
+  let pa = pages ~first_page:0 ~npages:30 in
+  let a = alloc_run pa 10 in
+  let b = alloc_run pa 10 in
+  let c = alloc_run pa 10 in
+  check_int "exhausted" 0 (free_units pa);
+  Mm.Suballoc.free pa a;
+  Mm.Suballoc.free pa c;
+  Mm.Suballoc.free pa b;
   (* all three coalesce back into one run of 30 *)
-  let d = Mm.Page_alloc.alloc pa 30 in
+  let d = alloc_run pa 30 in
   check_int "full run again" 0 d
 
 let test_palloc_oom () =
-  let pa = Mm.Page_alloc.create ~first_page:0 ~npages:8 in
-  Alcotest.check_raises "oom" Mm.Page_alloc.Out_of_memory (fun () ->
-      ignore (Mm.Page_alloc.alloc pa 9))
+  let pa = pages ~first_page:0 ~npages:8 in
+  Alcotest.check_raises "oom" Mm.Suballoc.Exhausted (fun () -> ignore (alloc_run pa 9))
 
 let test_palloc_bad_free () =
-  let pa = Mm.Page_alloc.create ~first_page:0 ~npages:8 in
-  let a = Mm.Page_alloc.alloc pa 4 in
+  let pa = pages ~first_page:0 ~npages:8 in
+  let a = alloc_run pa 4 in
   Alcotest.check_raises "free inside run"
-    (Invalid_argument "Page_alloc.free: page 2 is not a run start") (fun () ->
-      Mm.Page_alloc.free pa (a + 2))
+    (Invalid_argument "Suballoc.free: 0x2 is not a live block") (fun () ->
+      Mm.Suballoc.free pa (a + 2))
 
 let test_palloc_run_size () =
-  let pa = Mm.Page_alloc.create ~first_page:0 ~npages:8 in
-  let a = Mm.Page_alloc.alloc pa 3 in
-  check_bool "size known" true (Mm.Page_alloc.run_size pa a = Some 3);
-  check_bool "other unknown" true (Mm.Page_alloc.run_size pa (a + 1) = None)
+  let pa = pages ~first_page:0 ~npages:8 in
+  let a = alloc_run pa 3 in
+  check_bool "size known" true (Mm.Suballoc.block_size pa a = Some 3);
+  check_bool "other unknown" true (Mm.Suballoc.block_size pa (a + 1) = None)
 
 let prop_palloc_no_overlap =
   QCheck.Test.make ~name:"page_alloc: live runs never overlap"
     QCheck.(list_of_size (QCheck.Gen.int_range 1 30) (int_range 1 8))
     (fun sizes ->
-      let pa = Mm.Page_alloc.create ~first_page:0 ~npages:512 in
-      let runs = List.map (fun n -> (Mm.Page_alloc.alloc pa n, n)) sizes in
+      let pa = pages ~first_page:0 ~npages:512 in
+      let runs = List.map (fun n -> (alloc_run pa n, n)) sizes in
       let rec pairs = function
         | [] -> true
         | (s, n) :: rest ->
@@ -67,10 +73,10 @@ let prop_palloc_free_restores =
   QCheck.Test.make ~name:"page_alloc: freeing everything restores capacity"
     QCheck.(list_of_size (QCheck.Gen.int_range 1 20) (int_range 1 10))
     (fun sizes ->
-      let pa = Mm.Page_alloc.create ~first_page:5 ~npages:256 in
-      let runs = List.map (fun n -> Mm.Page_alloc.alloc pa n) sizes in
-      List.iter (Mm.Page_alloc.free pa) runs;
-      Mm.Page_alloc.free_pages pa = 256 && Mm.Page_alloc.alloc pa 256 = 5)
+      let pa = pages ~first_page:5 ~npages:256 in
+      let runs = List.map (fun n -> alloc_run pa n) sizes in
+      List.iter (Mm.Suballoc.free pa) runs;
+      free_units pa = 256 && alloc_run pa 256 = 5)
 
 (* --- Suballoc ------------------------------------------------------------- *)
 
@@ -103,7 +109,7 @@ let test_suballoc_double_free () =
 let test_suballoc_oom_and_reuse () =
   let sa = Mm.Suballoc.create ~base:0 ~size:256 in
   let a = Mm.Suballoc.alloc sa 200 in
-  Alcotest.check_raises "oom" Mm.Suballoc.Out_of_heap (fun () ->
+  Alcotest.check_raises "oom" Mm.Suballoc.Exhausted (fun () ->
       ignore (Mm.Suballoc.alloc sa 100));
   Mm.Suballoc.free sa a;
   (* coalesced back: a full-size block fits again *)
@@ -152,11 +158,73 @@ let prop_suballoc_interleaved =
           else
             match Mm.Suballoc.alloc sa n with
             | a -> live := (a, n) :: !live
-            | exception Mm.Suballoc.Out_of_heap -> ())
+            | exception Mm.Suballoc.Exhausted -> ())
         script;
       let expect = List.fold_left (fun acc (_, n) -> acc + n) 0 !live in
       Mm.Suballoc.used_bytes sa = expect
       && Mm.Suballoc.live_blocks sa = List.length !live)
+
+(* Random alloc/free scripts at alignments 1, 8 and 4096 over a range
+   with a random, usually unaligned, base, against the bitmap model in
+   [Oracle.First_fit]: every allocation must return the model's base,
+   or raise [Exhausted] exactly when the model finds none, and the used
+   count must agree after every step. A failure is reproducible from
+   the "qcheck random seed" line the runner prints (rerun with
+   QCHECK_SEED=<seed>). *)
+type ff_op = Alloc of int * int (* align, units *) | Free of int (* pick among live *)
+
+let gen_ff_script =
+  QCheck.Gen.(
+    triple (int_bound 8191)
+      (oneof [ int_range 1 64; int_range 1 4096; int_range 4096 40000 ])
+      (list_size (int_range 1 80)
+         (frequency
+            [
+              ( 3,
+                map2
+                  (fun align n -> Alloc (align, n))
+                  (oneofl [ 1; 8; 4096 ])
+                  (oneof [ int_range 1 16; int_range 1 512; int_range 1 8192 ]) );
+              (2, map (fun i -> Free i) (int_bound 1000));
+            ])))
+
+let pp_ff_script (base, size, ops) =
+  Printf.sprintf "base=%d size=%d [%s]" base size
+    (String.concat ";"
+       (List.map
+          (function Alloc (a, n) -> Printf.sprintf "A%d/%d" a n | Free i -> Printf.sprintf "F%d" i)
+          ops))
+
+let prop_suballoc_first_fit_oracle =
+  QCheck.Test.make ~count:200 ~name:"suballoc: first fit agrees with a bitmap model"
+    (QCheck.make ~print:pp_ff_script gen_ff_script)
+    (fun (base, size, ops) ->
+      let sa = Mm.Suballoc.create ~base ~size in
+      let model = Oracle.First_fit.create ~base ~size in
+      let live = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Alloc (align, n) -> (
+              let got =
+                match Mm.Suballoc.alloc ~align sa n with
+                | a -> Some a
+                | exception Mm.Suballoc.Exhausted -> None
+              in
+              let want = Oracle.First_fit.alloc model ~align n in
+              if got <> want then
+                QCheck.Test.fail_reportf "alloc ~align:%d %d: got %s, model %s" align n
+                  (Option.fold ~none:"Exhausted" ~some:string_of_int got)
+                  (Option.fold ~none:"Exhausted" ~some:string_of_int want);
+              match got with Some a -> live := a :: !live | None -> ())
+          | Free i when !live <> [] ->
+              let a = List.nth !live (i mod List.length !live) in
+              live := List.filter (( <> ) a) !live;
+              Mm.Suballoc.free sa a;
+              Oracle.First_fit.free model a
+          | Free _ -> ());
+          Mm.Suballoc.used_bytes sa = Oracle.First_fit.used model)
+        ops)
 
 (* --- Page_meta ------------------------------------------------------------ *)
 
@@ -202,6 +270,7 @@ let qsuite =
       prop_suballoc_no_overlap;
       prop_suballoc_free_all_coalesces;
       prop_suballoc_interleaved;
+      prop_suballoc_first_fit_oracle;
     ]
 
 let () =

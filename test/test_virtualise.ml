@@ -168,7 +168,7 @@ let test_failed_spawns_leak_nothing () =
         ~stack_pages:2
     with
     | _ -> Alcotest.fail "oversized spawn unexpectedly succeeded"
-    | exception (Types.Error _ | Mm.Page_alloc.Out_of_memory) -> ()
+    | exception (Types.Error _ | Mm.Suballoc.Exhausted) -> ()
   done;
   check_int "no pages leaked" free0 (Monitor.free_page_count mon);
   check_int "no cubicles leaked" n0 (Monitor.ncubicles mon);
