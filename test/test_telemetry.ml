@@ -73,6 +73,8 @@ let build_world () =
     [ { Monitor.sym = "bar_peek"; fn = (fun c a -> Api.read_u8 c a.(0)); stack_bytes = 0 } ];
   Monitor.register_exports mon sh
     [ { Monitor.sym = "sh_fn"; fn = (fun _ _ -> 7); stack_bytes = 0 } ];
+  Monitor.register_exports mon foo
+    [ { Monitor.sym = "foo_fn"; fn = (fun _ _ -> 1); stack_bytes = 0 } ];
   let ctx = Monitor.ctx_for mon foo in
   let buf = Api.malloc_page_aligned ctx 4096 in
   let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
@@ -82,7 +84,7 @@ let build_world () =
 (* One workload step; every branch is total so random sequences run to
    completion whatever state they reach. *)
 let apply w op =
-  match op mod 6 with
+  match op mod 7 with
   | 0 -> ( try ignore (Monitor.call w.w_mon ~caller:w.w_foo "bar_peek" [| w.w_buf |]) with _ -> ())
   | 1 -> Api.window_open w.w_ctx w.w_wid w.w_bar
   | 2 -> Api.window_close w.w_ctx w.w_wid w.w_bar
@@ -91,7 +93,8 @@ let apply w op =
       (* touch the buffer as its owner: faults back (trap-and-map) when
          a previous call migrated the page to BAR *)
       Monitor.run_as w.w_mon w.w_foo (fun () -> Api.write_u8 w.w_ctx w.w_buf 1)
-  | _ -> ( try ignore (Monitor.call w.w_mon ~caller:w.w_foo "nosuch" [||]) with _ -> ())
+  | 5 -> ( try ignore (Monitor.call w.w_mon ~caller:w.w_foo "nosuch" [||]) with _ -> ())
+  | _ -> ignore (Monitor.call w.w_mon ~caller:w.w_bar "foo_fn" [||])
 
 let run_workload ?(tracing = false) ?(sample = 1) ?stream_into ?(latency = false) ops =
   let w = build_world () in
@@ -161,6 +164,9 @@ let test_attrib_reset () =
 
 (* --- Stats as a fold over the bus ---------------------------------------- *)
 
+(* Everything the counter plane holds, rebuilt from the event stream:
+   the totals, plus per-(caller, callee) counts from Call events and
+   per-symbol counts from Call and Shared_call events. *)
 let count_events bus =
   let calls = ref 0
   and shared = ref 0
@@ -168,25 +174,41 @@ let count_events bus =
   and retags = ref 0
   and window_ops = ref 0
   and rejected = ref 0
-  and returns = ref 0 in
+  and returns = ref 0
+  and edges = Hashtbl.create 8
+  and syms = Hashtbl.create 8 in
+  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
   Telemetry.Bus.iter_events
     (fun { Telemetry.Bus.ev; _ } ->
       match ev with
-      | Telemetry.Event.Call _ -> incr calls
+      | Telemetry.Event.Call { caller; callee; sym } ->
+          incr calls;
+          bump edges (caller, callee);
+          bump syms sym
       | Telemetry.Event.Return _ -> incr returns
-      | Telemetry.Event.Shared_call _ -> incr shared
+      | Telemetry.Event.Shared_call { sym; _ } ->
+          incr shared;
+          bump syms sym
       | Telemetry.Event.Fault _ -> incr faults
       | Telemetry.Event.Retag _ -> incr retags
       | Telemetry.Event.Window _ -> incr window_ops
       | Telemetry.Event.Rejected _ -> incr rejected
       | _ -> ())
     bus;
-  (!calls, !shared, !faults, !retags, !window_ops, !rejected, !returns)
+  ( (!calls, !shared, !faults, !retags, !window_ops, !rejected, !returns),
+    (edges, syms) )
 
 let stats_match_events w =
   let bus = Monitor.bus w.w_mon in
   let st = Monitor.stats w.w_mon in
-  let calls, shared, faults, retags, window_ops, rejected, returns = count_events bus in
+  let (calls, shared, faults, retags, window_ops, rejected, returns), (edges, syms) =
+    count_events bus
+  in
+  (* [Stats.edges] lists every edge once, by count descending, ties by
+     (caller, callee) *)
+  let by_count ((e, n) : (int * int) * int) (e', n') =
+    match Int.compare n' n with 0 -> compare e e' | c -> c
+  in
   Telemetry.Bus.dropped bus = 0
   && calls = Stats.total_calls st
   && returns = calls
@@ -195,6 +217,12 @@ let stats_match_events w =
   && retags = Stats.retags st
   && window_ops = Stats.window_ops st
   && rejected = Stats.rejected st
+  && Hashtbl.fold
+       (fun (caller, callee) n ok -> ok && n = Stats.calls_between st ~caller ~callee)
+       edges true
+  && Hashtbl.fold (fun sym n ok -> ok && n = Stats.calls_to_sym st sym) syms true
+  && List.for_all (fun sym -> Stats.calls_to_sym st sym = 0) [ "nosuch"; "bar_" ]
+  && Stats.edges st = List.sort by_count (Hashtbl.fold (fun e n acc -> (e, n) :: acc) edges [])
 
 let test_stats_equal_events () =
   let w = run_workload ~tracing:true some_ops in
@@ -203,7 +231,7 @@ let test_stats_equal_events () =
 let prop_stats_equal_events =
   QCheck.Test.make ~count:60
     ~name:"stats rebuilt from the event stream equal the counter plane"
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) (int_range 0 5)))
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 60) (int_range 0 6)))
     (fun ops -> stats_match_events (run_workload ~tracing:true ops))
 
 (* --- TLB counters are read through, not synced --------------------------- *)
