@@ -10,13 +10,18 @@
      4. jumping into a trampoline thunk body, bypassing CFI;
      5. a component trying to manage (open) another cubicle's window.
 
-   Run with: dune exec examples/isolation_demo.exe *)
+   Run with: dune exec examples/isolation_demo.exe
+   It exits 1 if any attack is not blocked. *)
 
 open Cubicle
 
+let unblocked = ref 0
+
 let attempt name f ~blocked_by =
   match f () with
-  | _ -> Printf.printf "  !! %-52s NOT BLOCKED\n" name
+  | _ ->
+      incr unblocked;
+      Printf.printf "  !! %-52s NOT BLOCKED\n" name
   | exception Hw.Fault.Violation _ ->
       Printf.printf "  ok %-52s blocked by %s\n" name blocked_by
   | exception Loader.Rejected (_, hits) ->
@@ -110,4 +115,5 @@ let () =
   Printf.printf "\nlegitimate file I/O still works: %S\n"
     (Libos.Fileio.read_file fio "/legit.txt");
   Printf.printf "isolation violations caught by the monitor: %d\n"
-    (Stats.rejected (Monitor.stats mon))
+    (Stats.rejected (Monitor.stats mon));
+  if !unblocked > 0 then exit 1

@@ -1,6 +1,10 @@
+module Int_tbl = Hashtbl.Make (Int)
+module Str_tbl = Hashtbl.Make (String)
+
 let monitor_cid = 0
 let shared_key = 15
 let monitor_key = 0
+let max_cubicles = 1024  (* cids are below this *)
 
 (* Everything the monitor knows about one cubicle: [destroy_cubicle]
    drops it all by dropping the record. *)
@@ -17,8 +21,8 @@ type cubicle = {
   heap_grow_pages : int;
   mutable extra_keys : int list;  (* dedicated window tags this cubicle may use *)
   mutable runs : (int * int) list;  (* every page run it owns, newest first *)
-  grants : (Types.cid * Types.wid, Window.t) Hashtbl.t;
-      (* the peers' windows currently open for it, by (owner, wid) *)
+  grants : Window.t Int_tbl.t;
+      (* the peers' windows currently open for it, by [grant_key] *)
   mutable guards : int array;  (* trampoline slot -> guard entry address, 0 for none *)
   mutable iface : Iface.t option;  (* the interface summary it was built with *)
 }
@@ -42,22 +46,27 @@ type t = {
   protection : Types.protection;
   policy : policy;
   stats : Stats.t;
-  cubs : (Types.cid, cubicle) Hashtbl.t;
-  by_name : (string, Types.cid) Hashtbl.t;
+  cubs : cubicle option array;  (* by cid; [None] for a free cid *)
+  by_name : Types.cid Str_tbl.t;
   mutable next_cid : Types.cid;
   mutable free_cids : Types.cid list;  (* cids recycled by destroy_cubicle *)
-  symbols : (string, export) Hashtbl.t;
+  symbols : export Str_tbl.t;
   virtualise : bool;  (* libmpk-style tag virtualisation (paper §8) *)
   keys : Hw.Keymux.t;
       (* the one tag pool: vkeys under [virtualise], pinned tags otherwise *)
   exec : Telemetry.Attrib.t;  (* the execution context; [exec.cur] is the current cubicle *)
-  page_allocs : (int, int) Hashtbl.t;  (* base page -> npages of each alloc_pages run *)
-  max_cubicles : int;
+  page_allocs : int Int_tbl.t;  (* base page -> npages of each alloc_pages run *)
 }
 
 and ctx = { mon : t; self : Types.cid; caller : Types.cid; cpu : Hw.Cpu.t }
 and fn = ctx -> int array -> int
-and export = { e_sym : string; e_owner : Types.cid; e_fn : fn; e_stack_bytes : int }
+and export = {
+  e_sym : string;
+  e_sid : int;  (* the symbol's id in the bus's call counters *)
+  e_owner : Types.cid;
+  e_fn : fn;
+  e_stack_bytes : int;
+}
 
 type export_spec = { sym : string; fn : fn; stack_bytes : int }
 
@@ -79,10 +88,11 @@ let[@inline] emit t ev =
   let b = Hw.Cpu.bus t.m_cpu in
   if b.Telemetry.Bus.tracing then Telemetry.Bus.emit b ev
 
+let find t cid =
+  if cid >= 0 && cid < Array.length t.cubs then Array.unsafe_get t.cubs cid else None
+
 let get t cid =
-  match Hashtbl.find_opt t.cubs cid with
-  | Some c -> c
-  | None -> Types.error "no cubicle with id %d" cid
+  match find t cid with Some c -> c | None -> Types.error "no cubicle with id %d" cid
 
 let mpk_on t = match t.protection with Types.Mpk | Types.Full -> true | _ -> false
 
@@ -125,7 +135,7 @@ let restore_pkru t ~saved_cur ~saved_pkru =
   if
     t.virtualise
     && saved_pkru <> Hw.Pkru.all_allow
-    && (match Hashtbl.find_opt t.cubs saved_cur with
+    && (match find t saved_cur with
        | Some c -> c.kind <> Types.Trusted
        | None -> false)
   then Hw.Cpu.wrpkru t.m_cpu (pkru_for t saved_cur)
@@ -243,7 +253,7 @@ let monitor_reserved_pages = 16
    the runs are exactly the cubicle's pages; they never overlap, so
    visiting them by base page visits the pages in ascending order. *)
 let iter_owned_pages t cid f =
-  match Hashtbl.find_opt t.cubs cid with
+  match find t cid with
   | None -> ()
   | Some c ->
       List.iter
@@ -251,14 +261,14 @@ let iter_owned_pages t cid f =
           for p = page to page + n - 1 do
             f p
           done)
-        (List.sort compare c.runs)
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) c.runs)
 
 let owned_pages t cid =
   let acc = ref [] in
   iter_owned_pages t cid (fun p -> acc := p :: !acc);
   List.rev !acc
 
-let new_cubicle t ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages =
+let new_cubicle ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages =
   {
     cid;
     name;
@@ -267,12 +277,12 @@ let new_cubicle t ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages =
     stack_base = 0;
     stack_pages;
     heaps = [];
-    windows = Window.create_table ~owner:cid ~ncubicles:t.max_cubicles;
+    windows = Window.create_table ~owner:cid ~ncubicles:max_cubicles;
     exports = [];
     heap_grow_pages;
     extra_keys = [];
     runs = [];
-    grants = Hashtbl.create 4;
+    grants = Int_tbl.create 4;
     guards = [||];
     iface = None;
   }
@@ -291,16 +301,15 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       protection;
       policy;
       stats = Stats.of_bus ~tlb:(Hw.Cpu.tlb cpu) (Hw.Cpu.bus cpu);
-      cubs = Hashtbl.create 64;
-      by_name = Hashtbl.create 64;
+      cubs = Array.make max_cubicles None;
+      by_name = Str_tbl.create 64;
       next_cid = monitor_cid + 1;
       free_cids = [];
-      symbols = Hashtbl.create 256;
+      symbols = Str_tbl.create 256;
       virtualise;
       keys = Hw.Keymux.create cpu;
       exec = Hw.Cost.attrib (Hw.Cpu.cost cpu);
-      page_allocs = Hashtbl.create 16;
-      max_cubicles = 1024;
+      page_allocs = Int_tbl.create 16;
     }
   in
   (* Eviction = walk the victim's still-resident pages back to the
@@ -332,11 +341,11 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
     Hw.Cpu.map_page cpu p Hw.Page_table.perm_rw ~key:monitor_key
   done;
   let mon_cubicle =
-    new_cubicle t ~cid:monitor_cid ~name:"MONITOR" ~kind:Types.Trusted ~key:monitor_key
+    new_cubicle ~cid:monitor_cid ~name:"MONITOR" ~kind:Types.Trusted ~key:monitor_key
       ~stack_pages:2 ~heap_grow_pages:4
   in
-  Hashtbl.replace t.cubs monitor_cid mon_cubicle;
-  Hashtbl.replace t.by_name mon_cubicle.name monitor_cid;
+  t.cubs.(monitor_cid) <- Some mon_cubicle;
+  Str_tbl.replace t.by_name mon_cubicle.name monitor_cid;
   if mpk_on t then begin
     Hw.Cpu.set_mpk_enabled cpu true;
     Hw.Cpu.set_exec_follows_access cpu true;
@@ -364,7 +373,7 @@ let release_run t page n =
     Mm.Page_meta.release t.meta ~page:p;
     Hw.Cpu.unmap_page t.m_cpu p
   done;
-  Hashtbl.remove t.page_allocs page;
+  Int_tbl.remove t.page_allocs page;
   Mm.Suballoc.free t.palloc page
 
 (* Release every page run of [c]. Shared between destroy_cubicle and
@@ -374,14 +383,14 @@ let release_runs t c =
   c.runs <- []
 
 let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
-  if Hashtbl.mem t.by_name name then Types.error "cubicle %s already exists" name;
+  if Str_tbl.mem t.by_name name then Types.error "cubicle %s already exists" name;
   let cid =
     match t.free_cids with
     | c :: rest ->
         t.free_cids <- rest;
         c
     | [] ->
-        if t.next_cid >= t.max_cubicles then Types.error "too many cubicles";
+        if t.next_cid >= max_cubicles then Types.error "too many cubicles";
         let c = t.next_cid in
         t.next_cid <- c + 1;
         c
@@ -406,10 +415,10 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
                (libmpk-style) to run more isolated cubicles")
   in
   let cub =
-    new_cubicle t ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages:(max 4 heap_pages)
+    new_cubicle ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages:(max 4 heap_pages)
   in
-  Hashtbl.replace t.cubs cid cub;
-  Hashtbl.replace t.by_name name cid;
+  t.cubs.(cid) <- Some cub;
+  Str_tbl.replace t.by_name name cid;
   (* Partial-setup rollback: heap (or stack) exhaustion mid-setup must
      not leak the pages, key, cid or name already claimed — a spawn
      either fully succeeds or leaves the monitor exactly as it was. *)
@@ -427,16 +436,18 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
     cid
   with e ->
     release_runs t cub;
-    Hashtbl.remove t.cubs cid;
-    Hashtbl.remove t.by_name name;
+    t.cubs.(cid) <- None;
+    Str_tbl.remove t.by_name name;
     if kind = Types.Isolated then Hw.Keymux.free t.keys key;
     undo_cid ();
     raise e
 
-let ncubicles t = Hashtbl.length t.cubs
+(* Fold over the live cubicles, by ascending cid. *)
+let fold_cubicles f t init =
+  Array.fold_left (fun acc c -> match c with Some c -> f c acc | None -> acc) init t.cubs
 
-let live_cids t =
-  List.sort compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) t.cubs [])
+let ncubicles t = fold_cubicles (fun _ n -> n + 1) t 0
+let live_cids t = List.rev (fold_cubicles (fun c acc -> c.cid :: acc) t [])
 
 let free_page_count t = Mm.Suballoc.size t.palloc - Mm.Suballoc.used_bytes t.palloc
 let keymux t = if t.virtualise then Some t.keys else None
@@ -451,14 +462,14 @@ let cubicle_heap_bytes t cid =
 let stack_base t cid = (get t cid).stack_base
 
 let lookup_cubicle t name =
-  match Hashtbl.find_opt t.by_name name with
+  match Str_tbl.find_opt t.by_name name with
   | Some cid -> cid
   | None -> Types.error "no cubicle named %s" name
 
-let cubicle_exists t name = Hashtbl.mem t.by_name name
+let cubicle_exists t name = Str_tbl.mem t.by_name name
 
 (* A cid that is not live has no guard entries. *)
-let guards t cid = match Hashtbl.find_opt t.cubs cid with Some c -> c.guards | None -> [||]
+let guards t cid = match find t cid with Some c -> c.guards | None -> [||]
 let set_guards t cid g = (get t cid).guards <- g
 let iface t cid = (get t cid).iface
 let set_iface t cid iface = (get t cid).iface <- Some iface
@@ -470,14 +481,15 @@ let register_exports t cid specs =
   let c = get t cid in
   List.iter
     (fun { sym; fn; stack_bytes } ->
-      if Hashtbl.mem t.symbols sym then Types.error "duplicate export symbol %s" sym;
-      Hashtbl.replace t.symbols sym
-        { e_sym = sym; e_owner = cid; e_fn = fn; e_stack_bytes = stack_bytes };
+      if Str_tbl.mem t.symbols sym then Types.error "duplicate export symbol %s" sym;
+      let e_sid = Telemetry.Bus.intern_sym (bus t) sym in
+      Str_tbl.replace t.symbols sym
+        { e_sym = sym; e_sid; e_owner = cid; e_fn = fn; e_stack_bytes = stack_bytes };
       c.exports <- sym :: c.exports)
     specs
 
 let exports_of t cid = List.rev (get t cid).exports
-let has_export t sym = Hashtbl.mem t.symbols sym
+let has_export t sym = Str_tbl.mem t.symbols sym
 
 (* --- the cross-cubicle call path (trampolines, §5.5) ------------------- *)
 
@@ -487,9 +499,14 @@ let restore t ~saved_cur ~saved_pkru =
   set_cur t saved_cur;
   if mpk_on t then restore_pkru t ~saved_cur ~saved_pkru
 
+(* A crossing's unwind: restore, then record the return. *)
+let return t ~caller ~callee ~sym ~saved_cur ~saved_pkru =
+  restore t ~saved_cur ~saved_pkru;
+  Telemetry.Bus.count_return (bus t) ~caller ~callee ~sym
+
 let call t ~caller sym args =
   let exp =
-    match Hashtbl.find_opt t.symbols sym with
+    match Str_tbl.find_opt t.symbols sym with
     | Some e -> e
     | None ->
         Telemetry.Bus.count_rejected (bus t);
@@ -503,7 +520,7 @@ let call t ~caller sym args =
   | Types.Shared ->
       (* Shared cubicles execute with the caller's privileges, stack and
          heap; the monitor is not involved (§3 step ❹). *)
-      Telemetry.Bus.count_shared_call (bus t) ~caller ~sym;
+      Telemetry.Bus.count_shared_call (bus t) ~caller ~sym ~sid:exp.e_sid;
       Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Tramp model.call_direct;
       exp.e_fn (ctx_call t caller caller) args
   | Types.Trusted | Types.Isolated when callee = caller && current t = caller ->
@@ -517,32 +534,36 @@ let call t ~caller sym args =
          event) before anything else, and the one unwind below runs on
          every exit, so latencies pair up and duration slices nest even
          when the callee raises. *)
-      Telemetry.Bus.count_call (bus t) ~caller ~callee ~sym;
+      Telemetry.Bus.count_call (bus t) ~caller ~callee ~sym ~sid:exp.e_sid;
       let saved_cur = current t and saved_pkru = Hw.Cpu.pkru t.m_cpu in
-      Fun.protect
-        ~finally:(fun () ->
-          restore t ~saved_cur ~saved_pkru;
-          Telemetry.Bus.count_return (bus t) ~caller ~callee ~sym)
-        (fun () ->
-          (match t.protection with
-          | Types.None_ -> Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Tramp model.call_direct
-          | Types.Trampolines | Types.Mpk | Types.Full ->
-              Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Tramp
-                (model.tramp_fixed + model.stack_switch);
-              (* Copy by-stack arguments across per-cubicle stacks. *)
-              let caller_cub = get t caller in
-              if
-                exp.e_stack_bytes > 0 && caller_cub.stack_base > 0
-                && callee_cub.stack_base > 0
-              then
-                Hw.Cpu.priv_blit t.m_cpu ~src:caller_cub.stack_base
-                  ~dst:callee_cub.stack_base
-                  ~len:(min exp.e_stack_bytes (callee_cub.stack_pages * Hw.Addr.page_size)));
-          (* The caller's context pays for the wrpkru: it is written
-             before the cubicle switch. *)
-          if mpk_on t then Hw.Cpu.wrpkru t.m_cpu (pkru_for t callee);
-          set_cur t callee;
-          exp.e_fn (ctx_call t callee caller) args)
+      match
+        (match t.protection with
+        | Types.None_ -> Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Tramp model.call_direct
+        | Types.Trampolines | Types.Mpk | Types.Full ->
+            Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Tramp
+              (model.tramp_fixed + model.stack_switch);
+            (* Copy by-stack arguments across per-cubicle stacks. *)
+            let caller_cub = get t caller in
+            if
+              exp.e_stack_bytes > 0 && caller_cub.stack_base > 0
+              && callee_cub.stack_base > 0
+            then
+              Hw.Cpu.priv_blit t.m_cpu ~src:caller_cub.stack_base
+                ~dst:callee_cub.stack_base
+                ~len:(min exp.e_stack_bytes (callee_cub.stack_pages * Hw.Addr.page_size)));
+        (* The caller's context pays for the wrpkru: it is written
+           before the cubicle switch. *)
+        if mpk_on t then Hw.Cpu.wrpkru t.m_cpu (pkru_for t callee);
+        set_cur t callee;
+        exp.e_fn (ctx_call t callee caller) args
+      with
+      | r ->
+          return t ~caller ~callee ~sym ~saved_cur ~saved_pkru;
+          r
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          return t ~caller ~callee ~sym ~saved_cur ~saved_pkru;
+          Printexc.raise_with_backtrace e bt
 
 (* Unlike a crossing, [run_as] switches the cubicle before writing
    PKRU, so the entered cubicle pays for the wrpkru. *)
@@ -550,7 +571,14 @@ let run_as t cid f =
   let saved_cur = current t and saved_pkru = Hw.Cpu.pkru t.m_cpu in
   set_cur t cid;
   if mpk_on t then Hw.Cpu.wrpkru t.m_cpu (pkru_for t cid);
-  Fun.protect ~finally:(fun () -> restore t ~saved_cur ~saved_pkru) f
+  match f () with
+  | r ->
+      restore t ~saved_cur ~saved_pkru;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      restore t ~saved_cur ~saved_pkru;
+      Printexc.raise_with_backtrace e bt
 
 (* --- memory services ---------------------------------------------------- *)
 
@@ -593,7 +621,7 @@ let alloc_pages t cid n ~kind =
      happens before the system runs and is not charged). *)
   if mpk_on t then Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (n * (cost t).model.pkey_set);
   let base = alloc_owned_pages t cid n ~kind ~perm:Hw.Page_table.perm_rw in
-  Hashtbl.replace t.page_allocs (Hw.Addr.page_of base) n;
+  Int_tbl.replace t.page_allocs (Hw.Addr.page_of base) n;
   base
 
 let free_pages t cid base =
@@ -601,7 +629,7 @@ let free_pages t cid base =
   (* returning pages strictly reassigns their owner (L4Sec-style), so
      the key write is paid on free as well *)
   let page = Hw.Addr.page_of base in
-  match Hashtbl.find_opt t.page_allocs page with
+  match Int_tbl.find_opt t.page_allocs page with
   | None -> Types.error "free_pages: 0x%x is not an allocation base" base
   | Some n ->
       (match Mm.Page_meta.owner t.meta page with
@@ -633,15 +661,16 @@ let emit_window t cid op ?(wid = -1) ?(peer = -1) ?(ptr = 0) ?(size = 0) ?(rw = 
 
 (* Every grant goes through these two, so each grantee's [grants]
    always lists exactly the windows open for it and teardown revokes a
-   dying cubicle's grants without scanning every peer's windows. *)
+   dying cubicle's grants without scanning every peer's windows. The
+   key is unique per (owner, wid): owners are below [max_cubicles]. *)
+let grant_key (w : Window.t) = (w.Window.wid * max_cubicles) + w.Window.owner
+
 let open_for t (w : Window.t) peer =
   Window.open_for w peer;
-  Hashtbl.replace (get t peer).grants (w.Window.owner, w.Window.wid) w
+  Int_tbl.replace (get t peer).grants (grant_key w) w
 
 let forget_grant t (w : Window.t) peer =
-  match Hashtbl.find_opt t.cubs peer with
-  | Some c -> Hashtbl.remove c.grants (w.Window.owner, w.Window.wid)
-  | None -> ()
+  match find t peer with Some c -> Int_tbl.remove c.grants (grant_key w) | None -> ()
 
 let close_for t w peer =
   Window.close_for w peer;
@@ -927,14 +956,14 @@ let observe_access t ~addr ~len ~access =
         done
 
 let dedicated_keys_in_use t =
-  Hashtbl.fold
-    (fun _ c acc ->
+  fold_cubicles
+    (fun c acc ->
       acc
       + List.length
           (List.filter
              (fun w -> w.Window.dedicated_key <> None)
              (Window.live_windows c.windows)))
-    t.cubs 0
+    t 0
 
 
 (* Unload a cubicle (the loader's dlclose counterpart): its exports
@@ -947,7 +976,7 @@ let destroy_cubicle t cid =
   if current t = cid then Types.error "cannot destroy the executing cubicle";
   let c = get t cid in
   (* remove its exports *)
-  List.iter (Hashtbl.remove t.symbols) c.exports;
+  List.iter (Str_tbl.remove t.symbols) c.exports;
   (* Revoke every grant the dying cubicle holds on peers' windows. The
      cid is about to be recycled, and a stale `opened` bit would hand
      the unrelated successor every window the dead cubicle was ever
@@ -956,11 +985,12 @@ let destroy_cubicle t cid =
      step, so CubiCheck judges the recycled cid against the same clean
      ACL state. The grant index lists exactly those windows; they are
      closed in (owner, wid) order. *)
-  Hashtbl.fold (fun key w acc -> (key, w) :: acc) c.grants []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun ((owner, wid), w) ->
+  Int_tbl.fold (fun _ w acc -> w :: acc) c.grants []
+  |> List.sort (fun (a : Window.t) (b : Window.t) ->
+         match Int.compare a.owner b.owner with 0 -> Int.compare a.wid b.wid | n -> n)
+  |> List.iter (fun (w : Window.t) ->
          Window.close_for w cid;
-         emit_window t owner Telemetry.Event.Close ~wid ~peer:cid ());
+         emit_window t w.owner Telemetry.Event.Close ~wid:w.wid ~peer:cid ());
   (* The dying cubicle's own windows: the live table dies with the
      cubicle record, but the replay mirror only forgets a window on a
      Destroy event — emit them, or a recycled cid that never re-inits
@@ -974,8 +1004,9 @@ let destroy_cubicle t cid =
       forget_grants t w;
       (match w.Window.dedicated_key with
       | Some k ->
-          Hashtbl.iter
-            (fun _ oc -> oc.extra_keys <- List.filter (fun k' -> k' <> k) oc.extra_keys)
+          Array.iter
+            (Option.iter (fun oc ->
+                 oc.extra_keys <- List.filter (fun k' -> k' <> k) oc.extra_keys))
             t.cubs;
           Window.set_dedicated_key w None;
           Hw.Keymux.free t.keys k
@@ -989,8 +1020,8 @@ let destroy_cubicle t cid =
      physical slot (and a vkey number) become reusable, and every core
      still caching the tag is scrubbed *)
   if c.kind = Types.Isolated then Hw.Keymux.free t.keys c.key;
-  Hashtbl.remove t.cubs cid;
-  Hashtbl.remove t.by_name c.name;
+  t.cubs.(cid) <- None;
+  Str_tbl.remove t.by_name c.name;
   t.free_cids <- cid :: t.free_cids
 
 let tag_evictions t = (Hw.Keymux.stats t.keys).Hw.Keymux.evictions

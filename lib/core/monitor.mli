@@ -29,6 +29,10 @@ type export_spec = { sym : string; fn : fn; stack_bytes : int }
 val monitor_cid : Types.cid
 val shared_key : int
 
+val max_cubicles : int
+(** Every cid is below this; a monitor holds at most this many
+    cubicles at once. *)
+
 type policy = {
   mapping : [ `Lazy_trap | `Eager_on_open ];
   revocation : [ `Causal | `Eager_revoke ];

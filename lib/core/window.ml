@@ -1,3 +1,5 @@
+module Int_tbl = Hashtbl.Make (Int)
+
 (* A grant's permission: the paper's windows are all-or-nothing, but
    least-privilege compartmentalization (BULKHEAD-style) wants the
    owner to say "this peer may read, not write". [R] vs [RW] lives on
@@ -32,12 +34,12 @@ type table = {
      entries, the user code asks the monitor to extend it"). *)
   arrs : t list array;
   caps : int array;
-  (* Page-indexed ACL lookup: (class, page) -> windows with a range
-     touching that page. Standing sendfile grants make the fault-path
-     lookup hot; the index replaces the linear array scan while
-     charging exactly what the scan would have (the inspected count is
-     recomputed as the winner's array position). *)
-  index : (Mm.Page_meta.kind * int, t list ref) Hashtbl.t;
+  (* Page-indexed ACL lookup: [page_key] (class, page) -> windows with
+     a range touching that page. Standing sendfile grants make the
+     fault-path lookup hot; the index replaces the linear array scan
+     while charging exactly what the scan would have (the inspected
+     count is recomputed as the winner's array position). *)
+  index : t list ref Int_tbl.t;
 }
 
 (* Array order is [all]'s order: global, stack, heap, code. *)
@@ -48,6 +50,9 @@ let slot (klass : Mm.Page_meta.kind) =
   | Mm.Page_meta.Heap -> 2
   | Mm.Page_meta.Code -> 3
 
+(* One int per (class, page): the page above the class's slot. *)
+let page_key klass page = (page lsl 2) lor slot klass
+
 let initial_capacity = 8
 
 let create_table ~owner ~ncubicles =
@@ -57,7 +62,7 @@ let create_table ~owner ~ncubicles =
     next_wid = 1;
     arrs = Array.make 4 [];
     caps = Array.make 4 initial_capacity;
-    index = Hashtbl.create 64;
+    index = Int_tbl.create 64;
   }
 
 let owner t = t.tbl_owner
@@ -104,10 +109,10 @@ let range_touches_page r p =
 
 let index_range table w r =
   for p = Hw.Addr.page_of r.ptr to Hw.Addr.page_of (r.ptr + r.size - 1) do
-    let key = (w.klass, p) in
-    match Hashtbl.find_opt table.index key with
+    let key = page_key w.klass p in
+    match Int_tbl.find_opt table.index key with
     | Some bucket -> if not (List.memq w !bucket) then bucket := w :: !bucket
-    | None -> Hashtbl.replace table.index key (ref [ w ])
+    | None -> Int_tbl.replace table.index key (ref [ w ])
   done
 
 (* Drop [w] from the bucket of every page of [r] that no remaining
@@ -115,12 +120,12 @@ let index_range table w r =
 let unindex_range table w r =
   for p = Hw.Addr.page_of r.ptr to Hw.Addr.page_of (r.ptr + r.size - 1) do
     if not (List.exists (fun r' -> range_touches_page r' p) w.ranges) then begin
-      let key = (w.klass, p) in
-      match Hashtbl.find_opt table.index key with
+      let key = page_key w.klass p in
+      match Int_tbl.find_opt table.index key with
       | None -> ()
       | Some bucket -> (
           bucket := List.filter (fun w' -> w' != w) !bucket;
-          match !bucket with [] -> Hashtbl.remove table.index key | _ -> ())
+          match !bucket with [] -> Int_tbl.remove table.index key | _ -> ())
     end
   done
 
@@ -238,7 +243,7 @@ let search_linear table ~klass ~addr =
    largest wid, and the charged "inspected" count is that window's
    1-based array position. *)
 let search table ~klass ~addr =
-  match Hashtbl.find_opt table.index (klass, Hw.Addr.page_of addr) with
+  match Int_tbl.find_opt table.index (page_key klass (Hw.Addr.page_of addr)) with
   | None -> None
   | Some bucket -> (
       match List.filter (fun w -> contains w addr) !bucket with

@@ -56,6 +56,7 @@ let fs_component tenant =
    pulls the bytes from FS<i>, and leaves [u32 total][response bytes]
    in the response page, returning its address. *)
 let web_component tenant =
+  let read = read_sym tenant in
   let chunk = ref 0 in
   let resp = ref 0 in
   let init ctx =
@@ -72,7 +73,7 @@ let web_component tenant =
     let req = args.(0) in
     let off = Api.read_u32 ctx req in
     let len = Api.read_u32 ctx (req + 4) in
-    ignore (Api.call ctx (read_sym tenant) [| !chunk; off; len |]);
+    ignore (Api.call ctx read [| !chunk; off; len |]);
     let header = header_for len in
     let hlen = String.length header in
     Api.write_u32 ctx !resp (hlen + len);
@@ -84,10 +85,14 @@ let web_component tenant =
     ~iface:
       [
         Iface.fundecl ~derefs:[ 0 ] (get_sym tenant)
-          [ Iface.Call { sym = read_sym tenant; ptr_args = [] } ];
+          [ Iface.Call { sym = read; ptr_args = [] } ];
       ]
     ~exports:[ { Monitor.sym = get_sym tenant; fn; stack_bytes = 0 } ]
     (web_name tenant)
+
+(* A live tenant's WEB cubicle and entry point, named once at spawn so
+   a request builds no string. *)
+type names = { web : string; get : string }
 
 type t = {
   mon : Monitor.t;
@@ -95,7 +100,7 @@ type t = {
   gw : Types.cid;
   gw_req : int;
   gw_wid : Types.wid;
-  mutable live : int list;
+  mutable live : (int * names) list;
 }
 
 let boot ?(protection = Types.Full) ?virtualise ?(mem_bytes = 512 * 1024 * 1024) () =
@@ -114,31 +119,35 @@ let boot ?(protection = Types.Full) ?virtualise ?(mem_bytes = 512 * 1024 * 1024)
 
 let mon t = t.mon
 let built t = t.built
-let live t = List.sort compare t.live
+let live t = List.sort compare (List.map fst t.live)
 
 let spawn t i =
-  if List.mem i t.live then Types.error "tenant %d is already live" i;
+  if List.mem_assoc i t.live then Types.error "tenant %d is already live" i;
   ignore
     (Builder.spawn ~callers:[ t.gw ] t.built
        [ (fs_component i, Types.Isolated); (web_component i, Types.Isolated) ]);
-  t.live <- i :: t.live
+  t.live <- (i, { web = web_name i; get = get_sym i }) :: t.live
 
 let teardown t i =
-  if not (List.mem i t.live) then Types.error "tenant %d is not live" i;
+  if not (List.mem_assoc i t.live) then Types.error "tenant %d is not live" i;
   Builder.unload t.built [ web_name i; fs_name i ];
-  t.live <- List.filter (fun j -> j <> i) t.live
+  t.live <- List.remove_assoc i t.live
 
 let request t ~tenant ~off ~len =
-  if not (List.mem tenant t.live) then Types.error "tenant %d is not live" tenant;
+  let names =
+    match List.assoc_opt tenant t.live with
+    | Some n -> n
+    | None -> Types.error "tenant %d is not live" tenant
+  in
   if len > page - 64 then Types.error "tenant request: %d bytes exceeds a response page" len;
   let ctx = Monitor.ctx_for t.mon t.gw in
-  let web = Monitor.lookup_cubicle t.mon (web_name tenant) in
+  let web = Monitor.lookup_cubicle t.mon names.web in
   Monitor.run_as t.mon t.gw (fun () ->
       Api.write_u32 ctx t.gw_req off;
       Api.write_u32 ctx (t.gw_req + 4) len;
       Api.window_add ctx t.gw_wid ~ptr:t.gw_req ~size:page;
       Api.window_open ctx t.gw_wid web;
-      let resp = Api.call ctx (get_sym tenant) [| t.gw_req |] in
+      let resp = Api.call ctx names.get [| t.gw_req |] in
       let total = Api.read_u32 ctx resp in
       let body = Api.read_string ctx (resp + 4) total in
       Api.window_close ctx t.gw_wid web;

@@ -25,6 +25,8 @@
    window tag), which the LRU never evicts. Freeing either kind scrubs
    the tag from every core, so no register outlives its grant. *)
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type stats = {
   mutable fault_ins : int;
   mutable evictions : int;
@@ -38,8 +40,8 @@ type t = {
   hi : int;
   owner : int array;  (* phys tag -> resident vkey, [free], or [pinned] *)
   last_used : int array;  (* phys tag -> LRU tick (ticks are unique) *)
-  binding : (int, int) Hashtbl.t;  (* vkey -> phys, residents only *)
-  vkey_cid : (int, int) Hashtbl.t;  (* vkey -> owning cubicle *)
+  binding : int Int_tbl.t;  (* vkey -> phys, residents only *)
+  vkey_cid : int Int_tbl.t;  (* vkey -> owning cubicle *)
   mutable next_vkey : int;
   mutable free_vkeys : int list;
   mutable tick : int;
@@ -59,8 +61,8 @@ let create ?(lo = 1) ?(hi = Pkru.nkeys - 2) cpu =
     hi;
     owner = Array.make Pkru.nkeys free_tag;
     last_used = Array.make Pkru.nkeys 0;
-    binding = Hashtbl.create 64;
-    vkey_cid = Hashtbl.create 64;
+    binding = Int_tbl.create 64;
+    vkey_cid = Int_tbl.create 64;
     next_vkey = Pkru.nkeys;
     free_vkeys = [];
     tick = 0;
@@ -82,13 +84,13 @@ let alloc t ~cid =
         t.next_vkey <- v + 1;
         v
   in
-  Hashtbl.replace t.vkey_cid vkey cid;
+  Int_tbl.replace t.vkey_cid vkey cid;
   vkey
 
-let resident t vkey = Hashtbl.find_opt t.binding vkey
+let resident t vkey = Int_tbl.find_opt t.binding vkey
 let is_pinned t k = k >= t.lo && k <= t.hi && t.owner.(k) = pinned
 let resident_vkey t phys = if t.owner.(phys) >= 0 then Some t.owner.(phys) else None
-let cid_of_vkey t vkey = Hashtbl.find_opt t.vkey_cid vkey
+let cid_of_vkey t vkey = Int_tbl.find_opt t.vkey_cid vkey
 
 let residents t =
   let acc = ref [] in
@@ -153,20 +155,20 @@ let release_slot t phys =
    free and a vkey number is recycled for the next [alloc]. *)
 let free t key =
   if is_pinned t key then release_slot t key;
-  (match Hashtbl.find_opt t.binding key with
+  (match Int_tbl.find_opt t.binding key with
   | Some phys ->
-      Hashtbl.remove t.binding key;
+      Int_tbl.remove t.binding key;
       release_slot t phys
   | None -> ());
-  if Hashtbl.mem t.vkey_cid key then begin
-    Hashtbl.remove t.vkey_cid key;
+  if Int_tbl.mem t.vkey_cid key then begin
+    Int_tbl.remove t.vkey_cid key;
     t.free_vkeys <- key :: t.free_vkeys
   end
 
 let evict t ~phys =
   let vkey = t.owner.(phys) in
   let cid = match cid_of_vkey t vkey with Some c -> c | None -> -1 in
-  Hashtbl.remove t.binding vkey;
+  Int_tbl.remove t.binding vkey;
   t.owner.(phys) <- free_tag;
   let pages = match t.evict_hook with Some h -> h ~cid ~vkey ~phys | None -> 0 in
   t.stats.evictions <- t.stats.evictions + 1;
@@ -187,12 +189,12 @@ let lru_slot t =
 let phys_of t vkey =
   if not (is_virtual vkey) then vkey
   else
-    match Hashtbl.find_opt t.binding vkey with
+    match Int_tbl.find_opt t.binding vkey with
     | Some phys ->
         touch t phys;
         phys
     | None ->
-        if not (Hashtbl.mem t.vkey_cid vkey) then
+        if not (Int_tbl.mem t.vkey_cid vkey) then
           invalid_arg (Printf.sprintf "Keymux.phys_of: vkey %d not allocated" vkey);
         let slot =
           match free_slot t with
@@ -205,7 +207,7 @@ let phys_of t vkey =
         let cost = Cpu.cost t.cpu in
         Cost.charge_cat cost Telemetry.Attrib.Keymux cost.Cost.model.Cost.key_reassign;
         t.owner.(slot) <- vkey;
-        Hashtbl.replace t.binding vkey slot;
+        Int_tbl.replace t.binding vkey slot;
         touch t slot;
         t.stats.fault_ins <- t.stats.fault_ins + 1;
         let cid = match cid_of_vkey t vkey with Some c -> c | None -> -1 in

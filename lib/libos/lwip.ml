@@ -1,5 +1,7 @@
 open Cubicle
 
+module Int_tbl = Hashtbl.Make (Int)
+
 module Frame = struct
   type kind = Syn | Data | Fin
 
@@ -34,16 +36,16 @@ end
 
 (* Host-side in-order reassembly of sequenced data frames. *)
 module Reassembly = struct
-  type t = { parked : (int, string) Hashtbl.t; mutable next_seq : int; ready : Buffer.t }
+  type t = { parked : string Int_tbl.t; mutable next_seq : int; ready : Buffer.t }
 
-  let create () = { parked = Hashtbl.create 8; next_seq = 0; ready = Buffer.create 256 }
+  let create () = { parked = Int_tbl.create 8; next_seq = 0; ready = Buffer.create 256 }
 
   let push_with t ~seq ~deliver payload =
-    if seq >= t.next_seq then Hashtbl.replace t.parked seq payload;
+    if seq >= t.next_seq then Int_tbl.replace t.parked seq payload;
     let rec drain () =
-      match Hashtbl.find_opt t.parked t.next_seq with
+      match Int_tbl.find_opt t.parked t.next_seq with
       | Some p ->
-          Hashtbl.remove t.parked t.next_seq;
+          Int_tbl.remove t.parked t.next_seq;
           t.next_seq <- t.next_seq + 1;
           deliver p;
           drain ()
@@ -58,7 +60,7 @@ module Reassembly = struct
     Buffer.clear t.ready;
     s
 
-  let pending t = Hashtbl.length t.parked
+  let pending t = Int_tbl.length t.parked
 end
 
 (* A received segment held in an LWIP-owned pbuf page. *)
@@ -67,7 +69,7 @@ type segment = { pbuf : int; mutable off : int; mutable len : int }
 type conn = {
   id : int;
   mutable rx : segment Queue.t;
-  parked : (int, segment) Hashtbl.t;  (* out-of-order segments by seq *)
+  parked : segment Int_tbl.t;  (* out-of-order segments by seq *)
   mutable next_rx_seq : int;
   mutable next_tx_seq : int;
   mutable fin_seen : bool;
@@ -84,17 +86,18 @@ type conn = {
 type state = {
   nshards : int;
   mutable listening : bool;
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Int_tbl.t;
   pending_accept : int Queue.t array;  (* one backlog per shard *)
   mutable netdev_cid : Types.cid;
   rx_staging : int array;  (* per-shard page for incoming frames, windowed to NETDEV *)
   staging_wids : Types.wid array;
   (* (owner, wid) pairs already forwarded to NETDEV on the zero-copy
-     send path; wids are never reused, so one forward per grant window
-     is enough for the lifetime of the stack *)
-  forwarded : (Types.cid * Types.wid, unit) Hashtbl.t;
+     send path, by [forward_key]; wids are never reused, so one forward
+     per grant window is enough for the lifetime of the stack *)
+  forwarded : unit Int_tbl.t;
 }
 
+let forward_key ~owner wid = (wid * Monitor.max_cubicles) + owner
 let nshards state = state.nshards
 let shard_of_conn state conn_id = conn_id mod state.nshards
 
@@ -112,12 +115,12 @@ let pump state ctx shard =
       let len = Api.read_u16 ctx (staging + 9) in
       (match kind with
       | 0 (* syn *) ->
-          if state.listening && not (Hashtbl.mem state.conns conn_id) then begin
-            Hashtbl.replace state.conns conn_id
+          if state.listening && not (Int_tbl.mem state.conns conn_id) then begin
+            Int_tbl.replace state.conns conn_id
               {
                 id = conn_id;
                 rx = Queue.create ();
-                parked = Hashtbl.create 8;
+                parked = Int_tbl.create 8;
                 next_rx_seq = 0;
                 next_tx_seq = 0;
                 fin_seen = false;
@@ -127,21 +130,21 @@ let pump state ctx shard =
             Queue.push conn_id state.pending_accept.(shard)
           end
       | 1 (* data *) -> (
-          match Hashtbl.find_opt state.conns conn_id with
+          match Int_tbl.find_opt state.conns conn_id with
           | None -> ()
           | Some c ->
               (* copy payload into a fresh pbuf from ALLOC; deliver
                  segments to the stream strictly in sequence order,
                  parking anything that arrived early *)
-              if seq >= c.next_rx_seq && not (Hashtbl.mem c.parked seq) then begin
+              if seq >= c.next_rx_seq && not (Int_tbl.mem c.parked seq) then begin
                 let pbuf = Api.call ctx "uk_palloc" [| 1 |] in
                 ignore
                   (Api.call ctx "memcpy" [| pbuf; staging + Sysdefs.frame_header; len |]);
-                Hashtbl.replace c.parked seq { pbuf; off = 0; len };
+                Int_tbl.replace c.parked seq { pbuf; off = 0; len };
                 let rec deliver () =
-                  match Hashtbl.find_opt c.parked c.next_rx_seq with
+                  match Int_tbl.find_opt c.parked c.next_rx_seq with
                   | Some seg ->
-                      Hashtbl.remove c.parked c.next_rx_seq;
+                      Int_tbl.remove c.parked c.next_rx_seq;
                       c.next_rx_seq <- c.next_rx_seq + 1;
                       Queue.push seg c.rx;
                       deliver ()
@@ -150,7 +153,7 @@ let pump state ctx shard =
                 deliver ()
               end)
       | 2 (* fin *) -> (
-          match Hashtbl.find_opt state.conns conn_id with
+          match Int_tbl.find_opt state.conns conn_id with
           | None -> ()
           | Some c -> c.fin_seen <- true)
       | _ -> ());
@@ -178,7 +181,7 @@ let accept_fn state ctx (args : int array) =
 let recv_fn state ctx (args : int array) =
   let conn_id = args.(0) and buf = args.(1) and maxlen = args.(2) in
   pump state ctx (shard_of_conn state conn_id);
-  match Hashtbl.find_opt state.conns conn_id with
+  match Int_tbl.find_opt state.conns conn_id with
   | None -> Sysdefs.ebadf
   | Some c ->
       if Queue.is_empty c.rx then if c.fin_seen then Sysdefs.ebadf else 0
@@ -220,7 +223,7 @@ let send_segment state ctx ~conn_id ~seq ~src ~len =
 let send_fn state ctx (args : int array) =
   let conn_id = args.(0) and buf = args.(1) and len = args.(2) in
   pump state ctx (shard_of_conn state conn_id);
-  match Hashtbl.find_opt state.conns conn_id with
+  match Int_tbl.find_opt state.conns conn_id with
   | None -> Sysdefs.ebadf
   | Some c ->
       if c.closed then Sysdefs.ebadf
@@ -258,15 +261,16 @@ let send_zc_fn state ctx (args : int array) =
   let conn_id = args.(0) and src = args.(1) and len = args.(2) and owner_wid = args.(3) in
   let shard = shard_of_conn state conn_id in
   pump state ctx shard;
-  match Hashtbl.find_opt state.conns conn_id with
+  match Int_tbl.find_opt state.conns conn_id with
   | None -> Sysdefs.ebadf
   | Some c ->
       if c.closed then Sysdefs.ebadf
       else begin
         let owner = ctx.Monitor.caller in
-        if not (Hashtbl.mem state.forwarded (owner, owner_wid)) then begin
+        let key = forward_key ~owner owner_wid in
+        if not (Int_tbl.mem state.forwarded key) then begin
           Api.window_forward ctx ~owner owner_wid state.netdev_cid;
-          Hashtbl.replace state.forwarded (owner, owner_wid) ()
+          Int_tbl.replace state.forwarded key ()
         end;
         let hdr = state.rx_staging.(shard) + 2048 in
         let rec loop sent =
@@ -297,7 +301,7 @@ let send_zc_fn state ctx (args : int array) =
       end
 
 let close_fn state ctx (args : int array) =
-  match Hashtbl.find_opt state.conns args.(0) with
+  match Int_tbl.find_opt state.conns args.(0) with
   | None -> Sysdefs.ebadf
   | Some c ->
       c.closed <- true;
@@ -309,7 +313,7 @@ let close_fn state ctx (args : int array) =
       Api.write_u32 ctx (staging + 5) c.next_tx_seq;
       Api.write_u16 ctx (staging + 9) 0;
       ignore (Api.call ctx "netdev_tx" [| staging; Sysdefs.frame_header; shard |]);
-      Hashtbl.remove state.conns args.(0);
+      Int_tbl.remove state.conns args.(0);
       Sysdefs.ok
 
 let init state ctx =
@@ -341,12 +345,12 @@ let make ?(nshards = 1) () =
     {
       nshards;
       listening = false;
-      conns = Hashtbl.create 16;
+      conns = Int_tbl.create 16;
       pending_accept = Array.init nshards (fun _ -> Queue.create ());
       netdev_cid = -1;
       rx_staging = Array.make nshards 0;
       staging_wids = Array.make nshards 0;
-      forwarded = Hashtbl.create 8;
+      forwarded = Int_tbl.create 8;
     }
   in
   (* rx pump: drain frames from NETDEV into the standing staging page,
@@ -458,4 +462,4 @@ let make ?(nshards = 1) () =
   in
   (state, comp)
 
-let connections state = Hashtbl.length state.conns
+let connections state = Int_tbl.length state.conns

@@ -1,6 +1,36 @@
 open Cubicle
 
-type backend = { prefix : string; cid : Types.cid }
+(* The registered backend and the names of its exports, built once at
+   registration so no backend call builds a string. *)
+type backend = {
+  cid : Types.cid;
+  lookup : string;
+  create : string;
+  pread : string;
+  sendfile : string;
+  pwrite : string;
+  size : string;
+  truncate : string;
+  fsync : string;
+  unlink : string;
+  rename : string;
+}
+
+let backend_of ~prefix ~cid =
+  let sym suffix = prefix ^ "_" ^ suffix in
+  {
+    cid;
+    lookup = sym "lookup";
+    create = sym "create";
+    pread = sym "pread";
+    sendfile = sym "sendfile";
+    pwrite = sym "pwrite";
+    size = sym "size";
+    truncate = sym "truncate";
+    fsync = sym "fsync";
+    unlink = sym "unlink";
+    rename = sym "rename";
+  }
 
 type open_file = { ino : int }
 
@@ -27,8 +57,6 @@ let stage_path state ctx ~slot ~ptr ~len =
   Api.memcpy ctx ~dst ~src:ptr ~len;
   dst
 
-let bsym state suffix = (backend_exn state).prefix ^ "_" ^ suffix
-
 (* The linuxu-platform inefficiency of the library OS (paper Fig. 10a:
    Unikraft alone is ~2.8x slower than native Linux): every VFS
    operation crosses the user-level platform layer. Applies to all
@@ -47,7 +75,7 @@ let register_backend_fn state ctx (args : int array) =
     | 2 -> "fatfs"
     | tag -> Types.error "vfscore: unknown backend tag %d" tag
   in
-  state.backend <- Some { prefix; cid = ctx.Monitor.caller };
+  state.backend <- Some (backend_of ~prefix ~cid:ctx.Monitor.caller);
   (* Grant the backend standing access to the path staging buffer —
      unless it lives in this very cubicle (merged deployments). *)
   if ctx.Monitor.caller <> ctx.Monitor.self then
@@ -58,7 +86,7 @@ let backend_cid_fn state _ctx _ = (backend_exn state).cid
 
 let lookup state ctx ~ptr ~len =
   let path = stage_path state ctx ~slot:0 ~ptr ~len in
-  Api.call ctx (bsym state "lookup") [| path; len |]
+  Api.call ctx (backend_exn state).lookup [| path; len |]
 
 let open_fn state ctx (args : int array) =
   let ptr = args.(0) and len = args.(1) and flags = args.(2) in
@@ -67,7 +95,7 @@ let open_fn state ctx (args : int array) =
     if ino >= 0 then ino
     else if flags land 1 = 1 then
       let path = stage_path state ctx ~slot:0 ~ptr ~len in
-      Api.call ctx (bsym state "create") [| path; len |]
+      Api.call ctx (backend_exn state).create [| path; len |]
     else Sysdefs.enoent
   in
   if ino < 0 then ino
@@ -112,7 +140,7 @@ let stage_iodesc state ctx ~ino ~len ~off =
 let pread_fn state ctx (args : int array) =
   with_fd state args.(0) (fun o ->
       let desc = stage_iodesc state ctx ~ino:o.ino ~len:args.(2) ~off:args.(3) in
-      Api.call ctx (bsym state "pread") [| desc; args.(1) |])
+      Api.call ctx (backend_exn state).pread [| desc; args.(1) |])
 
 (* sendfile(fd, conn, len, off): stage the iodesc exactly like pread,
    but the data never comes back — the backend grants the backing pages
@@ -120,26 +148,26 @@ let pread_fn state ctx (args : int array) =
 let sendfile_fn state ctx (args : int array) =
   with_fd state args.(0) (fun o ->
       let desc = stage_iodesc state ctx ~ino:o.ino ~len:args.(2) ~off:args.(3) in
-      Api.call ctx (bsym state "sendfile") [| desc; args.(1) |])
+      Api.call ctx (backend_exn state).sendfile [| desc; args.(1) |])
 
 let pwrite_fn state ctx (args : int array) =
   with_fd state args.(0) (fun o ->
       let desc = stage_iodesc state ctx ~ino:o.ino ~len:args.(2) ~off:args.(3) in
-      Api.call ctx (bsym state "pwrite") [| desc; args.(1) |])
+      Api.call ctx (backend_exn state).pwrite [| desc; args.(1) |])
 
 let size_fn state ctx (args : int array) =
-  with_fd state args.(0) (fun o -> Api.call ctx (bsym state "size") [| o.ino |])
+  with_fd state args.(0) (fun o -> Api.call ctx (backend_exn state).size [| o.ino |])
 
 let truncate_fn state ctx (args : int array) =
   with_fd state args.(0) (fun o ->
-      Api.call ctx (bsym state "truncate") [| o.ino; args.(1) |])
+      Api.call ctx (backend_exn state).truncate [| o.ino; args.(1) |])
 
 let fsync_fn state ctx (args : int array) =
-  with_fd state args.(0) (fun o -> Api.call ctx (bsym state "fsync") [| o.ino |])
+  with_fd state args.(0) (fun o -> Api.call ctx (backend_exn state).fsync [| o.ino |])
 
 let unlink_fn state ctx (args : int array) =
   let path = stage_path state ctx ~slot:0 ~ptr:args.(0) ~len:args.(1) in
-  Api.call ctx (bsym state "unlink") [| path; args.(1) |]
+  Api.call ctx (backend_exn state).unlink [| path; args.(1) |]
 
 let exists_fn state ctx (args : int array) =
   if lookup state ctx ~ptr:args.(0) ~len:args.(1) >= 0 then 1 else 0
@@ -147,7 +175,7 @@ let exists_fn state ctx (args : int array) =
 let rename_fn state ctx (args : int array) =
   let old_path = stage_path state ctx ~slot:0 ~ptr:args.(0) ~len:args.(1) in
   let new_path = stage_path state ctx ~slot:1 ~ptr:args.(2) ~len:args.(3) in
-  Api.call ctx (bsym state "rename") [| old_path; args.(1); new_path; args.(3) |]
+  Api.call ctx (backend_exn state).rename [| old_path; args.(1); new_path; args.(3) |]
 
 let init state ctx =
   state.path_buf <- Api.malloc_page_aligned ctx 4096;

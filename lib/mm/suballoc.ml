@@ -1,16 +1,18 @@
 exception Exhausted
 
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
   base : int;
   size : int;
   mutable free_list : (int * int) list;  (* (addr, len) sorted by addr *)
-  blocks : (int, int) Hashtbl.t;  (* addr -> len *)
+  blocks : int Int_tbl.t;  (* addr -> len *)
   mutable used : int;
 }
 
 let create ~base ~size =
   if size <= 0 then invalid_arg "Suballoc.create: empty heap";
-  { base; size; free_list = [ (base, size) ]; blocks = Hashtbl.create 64; used = 0 }
+  { base; size; free_list = [ (base, size) ]; blocks = Int_tbl.create 64; used = 0 }
 
 let round_up v align = (v + align - 1) / align * align
 
@@ -39,7 +41,7 @@ let alloc ?(align = 8) t n =
   in
   let addr, remainder = take t.free_list in
   t.free_list <- remainder;
-  Hashtbl.replace t.blocks addr n;
+  Int_tbl.replace t.blocks addr n;
   t.used <- t.used + n;
   addr
 
@@ -51,15 +53,15 @@ let rec insert addr len = function
   | chunk :: rest -> chunk :: insert addr len rest
 
 let free t addr =
-  match Hashtbl.find_opt t.blocks addr with
+  match Int_tbl.find_opt t.blocks addr with
   | None -> invalid_arg (Printf.sprintf "Suballoc.free: 0x%x is not a live block" addr)
   | Some len ->
-      Hashtbl.remove t.blocks addr;
+      Int_tbl.remove t.blocks addr;
       t.used <- t.used - len;
       t.free_list <- insert addr len t.free_list
 
-let block_size t addr = Hashtbl.find_opt t.blocks addr
+let block_size t addr = Int_tbl.find_opt t.blocks addr
 let used_bytes t = t.used
 let base t = t.base
 let size t = t.size
-let live_blocks t = Hashtbl.length t.blocks
+let live_blocks t = Int_tbl.length t.blocks

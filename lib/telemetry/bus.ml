@@ -1,3 +1,5 @@
+module Str_tbl = Hashtbl.Make (String)
+
 type entry = { at : int; core : int; seq : int; ev : Event.t }
 
 type t = {
@@ -20,15 +22,16 @@ type t = {
   (* latency plane: fed from the counter-plane call sites, never from
      the ring, so it is exact under sampling and ring wrap *)
   mutable lat : Latency.t option;
-  (* counter plane: always on, allocation-free (the hashtable bumps
-     replace existing bindings after first touch) *)
+  (* counter plane: always on; a crossing bumps two array slots, so it
+     neither hashes nor allocates once its edge row has grown *)
   mutable faults : int;
   mutable retags : int;
   mutable window_ops : int;
   mutable rejected : int;
   mutable shared : int;
-  edges : (int * int, int) Hashtbl.t;
-  syms : (string, int) Hashtbl.t;
+  mutable edges : int array array;  (* caller -> callee -> calls *)
+  sym_ids : int Str_tbl.t;  (* symbol name -> id, interned at registration *)
+  mutable sym_calls : int array;  (* symbol id -> calls *)
 }
 
 let default_capacity = 65536
@@ -53,8 +56,9 @@ let create ?(capacity = default_capacity) ?(now = fun () -> 0) ?(ctx = Attrib.cr
     window_ops = 0;
     rejected = 0;
     shared = 0;
-    edges = Hashtbl.create 64;
-    syms = Hashtbl.create 64;
+    edges = [||];
+    sym_ids = Str_tbl.create 64;
+    sym_calls = [||];
   }
 
 let tracing t = t.tracing
@@ -113,8 +117,39 @@ let capacity t = t.ring_capacity
 
 (* --- counter plane ------------------------------------------------------ *)
 
-let bump tbl key =
-  Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+(* [a] with at least [n] slots, the new ones set to [fill]; doubling
+   keeps growth amortised. *)
+let grow a n fill =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let intern_sym t sym =
+  match Str_tbl.find_opt t.sym_ids sym with
+  | Some id -> id
+  | None ->
+      let id = Str_tbl.length t.sym_ids in
+      Str_tbl.replace t.sym_ids sym id;
+      t.sym_calls <- grow t.sym_calls (id + 1) 0;
+      id
+
+let bump_sym t sid = t.sym_calls.(sid) <- t.sym_calls.(sid) + 1
+
+let bump_edge t caller callee =
+  if caller >= Array.length t.edges then t.edges <- grow t.edges (caller + 1) [||];
+  let row = t.edges.(caller) in
+  let row =
+    if callee < Array.length row then row
+    else begin
+      let r = grow row (callee + 1) 0 in
+      t.edges.(caller) <- r;
+      r
+    end
+  in
+  row.(callee) <- row.(callee) + 1
 
 let observe_call t ~caller ~callee =
   match t.lat with Some l -> Latency.on_call l ~caller ~callee ~at:(t.now ()) | None -> ()
@@ -122,9 +157,9 @@ let observe_call t ~caller ~callee =
 let observe_return t ~caller ~callee =
   match t.lat with Some l -> Latency.on_return l ~caller ~callee ~at:(t.now ()) | None -> ()
 
-let count_call t ~caller ~callee ~sym =
-  bump t.edges (caller, callee);
-  bump t.syms sym;
+let count_call t ~caller ~callee ~sym ~sid =
+  bump_edge t caller callee;
+  bump_sym t sid;
   observe_call t ~caller ~callee;
   if t.tracing then emit t (Event.Call { caller; callee; sym })
 
@@ -132,9 +167,9 @@ let count_return t ~caller ~callee ~sym =
   observe_return t ~caller ~callee;
   if t.tracing then emit t (Event.Return { caller; callee; sym })
 
-let count_shared_call t ~caller ~sym =
+let count_shared_call t ~caller ~sym ~sid =
   t.shared <- t.shared + 1;
-  bump t.syms sym;
+  bump_sym t sid;
   if t.tracing then emit t (Event.Shared_call { caller; sym })
 
 let count_fault t = t.faults <- t.faults + 1
@@ -149,19 +184,40 @@ let rejected t = t.rejected
 let shared_calls t = t.shared
 
 let calls_between t ~caller ~callee =
-  Option.value ~default:0 (Hashtbl.find_opt t.edges (caller, callee))
+  if caller < 0 || caller >= Array.length t.edges then 0
+  else
+    let row = t.edges.(caller) in
+    if callee < 0 || callee >= Array.length row then 0 else row.(callee)
+
+let calls_to_sym t sym =
+  match Str_tbl.find_opt t.sym_ids sym with Some id -> t.sym_calls.(id) | None -> 0
+
+(* Fold over every edge with at least one call, in (caller, callee)
+   order. *)
+let fold_edges f t init =
+  let acc = ref init in
+  Array.iteri
+    (fun caller row ->
+      Array.iteri (fun callee n -> if n > 0 then acc := f ~caller ~callee n !acc) row)
+    t.edges;
+  !acc
 
 let calls_into t callee =
-  Hashtbl.fold (fun (_, ce) n acc -> if ce = callee then acc + n else acc) t.edges 0
+  fold_edges (fun ~caller:_ ~callee:ce n acc -> if ce = callee then acc + n else acc) t 0
 
-let calls_to_sym t sym = Option.value ~default:0 (Hashtbl.find_opt t.syms sym)
-let total_calls t = Hashtbl.fold (fun _ n acc -> acc + n) t.edges 0
+let total_calls t = fold_edges (fun ~caller:_ ~callee:_ n acc -> acc + n) t 0
 
+(* By count descending; the fold's order breaks ties by (caller, callee)
+   under the stable sort. *)
 let edges t =
-  Hashtbl.fold (fun e n acc -> (e, n) :: acc) t.edges []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  fold_edges (fun ~caller ~callee n acc -> ((caller, callee), n) :: acc) t []
+  |> List.rev
+  |> List.stable_sort (fun (_, n) (_, n') -> Int.compare n' n)
 
-let snapshot_edges t = Hashtbl.copy t.edges
+let snapshot_edges t =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun (e, n) -> Hashtbl.replace tbl e n) (edges t);
+  tbl
 
 let reset_counters t =
   t.faults <- 0;
@@ -169,5 +225,5 @@ let reset_counters t =
   t.window_ops <- 0;
   t.rejected <- 0;
   t.shared <- 0;
-  Hashtbl.reset t.edges;
-  Hashtbl.reset t.syms
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) t.edges;
+  Array.fill t.sym_calls 0 (Array.length t.sym_calls) 0

@@ -26,6 +26,8 @@
     cycles, so tracing on vs off (sampled or streamed or neither) is
     bit-identical in simulated time. *)
 
+module Str_tbl : Hashtbl.S with type key = string
+
 type entry = {
   at : int;  (** simulated cycles at emission *)
   core : int;  (** simulated core that emitted it *)
@@ -50,8 +52,9 @@ type t = {
   mutable window_ops : int;
   mutable rejected : int;
   mutable shared : int;
-  edges : (int * int, int) Hashtbl.t;
-  syms : (string, int) Hashtbl.t;
+  mutable edges : int array array;
+  sym_ids : int Str_tbl.t;
+  mutable sym_calls : int array;
 }
 (** The representation is exposed so the machine's accessor fast path
     can open-code the [tracing] test without a cross-module call
@@ -119,7 +122,16 @@ val capacity : t -> int
     whose event carries more context than the counter (faults, retags,
     window ops, rejections) bump here and emit separately. *)
 
-val count_call : t -> caller:int -> callee:int -> sym:string -> unit
+val intern_sym : t -> string -> int
+(** The id of a symbol name for {!count_call} and {!count_shared_call}:
+    a new name gets the next small int, a known one its old id. The
+    monitor interns each export once, when it is registered. *)
+
+val count_call : t -> caller:int -> callee:int -> sym:string -> sid:int -> unit
+(** Count one crossing on its (caller, callee) edge and on its symbol
+    [sid] (from {!intern_sym}); both are array bumps, with no hashing
+    and no allocation once the edge has been seen. [sym] is only for
+    the traced {!Event.Call}. Cids must be non-negative. *)
 
 val count_return : t -> caller:int -> callee:int -> sym:string -> unit
 (** The return edge of {!count_call}: feeds the latency plane and (when
@@ -133,7 +145,7 @@ val observe_call : t -> caller:int -> callee:int -> unit
 
 val observe_return : t -> caller:int -> callee:int -> unit
 
-val count_shared_call : t -> caller:int -> sym:string -> unit
+val count_shared_call : t -> caller:int -> sym:string -> sid:int -> unit
 val count_fault : t -> unit
 val count_retag : t -> unit
 val count_window_op : t -> unit
@@ -147,14 +159,18 @@ val shared_calls : t -> int
 val calls_between : t -> caller:int -> callee:int -> int
 val calls_into : t -> int -> int
 val calls_to_sym : t -> string -> int
+(** Calls and shared calls into the symbol; 0 for a name never
+    interned. *)
+
 val total_calls : t -> int
 
 val edges : t -> ((int * int) * int) list
-(** All (caller, callee) edges with call counts, descending. *)
+(** All (caller, callee) edges with call counts, by count descending,
+    ties by (caller, callee). *)
 
 val snapshot_edges : t -> (int * int, int) Hashtbl.t
 
 val reset_counters : t -> unit
-(** Clears the counter plane only; the ring is cleared separately with
+(** Zeroes the counter plane only (interned symbol ids stay); the ring is cleared separately with
     {!clear_ring}, and an attached {!Latency} sink with
     [Latency.reset]. *)
