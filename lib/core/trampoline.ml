@@ -6,9 +6,11 @@
    newer symbols. *)
 type thunk = { slot : int; addr : int }
 
+module Str_tbl = Hashtbl.Make (String)
+
 type t = {
   mon : Monitor.t;
-  thunks : (string, thunk) Hashtbl.t;
+  thunks : thunk Str_tbl.t;
   mutable sorted_syms : string list option;  (* [syms], until a thunk is added *)
 }
 
@@ -35,7 +37,7 @@ let jmp_disp_off = Hw.Instr.length Wrpkru + 1
    cubicle, execute-only. Only syms without a thunk get one, so
    respawning a torn-down component reuses its old thunks. *)
 let alloc_thunks t syms =
-  let fresh = List.filter (fun s -> not (Hashtbl.mem t.thunks s)) syms in
+  let fresh = List.filter (fun s -> not (Str_tbl.mem t.thunks s)) syms in
   if fresh <> [] then begin
     let nsyms = List.length fresh in
     let thunk_bytes = Bytes.create (nsyms * thunk_size) in
@@ -53,10 +55,10 @@ let alloc_thunks t syms =
     for p = first to first + npages - 1 do
       Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
     done;
-    let first_slot = Hashtbl.length t.thunks in
+    let first_slot = Str_tbl.length t.thunks in
     List.iteri
       (fun i sym ->
-        Hashtbl.replace t.thunks sym
+        Str_tbl.replace t.thunks sym
           { slot = first_slot + i; addr = thunk_base + (i * thunk_size) })
       fresh;
     t.sorted_syms <- None
@@ -65,7 +67,7 @@ let alloc_thunks t syms =
 (* [cid]'s guard table, grown to cover every slot. *)
 let guards_of t cid =
   let old = Monitor.guards t.mon cid in
-  let nslots = Hashtbl.length t.thunks in
+  let nslots = Str_tbl.length t.thunks in
   if Array.length old = nslots then old
   else begin
     let g = Array.make nslots 0 in
@@ -80,7 +82,13 @@ let guards_of t cid =
    of its memory, and the guard table with the rest of its record. *)
 let alloc_guards t cid syms =
   let g = guards_of t cid in
-  let fresh = List.filter (fun s -> g.((Hashtbl.find t.thunks s).slot) = 0) syms in
+  let fresh =
+    List.filter_map
+      (fun s ->
+        let thunk = Str_tbl.find t.thunks s in
+        if g.(thunk.slot) = 0 then Some thunk else None)
+      syms
+  in
   if fresh <> [] then begin
     let cpu = Monitor.cpu t.mon in
     let nsyms = List.length fresh in
@@ -92,8 +100,7 @@ let alloc_guards t cid syms =
     assert (gbase <> 0);
     let entry = Bytes.copy guard_template in
     List.iteri
-      (fun i sym ->
-        let thunk = Hashtbl.find t.thunks sym in
+      (fun i thunk ->
         let entry_addr = gbase + (i * guard_entry_size) in
         Bytes.set_int32_le entry jmp_disp_off (Int32.of_int (thunk.addr - entry_addr));
         Hw.Cpu.priv_write_bytes cpu entry_addr entry;
@@ -105,7 +112,7 @@ let alloc_guards t cid syms =
     done
   end
 
-let create mon = { mon; thunks = Hashtbl.create 16; sorted_syms = None }
+let create mon = { mon; thunks = Str_tbl.create 16; sorted_syms = None }
 
 let guard t ~syms ~cids =
   List.iter
@@ -121,21 +128,21 @@ let syms t =
   match t.sorted_syms with
   | Some l -> l
   | None ->
-      let l = List.sort compare (Hashtbl.fold (fun sym _ acc -> sym :: acc) t.thunks []) in
+      let l = List.sort String.compare (Str_tbl.fold (fun sym _ acc -> sym :: acc) t.thunks []) in
       t.sorted_syms <- Some l;
       l
 
 let guard_all t ~cids = guard t ~syms:(syms t) ~cids
 
 let thunk_addr t sym =
-  match Hashtbl.find_opt t.thunks sym with
+  match Str_tbl.find_opt t.thunks sym with
   | Some th -> th.addr
   | None -> Types.error "no trampoline thunk for symbol %s" sym
 
 (* The guard entry address for (cid, sym), 0 if there is none. *)
 let find_guard t cid sym =
   let g = Monitor.guards t.mon cid in
-  match Hashtbl.find_opt t.thunks sym with
+  match Str_tbl.find_opt t.thunks sym with
   | Some th when th.slot < Array.length g -> g.(th.slot)
   | _ -> 0
 
@@ -144,7 +151,7 @@ let guard_addr t cid sym =
   | 0 -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
   | a -> a
 
-let has_thunk t sym = Hashtbl.mem t.thunks sym
+let has_thunk t sym = Str_tbl.mem t.thunks sym
 let has_guard t cid sym = find_guard t cid sym <> 0
 
 (* Run [f] with the machine configured as if [cid] were executing:
