@@ -367,6 +367,56 @@ let test_tenant_guards_follow_teardown () =
     (Httpd.Tenant.expected ~tenant:37 ~off:3 ~len:20)
     (Httpd.Tenant.request sys ~tenant:37 ~off:3 ~len:20)
 
+(* --- siege end to end (property) ------------------------------------------------ *)
+
+(* The sizes where a response's framing changes: empty, one byte,
+   around one segment, around one server chunk, and the largest
+   benchmark file. *)
+let siege_edge_sizes =
+  let mss = Libos.Sysdefs.mss and chunk = Httpd.Server.chunk_size in
+  [ 0; 1; mss - 1; mss; mss + 1; chunk - 1; chunk + 1; 256 * 1024 ]
+
+(* [size] random bytes from [seed], with runs of the header terminator
+   "\r\n\r\n" planted throughout: a reader that looked for it in a
+   body would cut the body short. *)
+let siege_body ~seed size =
+  let rng = Random.State.make [| seed |] in
+  let b = Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+  if size > 0 then
+    for _ = 0 to size / 4096 do
+      let runs = 1 + Random.State.int rng 3 in
+      let run = String.concat "" (List.init runs (fun _ -> "\r\n\r\n")) in
+      let at = Random.State.int rng size in
+      Bytes.blit_string run 0 b at (min (String.length run) (size - at))
+    done;
+  Bytes.unsafe_to_string b
+
+let prop_siege_end_to_end =
+  let size = QCheck.Gen.(oneof [ oneofl siege_edge_sizes; int_bound (300 * 1024) ]) in
+  let gen = QCheck.Gen.(pair (list_repeat 3 size) int) in
+  let print (sizes, seed) =
+    Printf.sprintf "sizes [%s], body seed %d"
+      (String.concat "; " (List.map string_of_int sizes))
+      seed
+  in
+  QCheck.Test.make ~count:25
+    ~name:"siege: fetch and pipelined fetch return every file byte for byte"
+    (QCheck.make ~print gen)
+    (fun (sizes, seed) ->
+      let files =
+        List.mapi
+          (fun i n -> (Printf.sprintf "/p%d.bin" i, siege_body ~seed:(seed + i) n))
+          sizes
+      in
+      let _, _, siege = boot files in
+      List.for_all
+        (fun (path, body) ->
+          let r = Httpd.Siege.fetch siege path in
+          r.Httpd.Siege.status = 200 && r.Httpd.Siege.body = body)
+        files
+      && Httpd.Siege.fetch_pipelined siege (List.map fst files)
+         = List.map (fun (_, body) -> (200, body)) files)
+
 let () =
   Alcotest.run "httpd"
     [
@@ -405,4 +455,5 @@ let () =
           Alcotest.test_case "guards follow teardown" `Quick
             test_tenant_guards_follow_teardown;
         ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_siege_end_to_end ]);
     ]
