@@ -37,21 +37,26 @@ let cardinal t =
   let rec count b acc = if b = 0 then acc else count (b lsr 1) (acc + (b land 1)) in
   Array.fold_left (fun acc w -> count w acc) 0 t.bits
 
-(* Ascending; empty words cost one test each. *)
-let iter f t =
-  Array.iteri
-    (fun w bits ->
-      let b = ref bits and i = ref (w * bits_per_word) in
-      while !b <> 0 do
-        if !b land 1 <> 0 then f !i;
-        b := !b lsr 1;
-        incr i
-      done)
-    t.bits
+(* The position of the lowest set bit of a non-zero word. *)
+let rec lowest_bit b i = if b land 1 <> 0 then i else lowest_bit (b lsr 1) (i + 1)
+
+(* The first member at or above word [w], whose unscanned bits are [b];
+   empty words cost one test each. *)
+let rec next_in bits w b =
+  if b <> 0 then (w * bits_per_word) + lowest_bit b 0
+  else if w + 1 < Array.length bits then
+    next_in bits (w + 1) (Array.unsafe_get bits (w + 1))
+  else -1
+
+let next t i =
+  if i < 0 then invalid_arg (Printf.sprintf "Bitset.next: negative start %d" i);
+  if i >= t.universe then -1
+  else
+    let w = i / bits_per_word in
+    next_in t.bits w (t.bits.(w) land (-1 lsl (i mod bits_per_word)))
 
 let elements t =
-  let acc = ref [] in
-  iter (fun i -> acc := i :: !acc) t;
-  List.rev !acc
+  let rec from i = match next t i with -1 -> [] | m -> m :: from (m + 1) in
+  from 0
 
 let universe t = t.universe

@@ -13,8 +13,11 @@ val mem : t -> int -> bool
 val clear : t -> unit
 val is_empty : t -> bool
 val cardinal : t -> int
-val iter : (int -> unit) -> t -> unit
-(** In ascending order. *)
+val next : t -> int -> int
+(** [next t i] is the least member [>= i], or [-1] when there is none.
+    Walking a set with it allocates nothing. *)
 
 val elements : t -> int list
+(** In ascending order. *)
+
 val universe : t -> int

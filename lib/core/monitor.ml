@@ -84,9 +84,10 @@ let[@inline] current t = t.exec.Telemetry.Attrib.cur
    attribution always bills the right row. *)
 let set_cur t cid = Telemetry.Attrib.set_current t.exec cid
 
-let[@inline] emit t ev =
-  let b = Hw.Cpu.bus t.m_cpu in
-  if b.Telemetry.Bus.tracing then Telemetry.Bus.emit b ev
+(* Event sites test [tracing] first, so an untraced run never builds
+   the event. *)
+let[@inline] tracing t = (Hw.Cpu.bus t.m_cpu).Telemetry.Bus.tracing
+let emit t ev = Telemetry.Bus.emit (Hw.Cpu.bus t.m_cpu) ev
 
 let find t cid =
   if cid >= 0 && cid < Array.length t.cubs then Array.unsafe_get t.cubs cid else None
@@ -114,7 +115,9 @@ let pkru_for t cid =
   match c.kind with
   | Types.Trusted -> Hw.Pkru.all_allow
   | Types.Isolated | Types.Shared ->
-      Hw.Pkru.of_keys (phys_of t c :: shared_key :: c.extra_keys)
+      List.fold_left Hw.Pkru.allow
+        (Hw.Pkru.allow (Hw.Pkru.allow Hw.Pkru.all_deny (phys_of t c)) shared_key)
+        c.extra_keys
 
 (* Restoring a PKRU saved across a nested call/run is only sound when
    the tags it grants still mean what they meant at save time. Under
@@ -146,7 +149,7 @@ let restore_pkru t ~saved_cur ~saved_pkru =
 let retag t page ~to_key =
   Hw.Cpu.set_page_key t.m_cpu page to_key;
   Telemetry.Bus.count_retag (bus t);
-  emit t (Telemetry.Event.Retag { page; to_key })
+  if tracing t then emit t (Telemetry.Event.Retag { page; to_key })
 
 let handle_fault t (fault : Hw.Fault.t) =
   Telemetry.Bus.count_fault (bus t);
@@ -213,7 +216,7 @@ let handle_fault t (fault : Hw.Fault.t) =
                       match Window.search owner.windows ~klass ~addr:fault.addr with
                       | None ->
                           Telemetry.Bus.count_rejected (bus t);
-                          emit t (Telemetry.Event.Rejected { cid = cur });
+                          if tracing t then emit t (Telemetry.Event.Rejected { cid = cur });
                           false
                       | Some (w, inspected) ->
                           (* Linear ACL search cost; descriptor arrays are
@@ -239,7 +242,8 @@ let handle_fault t (fault : Hw.Fault.t) =
                           end
                           else begin
                             Telemetry.Bus.count_rejected (bus t);
-                            emit t (Telemetry.Event.Rejected { cid = cur });
+                            if tracing t then
+                              emit t (Telemetry.Event.Rejected { cid = cur });
                             false
                           end))
               | Types.None_ | Types.Trampolines -> false))
@@ -332,7 +336,8 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
                Hw.Cost.charge_cat cost Telemetry.Attrib.Keymux
                  cost.Hw.Cost.model.Hw.Cost.pkey_set;
                Hw.Page_table.set_key pt page monitor_key;
-               emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
+               if tracing t then
+                 emit t (Telemetry.Event.Retag { page; to_key = monitor_key });
                incr count
              end);
          !count));
@@ -510,7 +515,7 @@ let call t ~caller sym args =
     | Some e -> e
     | None ->
         Telemetry.Bus.count_rejected (bus t);
-        emit t (Telemetry.Event.Rejected { cid = caller });
+        if tracing t then emit t (Telemetry.Event.Rejected { cid = caller });
         Types.error "cross-cubicle call to unresolved symbol %s (CFI)" sym
   in
   let callee = exp.e_owner in
@@ -550,7 +555,9 @@ let call t ~caller sym args =
             then
               Hw.Cpu.priv_blit t.m_cpu ~src:caller_cub.stack_base
                 ~dst:callee_cub.stack_base
-                ~len:(min exp.e_stack_bytes (callee_cub.stack_pages * Hw.Addr.page_size)));
+                ~len:
+                  (Int.min exp.e_stack_bytes
+                     (callee_cub.stack_pages * Hw.Addr.page_size)));
         (* The caller's context pays for the wrpkru: it is written
            before the cubicle switch. *)
         if mpk_on t then Hw.Cpu.wrpkru t.m_cpu (pkru_for t callee);
@@ -655,8 +662,11 @@ let charge_window_op t =
       Telemetry.Bus.count_window_op (bus t);
       Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Window (cost t).model.window_op
 
-let emit_window t cid op ?(wid = -1) ?(peer = -1) ?(ptr = 0) ?(size = 0) ?(rw = true) () =
-  if t.protection <> Types.None_ then
+(* Every argument is passed at every site: an optional one would box
+   each value it is given. Fields a service does not use are wid -1,
+   peer -1, ptr 0, size 0 and rw true. *)
+let emit_window t cid op ~wid ~peer ~ptr ~size ~rw =
+  if tracing t && t.protection <> Types.None_ then
     emit t (Telemetry.Event.Window { cid; op; wid; peer; ptr; size; rw })
 
 (* Every grant goes through these two, so each grantee's [grants]
@@ -678,12 +688,18 @@ let close_for t w peer =
 
 (* Drop every grantee's index entry for [w], before its open set is
    cleared or dies with its owner. *)
-let forget_grants t (w : Window.t) = Bitset.iter (forget_grant t w) w.Window.opened
+let forget_grants t (w : Window.t) =
+  let opened = w.Window.opened in
+  let peer = ref (Bitset.next opened 0) in
+  while !peer >= 0 do
+    forget_grant t w !peer;
+    peer := Bitset.next opened (!peer + 1)
+  done
 
 let window_init t cid ~klass =
   charge_window_op t;
   let wid = (Window.init (get t cid).windows ~klass).wid in
-  emit_window t cid Telemetry.Event.Init ~wid ();
+  emit_window t cid Telemetry.Event.Init ~wid ~peer:(-1) ~ptr:0 ~size:0 ~rw:true;
   wid
 
 (* Extending a descriptor array is a monitor service: it reallocates
@@ -693,7 +709,7 @@ let window_table_extend t cid ~klass =
   charge_window_op t;
   Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (cost t).model.pkey_set;
   Window.extend (get t cid).windows klass;
-  emit_window t cid Telemetry.Event.Extend ()
+  emit_window t cid Telemetry.Event.Extend ~wid:(-1) ~peer:(-1) ~ptr:0 ~size:0 ~rw:true
 
 let find_window t cid wid = Window.find (get t cid).windows wid
 
@@ -734,14 +750,14 @@ let window_downgrade t cid wid ~ptr =
   let w = find_window t cid wid in
   let size = range_size w ptr in
   Window.downgrade_range w ~ptr;
-  emit_window t cid Telemetry.Event.Downgrade ~wid ~ptr ~size ~rw:false ()
+  emit_window t cid Telemetry.Event.Downgrade ~wid ~peer:(-1) ~ptr ~size ~rw:false
 
 let window_remove t cid wid ~ptr =
   charge_window_op t;
   let w = find_window t cid wid in
   let size = range_size w ptr in
   Window.remove_range (get t cid).windows w ~ptr;
-  emit_window t cid Telemetry.Event.Remove ~wid ~ptr ~size ()
+  emit_window t cid Telemetry.Event.Remove ~wid ~peer:(-1) ~ptr ~size ~rw:true
 
 let retag_window_pages t w ~to_key =
   List.iter
@@ -772,7 +788,7 @@ let window_close t cid wid other =
   let w = find_window t cid wid in
   close_for t w other;
   revoke_eager t w cid;
-  emit_window t cid Telemetry.Event.Close ~wid ~peer:other ()
+  emit_window t cid Telemetry.Event.Close ~wid ~peer:other ~ptr:0 ~size:0 ~rw:true
 
 let window_close_all t cid wid =
   charge_window_op t;
@@ -780,7 +796,7 @@ let window_close_all t cid wid =
   forget_grants t w;
   Window.close_all w;
   revoke_eager t w cid;
-  emit_window t cid Telemetry.Event.Close_all ~wid ()
+  emit_window t cid Telemetry.Event.Close_all ~wid ~peer:(-1) ~ptr:0 ~size:0 ~rw:true
 
 let window_destroy t cid wid =
   charge_window_op t;
@@ -788,7 +804,7 @@ let window_destroy t cid wid =
   let w = find_window t cid wid in
   forget_grants t w;
   Window.destroy c.windows w;
-  emit_window t cid Telemetry.Event.Destroy ~wid ()
+  emit_window t cid Telemetry.Event.Destroy ~wid ~peer:(-1) ~ptr:0 ~size:0 ~rw:true
 
 (* --- grants: batched window ops, grant-and-forward ---------------------- *)
 
@@ -813,7 +829,8 @@ let window_add_ranges t cid ?(perm = Window.RW) wid ranges =
   List.iter
     (fun (ptr, size) ->
       Window.add_range (get t cid).windows w ~perm ~ptr ~size;
-      emit_window t cid Telemetry.Event.Add ~wid ~ptr ~size ~rw:(perm = Window.RW) ())
+      emit_window t cid Telemetry.Event.Add ~wid ~peer:(-1) ~ptr ~size
+        ~rw:(perm = Window.RW))
     ranges
 
 let window_add t cid ?perm wid ~ptr ~size = window_add_ranges t cid ?perm wid [ (ptr, size) ]
@@ -829,7 +846,10 @@ let window_open_many t cid wid peers =
     peers;
   let w = find_window t cid wid in
   List.iter (grant t w) peers;
-  List.iter (fun other -> emit_window t cid Telemetry.Event.Open ~wid ~peer:other ()) peers
+  List.iter
+    (fun other ->
+      emit_window t cid Telemetry.Event.Open ~wid ~peer:other ~ptr:0 ~size:0 ~rw:true)
+    peers
 
 let window_open t cid wid other = window_open_many t cid wid [ other ]
 
@@ -851,7 +871,7 @@ let window_forward t cid ~owner wid other =
     Types.error "window_forward: window %d of cubicle %d is not open for forwarder %d" wid
       owner cid;
   grant t w other;
-  emit_window t owner Telemetry.Event.Forward ~wid ~peer:other ()
+  emit_window t owner Telemetry.Event.Forward ~wid ~peer:other ~ptr:0 ~size:0 ~rw:true
 
 (* Explicit grant check (CubiCheck): does [cid] hold a live window open
    for [peer] whose ranges cover the whole [ptr, ptr+size) span, with
@@ -905,7 +925,7 @@ let window_open_dedicated t cid wid other =
   if not (List.mem key grantee.extra_keys) then
     grantee.extra_keys <- key :: grantee.extra_keys;
   refresh_pkru_if_current t cid other;
-  emit_window t cid Telemetry.Event.Open_dedicated ~wid ~peer:other ()
+  emit_window t cid Telemetry.Event.Open_dedicated ~wid ~peer:other ~ptr:0 ~size:0 ~rw:true
 
 let window_close_dedicated t cid wid other =
   charge_window_op t;
@@ -928,7 +948,8 @@ let window_close_dedicated t cid wid other =
       (* after the refresh, so only registers the refresh did not
          rewrite still hold the tag and need the pool's scrub *)
       if last then Hw.Keymux.free t.keys key);
-  emit_window t cid Telemetry.Event.Close_dedicated ~wid ~peer:other ()
+  emit_window t cid Telemetry.Event.Close_dedicated ~wid ~peer:other ~ptr:0 ~size:0
+    ~rw:true
 
 (* Dynamic-plane observability: record a checked memory access that
    touches pages owned by a different cubicle. Only runs while tracing
@@ -990,7 +1011,8 @@ let destroy_cubicle t cid =
          match Int.compare a.owner b.owner with 0 -> Int.compare a.wid b.wid | n -> n)
   |> List.iter (fun (w : Window.t) ->
          Window.close_for w cid;
-         emit_window t w.owner Telemetry.Event.Close ~wid:w.wid ~peer:cid ());
+         emit_window t w.owner Telemetry.Event.Close ~wid:w.wid ~peer:cid ~ptr:0 ~size:0
+           ~rw:true);
   (* The dying cubicle's own windows: the live table dies with the
      cubicle record, but the replay mirror only forgets a window on a
      Destroy event — emit them, or a recycled cid that never re-inits
@@ -1011,7 +1033,8 @@ let destroy_cubicle t cid =
           Window.set_dedicated_key w None;
           Hw.Keymux.free t.keys k
       | None -> ());
-      emit_window t cid Telemetry.Event.Destroy ~wid:w.Window.wid ())
+      emit_window t cid Telemetry.Event.Destroy ~wid:w.Window.wid ~peer:(-1) ~ptr:0 ~size:0
+        ~rw:true)
     (Window.live_windows c.windows);
   (* scrub and release every page run *)
   release_runs t c;

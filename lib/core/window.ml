@@ -95,12 +95,22 @@ let init table ~klass =
 
 let all { arrs; _ } = arrs.(0) @ arrs.(1) @ arrs.(2) @ arrs.(3)
 
+(* The suffix of [ws] that starts at live window [wid], [] if none. *)
+let rec from_wid wid = function
+  | [] -> []
+  | w :: rest as ws -> if w.wid = wid && w.alive then ws else from_wid wid rest
+
+let rec find_from table wid s =
+  if s = Array.length table.arrs then
+    Types.error "window %d not found in cubicle %d" wid table.tbl_owner
+  else
+    match from_wid wid table.arrs.(s) with
+    | w :: _ -> w
+    | [] -> find_from table wid (s + 1)
+
 (* The first match in [all]'s order, without building [all]: every
    window op looks its window up. *)
-let find table wid =
-  match Array.find_map (List.find_opt (fun w -> w.wid = wid && w.alive)) table.arrs with
-  | Some w -> w
-  | None -> Types.error "window %d not found in cubicle %d" wid table.tbl_owner
+let find table wid = find_from table wid 0
 
 let check_alive w = if not w.alive then Types.error "window %d was destroyed" w.wid
 
@@ -115,16 +125,25 @@ let index_range table w r =
     | None -> Int_tbl.replace table.index key (ref [ w ])
   done
 
+let rec any_touches_page p = function
+  | [] -> false
+  | r :: rest -> range_touches_page r p || any_touches_page p rest
+
+(* [ws] without [w], in order. *)
+let rec without w = function
+  | [] -> []
+  | w' :: rest -> if w' == w then without w rest else w' :: without w rest
+
 (* Drop [w] from the bucket of every page of [r] that no remaining
    range of [w] still touches. *)
 let unindex_range table w r =
   for p = Hw.Addr.page_of r.ptr to Hw.Addr.page_of (r.ptr + r.size - 1) do
-    if not (List.exists (fun r' -> range_touches_page r' p) w.ranges) then begin
+    if not (any_touches_page p w.ranges) then begin
       let key = page_key w.klass p in
       match Int_tbl.find_opt table.index key with
       | None -> ()
       | Some bucket -> (
-          bucket := List.filter (fun w' -> w' != w) !bucket;
+          bucket := without w !bucket;
           match !bucket with [] -> Int_tbl.remove table.index key | _ -> ())
     end
   done
@@ -179,14 +198,25 @@ let close_all w =
   check_alive w;
   Bitset.clear w.opened
 
+(* [ws] without the window numbered [wid], in order. *)
+let rec without_wid wid = function
+  | [] -> []
+  | w :: rest -> if w.wid = wid then without_wid wid rest else w :: without_wid wid rest
+
+let rec unindex_ranges table w = function
+  | [] -> ()
+  | r :: rest ->
+      unindex_range table w r;
+      unindex_ranges table w rest
+
 let destroy table w =
   check_alive w;
   let old_ranges = w.ranges in
   w.alive <- false;
   w.ranges <- [];
   Bitset.clear w.opened;
-  List.iter (fun r -> unindex_range table w r) old_ranges;
-  set_arr table w.klass (List.filter (fun w' -> w'.wid <> w.wid) (arr_of table w.klass))
+  unindex_ranges table w old_ranges;
+  set_arr table w.klass (without_wid w.wid (arr_of table w.klass))
 
 let is_open_for w cid = w.alive && Bitset.mem w.opened cid
 

@@ -149,7 +149,15 @@ let with_lwip_window ?(perm = Window.RW) t ~ptr ~size f =
   let wid = Api.window_init t.ctx ~klass:Mm.Page_meta.Heap in
   Api.window_add t.ctx ~perm wid ~ptr ~size;
   Api.window_open t.ctx wid t.lwip_cid;
-  Fun.protect ~finally:(fun () -> Api.window_destroy t.ctx wid) f
+  (* the window goes on every exit, as a crossing unwinds *)
+  match f () with
+  | r ->
+      Api.window_destroy t.ctx wid;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Api.window_destroy t.ctx wid;
+      Printexc.raise_with_backtrace e bt
 
 let send t conn_id ~ptr ~len =
   (* LWIP only reads the response bytes it segments onto the wire *)
@@ -187,7 +195,7 @@ let serve_file t conn_id ~meth ~keep_alive path =
       else begin
         let rec stream off =
           if off < size then begin
-            let want = min chunk_size (size - off) in
+            let want = Int.min chunk_size (size - off) in
             let n = Libos.Fileio.pread t.fio ~fd ~buf:t.file_buf ~len:want ~off in
             if n <= 0 then Types.error "nginx: pread returned %d" n;
             let sent = send t conn_id ~ptr:t.file_buf ~len:n in

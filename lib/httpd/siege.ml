@@ -82,44 +82,53 @@ let header_done hdr =
   l >= 4 && Buffer.nth hdr (l - 2) = '\r' && Buffer.nth hdr (l - 3) = '\n'
   && Buffer.nth hdr (l - 4) = '\r'
 
-let feed r s =
-  let n = String.length s in
-  r.received <- r.received + n;
+(* Feed the stream bytes [b.[off, off + len)] to [r]. *)
+let feed r b off len =
+  r.received <- r.received + len;
+  let stop = off + len in
   let rec go i =
-    if i < n then
+    if i < stop then
       if r.in_body then begin
-        let k = min (n - i) (Bytes.length r.body - r.filled) in
-        Bytes.blit_string s i r.body r.filled k;
+        let k = Int.min (stop - i) (Bytes.length r.body - r.filled) in
+        Bytes.blit b i r.body r.filled k;
         r.filled <- r.filled + k;
         if r.filled = Bytes.length r.body then finish_body r;
         go (i + k)
       end
       else begin
-        let c = String.unsafe_get s i in
+        let c = Bytes.unsafe_get b i in
         Buffer.add_char r.hdr c;
         if c = '\n' && header_done r.hdr then end_header r;
         go (i + 1)
       end
   in
-  go 0
+  go off
 
 (* Poll the server, feeding connection [conn]'s data to [r] in sequence
-   order, until [is_done ()]; [stalled ()] raises once the server has
-   made no progress for several polls. *)
+   order, until [is_done ()]; [stalled ()] raises once several polls in
+   a row have served no request and drained no frame. Frames are parsed
+   where NETDEV left them on the wire, so each body byte is copied once,
+   from the wire into the body. The wire is drained only after
+   [Server.poll] returns: the client's work is never billed to a
+   cubicle's crossing. *)
 let drive t ~conn r ~is_done ~stalled =
   let reasm = Libos.Lwip.Reassembly.create () in
   let deliver = feed r in
+  let frames = ref 0 in
+  let on_frame b off len =
+    incr frames;
+    let c, kind, seq = Libos.Lwip.Frame.decode_slice b ~off ~len in
+    if c = conn && kind = Libos.Lwip.Frame.Data then
+      Libos.Lwip.Reassembly.push_with reasm ~seq ~deliver b
+        ~off:(off + Libos.Sysdefs.frame_header)
+        ~len:(len - Libos.Sysdefs.frame_header)
+  in
   let idle = ref 0 in
   while not (is_done ()) do
     let served = Server.poll t.server in
-    let frames = Libos.Netdev.host_collect t.netdev in
-    List.iter
-      (fun f ->
-        let c, kind, seq, payload = Libos.Lwip.Frame.decode f in
-        if c = conn && kind = Libos.Lwip.Frame.Data then
-          Libos.Lwip.Reassembly.push_with reasm ~seq ~deliver payload)
-      frames;
-    if served = 0 && frames = [] && not (is_done ()) then begin
+    frames := 0;
+    Libos.Netdev.host_drain t.netdev on_frame;
+    if served = 0 && !frames = 0 && not (is_done ()) then begin
       incr idle;
       if !idle > 3 then stalled ()
     end

@@ -145,22 +145,30 @@ let scrub_pkru_key t c ~key =
     emit_tlb_event t Telemetry.Event.Flush
   end
 
+let denied page (access : Fault.access) key reason =
+  Some { Fault.addr = Addr.base_of_page page; access; key; reason }
+
 (* Permission check for one page; returns the fault if denied. *)
 let check_page t page (access : Fault.access) : Fault.t option =
   let key = Page_table.key t.pt page in
-  let mk reason = Some { Fault.addr = Addr.base_of_page page; access; key; reason } in
-  if not (Page_table.present t.pt page) then mk Fault.Not_present
-  else if not (Page_table.allows (Page_table.perm t.pt page) access) then mk Fault.Page_perm
+  if not (Page_table.present t.pt page) then denied page access key Fault.Not_present
+  else if not (Page_table.allows (Page_table.perm t.pt page) access) then
+    denied page access key Fault.Page_perm
   else if not t.mpk_enabled then None
   else
     match access with
-    | Fault.Read -> if Pkru.can_read t.cur.pkru key then None else mk Fault.Key_perm
-    | Fault.Write -> if Pkru.can_write t.cur.pkru key then None else mk Fault.Key_perm
+    | Fault.Read ->
+        if Pkru.can_read t.cur.pkru key then None
+        else denied page access key Fault.Key_perm
+    | Fault.Write ->
+        if Pkru.can_write t.cur.pkru key then None
+        else denied page access key Fault.Key_perm
     | Fault.Exec ->
         (* Stock MPK does not check instruction fetch against PKRU; the
            paper's hardware modification makes access-disable imply
            no-execute. *)
-        if t.exec_follows_access && not (Pkru.can_read t.cur.pkru key) then mk Fault.Key_perm
+        if t.exec_follows_access && not (Pkru.can_read t.cur.pkru key) then
+          denied page access key Fault.Key_perm
         else None
 
 let ev_access : Fault.access -> Telemetry.Event.access = function
@@ -233,7 +241,7 @@ and check_range t addr len access =
   else if len > 0 then begin
     let first = Addr.page_of addr and last = Addr.page_of (addr + len - 1) in
     for p = first to last do
-      ensure_page t p access ~addr:(max addr (Addr.base_of_page p))
+      ensure_page t p access ~addr:(Int.max addr (Addr.base_of_page p))
     done
   end
 

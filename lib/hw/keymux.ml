@@ -103,9 +103,10 @@ let[@inline] touch t phys =
   t.tick <- t.tick + 1;
   t.last_used.(phys) <- t.tick
 
-let emit t ev =
-  let bus = Cpu.bus t.cpu in
-  if Telemetry.Bus.tracing bus then Telemetry.Bus.emit bus ev
+(* Event sites test [tracing] first, so an untraced run never builds
+   the event. *)
+let[@inline] tracing t = (Cpu.bus t.cpu).Telemetry.Bus.tracing
+let emit t ev = Telemetry.Bus.emit (Cpu.bus t.cpu) ev
 
 (* Scrub an evicted tag from every core still caching it: real MPK
    would deliver an IPI so each core rewrites its PKRU; we price one
@@ -174,7 +175,7 @@ let evict t ~phys =
   t.stats.evictions <- t.stats.evictions + 1;
   t.stats.retag_pages <- t.stats.retag_pages + pages;
   scrub_cores t ~phys;
-  emit t (Telemetry.Event.Key_evict { cid; vkey; phys; pages })
+  if tracing t then emit t (Telemetry.Event.Key_evict { cid; vkey; phys; pages })
 
 (* The least recently used resident vkey's tag; pinned tags are never
    candidates. *)
@@ -211,5 +212,5 @@ let phys_of t vkey =
         touch t slot;
         t.stats.fault_ins <- t.stats.fault_ins + 1;
         let cid = match cid_of_vkey t vkey with Some c -> c | None -> -1 in
-        emit t (Telemetry.Event.Key_fault_in { cid; vkey; phys = slot });
+        if tracing t then emit t (Telemetry.Event.Key_fault_in { cid; vkey; phys = slot });
         slot

@@ -45,7 +45,14 @@ let with_window ?(perm = Window.RW) t ~ptr ~size f =
    with e ->
      (try teardown () with _ -> ());
      raise e);
-  Fun.protect ~finally:teardown f
+  match f () with
+  | r ->
+      teardown ();
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      teardown ();
+      Printexc.raise_with_backtrace e bt
 
 let open_file t path ~create =
   with_path t path (fun p len ->

@@ -23,37 +23,52 @@ module Frame = struct
     Bytes.blit_string payload 0 b Sysdefs.frame_header n;
     b
 
-  let decode b =
-    if Bytes.length b < Sysdefs.frame_header then invalid_arg "Lwip.Frame: short frame";
-    let conn = Int32.to_int (Bytes.get_int32_le b 0) in
-    let kind = kind_of_int (Bytes.get_uint8 b 4) in
-    let seq = Int32.to_int (Bytes.get_int32_le b 5) in
-    let len = Bytes.get_uint16_le b 9 in
-    if Bytes.length b <> Sysdefs.frame_header + len then
+  (* The header of the frame in [b] at [off, off + len), checked as
+     the stack would: a short frame, an unknown kind or a length field
+     that disagrees with [len] is malformed. The payload is the slice
+     after the header. *)
+  let decode_slice b ~off ~len =
+    if len < Sysdefs.frame_header then invalid_arg "Lwip.Frame: short frame";
+    let conn = Int32.to_int (Bytes.get_int32_le b off) in
+    let kind = kind_of_int (Bytes.get_uint8 b (off + 4)) in
+    let seq = Int32.to_int (Bytes.get_int32_le b (off + 5)) in
+    if len <> Sysdefs.frame_header + Bytes.get_uint16_le b (off + 9) then
       invalid_arg "Lwip.Frame: length mismatch";
-    (conn, kind, seq, Bytes.sub_string b Sysdefs.frame_header len)
+    (conn, kind, seq)
+
+  let decode b =
+    let len = Bytes.length b in
+    let conn, kind, seq = decode_slice b ~off:0 ~len in
+    (conn, kind, seq, Bytes.sub_string b Sysdefs.frame_header (len - Sysdefs.frame_header))
 end
 
-(* Host-side in-order reassembly of sequenced data frames. *)
+(* Host-side in-order reassembly of sequenced data frames. Only an
+   early payload is copied, to wait in [parked] for its gap. *)
 module Reassembly = struct
   type t = { parked : string Int_tbl.t; mutable next_seq : int; ready : Buffer.t }
 
   let create () = { parked = Int_tbl.create 8; next_seq = 0; ready = Buffer.create 256 }
 
-  let push_with t ~seq ~deliver payload =
-    if seq >= t.next_seq then Int_tbl.replace t.parked seq payload;
-    let rec drain () =
-      match Int_tbl.find_opt t.parked t.next_seq with
-      | Some p ->
-          Int_tbl.remove t.parked t.next_seq;
-          t.next_seq <- t.next_seq + 1;
-          deliver p;
-          drain ()
-      | None -> ()
-    in
-    drain ()
+  let rec deliver_parked t deliver =
+    match Int_tbl.find_opt t.parked t.next_seq with
+    | Some p ->
+        Int_tbl.remove t.parked t.next_seq;
+        t.next_seq <- t.next_seq + 1;
+        deliver (Bytes.unsafe_of_string p) 0 (String.length p);
+        deliver_parked t deliver
+    | None -> ()
 
-  let push t ~seq payload = push_with t ~seq ~deliver:(Buffer.add_string t.ready) payload
+  let push_with t ~seq ~deliver b ~off ~len =
+    if seq = t.next_seq then begin
+      t.next_seq <- seq + 1;
+      deliver b off len;
+      if Int_tbl.length t.parked > 0 then deliver_parked t deliver
+    end
+    else if seq > t.next_seq then Int_tbl.replace t.parked seq (Bytes.sub_string b off len)
+
+  let push t ~seq payload =
+    push_with t ~seq ~deliver:(Buffer.add_subbytes t.ready) (Bytes.unsafe_of_string payload)
+      ~off:0 ~len:(String.length payload)
 
   let pop_ready t =
     let s = Buffer.contents t.ready in
@@ -187,7 +202,7 @@ let recv_fn state ctx (args : int array) =
       if Queue.is_empty c.rx then if c.fin_seen then Sysdefs.ebadf else 0
       else begin
         let seg = Queue.peek c.rx in
-        let n = min maxlen seg.len in
+        let n = Int.min maxlen seg.len in
         ignore (Api.call ctx "memcpy" [| buf; seg.pbuf + seg.off; n |]);
         seg.off <- seg.off + n;
         seg.len <- seg.len - n;
@@ -231,7 +246,7 @@ let send_fn state ctx (args : int array) =
         let rec loop sent =
           if sent >= len then sent
           else begin
-            let n = min Sysdefs.mss (len - sent) in
+            let n = Int.min Sysdefs.mss (len - sent) in
             let seq = c.next_tx_seq in
             c.next_tx_seq <- seq + 1;
             (match send_segment state ctx ~conn_id ~seq ~src:(buf + sent) ~len:n with
@@ -276,7 +291,7 @@ let send_zc_fn state ctx (args : int array) =
         let rec loop sent =
           if sent >= len then sent
           else begin
-            let n = min Sysdefs.mss (len - sent) in
+            let n = Int.min Sysdefs.mss (len - sent) in
             let seq = c.next_tx_seq in
             c.next_tx_seq <- seq + 1;
             Api.write_u32 ctx hdr conn_id;

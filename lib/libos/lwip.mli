@@ -40,9 +40,16 @@ module Frame : sig
       delivers segments to the stream strictly in order, parking
       out-of-order arrivals. *)
 
+  val decode_slice : bytes -> off:int -> len:int -> int * kind * int
+  (** (connection, kind, sequence) of the frame occupying
+      [\[off, off + len)] of the buffer, read in place; its payload is
+      the [len - Sysdefs.frame_header] bytes after the header. Raises
+      [Invalid_argument] on a malformed frame: shorter than a header,
+      of unknown kind, or whose length field disagrees with [len]. *)
+
   val decode : bytes -> int * kind * int * string
-  (** (connection, kind, sequence, payload); raises [Invalid_argument]
-      on malformed frames. *)
+  (** {!decode_slice} over the whole buffer, with the payload copied
+      out. *)
 end
 
 (** Host-side in-order reassembly of sequenced data frames (used by
@@ -55,11 +62,22 @@ module Reassembly : sig
   val pop_ready : t -> string
   (** The consecutive bytes accumulated so far (consumed). *)
 
-  val push_with : t -> seq:int -> deliver:(string -> unit) -> string -> unit
-  (** Like {!push}, but each payload that becomes in-order is handed to
-      [deliver], in stream order, instead of accumulating for
-      {!pop_ready}: a reader can copy the stream straight to where it
-      belongs. Duplicates and stale frames are dropped as by {!push}. *)
+  val push_with :
+    t ->
+    seq:int ->
+    deliver:(bytes -> int -> int -> unit) ->
+    bytes ->
+    off:int ->
+    len:int ->
+    unit
+  (** Like {!push} for the payload slice [\[off, off + len)], but each
+      payload that becomes in-order is handed to [deliver] as a
+      [(buf, off, len)] slice, in stream order, instead of accumulating
+      for {!pop_ready}: a reader can copy the stream straight to where
+      it belongs. The next payload in sequence is handed over in place,
+      without a copy; only one that arrives early is copied to wait for
+      its gap. [deliver] only reads its slice, and only until it
+      returns. Duplicates and stale frames are dropped as by {!push}. *)
 
   val pending : t -> int
   (** Frames parked waiting for a gap to fill. *)

@@ -51,6 +51,21 @@ let test_bitset () =
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: element 10 outside universe 10")
     (fun () -> Bitset.add b 10)
 
+(* [next] walks the members across word boundaries (63 bits a word),
+   including the sign bit of a word and the last element of the
+   universe. *)
+let test_bitset_next () =
+  let b = Bitset.empty 200 in
+  let members = [ 0; 61; 62; 63; 125; 126; 199 ] in
+  List.iter (Bitset.add b) members;
+  let rec walk i = match Bitset.next b i with -1 -> [] | m -> m :: walk (m + 1) in
+  Alcotest.(check (list int)) "walk" members (walk 0);
+  Alcotest.(check (list int)) "elements agree" members (Bitset.elements b);
+  check_int "next from a member" 62 (Bitset.next b 62);
+  check_int "next skips empty words" 125 (Bitset.next b 64);
+  check_int "past the last" (-1) (Bitset.next b 200);
+  check_int "empty set" (-1) (Bitset.next (Bitset.empty 5) 0)
+
 (* --- windows (unit) -------------------------------------------------------- *)
 
 let test_window_table () =
@@ -1219,7 +1234,11 @@ let qsuite =
 let () =
   Alcotest.run "cubicle-core"
     [
-      ("bitset", [ Alcotest.test_case "ops" `Quick test_bitset ]);
+      ( "bitset",
+        [
+          Alcotest.test_case "ops" `Quick test_bitset;
+          Alcotest.test_case "next" `Quick test_bitset_next;
+        ] );
       ( "window",
         [
           Alcotest.test_case "table" `Quick test_window_table;
