@@ -771,11 +771,11 @@ let attrib_delta mon ~before ~after =
           Telemetry.Attrib.categories)
     after
 
-let hw_scenario ?(pin_attrib = false) ~name body =
+(* [setup ()] builds a fresh system and returns its monitor and the
+   measured body; only the body is timed and counted. *)
+let hw_measure ?(pin_attrib = false) ~name setup =
   let run tlb_on =
-    let mon, ctx, foo, bar, buf, wid =
-      foo_bar_rig ~sym:"bar_fn" (fun ctx a -> Api.write_u8 ctx a.(0) 1; 0)
-    in
+    let mon, body = setup () in
     let cpu = Monitor.cpu mon in
     Hw.Cpu.set_tlb_enabled cpu tlb_on;
     let tlb = Hw.Cpu.tlb cpu in
@@ -786,7 +786,7 @@ let hw_scenario ?(pin_attrib = false) ~name body =
     let attrib () = Telemetry.Attrib.rows (Monitor.cost mon).Hw.Cost.attrib in
     let a0 = attrib () in
     let t0 = Unix.gettimeofday () in
-    body mon ctx ~foo ~bar ~buf ~wid;
+    body ();
     let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
     ( wall_ns,
       Hw.Cost.cycles (Monitor.cost mon) - c0,
@@ -821,6 +821,13 @@ let hw_scenario ?(pin_attrib = false) ~name body =
        else []);
   }
 
+let hw_scenario ?pin_attrib ~name body =
+  hw_measure ?pin_attrib ~name (fun () ->
+      let mon, ctx, foo, bar, buf, wid =
+        foo_bar_rig ~sym:"bar_fn" (fun ctx a -> Api.write_u8 ctx a.(0) 1; 0)
+      in
+      (mon, fun () -> body mon ctx ~foo ~bar ~buf ~wid))
+
 let hw_rows () =
   [
     (* The MMU hot loop: a cubicle scanning its own 16-page heap buffer.
@@ -849,6 +856,21 @@ let hw_rows () =
         for _ = 1 to 20_000 do
           ignore (Monitor.call mon ~caller:foo "bar_fn" [| buf |])
         done);
+    (* Tenant churn: tear one FS+WEB pair down and spawn it again, 200
+       times, beside 8 live tenants (17 cubicles on 14 tags, so keys
+       are virtualised). Each spawn scans and maps two code images and
+       writes a guard entry per live export into each fresh cubicle. *)
+    hw_measure ~name:"spawn_churn" (fun () ->
+        let sys = Httpd.Tenant.boot ~virtualise:true ~mem_bytes:(64 * 1024 * 1024) () in
+        for i = 1 to 8 do
+          Httpd.Tenant.spawn sys i
+        done;
+        ( Httpd.Tenant.mon sys,
+          fun () ->
+            for _ = 1 to 200 do
+              Httpd.Tenant.teardown sys 1;
+              Httpd.Tenant.spawn sys 1
+            done ));
   ]
 
 let hw_write_json path rows =

@@ -58,48 +58,55 @@ let cid built name = Monitor.lookup_cubicle built.mon name
    trampoline table and run the newcomers' initialisers. [callers] names
    already-live cubicles that will call into the new exports; they
    receive guard entries for the fresh symbols alongside the loaded
-   cubicles. [build] is a spawn into an empty system. *)
+   cubicles. [build] is a spawn into an empty system. All or nothing:
+   if any step raises, the cubicles this call loaded are unloaded
+   again, newest first so their cids are recycled in load order. *)
 let spawn ?(callers = []) built comps =
   List.iter (fun (c, _) -> check_exports c) comps;
-  let fresh =
-    List.map
+  let loaded = ref [] in
+  try
+    List.iter
       (fun (c, kind) ->
         let img =
           Loader.image_of_ops ~name:c.name ~data_bytes:c.data_bytes ~ops:c.code_ops ()
         in
-        let loaded =
+        let l =
           Loader.load built.mon img ~kind ~heap_pages:c.heap_pages
             ~stack_pages:c.stack_pages ~exports:c.exports
         in
-        Monitor.set_iface built.mon loaded.Loader.cid c.iface;
-        (c.name, loaded.Loader.cid))
-      comps
-  in
-  (* Trampolines cover every public symbol of isolated and trusted
-     cubicles; shared-cubicle calls do not transit the monitor. *)
-  let syms =
-    List.concat_map
-      (fun (c, kind) ->
-        match kind with
-        | Types.Isolated | Types.Trusted ->
-            List.map (fun (e : Monitor.export_spec) -> e.sym) c.exports
-        | Types.Shared -> [])
-      comps
-  in
-  (* Live callers only need guard entries for the new symbols (they
-     already hold the rest); the fresh cubicles must be able to
-     guard-call every live export, not just the ones introduced in
-     their own batch. *)
-  Trampoline.extend built.trampolines ~syms ~cids:callers;
-  Trampoline.guard_all built.trampolines ~cids:(List.map snd fresh);
-  (* Initialisers run in declaration order, each entered as its own
-     cubicle (the loader jumps to the component's init through a
-     trampoline) — this is where callback tables get filled in. *)
-  List.iter2
-    (fun (c, _) (_, cid) ->
-      Monitor.run_as built.mon cid (fun () -> c.init (Monitor.ctx_for built.mon cid)))
-    comps fresh;
-  fresh
+        Monitor.set_iface built.mon l.Loader.cid c.iface;
+        loaded := (c.name, l.Loader.cid) :: !loaded)
+      comps;
+    let fresh = List.rev !loaded in
+    (* Trampolines cover every public symbol of isolated and trusted
+       cubicles; shared-cubicle calls do not transit the monitor. *)
+    let syms =
+      List.concat_map
+        (fun (c, kind) ->
+          match kind with
+          | Types.Isolated | Types.Trusted ->
+              List.map (fun (e : Monitor.export_spec) -> e.sym) c.exports
+          | Types.Shared -> [])
+        comps
+    in
+    (* Live callers only need guard entries for the new symbols (they
+       already hold the rest); the fresh cubicles must be able to
+       guard-call every live export, not just the ones introduced in
+       their own batch. *)
+    Trampoline.extend built.trampolines ~syms ~cids:callers;
+    Trampoline.guard_all built.trampolines ~cids:(List.map snd fresh);
+    (* Initialisers run in declaration order, each entered as its own
+       cubicle (the loader jumps to the component's init through a
+       trampoline) — this is where callback tables get filled in. *)
+    List.iter2
+      (fun (c, _) (_, cid) ->
+        Monitor.run_as built.mon cid (fun () -> c.init (Monitor.ctx_for built.mon cid)))
+      comps fresh;
+    fresh
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    List.iter (fun (_, cid) -> Monitor.destroy_cubicle built.mon cid) !loaded;
+    Printexc.raise_with_backtrace e bt
 
 let build mon comps =
   let built = { mon; trampolines = Trampoline.create mon } in

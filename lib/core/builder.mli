@@ -75,7 +75,10 @@ val spawn :
     live export, and in each cubicle of [callers] for the new symbols),
     runs initialisers in declaration order, and returns the fresh
     [(name, cid)] pairs. Component names must not collide with live
-    cubicles ({!Types.Error} from the monitor if they do). *)
+    cubicles ({!Types.Error} from the monitor if they do). All or
+    nothing: if a load, the trampoline extension or an initialiser
+    raises, every cubicle this call loaded is unloaded again before the
+    exception propagates. *)
 
 val unload : built -> string list -> unit
 (** Tear the named components down: {!Monitor.destroy_cubicle} each

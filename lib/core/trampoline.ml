@@ -4,14 +4,16 @@
    entries never sit at address 0: page 0 belongs to the monitor. Slots
    only grow, so a table shorter than the slot count simply lacks the
    newer symbols. *)
-type thunk = { slot : int; addr : int }
+type thunk = { sym : string; slot : int; addr : int }
 
 module Str_tbl = Hashtbl.Make (String)
 
 type t = {
   mon : Monitor.t;
   thunks : thunk Str_tbl.t;
-  mutable sorted_syms : string list option;  (* [syms], until a thunk is added *)
+  mutable sorted : thunk array option;
+      (* every thunk in symbol order, until a thunk is added: the order
+         a fresh cubicle's guard entries are laid out in *)
 }
 
 (* One thunk: permission switch, the call into the callee's entry point
@@ -59,10 +61,19 @@ let alloc_thunks t syms =
     List.iteri
       (fun i sym ->
         Str_tbl.replace t.thunks sym
-          { slot = first_slot + i; addr = thunk_base + (i * thunk_size) })
+          { sym; slot = first_slot + i; addr = thunk_base + (i * thunk_size) })
       fresh;
-    t.sorted_syms <- None
+    t.sorted <- None
   end
+
+let sorted t =
+  match t.sorted with
+  | Some a -> a
+  | None ->
+      let a = Array.of_seq (Str_tbl.to_seq_values t.thunks) in
+      Array.sort (fun a b -> String.compare a.sym b.sym) a;
+      t.sorted <- Some a;
+      a
 
 (* [cid]'s guard table, grown to cover every slot. *)
 let guards_of t cid =
@@ -79,60 +90,54 @@ let guards_of t cid =
 (* Guard pages: in the calling cubicle's own pages so it can fetch
    them. Each batch of new entries gets its own page run; the run is
    owned by the cubicle, so destroy_cubicle releases it with the rest
-   of its memory, and the guard table with the rest of its record. *)
-let alloc_guards t cid syms =
+   of its memory, and the guard table with the rest of its record.
+   [thunks] are the candidates, in layout order; those [cid] already
+   has an entry for are skipped. Each entry is its own 16-byte
+   privileged write. *)
+let write_guards t cid thunks =
   let g = guards_of t cid in
-  let fresh =
-    List.filter_map
-      (fun s ->
-        let thunk = Str_tbl.find t.thunks s in
-        if g.(thunk.slot) = 0 then Some thunk else None)
-      syms
-  in
-  if fresh <> [] then begin
+  let nfresh = ref 0 in
+  Array.iter (fun th -> if g.(th.slot) = 0 then incr nfresh) thunks;
+  if !nfresh > 0 then begin
     let cpu = Monitor.cpu t.mon in
-    let nsyms = List.length fresh in
-    let gpages = Hw.Addr.pages_for (nsyms * guard_entry_size) in
+    let gpages = Hw.Addr.pages_for (!nfresh * guard_entry_size) in
     let gbase =
       Monitor.alloc_owned_pages t.mon cid gpages ~kind:Mm.Page_meta.Code
         ~perm:Hw.Page_table.perm_rw
     in
     assert (gbase <> 0);
     let entry = Bytes.copy guard_template in
-    List.iteri
-      (fun i thunk ->
-        let entry_addr = gbase + (i * guard_entry_size) in
-        Bytes.set_int32_le entry jmp_disp_off (Int32.of_int (thunk.addr - entry_addr));
-        Hw.Cpu.priv_write_bytes cpu entry_addr entry;
-        g.(thunk.slot) <- entry_addr)
-      fresh;
+    let entry_addr = ref gbase in
+    Array.iter
+      (fun thunk ->
+        if g.(thunk.slot) = 0 then begin
+          Bytes.set_int32_le entry jmp_disp_off (Int32.of_int (thunk.addr - !entry_addr));
+          Hw.Cpu.priv_write_bytes cpu !entry_addr entry;
+          g.(thunk.slot) <- !entry_addr;
+          entry_addr := !entry_addr + guard_entry_size
+        end)
+      thunks;
     let gfirst = Hw.Addr.page_of gbase in
     for p = gfirst to gfirst + gpages - 1 do
       Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
     done
   end
 
-let create mon = { mon; thunks = Str_tbl.create 16; sorted_syms = None }
-
-let guard t ~syms ~cids =
+(* Guard entries for [thunks] in each listed isolated cubicle. *)
+let guard t thunks ~cids =
   List.iter
     (fun cid ->
-      if Monitor.cubicle_kind t.mon cid = Types.Isolated then alloc_guards t cid syms)
+      if Monitor.cubicle_kind t.mon cid = Types.Isolated then write_guards t cid thunks)
     cids
+
+let create mon = { mon; thunks = Str_tbl.create 16; sorted = None }
 
 let extend t ~syms ~cids =
   alloc_thunks t syms;
-  guard t ~syms ~cids
+  guard t (Array.of_list (List.map (Str_tbl.find t.thunks) syms)) ~cids
 
-let syms t =
-  match t.sorted_syms with
-  | Some l -> l
-  | None ->
-      let l = List.sort String.compare (Str_tbl.fold (fun sym _ acc -> sym :: acc) t.thunks []) in
-      t.sorted_syms <- Some l;
-      l
-
-let guard_all t ~cids = guard t ~syms:(syms t) ~cids
+let syms t = Array.to_list (Array.map (fun th -> th.sym) (sorted t))
+let guard_all t ~cids = guard t (sorted t) ~cids
 
 let thunk_addr t sym =
   match Str_tbl.find_opt t.thunks sym with

@@ -38,8 +38,9 @@ type table = {
      a range touching that page. Standing sendfile grants make the
      fault-path lookup hot; the index replaces the linear array scan
      while charging exactly what the scan would have (the inspected
-     count is recomputed as the winner's array position). *)
-  index : t list ref Int_tbl.t;
+     count is recomputed as the winner's array position). Made by
+     the first range added: most cubicles never grant a window. *)
+  mutable index : t list ref Int_tbl.t option;
 }
 
 (* Array order is [all]'s order: global, stack, heap, code. *)
@@ -62,7 +63,7 @@ let create_table ~owner ~ncubicles =
     next_wid = 1;
     arrs = Array.make 4 [];
     caps = Array.make 4 initial_capacity;
-    index = Int_tbl.create 64;
+    index = None;
   }
 
 let owner t = t.tbl_owner
@@ -118,11 +119,19 @@ let range_touches_page r p =
   Hw.Addr.page_of r.ptr <= p && p <= Hw.Addr.page_of (r.ptr + r.size - 1)
 
 let index_range table w r =
+  let index =
+    match table.index with
+    | Some index -> index
+    | None ->
+        let index = Int_tbl.create 64 in
+        table.index <- Some index;
+        index
+  in
   for p = Hw.Addr.page_of r.ptr to Hw.Addr.page_of (r.ptr + r.size - 1) do
     let key = page_key w.klass p in
-    match Int_tbl.find_opt table.index key with
+    match Int_tbl.find_opt index key with
     | Some bucket -> if not (List.memq w !bucket) then bucket := w :: !bucket
-    | None -> Int_tbl.replace table.index key (ref [ w ])
+    | None -> Int_tbl.replace index key (ref [ w ])
   done
 
 let rec any_touches_page p = function
@@ -137,16 +146,19 @@ let rec without w = function
 (* Drop [w] from the bucket of every page of [r] that no remaining
    range of [w] still touches. *)
 let unindex_range table w r =
-  for p = Hw.Addr.page_of r.ptr to Hw.Addr.page_of (r.ptr + r.size - 1) do
-    if not (any_touches_page p w.ranges) then begin
-      let key = page_key w.klass p in
-      match Int_tbl.find_opt table.index key with
-      | None -> ()
-      | Some bucket -> (
-          bucket := without w !bucket;
-          match !bucket with [] -> Int_tbl.remove table.index key | _ -> ())
-    end
-  done
+  match table.index with
+  | None -> ()
+  | Some index ->
+      for p = Hw.Addr.page_of r.ptr to Hw.Addr.page_of (r.ptr + r.size - 1) do
+        if not (any_touches_page p w.ranges) then begin
+          let key = page_key w.klass p in
+          match Int_tbl.find_opt index key with
+          | None -> ()
+          | Some bucket -> (
+              bucket := without w !bucket;
+              match !bucket with [] -> Int_tbl.remove index key | _ -> ())
+        end
+      done
 
 let add_range ?(perm = RW) table w ~ptr ~size =
   check_alive w;
@@ -273,7 +285,12 @@ let search_linear table ~klass ~addr =
    largest wid, and the charged "inspected" count is that window's
    1-based array position. *)
 let search table ~klass ~addr =
-  match Int_tbl.find_opt table.index (page_key klass (Hw.Addr.page_of addr)) with
+  let bucket =
+    match table.index with
+    | None -> None
+    | Some index -> Int_tbl.find_opt index (page_key klass (Hw.Addr.page_of addr))
+  in
+  match bucket with
   | None -> None
   | Some bucket -> (
       match List.filter (fun w -> contains w addr) !bucket with

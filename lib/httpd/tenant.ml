@@ -90,9 +90,9 @@ let web_component tenant =
     ~exports:[ { Monitor.sym = get_sym tenant; fn; stack_bytes = 0 } ]
     (web_name tenant)
 
-(* A live tenant's WEB cubicle and entry point, named once at spawn so
-   a request builds no string. *)
-type names = { web : string; get : string }
+(* A live tenant's WEB cubicle and entry point, resolved once at spawn
+   so a request builds no string and looks nothing up by name. *)
+type entry = { web : Types.cid; get : string }
 
 type t = {
   mon : Monitor.t;
@@ -100,7 +100,7 @@ type t = {
   gw : Types.cid;
   gw_req : int;
   gw_wid : Types.wid;
-  mutable live : (int * names) list;
+  mutable live : entry option array;  (* by tenant id; grown on spawn *)
 }
 
 let boot ?(protection = Types.Full) ?virtualise ?(mem_bytes = 512 * 1024 * 1024) () =
@@ -115,39 +115,51 @@ let boot ?(protection = Types.Full) ?virtualise ?(mem_bytes = 512 * 1024 * 1024)
     Monitor.run_as mon gw (fun () ->
         (Api.malloc_page_aligned ctx page, Api.window_init ctx ~klass:Mm.Page_meta.Heap))
   in
-  { mon; built; gw; gw_req; gw_wid; live = [] }
+  { mon; built; gw; gw_req; gw_wid; live = [||] }
 
 let mon t = t.mon
 let built t = t.built
-let live t = List.sort compare (List.map fst t.live)
+
+let find t i = if i >= 0 && i < Array.length t.live then t.live.(i) else None
+
+let live t =
+  List.filter
+    (fun i -> Option.is_some (find t i))
+    (List.init (Array.length t.live) Fun.id)
 
 let spawn t i =
-  if List.mem_assoc i t.live then Types.error "tenant %d is already live" i;
-  ignore
-    (Builder.spawn ~callers:[ t.gw ] t.built
-       [ (fs_component i, Types.Isolated); (web_component i, Types.Isolated) ]);
-  t.live <- (i, { web = web_name i; get = get_sym i }) :: t.live
+  if i < 0 then Types.error "tenant id %d is negative" i;
+  if Option.is_some (find t i) then Types.error "tenant %d is already live" i;
+  let fresh =
+    Builder.spawn ~callers:[ t.gw ] t.built
+      [ (fs_component i, Types.Isolated); (web_component i, Types.Isolated) ]
+  in
+  if i >= Array.length t.live then begin
+    let grown = Array.make (max (i + 1) (2 * Array.length t.live)) None in
+    Array.blit t.live 0 grown 0 (Array.length t.live);
+    t.live <- grown
+  end;
+  t.live.(i) <- Some { web = List.assoc (web_name i) fresh; get = get_sym i }
 
 let teardown t i =
-  if not (List.mem_assoc i t.live) then Types.error "tenant %d is not live" i;
+  if Option.is_none (find t i) then Types.error "tenant %d is not live" i;
   Builder.unload t.built [ web_name i; fs_name i ];
-  t.live <- List.remove_assoc i t.live
+  t.live.(i) <- None
 
 let request t ~tenant ~off ~len =
-  let names =
-    match List.assoc_opt tenant t.live with
-    | Some n -> n
+  let { web; get } =
+    match find t tenant with
+    | Some e -> e
     | None -> Types.error "tenant %d is not live" tenant
   in
   if len > page - 64 then Types.error "tenant request: %d bytes exceeds a response page" len;
   let ctx = Monitor.ctx_for t.mon t.gw in
-  let web = Monitor.lookup_cubicle t.mon names.web in
   Monitor.run_as t.mon t.gw (fun () ->
       Api.write_u32 ctx t.gw_req off;
       Api.write_u32 ctx (t.gw_req + 4) len;
       Api.window_add ctx t.gw_wid ~ptr:t.gw_req ~size:page;
       Api.window_open ctx t.gw_wid web;
-      let resp = Api.call ctx names.get [| t.gw_req |] in
+      let resp = Api.call ctx get [| t.gw_req |] in
       let total = Api.read_u32 ctx resp in
       let body = Api.read_string ctx (resp + 4) total in
       Api.window_close ctx t.gw_wid web;

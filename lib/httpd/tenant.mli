@@ -22,7 +22,8 @@ val live : t -> int list
 (** Live tenant ids, sorted. *)
 
 val spawn : t -> int -> unit
-(** Bring tenant [i]'s FS+WEB pair up. {!Cubicle.Types.Error} if already live. *)
+(** Bring tenant [i]'s FS+WEB pair up. {!Cubicle.Types.Error} if already
+    live or if [i] is negative. *)
 
 val teardown : t -> int -> unit
 (** Destroy tenant [i]'s pair: guard entries dropped, pages scrubbed and

@@ -86,53 +86,79 @@ let decode code off =
 
 type forbidden = { offset : int; what : string }
 
-let forbidden_seqs = [ ("\x0F\x01\xEF", "wrpkru"); ("\x0F\x05", "syscall") ]
-
+(* Both forbidden sequences, wrpkru = [0F 01 EF] and syscall = [0F 05],
+   start with 0x0F, so the scan jumps from one 0x0F byte to the next
+   and tests the bytes after it. Hits come out in ascending offset
+   order; the two cannot start at the same offset. *)
 let scan_forbidden code =
   let n = Bytes.length code in
-  let hits = ref [] in
-  (* one closure for the whole scan, not one per offset *)
-  let rec at off = function
-    | [] -> ()
-    | (seq, what) :: rest ->
-        let len = String.length seq in
-        if off + len <= n then begin
-          let matches = ref true in
-          for i = 0 to len - 1 do
-            if Bytes.get code (off + i) <> seq.[i] then matches := false
-          done;
-          if !matches then hits := { offset = off; what } :: !hits
-        end;
-        at off rest
+  let rec from off acc =
+    match Bytes.index_from_opt code off '\x0F' with
+    | None -> List.rev acc
+    | Some i ->
+        let byte k = if i + k < n then Bytes.get code (i + k) else '\x00' in
+        let acc =
+          match (byte 1, byte 2) with
+          | '\x01', '\xEF' -> { offset = i; what = "wrpkru" } :: acc
+          | '\x05', _ -> { offset = i; what = "syscall" } :: acc
+          | _ -> acc
+        in
+        from (i + 1) acc
   in
-  for off = n - 1 downto 0 do
-    at off forbidden_seqs
-  done;
-  !hits
+  from 0 []
 
 (* A cheap deterministic PRNG so synthesized images are stable across
-   runs (benchmark reproducibility). *)
+   runs (benchmark reproducibility). The mask binds to the constant,
+   not the sum ([12345 land 0x3FFFFFFF] is 12345), so the state is the
+   whole wrapped product plus 12345. Kept exactly as written: every
+   synthesized image derives from it. *)
+let lcg seed = (seed * 1103515245) + 12345 land 0x3FFFFFFF
+let lcg_out seed = (seed lsr 7) land 0xFFFFFF
+
+(* The generator's six choices, by [lcg_out mod 6]: Nop, Mov_imm,
+   Load, Store, Add, Call. Their opcode bytes, encoded lengths, and
+   how many more LCG draws each takes for its operands. *)
+let synth_opcode = "\x90\xB8\x8B\x89\x01\xE8"
+let synth_length = "\001\006\006\006\003\005"
+let synth_draws = "\000\002\002\002\002\001"
+
+(* Encodes the [n] remaining pseudo-random instructions into [buf] at
+   [pos], then [Ret]; returns the end position. [buf] needs 6 bytes
+   per instruction plus one. The choice is random, so a branch on it
+   would mispredict about every other instruction: instead each step
+   draws all three LCG values any choice could use and writes the
+   union of the two operand layouts, [op reg imm32] and [op rel32]:
+   - Mov_imm, Load, Store: the register is the third draw, the
+     immediate the second;
+   - Add: [op r1 r2] is the first three bytes of [op reg imm32], with
+     r1 the third draw and r2 the second (the immediate's low byte);
+   - Call: the displacement is the second draw;
+   - Nop: the opcode alone.
+   Bytes past an instruction's length are overwritten by the next one,
+   and the state moves on by exactly the draws the choice used, so the
+   stream is the one the generator has always produced. Registers are
+   masked to 0x0E and immediates to 0x0E0E0E, so no operand byte is
+   0x0F and the image holds no forbidden sequence. *)
+let rec synth_from buf seed pos n =
+  if n = 0 then begin
+    Bytes.set buf pos '\xC3';
+    pos + 1
+  end
+  else
+    let s1 = lcg seed in
+    let k = lcg_out s1 mod 6 in
+    let s2 = lcg s1 in
+    let s3 = lcg s2 in
+    Bytes.set buf (pos + 1) (Char.unsafe_chr (lcg_out s3 land 0x0E));
+    Bytes.set_int32_le buf (pos + 2 - (k / 5)) (Int32.of_int (lcg_out s2 land 0x0E0E0E));
+    Bytes.set buf pos (String.unsafe_get synth_opcode k);
+    let draws = Char.code (String.unsafe_get synth_draws k) in
+    (* s1, s2 or s3 for 0, 1 or 2 draws; wrapping arithmetic keeps it
+       exact *)
+    let seed = s1 + ((s2 - s1) * (draws land 1)) + ((s3 - s1) * (draws lsr 1)) in
+    synth_from buf seed (pos + Char.code (String.unsafe_get synth_length k)) (n - 1)
+
 let synth_code ?(ops = 256) name =
-  let seed = ref (Hashtbl.hash name land 0x3FFFFFFF) in
-  let next () =
-    seed := (!seed * 1103515245) + 12345 land 0x3FFFFFFF;
-    (!seed lsr 7) land 0xFFFFFF
-  in
-  let rec gen n acc =
-    if n = 0 then List.rev (Ret :: acc)
-    else
-      let i =
-        (* Immediates are masked so they cannot contain a 0x0F byte,
-           keeping synthesized images free of forbidden sequences. *)
-        let imm () = next () land 0x0E0E0E in
-        match next () mod 6 with
-        | 0 -> Nop
-        | 1 -> Mov_imm (next () land 0x0E, imm ())
-        | 2 -> Load (next () land 0x0E, imm ())
-        | 3 -> Store (next () land 0x0E, imm ())
-        | 4 -> Add (next () land 0x0E, next () land 0x0E)
-        | _ -> Call (imm ())
-      in
-      gen (n - 1) (i :: acc)
-  in
-  assemble (gen ops [])
+  let buf = Bytes.create ((6 * ops) + 1) in
+  let len = synth_from buf (Hashtbl.hash name land 0x3FFFFFFF) 0 ops in
+  Bytes.sub buf 0 len

@@ -138,3 +138,18 @@ module Mem = struct
   let blit t ~src ~dst ~len = check t src len; check t dst len; Bytes.blit t src t dst len
   let fill t a len c = check t a len; Bytes.fill t a len c
 end
+
+(* The loader's forbidden-sequence scan as it stood before it skipped
+   from one 0x0F byte to the next: test every sequence at every
+   offset. [Hw.Instr.scan_forbidden] must report the same hits in the
+   same (ascending) order. *)
+let scan_forbidden code =
+  let seqs = [ ("\x0F\x01\xEF", "wrpkru"); ("\x0F\x05", "syscall") ] in
+  let n = Bytes.length code in
+  let at off (seq, what) =
+    let len = String.length seq in
+    if off + len <= n && Bytes.sub_string code off len = seq then
+      Some { Hw.Instr.offset = off; what }
+    else None
+  in
+  List.concat_map (fun off -> List.filter_map (at off) seqs) (List.init n Fun.id)

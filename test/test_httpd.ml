@@ -296,7 +296,20 @@ let test_tenant_teardown_errors () =
   check_bool "request to dead tenant rejected" true
     (match Httpd.Tenant.request sys ~tenant:1 ~off:0 ~len:8 with
     | _ -> false
-    | exception Types.Error _ -> true)
+    | exception Types.Error _ -> true);
+  let rejected f = match f () with _ -> false | exception Types.Error _ -> true in
+  check_bool "negative id rejected" true
+    (rejected (fun () -> Httpd.Tenant.spawn sys (-1)));
+  check_bool "request past every id rejected" true
+    (rejected (fun () -> Httpd.Tenant.request sys ~tenant:1000 ~off:0 ~len:8));
+  check_bool "teardown past every id rejected" true
+    (rejected (fun () -> Httpd.Tenant.teardown sys 1000));
+  (* ids need not be dense: the table grows to fit *)
+  Httpd.Tenant.spawn sys 40;
+  Alcotest.(check (list int)) "live" [ 40 ] (Httpd.Tenant.live sys);
+  Alcotest.(check string) "tenant 40 serves"
+    (Httpd.Tenant.expected ~tenant:40 ~off:3 ~len:20)
+    (Httpd.Tenant.request sys ~tenant:40 ~off:3 ~len:20)
 
 let test_tenant_pressure_past_16_keys () =
   (* 12 tenants = 25 isolated cubicles over 14 physical tags: every

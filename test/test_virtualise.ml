@@ -182,6 +182,42 @@ let test_failed_spawns_leak_nothing () =
       Api.write_u8 ctx b 42;
       check_int "respawned cubicle works" 42 (Api.read_u8 ctx b))
 
+(* A batch spawn is all-or-nothing: when a later component fails to
+   load, the earlier ones of the same call are unloaded again (pages,
+   exports, cid, name, key), so a retry succeeds. *)
+let test_failed_batch_spawn_unloads_batch () =
+  let mon =
+    Monitor.create ~virtualise:true ~protection:Types.Full ~mem_bytes:(8 * 1024 * 1024) ()
+  in
+  let built =
+    Builder.build mon [ (Builder.component ~heap_pages:2 "GW", Types.Isolated) ]
+  in
+  let gw = Builder.cid built "GW" in
+  let a =
+    Builder.component ~heap_pages:2
+      ~exports:[ { Monitor.sym = "a_fn"; fn = (fun _ a -> a.(0) + 1); stack_bytes = 0 } ]
+      "A"
+  in
+  let b heap_pages = Builder.component ~heap_pages "B" in
+  let free0 = Monitor.free_page_count mon in
+  let n0 = Monitor.ncubicles mon in
+  (match
+     Builder.spawn ~callers:[ gw ] built
+       [ (a, Types.Isolated); (b 1_000_000, Types.Isolated) ]
+   with
+  | _ -> Alcotest.fail "oversized spawn unexpectedly succeeded"
+  | exception (Types.Error _ | Mm.Suballoc.Exhausted) -> ());
+  check_int "no cubicles left behind" n0 (Monitor.ncubicles mon);
+  check_int "no pages leaked" free0 (Monitor.free_page_count mon);
+  check_bool "A unloaded" false (Monitor.cubicle_exists mon "A");
+  check_bool "a_fn unregistered" false (Monitor.has_export mon "a_fn");
+  let fresh =
+    Builder.spawn ~callers:[ gw ] built [ (a, Types.Isolated); (b 2, Types.Isolated) ]
+  in
+  check_int "retry loads both" 2 (List.length fresh);
+  check_int "a_fn callable" 42
+    (Monitor.run_as mon gw (fun () -> Monitor.call mon ~caller:gw "a_fn" [| 41 |]))
+
 (* Keymux.free at teardown must scrub the freed tag from every core's
    PKRU still caching it: a register narrowed on another core would
    otherwise retain access to whatever cubicle next gets the tag. This
@@ -580,6 +616,8 @@ let () =
         [
           Alcotest.test_case "failed spawns leak nothing" `Quick
             test_failed_spawns_leak_nothing;
+          Alcotest.test_case "failed batch spawn unloads the batch" `Quick
+            test_failed_batch_spawn_unloads_batch;
           Alcotest.test_case "teardown scrubs cores" `Quick
             (test_teardown_scrubs_core_registers ~virtualise:true);
           Alcotest.test_case "teardown scrubs cores (pinned)" `Quick
