@@ -871,6 +871,42 @@ let hw_rows () =
               Httpd.Tenant.teardown sys 1;
               Httpd.Tenant.spawn sys 1
             done ));
+    (* Window-op churn on a standing window: open it for BAR, grant one
+       more page, close it, then retire that page again so the window
+       stays the same size. Four monitor window services per round and
+       no fault, so this is the host cost of the window-op layer. *)
+    hw_measure ~name:"window_churn" (fun () ->
+        let mon, ctx, _foo, bar, _buf, wid =
+          foo_bar_rig ~sym:"bar_fn" (fun _ _ -> 0)
+        in
+        let page = Api.malloc_page_aligned ctx Hw.Addr.page_size in
+        ( mon,
+          fun () ->
+            for _ = 1 to 20_000 do
+              Api.window_open ctx wid bar;
+              Api.window_add ctx wid ~ptr:page ~size:Hw.Addr.page_size;
+              Api.window_close ctx wid bar;
+              Api.window_remove ctx wid ~ptr:page
+            done ));
+    (* LWIP's per-segment cycle, run as the isolated LWIP cubicle of the
+       network stack: a pbuf page from ALLOC, a window over it opened
+       read-only for NETDEV and destroyed again, the page freed. *)
+    hw_measure ~name:"pbuf_churn" (fun () ->
+        let sys = Libos.Boot.net_stack () in
+        let mon = sys.Libos.Boot.mon in
+        let ctx = Libos.Boot.app_ctx sys "LWIP" in
+        let netdev = Monitor.lookup_cubicle mon "NETDEV" in
+        ( mon,
+          fun () ->
+            Monitor.run_as mon (Api.self ctx) (fun () ->
+                for _ = 1 to 5_000 do
+                  let pbuf = Api.call ctx "uk_palloc" [| 1 |] in
+                  let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
+                  Api.window_add ctx ~perm:Window.R wid ~ptr:pbuf ~size:Hw.Addr.page_size;
+                  Api.window_open ctx wid netdev;
+                  Api.window_destroy ctx wid;
+                  ignore (Api.call ctx "uk_pfree" [| pbuf |])
+                done) ));
   ]
 
 let hw_write_json path rows =

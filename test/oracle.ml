@@ -153,3 +153,73 @@ let scan_forbidden code =
     else None
   in
   List.concat_map (fun off -> List.filter_map (at off) seqs) (List.init n Fun.id)
+
+(* The monitor's window and page-run bookkeeping, kept the slow, obvious
+   way: every window with its ranges (newest first) and its grantee
+   list, every [alloc_pages] run, and the free page count. A state
+   machine test drives the monitor and this model side by side; the
+   model says which services must fail, and the monitor's grant index,
+   [is_open_for] and free page count must equal the model's after every
+   step. *)
+module Grants = struct
+  type window = {
+    owner : int;
+    wid : int;
+    mutable ranges : (int * int) list;  (* (ptr, size), newest first *)
+    mutable opened : int list;
+    mutable alive : bool;
+  }
+
+  type t = {
+    mutable windows : window list;  (* destroyed ones too, to provoke stale wids *)
+    mutable runs : (int * int * int) list;  (* (owner, base page, npages) *)
+    mutable free_pages : int;
+  }
+
+  let create ~free_pages = { windows = []; runs = []; free_pages }
+  let init t ~owner ~wid = t.windows <- { owner; wid; ranges = []; opened = []; alive = true } :: t.windows
+  let add w ~ptr ~size = w.ranges <- (ptr, size) :: w.ranges
+  let open_for w peer = if not (List.mem peer w.opened) then w.opened <- peer :: w.opened
+  let close_for w peer = w.opened <- List.filter (( <> ) peer) w.opened
+  let close_all w = w.opened <- []
+
+  (* Drops the newest range rooted at [ptr]; false if there is none. *)
+  let remove w ~ptr =
+    let rec drop = function
+      | [] -> None
+      | (p, _) :: rest when p = ptr -> Some rest
+      | r :: rest -> Option.map (fun rest -> r :: rest) (drop rest)
+    in
+    match drop w.ranges with
+    | Some ranges ->
+        w.ranges <- ranges;
+        true
+    | None -> false
+
+  let destroy w =
+    w.alive <- false;
+    w.ranges <- [];
+    w.opened <- []
+
+  let alloc t ~owner ~page ~n =
+    t.runs <- (owner, page, n) :: t.runs;
+    t.free_pages <- t.free_pages - n
+
+  (* Frees the run based at [page] if [owner] allocated it; false
+     otherwise. *)
+  let free t ~owner ~page =
+    match List.find_opt (fun (o, p, _) -> o = owner && p = page) t.runs with
+    | Some ((_, _, n) as run) ->
+        t.runs <- List.filter (( != ) run) t.runs;
+        t.free_pages <- t.free_pages + n;
+        true
+    | None -> false
+
+  let runs_of t owner = List.filter (fun (o, _, _) -> o = owner) t.runs
+
+  (* The (owner, wid) of every live window open for [cid], ascending. *)
+  let open_for_cid t cid =
+    List.filter (fun w -> w.alive && List.mem cid w.opened) t.windows
+    |> List.map (fun w -> (w.owner, w.wid))
+    |> List.sort compare
+end
