@@ -47,7 +47,7 @@ let seed_from_monitor t mon =
                   (fun (r : Window.range) ->
                     { r_ptr = r.ptr; r_size = r.size; r_rw = r.perm = Window.RW })
                   w.Window.ranges;
-              opened = ISet.of_list (Bitset.elements w.Window.opened);
+              opened = ISet.of_list w.Window.opened;
               alive = true;
             })
         (Window.live_windows (Monitor.windows_of mon cid)))

@@ -2,8 +2,9 @@
 
     Each cubicle has three window descriptor arrays — for global, stack
     and heap data (paper §5.3). A descriptor holds a set of memory
-    ranges owned by the cubicle and a bitmask of cubicles the window is
-    currently open for. Window 0 is implicit (a cubicle always accesses
+    ranges owned by the cubicle and the ascending list of cubicles the
+    window is currently open for (grantees are few; a bitmask over the
+    whole cid space cost a word per 63 cids per window). Window 0 is implicit (a cubicle always accesses
     its own memory) and is not represented here.
 
     The monitor's trap-and-map handler looks up the faulting page in a
@@ -30,7 +31,8 @@ type t = private {
   owner : Types.cid;
   klass : Mm.Page_meta.kind;  (** which descriptor array it lives in *)
   mutable ranges : range list;
-  mutable opened : Bitset.t;
+  mutable opened : Types.cid list;  (** grantees, ascending *)
+  universe : int;  (** the table's [ncubicles]: grantees are below it *)
   mutable alive : bool;
   mutable dedicated_key : int option;
       (** the window's own MPK tag, when the deployment opted into
@@ -60,6 +62,10 @@ val add_range : ?perm:perm -> table -> t -> ptr:int -> size:int -> unit
 (** Adds a grant and enters its pages into the table's page index.
     [perm] defaults to [RW] (the paper's all-or-nothing grant). *)
 
+val range_at : t -> ptr:int -> range
+(** The newest range rooted at [ptr]. Raises {!Types.Error} if there is
+    none. *)
+
 val downgrade_range : t -> ptr:int -> unit
 (** Downgrade the (newest) grant rooted at [ptr] to [R] in place.
     Downgrading is always safe for the peer — it can only lose write
@@ -74,6 +80,9 @@ val remove_range : table -> t -> ptr:int -> unit
     range starts at [ptr]. *)
 
 val open_for : t -> Types.cid -> unit
+(** Raises [Invalid_argument] for a cid outside the table's
+    [ncubicles], as {!close_for} and {!is_open_for} do. *)
+
 val close_for : t -> Types.cid -> unit
 val close_all : t -> unit
 val destroy : table -> t -> unit

@@ -152,7 +152,7 @@ let denied page (access : Fault.access) key reason =
 let check_page t page (access : Fault.access) : Fault.t option =
   let key = Page_table.key t.pt page in
   if not (Page_table.present t.pt page) then denied page access key Fault.Not_present
-  else if not (Page_table.allows (Page_table.perm t.pt page) access) then
+  else if not (Page_table.allows t.pt page access) then
     denied page access key Fault.Page_perm
   else if not t.mpk_enabled then None
   else

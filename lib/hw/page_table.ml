@@ -12,7 +12,6 @@ let perm_x = { r = false; w = false; x = true }
 type t = { entries : int array; mutable on_change : int -> unit }
 
 let create npages = { entries = Array.make npages 0; on_change = ignore }
-let npages t = Array.length t.entries
 let set_hook t f = t.on_change <- f
 
 let check t p =
@@ -49,5 +48,6 @@ let set_key t p k =
   t.entries.(p) <- t.entries.(p) land lnot 0xF0 lor (k lsl 4);
   t.on_change p
 
-let allows p (a : Fault.access) =
-  match a with Fault.Read -> p.r | Fault.Write -> p.w | Fault.Exec -> p.x
+let allows t p (a : Fault.access) =
+  check t p;
+  t.entries.(p) land (match a with Fault.Read -> 2 | Fault.Write -> 4 | Fault.Exec -> 8) <> 0

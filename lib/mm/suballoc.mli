@@ -26,6 +26,5 @@ val free : t -> int -> unit
 
 val block_size : t -> int -> int option
 val used_bytes : t -> int
-val base : t -> int
 val size : t -> int
 val live_blocks : t -> int

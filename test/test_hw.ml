@@ -87,12 +87,25 @@ let test_page_table () =
 
 let test_page_table_allows () =
   let open Hw.Page_table in
-  check_bool "rw allows read" true (allows perm_rw Hw.Fault.Read);
-  check_bool "rw allows write" true (allows perm_rw Hw.Fault.Write);
-  check_bool "rw denies exec" false (allows perm_rw Hw.Fault.Exec);
-  check_bool "x allows exec" true (allows perm_x Hw.Fault.Exec);
-  check_bool "x denies read" false (allows perm_x Hw.Fault.Read);
-  check_bool "r denies write" false (allows perm_r Hw.Fault.Write)
+  let pt = create 3 in
+  List.iteri (set_perm pt) [ perm_rw; perm_x; perm_r ];
+  check_bool "rw allows read" true (allows pt 0 Hw.Fault.Read);
+  check_bool "rw allows write" true (allows pt 0 Hw.Fault.Write);
+  check_bool "rw denies exec" false (allows pt 0 Hw.Fault.Exec);
+  check_bool "x allows exec" true (allows pt 1 Hw.Fault.Exec);
+  check_bool "x denies read" false (allows pt 1 Hw.Fault.Read);
+  check_bool "r denies write" false (allows pt 2 Hw.Fault.Write);
+  (* the in-place bit test agrees with the decoded record, all eight
+     permissions, present or not and under any key *)
+  for bits = 0 to 7 do
+    let p = { r = bits land 1 <> 0; w = bits land 2 <> 0; x = bits land 4 <> 0 } in
+    set_perm pt 1 p;
+    set_key pt 1 bits;
+    set_present pt 1 (bits land 1 = 0);
+    List.iter
+      (fun (a, allowed) -> check_bool "agrees with perm" allowed (allows pt 1 a))
+      [ (Hw.Fault.Read, p.r); (Hw.Fault.Write, p.w); (Hw.Fault.Exec, p.x) ]
+  done
 
 (* --- Phys_mem ------------------------------------------------------------ *)
 
