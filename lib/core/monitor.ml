@@ -645,7 +645,7 @@ let free_pages t cid base =
      the key write is paid on free as well *)
   let page = Hw.Addr.page_of base in
   let c = get t cid in
-  match freeable_run page c.runs with
+  match if Hw.Addr.align_down base = base then freeable_run page c.runs else None with
   | None -> (
       match Mm.Page_meta.owner t.meta page with
       | Some owner when owner <> cid ->

@@ -284,6 +284,21 @@ let test_hybrid_cheaper_for_hot_window () =
   check_bool "dedicated tag wins for ping-pong access" true
     (hot_cycles true < hot_cycles false)
 
+(* free_pages takes exactly the base alloc_pages returned: an address
+   inside the run's first page is refused and frees nothing. *)
+let test_free_pages_interior_refused () =
+  let mon, foo, _ = mk_system () in
+  let base = Monitor.alloc_pages mon foo 2 ~kind:Mm.Page_meta.Heap in
+  let free_before = Monitor.free_page_count mon in
+  check_bool "interior address refused" true
+    (match Monitor.free_pages mon foo (base + 8) with
+    | () -> false
+    | exception Types.Error _ -> true);
+  check_int "no page freed" free_before (Monitor.free_page_count mon);
+  check_bool "run still owned" true (Monitor.page_owner mon (Hw.Addr.page_of base) = Some foo);
+  Monitor.free_pages mon foo base;
+  check_int "base frees the run" (free_before + 2) (Monitor.free_page_count mon)
+
 let () =
   Alcotest.run "ablation"
     [
@@ -317,4 +332,6 @@ let () =
           Alcotest.test_case "failed close: unknown window" `Quick
             test_dedicated_close_unknown_window_silent;
         ] );
+      ( "page runs",
+        [ Alcotest.test_case "interior base refused" `Quick test_free_pages_interior_refused ] );
     ]
