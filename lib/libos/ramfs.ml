@@ -11,14 +11,14 @@ type file = {
 
 type state = {
   by_name : (string, file) Hashtbl.t;
-  by_ino : (int, file) Hashtbl.t;
+  by_ino : file Mm.Int_tbl.t;
   mutable next_ino : int;
   (* zero-copy sendfile: one standing heap window carrying every chunk
      page granted to the network stack, created lazily on the first
      sendfile. [granted] tracks the chunk addresses currently in the
      window so each page is granted once and revoked before free. *)
   mutable sf_wid : int;  (* -1 until the first sendfile *)
-  granted : (int, unit) Hashtbl.t;
+  granted : unit Mm.Int_tbl.t;
 }
 
 let read_path ctx ptr len = Api.read_string ctx ptr len
@@ -50,11 +50,11 @@ let create_fn state ctx (args : int array) =
       state.next_ino <- ino + 1;
       let f = { ino; name = path; size = 0; chunks = [||] } in
       Hashtbl.replace state.by_name path f;
-      Hashtbl.replace state.by_ino ino f;
+      Mm.Int_tbl.replace state.by_ino ino f;
       ino
 
 let with_ino state ino f =
-  match Hashtbl.find_opt state.by_ino ino with None -> Sysdefs.ebadf | Some file -> f file
+  match Mm.Int_tbl.find_opt state.by_ino ino with None -> Sysdefs.ebadf | Some file -> f file
 
 (* Copy [len] bytes between a caller buffer and file chunks, one chunk
    piece at a time, through the shared-cubicle memcpy. *)
@@ -109,9 +109,9 @@ let size_fn state _ctx (args : int array) = with_ino state args.(0) (fun f -> f.
    to the allocator: a freed page must never stay reachable through a
    standing window. *)
 let revoke_chunk state ctx addr =
-  if state.sf_wid >= 0 && Hashtbl.mem state.granted addr then begin
+  if state.sf_wid >= 0 && Mm.Int_tbl.mem state.granted addr then begin
     Api.window_remove ctx state.sf_wid ~ptr:addr;
-    Hashtbl.remove state.granted addr
+    Mm.Int_tbl.remove state.granted addr
   end
 
 (* Zero-copy sendfile: grant the chunk pages backing [off, off+len) to
@@ -140,8 +140,8 @@ let sendfile_fn state ctx (args : int array) =
           let fresh = ref [] in
           for ci = first to last do
             let addr = file.chunks.(ci) in
-            if not (Hashtbl.mem state.granted addr) then begin
-              Hashtbl.replace state.granted addr ();
+            if not (Mm.Int_tbl.mem state.granted addr) then begin
+              Mm.Int_tbl.replace state.granted addr ();
               fresh := (addr, chunk_size) :: !fresh
             end
           done;
@@ -217,7 +217,7 @@ let unlink_fn state ctx (args : int array) =
           end)
         file.chunks;
       Hashtbl.remove state.by_name path;
-      Hashtbl.remove state.by_ino file.ino;
+      Mm.Int_tbl.remove state.by_ino file.ino;
       Sysdefs.ok
 
 let rename_fn state ctx (args : int array) =
@@ -236,7 +236,7 @@ let rename_fn state ctx (args : int array) =
                 ignore (Api.call ctx "uk_pfree" [| addr |])
               end)
             target.chunks;
-          Hashtbl.remove state.by_ino target.ino
+          Mm.Int_tbl.remove state.by_ino target.ino
       | _ -> ());
       Hashtbl.remove state.by_name old_path;
       file.name <- new_path;
@@ -251,10 +251,10 @@ let make ?(sendfile = false) () =
   let state =
     {
       by_name = Hashtbl.create 64;
-      by_ino = Hashtbl.create 64;
+      by_ino = Mm.Int_tbl.create 64;
       next_ino = 1;
       sf_wid = -1;
-      granted = Hashtbl.create 64;
+      granted = Mm.Int_tbl.create 64;
     }
   in
   (* when the sendfile path is compiled in, every chunk free first
@@ -350,4 +350,4 @@ let make ?(sendfile = false) () =
   (state, comp)
 
 let file_count state = Hashtbl.length state.by_name
-let total_bytes state = Hashtbl.fold (fun _ f acc -> acc + f.size) state.by_ino 0
+let total_bytes state = Mm.Int_tbl.fold (fun _ f acc -> acc + f.size) state.by_ino 0

@@ -36,7 +36,7 @@ type open_file = { ino : int }
 
 type state = {
   mutable backend : backend option;
-  fds : (int, open_file) Hashtbl.t;
+  fds : open_file Mm.Int_tbl.t;
   mutable next_fd : int;
   mutable free_fds : int list;  (* closed fds, reused before next_fd grows *)
   mutable path_buf : int;  (* two half-page staging slots *)
@@ -112,16 +112,16 @@ let open_fn state ctx (args : int array) =
           state.next_fd <- state.next_fd + 1;
           fd
     in
-    Hashtbl.replace state.fds fd { ino };
+    Mm.Int_tbl.replace state.fds fd { ino };
     fd
   end
 
 let with_fd state fd f =
-  match Hashtbl.find_opt state.fds fd with None -> Sysdefs.ebadf | Some o -> f o
+  match Mm.Int_tbl.find_opt state.fds fd with None -> Sysdefs.ebadf | Some o -> f o
 
 let close_fn state _ctx (args : int array) =
-  if Hashtbl.mem state.fds args.(0) then begin
-    Hashtbl.remove state.fds args.(0);
+  if Mm.Int_tbl.mem state.fds args.(0) then begin
+    Mm.Int_tbl.remove state.fds args.(0);
     state.free_fds <- args.(0) :: state.free_fds;
     Sysdefs.ok
   end
@@ -257,7 +257,7 @@ let component ?(backend = "ramfs") ?(sendfile = false) () =
   let state =
     {
       backend = None;
-      fds = Hashtbl.create 32;
+      fds = Mm.Int_tbl.create 32;
       next_fd = 3;
       free_fds = [];
       path_buf = 0;

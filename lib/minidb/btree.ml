@@ -45,28 +45,25 @@ let node_kind b =
   | (1 | 2) as k -> k
   | k -> Types.error "btree: bad node kind %d" k
 
-(* Offset just past the last entry of a leaf image. *)
-let leaf_end b =
-  let pos = ref header in
-  for _ = 1 to nkeys b do
-    pos := !pos + entry_len b !pos
-  done;
-  !pos
-
-(* Offset of the first leaf entry whose key is >= [key], or the end. *)
-let leaf_seek b key =
+(* One walk over a leaf image: the offset of the first entry whose key
+   is >= [key] (the end if there is none), the offset just past the
+   last entry, and whether the entry at the first offset holds [key]. *)
+let leaf_locate b key =
   let n = nkeys b in
-  let rec go i pos =
-    if i = n || Bytes.get_int64_le b pos >= key then pos else go (i + 1) (pos + entry_len b pos)
+  let rec past i pos = if i = n then pos else past (i + 1) (pos + entry_len b pos) in
+  let rec seek i pos =
+    if i = n then (pos, pos, false)
+    else
+      let k = Bytes.get_int64_le b pos in
+      if k >= key then (pos, past i pos, k = key) else seek (i + 1) (pos + entry_len b pos)
   in
-  go 0 header
+  seek 0 header
 
 (* Payload of [key] in a leaf image; only that payload is copied out. *)
 let leaf_find b key =
-  let pos = leaf_seek b key in
-  if pos < leaf_end b && Bytes.get_int64_le b pos = key then
-    Some (Bytes.sub_string b (pos + 10) (entry_len b pos - 10))
-  else None
+  match leaf_locate b key with
+  | pos, _, true -> Some (Bytes.sub_string b (pos + 10) (entry_len b pos - 10))
+  | _ -> None
 
 (* Index of the child for [key] in an interior image: the number of
    separators <= key, by binary search. *)
@@ -154,8 +151,8 @@ let find t key = descend t key (fun _ b -> leaf_find b key)
 
 let delete t key =
   descend t key (fun pageno b ->
-      let stop = leaf_end b and pos = leaf_seek b key in
-      if pos < stop && Bytes.get_int64_le b pos = key then begin
+      let pos, stop, found = leaf_locate b key in
+      if found then begin
         let old = entry_len b pos in
         Pager.write_page_image t.pager pageno ~len:(stop - old) (fun b ->
             Bytes.blit b (pos + old) b pos (stop - pos - old);
@@ -184,8 +181,7 @@ type insert_step = Fit | Split of leaf | Descend of bytes * int
 (* Insert or replace in the leaf image, editing it in place, if the
    result fits the page; otherwise hand back the decoded leaf. *)
 let insert_in_leaf t pageno b ~key ~payload =
-  let stop = leaf_end b and pos = leaf_seek b key in
-  let found = pos < stop && Bytes.get_int64_le b pos = key in
+  let pos, stop, found = leaf_locate b key in
   let old = if found then entry_len b pos else 0 in
   let plen = String.length payload in
   let len = stop - old + 10 + plen in

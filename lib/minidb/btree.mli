@@ -38,3 +38,8 @@ val iter_all : t -> (int64 -> string -> unit) -> unit
 val min_key : t -> int64 option
 val max_key : t -> int64 option
 val depth : t -> int
+
+val leaf_locate : bytes -> int64 -> int * int * bool
+(** [leaf_locate image key] on a leaf page image: the offset of the first
+    entry whose key is >= [key] (the end if none), the offset just past
+    the last entry, and whether the entry at the first offset holds [key]. *)

@@ -8,12 +8,15 @@ let wal_record = 4 + page_size  (* [pageno u32][page data] *)
 let wal_autocheckpoint = 1000  (* records *)
 
 type frame = {
+  id : int;  (* index in [pool] and in the LRU links *)
   addr : int;
-  mutable pageno : int;
+  mutable pageno : int;  (* -1 while spare *)
   mutable dirty : bool;
-  mutable last_used : int;
   mutable pins : int;
 }
+
+(* The empty slot of [slots] and [pool]. *)
+let none = { id = -1; addr = 0; pageno = -1; dirty = false; pins = 0 }
 
 type stats = {
   mutable hits : int;
@@ -32,20 +35,20 @@ type t = {
   mode : journal_mode;
   mutable wal_fd : int;
   wal_path : string;
-  wal_index : (int, int) Hashtbl.t;  (* pageno -> offset of newest wal copy *)
+  wal_index : int Mm.Int_tbl.t;  (* pageno -> offset of newest wal copy *)
   mutable wal_off : int;  (* append cursor *)
   mutable txn_wal_start : int;
   fd : int;
   cache_pages : int;
-  frames : (int, frame) Hashtbl.t;  (* pageno -> frame *)
-  lru_tick : (int, int) Hashtbl.t;  (* tick -> pageno touched at that tick *)
-  mutable lru_floor : int;  (* no live entry below this tick *)
-  mutable free_frames : int list;  (* spare buffers *)
+  mutable slots : frame array;  (* pageno -> its cached frame, or [none] *)
+  pool : frame array;  (* id -> frame; ids from [allocated_frames] up are [none] *)
+  lru_next : int array;  (* id -> the next colder frame's id *)
+  lru_prev : int array;  (* id -> the next hotter frame's id *)
+  mutable free_frames : frame list;  (* spare frames *)
   mutable allocated_frames : int;
-  mutable tick : int;
   mutable npages : int;
   mutable txn : bool;
-  journaled : (int, unit) Hashtbl.t;
+  journaled : unit Mm.Int_tbl.t;
   mutable jfd : int;
   mutable joff : int;
   mutable txn_orig_npages : int;
@@ -57,7 +60,9 @@ type t = {
 
 let stats t = t.st
 let page_count t = t.npages
-let cached_pages t = List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) t.frames [])
+let cached_pages t =
+  Array.fold_left (fun acc f -> if f.pageno < 0 then acc else f.pageno :: acc) [] t.pool
+  |> List.sort compare
 let in_txn t = t.txn
 let ctx t = t.os.Os_iface.ctx
 
@@ -75,12 +80,12 @@ let open_db ?(cache_pages = 64) ?(journal_mode = Rollback) (os : Os_iface.t) ~pa
   let wal_path = path ^ "-wal" in
   let wal_fd, wal_off, wal_index, wal_max_page =
     match journal_mode with
-    | Rollback -> (-1, 0, Hashtbl.create 1, -1)
+    | Rollback -> (-1, 0, Mm.Int_tbl.create 1, -1)
     | Wal ->
         let wfd = os.open_file wal_path ~create:true in
         if wfd < 0 then Types.error "pager: cannot open WAL (%d)" wfd;
         (* recover: rebuild the index from any records left behind *)
-        let index = Hashtbl.create 64 in
+        let index = Mm.Int_tbl.create 64 in
         let wsize = os.file_size wfd in
         let max_page = ref (-1) in
         let off = ref 0 in
@@ -88,12 +93,14 @@ let open_db ?(cache_pages = 64) ?(journal_mode = Rollback) (os : Os_iface.t) ~pa
           let n = os.pread ~fd:wfd ~buf:scratch ~len:4 ~off:!off in
           if n <> 4 then Types.error "pager: corrupt WAL header";
           let pageno = Api.read_u32 os.ctx scratch in
-          Hashtbl.replace index pageno !off;
+          Mm.Int_tbl.replace index pageno !off;
           if pageno > !max_page then max_page := pageno;
           off := !off + wal_record
         done;
         (wfd, !off, index, !max_page)
   in
+  let cache_pages = max 4 cache_pages in
+  let npages = max ((size + page_size - 1) / page_size) (wal_max_page + 1) in
   {
     os;
     path;
@@ -105,16 +112,18 @@ let open_db ?(cache_pages = 64) ?(journal_mode = Rollback) (os : Os_iface.t) ~pa
     wal_off;
     txn_wal_start = 0;
     fd;
-    cache_pages = max 4 cache_pages;
-    frames = Hashtbl.create 128;
-    lru_tick = Hashtbl.create 128;
-    lru_floor = 1;
+    cache_pages;
+    slots = Array.make (max 64 npages) none;
+    pool = Array.make cache_pages none;
+    (* a ring through the cached frames, hottest first, closed by the
+       head entry [cache_pages] *)
+    lru_next = Array.make (cache_pages + 1) cache_pages;
+    lru_prev = Array.make (cache_pages + 1) cache_pages;
     free_frames = [];
     allocated_frames = 0;
-    tick = 0;
-    npages = max ((size + page_size - 1) / page_size) (wal_max_page + 1);
+    npages;
     txn = false;
-    journaled = Hashtbl.create 64;
+    journaled = Mm.Int_tbl.create 64;
     jfd = -1;
     joff = 0;
     txn_orig_npages = 0;
@@ -155,97 +164,105 @@ let writeback t frame =
         t.os.pwrite ~fd:t.wal_fd ~buf:frame.addr ~len:page_size ~off:(t.wal_off + 4)
       in
       if n <> page_size then Types.error "pager: WAL data write failed";
-      Hashtbl.replace t.wal_index frame.pageno t.wal_off;
+      Mm.Int_tbl.replace t.wal_index frame.pageno t.wal_off;
       t.wal_off <- t.wal_off + wal_record;
       emit_pager t Telemetry.Event.Wal_append);
   frame.dirty <- false
 
-(* LRU bookkeeping: [lru_tick] maps a tick to the page touched at that
-   tick, and a touch drops the frame's previous entry, so every cached
-   frame has exactly one live entry — at its [last_used] tick. Ticks
-   are unique and ascending, so the lowest live entry is the least
-   recently used frame: victim search walks up from [lru_floor] instead
-   of folding over the whole frame table. Entries left behind by frames
-   dropped on rollback go stale (no frame, or a frame touched since);
-   the walk deletes them as it passes. The floor only advances over
-   stale entries, never past a live-but-pinned one, so a frame skipped
-   while pinned is found again by the next search. *)
-let touch t frame =
-  Hashtbl.remove t.lru_tick frame.last_used;
-  t.tick <- t.tick + 1;
-  frame.last_used <- t.tick;
-  Hashtbl.replace t.lru_tick t.tick frame.pageno
+(* LRU bookkeeping: the cached frames form a ring through [lru_next]
+   and [lru_prev], hottest first, so a touch relinks one frame at the
+   hot end in O(1) and the victim is the first unpinned frame from the
+   cold end. The links are ints in arrays: relinking writes no pointer. *)
+let unlink t f =
+  let p = t.lru_prev.(f.id) and n = t.lru_next.(f.id) in
+  t.lru_next.(p) <- n;
+  t.lru_prev.(n) <- p
 
-let lru_victim t =
-  let rec scan k contiguous =
-    if k > t.tick then None
-    else
-      match Hashtbl.find_opt t.lru_tick k with
-      | None ->
-          if contiguous then t.lru_floor <- k + 1;
-          scan (k + 1) contiguous
-      | Some pageno -> (
-          match Hashtbl.find_opt t.frames pageno with
-          | Some f when f.last_used = k ->
-              if f.pins = 0 then Some f else scan (k + 1) false
-          | _ ->
-              Hashtbl.remove t.lru_tick k;
-              if contiguous then t.lru_floor <- k + 1;
-              scan (k + 1) contiguous)
-  in
-  scan t.lru_floor true
+let link_hot t f =
+  let head = t.cache_pages in
+  let n = t.lru_next.(head) in
+  t.lru_next.(f.id) <- n;
+  t.lru_prev.(f.id) <- head;
+  t.lru_prev.(n) <- f.id;
+  t.lru_next.(head) <- f.id
 
-(* Find a buffer for a new frame: reuse a spare, allocate a fresh one
-   while under capacity, or evict the least recently used unpinned
-   frame (spilling it if dirty). *)
-let acquire_buffer t =
+let touch t f =
+  unlink t f;
+  link_hot t f
+
+let rec lru_victim t id =
+  if id = t.cache_pages || t.pool.(id).pins = 0 then id else lru_victim t t.lru_prev.(id)
+
+(* A spare frame for a new page: a freed one, a fresh buffer while under
+   capacity, or the least recently used unpinned frame, evicted (and
+   spilled if dirty). *)
+let acquire_frame t =
   match t.free_frames with
-  | addr :: rest ->
+  | f :: rest ->
       t.free_frames <- rest;
-      addr
+      f
   | [] ->
       if t.allocated_frames < t.cache_pages then begin
-        t.allocated_frames <- t.allocated_frames + 1;
-        Api.malloc_page_aligned t.os.ctx page_size
+        let id = t.allocated_frames in
+        t.allocated_frames <- id + 1;
+        let addr = Api.malloc_page_aligned t.os.ctx page_size in
+        let f = { id; addr; pageno = -1; dirty = false; pins = 0 } in
+        t.pool.(id) <- f;
+        f
       end
       else begin
-        match lru_victim t with
-        | None -> Types.error "pager: all %d cache frames pinned" t.cache_pages
-        | Some f ->
-            if f.dirty then writeback t f;
-            Hashtbl.remove t.frames f.pageno;
-            Hashtbl.remove t.lru_tick f.last_used;
-            t.st.evictions <- t.st.evictions + 1;
-            emit_pager t Telemetry.Event.Evict;
-            f.addr
+        let id = lru_victim t t.lru_prev.(t.cache_pages) in
+        if id = t.cache_pages then Types.error "pager: all %d cache frames pinned" t.cache_pages;
+        let f = t.pool.(id) in
+        if f.dirty then writeback t f;
+        unlink t f;
+        t.slots.(f.pageno) <- none;
+        t.st.evictions <- t.st.evictions + 1;
+        emit_pager t Telemetry.Event.Evict;
+        f
       end
 
+(* Cache [f] as [pageno]'s frame, hottest. *)
+let install t f pageno ~dirty =
+  f.pageno <- pageno;
+  f.dirty <- dirty;
+  t.slots.(pageno) <- f;
+  link_hot t f
+
+(* Uncache [f] and keep it as a spare. *)
+let drop t f =
+  unlink t f;
+  t.slots.(f.pageno) <- none;
+  f.pageno <- -1;
+  f.dirty <- false;
+  t.free_frames <- f :: t.free_frames
+
 let load_frame t pageno =
-  match Hashtbl.find_opt t.frames pageno with
-  | Some f ->
-      t.st.hits <- t.st.hits + 1;
-      emit_pager t Telemetry.Event.Cache_hit;
-      touch t f;
-      f
-  | None ->
-      t.st.misses <- t.st.misses + 1;
-      emit_pager t Telemetry.Event.Cache_miss;
-      let addr = acquire_buffer t in
-      t.st.page_reads <- t.st.page_reads + 1;
-      emit_pager t Telemetry.Event.Page_read;
-      let n =
-        match
-          if t.mode = Wal then Hashtbl.find_opt t.wal_index pageno else None
-        with
-        | Some woff -> t.os.pread ~fd:t.wal_fd ~buf:addr ~len:page_size ~off:(woff + 4)
-        | None -> t.os.pread ~fd:t.fd ~buf:addr ~len:page_size ~off:(pageno * page_size)
-      in
-      (* a fresh page at EOF reads short: zero-fill the tail *)
-      if n < page_size then Api.memset t.os.ctx (addr + n) (page_size - n) '\000';
-      let f = { addr; pageno; dirty = false; last_used = 0; pins = 0 } in
-      Hashtbl.replace t.frames pageno f;
-      touch t f;
-      f
+  let f = t.slots.(pageno) in
+  if f != none then begin
+    t.st.hits <- t.st.hits + 1;
+    emit_pager t Telemetry.Event.Cache_hit;
+    touch t f;
+    f
+  end
+  else begin
+    t.st.misses <- t.st.misses + 1;
+    emit_pager t Telemetry.Event.Cache_miss;
+    let f = acquire_frame t in
+    t.st.page_reads <- t.st.page_reads + 1;
+    emit_pager t Telemetry.Event.Page_read;
+    let n =
+      match
+        if t.mode = Wal then Mm.Int_tbl.find_opt t.wal_index pageno else None
+      with
+      | Some woff -> t.os.pread ~fd:t.wal_fd ~buf:f.addr ~len:page_size ~off:(woff + 4)
+      | None -> t.os.pread ~fd:t.fd ~buf:f.addr ~len:page_size ~off:(pageno * page_size)
+    in
+    (* a fresh page at EOF reads short: zero-fill the tail *)
+    if n < page_size then Api.memset t.os.ctx (f.addr + n) (page_size - n) '\000';
+    install t f pageno ~dirty:false;
+    f
+  end
 
 let with_pinned t pageno f =
   check_pageno t pageno;
@@ -284,14 +301,14 @@ let with_page_image t pageno f =
 (* Append the current (pre-modification) content of a page to the
    rollback journal: a [pageno] header then the 4 KiB of data. *)
 let journal_page t frame =
-  if t.mode = Rollback && t.txn && not (Hashtbl.mem t.journaled frame.pageno) then begin
+  if t.mode = Rollback && t.txn && not (Mm.Int_tbl.mem t.journaled frame.pageno) then begin
     Api.write_u32 t.os.ctx t.scratch frame.pageno;
     let n = t.os.pwrite ~fd:t.jfd ~buf:t.scratch ~len:4 ~off:t.joff in
     if n <> 4 then Types.error "pager: journal header write failed";
     let n = t.os.pwrite ~fd:t.jfd ~buf:frame.addr ~len:page_size ~off:(t.joff + 4) in
     if n <> page_size then Types.error "pager: journal data write failed";
     t.joff <- t.joff + 4 + page_size;
-    Hashtbl.replace t.journaled frame.pageno ()
+    Mm.Int_tbl.replace t.journaled frame.pageno ()
   end
 
 let write_page t pageno f =
@@ -315,13 +332,14 @@ let write_page_image t pageno ~len fill =
 let allocate_page t =
   let pageno = t.npages in
   t.npages <- t.npages + 1;
+  let len = Array.length t.slots in
+  if pageno = len then
+    t.slots <- Array.init (2 * len) (fun i -> if i < len then t.slots.(i) else none);
   (* materialise a zeroed cached frame; the file grows on writeback *)
-  let addr = acquire_buffer t in
-  Api.memset t.os.ctx addr page_size '\000';
-  let f = { addr; pageno; dirty = true; last_used = 0; pins = 0 } in
-  Hashtbl.replace t.frames pageno f;
-  touch t f;
-  (if t.txn then Hashtbl.replace t.journaled pageno ());
+  let f = acquire_frame t in
+  Api.memset t.os.ctx f.addr page_size '\000';
+  install t f pageno ~dirty:true;
+  (if t.txn then Mm.Int_tbl.replace t.journaled pageno ());
   pageno
 
 let begin_txn t =
@@ -335,10 +353,11 @@ let begin_txn t =
   | Wal -> t.txn_wal_start <- t.wal_off);
   t.txn <- true;
   t.txn_orig_npages <- t.npages;
-  Hashtbl.reset t.journaled
+  Mm.Int_tbl.reset t.journaled
 
-let flush t =
-  Hashtbl.iter (fun _ f -> if f.dirty then writeback t f) t.frames
+(* In frame order: each page lands at its own offset, so the order
+   moves no byte and no simulated cycle. *)
+let flush t = Array.iter (fun f -> if f.dirty then writeback t f) t.pool
 
 let end_txn t =
   (match t.mode with
@@ -348,16 +367,16 @@ let end_txn t =
       t.jfd <- -1
   | Wal -> ());
   t.txn <- false;
-  Hashtbl.reset t.journaled
+  Mm.Int_tbl.reset t.journaled
 
 (* Fold the newest copy of every logged page back into the database
    file and truncate the log. *)
 let checkpoint t =
   if t.txn then Types.error "pager: checkpoint inside transaction";
-  if t.mode = Wal && Hashtbl.length t.wal_index > 0 then begin
+  if t.mode = Wal && Mm.Int_tbl.length t.wal_index > 0 then begin
     emit_pager t Telemetry.Event.Checkpoint;
     let buf = Api.malloc_page_aligned (ctx t) page_size in
-    Hashtbl.iter
+    Mm.Int_tbl.iter
       (fun pageno woff ->
         let n = t.os.pread ~fd:t.wal_fd ~buf ~len:page_size ~off:(woff + 4) in
         if n <> page_size then Types.error "pager: WAL read during checkpoint failed";
@@ -369,7 +388,7 @@ let checkpoint t =
     ignore (t.os.truncate ~fd:t.wal_fd ~size:0);
     ignore (t.os.fsync t.wal_fd);
     t.wal_off <- 0;
-    Hashtbl.reset t.wal_index
+    Mm.Int_tbl.reset t.wal_index
   end
 
 let commit t =
@@ -388,83 +407,57 @@ let commit t =
   if t.mode = Wal && t.wal_off / wal_record > wal_autocheckpoint then checkpoint t
 
 let rebuild_wal_index t upto =
-  Hashtbl.reset t.wal_index;
+  Mm.Int_tbl.reset t.wal_index;
   let off = ref 0 in
   while !off + wal_record <= upto do
     let n = t.os.pread ~fd:t.wal_fd ~buf:t.scratch ~len:4 ~off:!off in
     if n <> 4 then Types.error "pager: corrupt WAL during rollback";
-    Hashtbl.replace t.wal_index (Api.read_u32 (ctx t) t.scratch) !off;
+    Mm.Int_tbl.replace t.wal_index (Api.read_u32 (ctx t) t.scratch) !off;
     off := !off + wal_record
   done
 
-let rollback_wal t =
-  (* drop dirty frames; discard any records this transaction spilled *)
-  let dropped =
-    Hashtbl.fold (fun p f acc -> if f.dirty then (p, f) :: acc else acc) t.frames []
-  in
-  List.iter
-    (fun (p, f) ->
-      Hashtbl.remove t.frames p;
-      t.free_frames <- f.addr :: t.free_frames)
-    dropped;
-  if t.wal_off > t.txn_wal_start then begin
-    ignore (t.os.truncate ~fd:t.wal_fd ~size:t.txn_wal_start);
-    t.wal_off <- t.txn_wal_start;
-    rebuild_wal_index t t.txn_wal_start;
-    (* clean frames may cache data from discarded records *)
-    let stale =
-      Hashtbl.fold (fun p f acc -> if f.pins = 0 then (p, f) :: acc else acc) t.frames []
-    in
-    List.iter
-      (fun (p, f) ->
-        Hashtbl.remove t.frames p;
-        t.free_frames <- f.addr :: t.free_frames)
-      stale
-  end;
-  t.npages <- t.txn_orig_npages;
-  t.st.rollbacks <- t.st.rollbacks + 1;
-  emit_pager t Telemetry.Event.Rollback;
-  end_txn t
+(* Uncache every frame satisfying [p]. *)
+let drop_where t p = Array.iter (fun f -> if f.pageno >= 0 && p f then drop t f) t.pool
 
 let rollback t =
   if not t.txn then Types.error "pager: rollback outside transaction";
-  if t.mode = Wal then rollback_wal t
-  else begin
-  (* drop every dirty frame, then replay the journal into the file and
-     cache *)
-  let dropped = Hashtbl.fold (fun p f acc -> if f.dirty then (p, f) :: acc else acc) t.frames [] in
-  List.iter
-    (fun (p, f) ->
-      Hashtbl.remove t.frames p;
-      t.free_frames <- f.addr :: t.free_frames)
-    dropped;
-  let jsize = t.joff in
-  let buf = Api.malloc_page_aligned t.os.ctx page_size in
-  let rec replay off =
-    if off < jsize then begin
-      let n = t.os.pread ~fd:t.jfd ~buf:t.scratch ~len:4 ~off in
-      if n <> 4 then Types.error "pager: corrupt journal";
-      let pageno = Api.read_u32 t.os.ctx t.scratch in
-      let n = t.os.pread ~fd:t.jfd ~buf ~len:page_size ~off:(off + 4) in
-      if n <> page_size then Types.error "pager: corrupt journal data";
-      let w = t.os.pwrite ~fd:t.fd ~buf ~len:page_size ~off:(pageno * page_size) in
-      if w <> page_size then Types.error "pager: journal replay write failed";
-      (match Hashtbl.find_opt t.frames pageno with
-      | Some f ->
-          Hashtbl.remove t.frames pageno;
-          t.free_frames <- f.addr :: t.free_frames
-      | None -> ());
-      replay (off + 4 + page_size)
-    end
-  in
-  replay 0;
-  Api.free t.os.ctx buf;
+  drop_where t (fun f -> f.dirty);
+  (match t.mode with
+  | Wal ->
+      (* discard any records this transaction spilled *)
+      if t.wal_off > t.txn_wal_start then begin
+        ignore (t.os.truncate ~fd:t.wal_fd ~size:t.txn_wal_start);
+        t.wal_off <- t.txn_wal_start;
+        rebuild_wal_index t t.txn_wal_start;
+        (* clean frames may cache data from discarded records *)
+        drop_where t (fun f -> f.pins = 0)
+      end
+  | Rollback ->
+      (* replay the journal into the file, dropping replayed pages' frames *)
+      let jsize = t.joff in
+      let buf = Api.malloc_page_aligned t.os.ctx page_size in
+      let rec replay off =
+        if off < jsize then begin
+          let n = t.os.pread ~fd:t.jfd ~buf:t.scratch ~len:4 ~off in
+          if n <> 4 then Types.error "pager: corrupt journal";
+          let pageno = Api.read_u32 t.os.ctx t.scratch in
+          let n = t.os.pread ~fd:t.jfd ~buf ~len:page_size ~off:(off + 4) in
+          if n <> page_size then Types.error "pager: corrupt journal data";
+          let w = t.os.pwrite ~fd:t.fd ~buf ~len:page_size ~off:(pageno * page_size) in
+          if w <> page_size then Types.error "pager: journal replay write failed";
+          if t.slots.(pageno) != none then drop t t.slots.(pageno);
+          replay (off + 4 + page_size)
+        end
+      in
+      replay 0;
+      Api.free t.os.ctx buf);
+  (* pages the transaction allocated are gone, spilled and re-read ones too *)
+  drop_where t (fun f -> f.pageno >= t.txn_orig_npages);
   t.npages <- t.txn_orig_npages;
-  ignore (t.os.truncate ~fd:t.fd ~size:(t.npages * page_size));
+  if t.mode = Rollback then ignore (t.os.truncate ~fd:t.fd ~size:(t.npages * page_size));
   t.st.rollbacks <- t.st.rollbacks + 1;
   emit_pager t Telemetry.Event.Rollback;
   end_txn t
-  end
 
 let close t =
   if t.txn then Types.error "pager: close inside transaction";
@@ -477,8 +470,9 @@ let close t =
   ignore (t.os.close_file t.fd);
   (* hand the cache frames and the header scratch back to the heap:
      every open allocates them afresh *)
-  let frames = Hashtbl.fold (fun _ f acc -> f.addr :: acc) t.frames t.free_frames in
+  let frames = Array.fold_left (fun acc f -> if f == none then acc else f.addr :: acc) [] t.pool in
   List.iter (Api.free (ctx t)) (List.sort compare frames);
   Api.free (ctx t) t.scratch;
-  Hashtbl.reset t.frames;
+  Array.fill t.pool 0 t.cache_pages none;
+  t.slots <- [||];
   t.free_frames <- []
