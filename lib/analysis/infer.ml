@@ -86,8 +86,6 @@ let feed ?(core = 0) t (ev : Telemetry.Event.t) =
       record t ~cid ~sym ~owner ~access
   | _ -> ()
 
-let sink t (e : Telemetry.Bus.entry) = feed ~core:e.Telemetry.Bus.core t e.Telemetry.Bus.ev
-
 let run t entries =
   List.iter
     (fun (e : Telemetry.Bus.entry) -> feed ~core:e.Telemetry.Bus.core t e.Telemetry.Bus.ev)
@@ -169,8 +167,3 @@ let check t (p : Ir.program) =
             :: !findings)
     (observations t p);
   Report.dedup (List.rev !findings)
-
-let of_bus bus (p : Ir.program) =
-  let t = create () in
-  run t (Telemetry.Bus.events bus);
-  check t p

@@ -21,10 +21,6 @@ val create : unit -> t
 
 val feed : ?core:int -> t -> Telemetry.Event.t -> unit
 
-val sink : t -> Telemetry.Bus.entry -> unit
-(** Online variant for [Bus.set_sink] — can share the bus sink with
-    {!Replay.online_sink} via a fan-out closure. *)
-
 val run : t -> Telemetry.Bus.entry list -> unit
 
 type observation = {
@@ -46,6 +42,3 @@ val check : t -> Ir.program -> Report.finding list
     no declared dereference at all → [High] [summary:read:COMP.sym].
     The converse (a declared access never observed) is {e not} flagged:
     one trace need not exercise every path. *)
-
-val of_bus : Telemetry.Bus.t -> Ir.program -> Report.finding list
-(** Fold the bus ring and cross-check in one step. *)

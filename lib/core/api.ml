@@ -24,7 +24,6 @@ let self (c : ctx) = c.self
 let malloc (c : ctx) ?align size = Monitor.malloc c.mon c.self ?align size
 let free (c : ctx) addr = Monitor.free c.mon c.self addr
 let alloc_pages (c : ctx) n ~kind = Monitor.alloc_pages c.mon c.self n ~kind
-let free_pages (c : ctx) base = Monitor.free_pages c.mon c.self base
 let malloc_page_aligned (c : ctx) size = malloc c ~align:Hw.Addr.page_size size
 
 (* Observation hook for the CubiCheck replay plane: each checked access

@@ -56,7 +56,6 @@ val self : ctx -> Types.cid
 val malloc : ctx -> ?align:int -> int -> int
 val free : ctx -> int -> unit
 val alloc_pages : ctx -> int -> kind:Mm.Page_meta.kind -> int
-val free_pages : ctx -> int -> unit
 
 val malloc_page_aligned : ctx -> int -> int
 (** Page-aligned heap block: used by components that share buffers via

@@ -1,6 +1,5 @@
 type component = {
   name : string;
-  exportsyms : string list;
   code_ops : int;
   data_bytes : int;
   heap_pages : int;
@@ -10,19 +9,36 @@ type component = {
   iface : Iface.t;
 }
 
-let component ?exportsyms ?(code_ops = 256) ?(heap_pages = 16) ?(stack_pages = 4)
-    ?(init = fun _ -> ()) ?(exports = []) ?(iface = []) name =
-  let exportsyms =
-    match exportsyms with
-    | Some syms -> syms
-    | None -> List.map (fun (e : Monitor.export_spec) -> e.sym) exports
-  in
-  { name; exportsyms; code_ops; data_bytes = 256; heap_pages; stack_pages; exports; init; iface }
+type export = { spec : Monitor.export_spec; summary : Iface.fundecl }
+
+let export ?derefs ?writes ?(stack_bytes = 0) sym fn body =
+  {
+    spec = { Monitor.sym; fn; stack_bytes };
+    summary = Iface.fundecl ?derefs ?writes sym body;
+  }
+
+let component ?(code_ops = 256) ?(heap_pages = 16) ?(stack_pages = 4)
+    ?(init = fun _ -> ()) ?(exports = []) ?(entries = []) name =
+  List.iter
+    (fun (fd : Iface.fundecl) ->
+      if List.exists (fun e -> e.spec.sym = fd.fd_sym) exports then
+        invalid_arg
+          (Printf.sprintf "Builder.component %s: entry %s is an export" name fd.fd_sym))
+    entries;
+  {
+    name;
+    code_ops;
+    data_bytes = 256;
+    heap_pages;
+    stack_pages;
+    exports = List.map (fun e -> e.spec) exports;
+    init;
+    iface = entries @ List.map (fun e -> e.summary) exports;
+  }
 
 let merge name comps =
   {
     name;
-    exportsyms = List.concat_map (fun c -> c.exportsyms) comps;
     code_ops = List.fold_left (fun acc c -> acc + c.code_ops) 0 comps;
     data_bytes = List.fold_left (fun acc c -> acc + c.data_bytes) 0 comps;
     heap_pages = List.fold_left (fun acc c -> acc + c.heap_pages) 0 comps;
@@ -44,14 +60,6 @@ let live built =
         (Monitor.iface built.mon cid))
     (Monitor.live_cids built.mon)
 
-exception Undeclared_export of string * string
-
-let check_exports c =
-  List.iter
-    (fun (e : Monitor.export_spec) ->
-      if not (List.mem e.sym c.exportsyms) then raise (Undeclared_export (c.name, e.sym)))
-    c.exports
-
 let cid built name = Monitor.lookup_cubicle built.mon name
 
 (* The one link path: load more components into the system, extend the
@@ -62,7 +70,6 @@ let cid built name = Monitor.lookup_cubicle built.mon name
    if any step raises, the cubicles this call loaded are unloaded
    again, newest first so their cids are recycled in load order. *)
 let spawn ?(callers = []) built comps =
-  List.iter (fun (c, _) -> check_exports c) comps;
   let loaded = ref [] in
   try
     List.iter
@@ -112,6 +119,3 @@ let build mon comps =
   let built = { mon; trampolines = Trampoline.create mon } in
   ignore (spawn ~callers:(Monitor.live_cids mon) built comps);
   built
-
-let unload built names =
-  List.iter (fun name -> Monitor.destroy_cubicle built.mon (cid built name)) names

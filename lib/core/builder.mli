@@ -1,7 +1,8 @@
 (** The trusted component builder (paper §5.2).
 
     Mirrors how CubicleOS piggy-backs on Unikraft's build: each
-    component declares its exported symbols (the [exportsyms.uk] list);
+    component declares each exported symbol once, with {!export}
+    (Unikraft's exported-symbol list, plus a CubiCheck summary);
     the builder compiles each component into a separate image, lets the
     deployer choose isolated vs shared per component, loads everything
     through the loader, generates the cross-cubicle trampolines for
@@ -9,34 +10,39 @@
     declaration order) so callback tables are wired through dynamic
     symbols — i.e. through trampolines. *)
 
-type component = {
-  name : string;
-  exportsyms : string list;
-      (** public symbols; exports not listed here are rejected *)
-  code_ops : int;  (** size of the synthesized code image, in instructions *)
-  data_bytes : int;  (** size of the data segment: 256 per linked component *)
-  heap_pages : int;
-  stack_pages : int;
-  exports : Monitor.export_spec list;
-  init : Monitor.ctx -> unit;
-  iface : Iface.t;
-      (** CubiCheck interface summary for the component's exports (may
-          be empty: exports are then assumed side-effect-free for
-          isolation purposes — a documented soundness caveat). *)
-}
+type component
+
+type export
+(** One public symbol: the [Monitor.export_spec] the loader registers
+    and the [Iface.fundecl] CubiCheck reads. *)
+
+val export :
+  ?derefs:int list ->
+  ?writes:int list ->
+  ?stack_bytes:int ->
+  string ->
+  Monitor.fn ->
+  Iface.stmt list ->
+  export
+(** [export ~derefs ~writes ~stack_bytes sym fn body] declares [sym],
+    implemented by [fn], with its interface summary ({!Iface.fundecl}).
+    An empty [body] with no [derefs]/[writes] is inert: the export is
+    assumed to neither dereference arguments nor perform window/call
+    activity (a documented soundness caveat). [stack_bytes] (default 0)
+    is the size of its by-stack arguments. *)
 
 val component :
-  ?exportsyms:string list ->
   ?code_ops:int ->
   ?heap_pages:int ->
   ?stack_pages:int ->
   ?init:(Monitor.ctx -> unit) ->
-  ?exports:Monitor.export_spec list ->
-  ?iface:Iface.t ->
+  ?exports:export list ->
+  ?entries:Iface.t ->
   string ->
   component
-(** [component name] with defaults; [exportsyms] defaults to the export
-    list's symbols. *)
+(** [component name] with defaults. [entries] summarises entry points
+    that are not exports ([__init], [__main]); raises [Invalid_argument]
+    if one names an export of the component. *)
 
 val merge : string -> component list -> component
 (** [merge name comps] links several components into a single cubicle
@@ -52,9 +58,6 @@ val live : built -> (string * Types.cid * Iface.t) list
     is load order until a teardown frees a cid for reuse. The input to
     [Analysis.Ir.of_built]. *)
 
-exception Undeclared_export of string * string
-(** (component, symbol): an export not listed in exportsyms. *)
-
 val build : Monitor.t -> (component * Types.kind) list -> built
 (** {!spawn} into an empty system: every cubicle already live in the
     monitor is a caller. *)
@@ -69,19 +72,12 @@ val spawn :
   (component * Types.kind) list ->
   (string * Types.cid) list
 (** Load more components into a running system: the cubicle lifecycle's
-    birth half, and the one link path. Checks exports, loads each
-    component, extends the trampoline table (thunks for the new
-    symbols; guard entries in each loaded isolated cubicle for {e every}
-    live export, and in each cubicle of [callers] for the new symbols),
-    runs initialisers in declaration order, and returns the fresh
-    [(name, cid)] pairs. Component names must not collide with live
+    birth half, and the one link path. Loads each component, extends
+    the trampoline table (thunks for the new symbols; guard entries in
+    each loaded isolated cubicle for {e every} live export, and in each
+    cubicle of [callers] for the new symbols), runs initialisers in
+    declaration order, and returns the fresh [(name, cid)] pairs. Component names must not collide with live
     cubicles ({!Types.Error} from the monitor if they do). All or
     nothing: if a load, the trampoline extension or an initialiser
     raises, every cubicle this call loaded is unloaded again before the
     exception propagates. *)
-
-val unload : built -> string list -> unit
-(** Tear the named components down: {!Monitor.destroy_cubicle} each
-    (exports unregistered, pages scrubbed and released, guard table and
-    interface summary dropped, key and cid recycled). The names must not
-    be executing at the time of the call. *)

@@ -1,10 +1,10 @@
 (** Declarative interface summaries for the CubiCheck static plane.
 
     CubicleOS components are OCaml closures in this simulation, so a
-    static analyzer cannot decompile them; instead each component ships
-    a small {e interface summary} alongside its code — the moral
-    equivalent of the [exportsyms.uk] metadata the real build system
-    already consumes (paper §5.2), extended with the facts the isolation
+    static analyzer cannot decompile them; instead each export ships a
+    small {e interface summary} in its {!Builder.export} declaration —
+    the moral equivalent of the exported-symbol list the real build
+    system already consumes (paper §5.2), extended with the facts the isolation
     invariants depend on: which pointer arguments each export passes
     across cubicle boundaries, which windows it creates, grants, opens
     and tears down, and which arguments callees dereference.
@@ -59,7 +59,7 @@ type stmt =
   | Loop of stmt list  (** Body executes zero or more times. *)
 
 type fundecl = {
-  fd_sym : string;  (** exported symbol this summary describes *)
+  fd_sym : string;  (** export or entry point this summary describes *)
   fd_derefs : int list;
       (** argument positions this export dereferences (reads or writes
           through) — what turns a caller's integer into a {e pointer}
@@ -73,9 +73,10 @@ type fundecl = {
 }
 
 type t = fundecl list
-(** One component's summaries. An export with no summary is assumed to
-    neither dereference arguments nor perform window/call activity —
-    CubiCheck treats missing summaries as an explicit soundness caveat
+(** One component's summaries: its entry points ([__init], [__main]),
+    then one per export. An export declared with an empty body and no
+    [derefs]/[writes] is inert: assumed to neither dereference arguments
+    nor perform window/call activity — an explicit soundness caveat
     (see DESIGN.md). *)
 
 val fundecl : ?derefs:int list -> ?writes:int list -> string -> stmt list -> fundecl

@@ -148,7 +148,7 @@ val owned_pages : t -> Types.cid -> int list
 
 val register_exports : t -> Types.cid -> export_spec list -> unit
 (** Raises {!Types.Error} on duplicate symbols (the system has one flat
-    symbol namespace, as with Unikraft's exportsyms). *)
+    symbol namespace, as with Unikraft's exported-symbol lists). *)
 
 val exports_of : t -> Types.cid -> string list
 val has_export : t -> string -> bool

@@ -16,13 +16,14 @@ type t = {
   mutable served : int;
 }
 
-(* CubiCheck summary of the server loop ([__main] is the pseudo-export
-   for a component driven from the outside rather than called into).
+(* CubiCheck summary of the server loop ([__main] is the entry point of
+   a component driven from the outside rather than called into; NGINX
+   exports nothing).
    Mirrors [start]/[poll_inner]/[serve_file]: a standing path window to
    VFSCORE (the Fileio pattern), a per-request window over [req_buf]
    for LWIP, and per-chunk windows over [file_buf] — to VFSCORE+RAMFS
    for the pread, to LWIP for the send. *)
-let iface =
+let entries =
   let lwip_window ~rw buf stmts =
     [
       Iface.Window_add
@@ -121,7 +122,7 @@ let component ?(workers = 1) () =
   (* each SO_REUSEPORT-style worker needs its own path/request pages
      and 32 KiB chunk buffer from the cubicle heap *)
   Builder.component ~code_ops:2048 ~heap_pages:(16 + (16 * workers)) ~stack_pages:4
-    ~iface "NGINX"
+    ~entries "NGINX"
 
 let start ?(shard = 0) ?(zerocopy = false) sys =
   let ctx = Libos.Boot.app_ctx sys "NGINX" in

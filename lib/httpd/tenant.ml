@@ -37,7 +37,7 @@ let expected ~tenant ~off ~len =
 (* FS<i>: the tenant's file store. [t<i>_read dst off len] writes the
    file bytes into the caller's buffer — WEB's chunk page, reached
    through WEB's standing RW window. *)
-let fs_component tenant =
+let fs_component ~name ~read tenant =
   let fn ctx (args : int array) =
     let dst = args.(0) and off = args.(1) and len = args.(2) in
     for j = 0 to len - 1 do
@@ -46,17 +46,15 @@ let fs_component tenant =
     len
   in
   Builder.component ~heap_pages:2 ~stack_pages:1
-    ~iface:[ Iface.fundecl ~derefs:[ 0 ] ~writes:[ 0 ] (read_sym tenant) [] ]
-    ~exports:[ { Monitor.sym = read_sym tenant; fn; stack_bytes = 0 } ]
-    (fs_name tenant)
+    ~exports:[ Builder.export ~derefs:[ 0 ] ~writes:[ 0 ] read fn [] ]
+    name
 
 (* WEB<i>: the tenant's server. Owns a chunk page (standing RW window
    for FS<i>) and a response page (standing R window for the gateway).
    [t<i>_get req] reads (off, len) from the gateway's request page,
    pulls the bytes from FS<i>, and leaves [u32 total][response bytes]
    in the response page, returning its address. *)
-let web_component tenant =
-  let read = read_sym tenant in
+let web_component ~name ~fs ~read ~get =
   let chunk = ref 0 in
   let resp = ref 0 in
   let init ctx =
@@ -64,7 +62,7 @@ let web_component tenant =
     resp := Api.malloc_page_aligned ctx page;
     let wc = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
     Api.window_add ctx wc ~ptr:!chunk ~size:page;
-    Api.window_open ctx wc (Api.cid_of ctx (fs_name tenant));
+    Api.window_open ctx wc (Api.cid_of ctx fs);
     let wr = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
     Api.window_add ctx ~perm:Window.R wr ~ptr:!resp ~size:page;
     Api.window_open ctx wr (Api.cid_of ctx gw_name)
@@ -82,17 +80,13 @@ let web_component tenant =
     !resp
   in
   Builder.component ~heap_pages:4 ~stack_pages:2 ~init
-    ~iface:
-      [
-        Iface.fundecl ~derefs:[ 0 ] (get_sym tenant)
-          [ Iface.Call { sym = read; ptr_args = [] } ];
-      ]
-    ~exports:[ { Monitor.sym = get_sym tenant; fn; stack_bytes = 0 } ]
-    (web_name tenant)
+    ~exports:
+      [ Builder.export ~derefs:[ 0 ] get fn [ Iface.Call { sym = read; ptr_args = [] } ] ]
+    name
 
-(* A live tenant's WEB cubicle and entry point, resolved once at spawn
-   so a request builds no string and looks nothing up by name. *)
-type entry = { web : Types.cid; get : string }
+(* A live tenant's cubicles and entry point, resolved once at spawn so
+   neither a request nor a teardown builds a string or looks a name up. *)
+type entry = { web : Types.cid; fs : Types.cid; get : string }
 
 type t = {
   mon : Monitor.t;
@@ -130,24 +124,32 @@ let live t =
 let spawn t i =
   if i < 0 then Types.error "tenant id %d is negative" i;
   if Option.is_some (find t i) then Types.error "tenant %d is already live" i;
+  let fs = fs_name i and web = web_name i and read = read_sym i and get = get_sym i in
   let fresh =
     Builder.spawn ~callers:[ t.gw ] t.built
-      [ (fs_component i, Types.Isolated); (web_component i, Types.Isolated) ]
+      [
+        (fs_component ~name:fs ~read i, Types.Isolated);
+        (web_component ~name:web ~fs ~read ~get, Types.Isolated);
+      ]
   in
   if i >= Array.length t.live then begin
     let grown = Array.make (max (i + 1) (2 * Array.length t.live)) None in
     Array.blit t.live 0 grown 0 (Array.length t.live);
     t.live <- grown
   end;
-  t.live.(i) <- Some { web = List.assoc (web_name i) fresh; get = get_sym i }
+  t.live.(i) <- Some { web = List.assoc web fresh; fs = List.assoc fs fresh; get }
 
+(* WEB first, then FS: the freed cids are recycled in that order. *)
 let teardown t i =
-  if Option.is_none (find t i) then Types.error "tenant %d is not live" i;
-  Builder.unload t.built [ web_name i; fs_name i ];
-  t.live.(i) <- None
+  match find t i with
+  | None -> Types.error "tenant %d is not live" i
+  | Some { web; fs; _ } ->
+      Monitor.destroy_cubicle t.mon web;
+      Monitor.destroy_cubicle t.mon fs;
+      t.live.(i) <- None
 
 let request t ~tenant ~off ~len =
-  let { web; get } =
+  let { web; get; _ } =
     match find t tenant with
     | Some e -> e
     | None -> Types.error "tenant %d is not live" tenant

@@ -5,7 +5,8 @@
     the machine, far past the 14 physical MPK tags once [n] grows, so
     round-robin traffic across tenants drives the key multiplexer's
     fault-in/evict path on nearly every request. Tenants spawn and tear
-    down at runtime through {!Cubicle.Builder.spawn}/{!Cubicle.Builder.unload}. *)
+    down at runtime through {!Cubicle.Builder.spawn} and
+    {!Cubicle.Monitor.destroy_cubicle}. *)
 
 type t
 

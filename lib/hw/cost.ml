@@ -35,7 +35,6 @@ let default_model =
 
 type t = {
   mutable cycles : int;
-  mutable mem_bytes : int;
   per_core : int array;  (* per-core share of [cycles]; always sums to it *)
   model : model;
   attrib : Telemetry.Attrib.t;  (* also the current core *)
@@ -43,11 +42,10 @@ type t = {
 
 let create ?(model = default_model) ?(ncores = 1) () =
   let attrib = Telemetry.Attrib.create ~ncores () in
-  { cycles = 0; mem_bytes = 0; per_core = Array.make ncores 0; model; attrib }
+  { cycles = 0; per_core = Array.make ncores 0; model; attrib }
 
 let reset t =
   t.cycles <- 0;
-  t.mem_bytes <- 0;
   Array.fill t.per_core 0 (Array.length t.per_core) 0;
   Telemetry.Attrib.reset t.attrib
 
@@ -70,7 +68,6 @@ let[@inline] charge_cat t cat n =
 let[@inline] charge t n = charge_cat t Telemetry.Attrib.Other n
 
 let[@inline] charge_mem t len =
-  t.mem_bytes <- t.mem_bytes + len;
   let c = t.model.mem_op + (((len + 7) lsr 3) * t.model.mem_word) in
   bump t c;
   Telemetry.Attrib.charge t.attrib Telemetry.Attrib.Memcpy c

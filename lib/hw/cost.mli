@@ -36,7 +36,6 @@ val default_model : model
 
 type t = {
   mutable cycles : int;
-  mutable mem_bytes : int;  (** total bytes moved, for reporting *)
   per_core : int array;
       (** per-core cycle counters: each charge lands on the current
           core's counter as well as [cycles], so the per-core counters

@@ -28,13 +28,3 @@ let can_write r k =
   r land (0b11 lsl (2 * k)) = 0
 
 let of_keys ks = List.fold_left allow all_deny ks
-
-let pp fmt r =
-  Format.fprintf fmt "pkru{";
-  for k = 0 to nkeys - 1 do
-    let s =
-      if can_write r k then "rw" else if can_read r k then "r-" else "--"
-    in
-    if s <> "--" then Format.fprintf fmt " %d:%s" k s
-  done;
-  Format.fprintf fmt " }"

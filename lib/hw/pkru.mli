@@ -36,5 +36,3 @@ val can_write : t -> int -> bool
 val of_keys : int list -> t
 (** [of_keys ks] denies everything except read/write on the keys in
     [ks]. *)
-
-val pp : Format.formatter -> t -> unit

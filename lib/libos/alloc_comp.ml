@@ -11,9 +11,5 @@ let component () =
   (* the page arguments are monitor-mediated, never dereferenced by
      ALLOC itself: no window obligations *)
   Builder.component "ALLOC" ~code_ops:384 ~heap_pages:2 ~stack_pages:2
-    ~iface:[ Iface.fundecl "uk_palloc" []; Iface.fundecl "uk_pfree" [] ]
     ~exports:
-      [
-        { Monitor.sym = "uk_palloc"; fn = palloc_fn; stack_bytes = 0 };
-        { Monitor.sym = "uk_pfree"; fn = pfree_fn; stack_bytes = 0 };
-      ]
+      [ Builder.export "uk_palloc" palloc_fn []; Builder.export "uk_pfree" pfree_fn [] ]

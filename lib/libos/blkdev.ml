@@ -63,9 +63,9 @@ let make disk =
       ~init:(init state)
       ~exports:
         [
-          { Monitor.sym = "blk_read"; fn = read_fn state; stack_bytes = 0 };
-          { Monitor.sym = "blk_write"; fn = write_fn state; stack_bytes = 0 };
-          { Monitor.sym = "blk_capacity"; fn = capacity_fn state; stack_bytes = 0 };
+          Builder.export "blk_read" (read_fn state) [];
+          Builder.export "blk_write" (write_fn state) [];
+          Builder.export "blk_capacity" (capacity_fn state) [];
         ]
   in
   (state, comp)

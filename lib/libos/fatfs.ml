@@ -414,15 +414,15 @@ let make () =
     Builder.component "UKFAT" ~code_ops:1024 ~heap_pages:8 ~stack_pages:4 ~init:(init state)
       ~exports:
         [
-          { Monitor.sym = "fatfs_lookup"; fn = lookup_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_create"; fn = create_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_pread"; fn = pread_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_pwrite"; fn = pwrite_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_size"; fn = size_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_truncate"; fn = truncate_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_fsync"; fn = fsync_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_unlink"; fn = unlink_fn state; stack_bytes = 0 };
-          { Monitor.sym = "fatfs_rename"; fn = rename_fn state; stack_bytes = 16 };
+          Builder.export "fatfs_lookup" (lookup_fn state) [];
+          Builder.export "fatfs_create" (create_fn state) [];
+          Builder.export "fatfs_pread" (pread_fn state) [];
+          Builder.export "fatfs_pwrite" (pwrite_fn state) [];
+          Builder.export "fatfs_size" (size_fn state) [];
+          Builder.export "fatfs_truncate" (truncate_fn state) [];
+          Builder.export "fatfs_fsync" (fsync_fn state) [];
+          Builder.export "fatfs_unlink" (unlink_fn state) [];
+          Builder.export ~stack_bytes:16 "fatfs_rename" (rename_fn state) [];
         ]
   in
   (state, comp)

@@ -21,20 +21,12 @@ let strnlen_fn ctx (args : int array) =
 (* CubiCheck summaries: shared code runs with the caller's privileges,
    so the declared dereferences are attributed to whichever component
    forwards a pointer here. *)
-let iface =
-  [
-    Iface.fundecl ~derefs:[ 0; 1 ] ~writes:[ 0 ] "memcpy" [];
-    Iface.fundecl ~derefs:[ 0 ] ~writes:[ 0 ] "memset" [];
-    Iface.fundecl ~derefs:[ 0; 1 ] "memcmp" [];
-    Iface.fundecl ~derefs:[ 0 ] "strnlen" [];
-  ]
-
 let component () =
-  Builder.component "LIBC" ~code_ops:512 ~heap_pages:2 ~stack_pages:0 ~iface
+  Builder.component "LIBC" ~code_ops:512 ~heap_pages:2 ~stack_pages:0
     ~exports:
       [
-        { Monitor.sym = "memcpy"; fn = memcpy_fn; stack_bytes = 0 };
-        { Monitor.sym = "memset"; fn = memset_fn; stack_bytes = 0 };
-        { Monitor.sym = "memcmp"; fn = memcmp_fn; stack_bytes = 0 };
-        { Monitor.sym = "strnlen"; fn = strnlen_fn; stack_bytes = 0 };
+        Builder.export ~derefs:[ 0; 1 ] ~writes:[ 0 ] "memcpy" memcpy_fn [];
+        Builder.export ~derefs:[ 0 ] ~writes:[ 0 ] "memset" memset_fn [];
+        Builder.export ~derefs:[ 0; 1 ] "memcmp" memcmp_fn [];
+        Builder.export ~derefs:[ 0 ] "strnlen" strnlen_fn [];
       ]

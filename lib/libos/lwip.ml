@@ -419,24 +419,23 @@ let make ?(nshards = 1) () =
              Iface.Window_open { win; peer = "NETDEV" };
            ]))
   in
-  let iface =
+  let exports =
     [
-      Iface.fundecl "__init" init_iface;
-      Iface.fundecl "lwip_listen" [];
-      Iface.fundecl "lwip_accept" pump_iface;
-      Iface.fundecl ~derefs:[ 1 ] ~writes:[ 1 ] "lwip_recv"
+      Builder.export "lwip_listen" (listen_fn state) [];
+      Builder.export "lwip_accept" (accept_fn state) pump_iface;
+      Builder.export ~derefs:[ 1 ] ~writes:[ 1 ] "lwip_recv" (recv_fn state)
         (pump_iface
         @ [
             Iface.Call { sym = "memcpy"; ptr_args = [] };
             Iface.Branch [ [ Iface.Call { sym = "uk_pfree"; ptr_args = [] } ]; [] ];
           ]);
-      Iface.fundecl ~derefs:[ 1 ] "lwip_send" (pump_iface @ send_iface);
+      Builder.export ~derefs:[ 1 ] "lwip_send" (send_fn state) (pump_iface @ send_iface);
       (* zero-copy send: LWIP itself never dereferences the payload
          (arg 1) — it forwards the span to NETDEV's gather transmit,
          with the frame header staged in the standing rx_staging
          window. The grant forward is modelled by the caller's summary
          (the window belongs to the file system, not to LWIP). *)
-      Iface.fundecl "lwip_send_zc"
+      Builder.export "lwip_send_zc" (send_zc_fn state)
         (pump_iface
         @ [
             Iface.Loop
@@ -452,7 +451,7 @@ let make ?(nshards = 1) () =
                   };
               ];
           ]);
-      Iface.fundecl "lwip_close"
+      Builder.export "lwip_close" (close_fn state)
         [
           Iface.Call
             {
@@ -464,17 +463,8 @@ let make ?(nshards = 1) () =
   in
   let comp =
     Builder.component "LWIP" ~code_ops:2048 ~heap_pages:(32 + nshards) ~stack_pages:4
-      ~init:(init state) ~iface
-      ~exports:
-        [
-          { Monitor.sym = "lwip_listen"; fn = listen_fn state; stack_bytes = 0 };
-          { Monitor.sym = "lwip_accept"; fn = accept_fn state; stack_bytes = 0 };
-          { Monitor.sym = "lwip_recv"; fn = recv_fn state; stack_bytes = 0 };
-          { Monitor.sym = "lwip_send"; fn = send_fn state; stack_bytes = 0 };
-          { Monitor.sym = "lwip_send_zc"; fn = send_zc_fn state; stack_bytes = 0 };
-          { Monitor.sym = "lwip_close"; fn = close_fn state; stack_bytes = 0 };
-        ]
+      ~init:(init state)
+      ~entries:[ Iface.fundecl "__init" init_iface ]
+      ~exports
   in
   (state, comp)
-
-let connections state = Int_tbl.length state.conns

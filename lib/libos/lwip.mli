@@ -82,5 +82,3 @@ module Reassembly : sig
   val pending : t -> int
   (** Frames parked waiting for a gap to fill. *)
 end
-
-val connections : state -> int

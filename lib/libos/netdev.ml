@@ -168,21 +168,15 @@ let make ?(nrings = 1) () =
   let comp =
     Builder.component "NETDEV" ~code_ops:640 ~heap_pages:(4 + nrings) ~stack_pages:2
       ~init:(init state)
-      ~iface:
+      ~exports:
         [
           (* both sides copy through the caller's buffer: tx reads it
              into the ring slot, rx fills it from the slot *)
-          Iface.fundecl ~derefs:[ 0 ] "netdev_tx" [];
-          Iface.fundecl ~derefs:[ 0 ] ~writes:[ 0 ] "netdev_rx" [];
+          Builder.export ~derefs:[ 0 ] "netdev_tx" (tx_fn state) [];
+          Builder.export ~derefs:[ 0 ] ~writes:[ 0 ] "netdev_rx" (rx_fn state) [];
           (* gather tx dereferences both the header (arg 0) and the
              granted payload span (arg 2) *)
-          Iface.fundecl ~derefs:[ 0; 2 ] "netdev_tx_gather" [];
-        ]
-      ~exports:
-        [
-          { Monitor.sym = "netdev_tx"; fn = tx_fn state; stack_bytes = 0 };
-          { Monitor.sym = "netdev_rx"; fn = rx_fn state; stack_bytes = 0 };
-          { Monitor.sym = "netdev_tx_gather"; fn = tx_gather_fn state; stack_bytes = 0 };
+          Builder.export ~derefs:[ 0; 2 ] "netdev_tx_gather" (tx_gather_fn state) [];
         ]
   in
   (state, comp)

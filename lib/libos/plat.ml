@@ -28,17 +28,11 @@ let make () =
   let state = { console = Buffer.create 256; rand_state = 0x2545F491; halted = false } in
   let comp =
     Builder.component "PLAT" ~code_ops:512 ~heap_pages:2 ~stack_pages:2
-      ~iface:
-        [
-          Iface.fundecl "plat_putc" [];
-          Iface.fundecl "plat_rand" [];
-          Iface.fundecl "plat_halt" [];
-        ]
       ~exports:
         [
-          { Monitor.sym = "plat_putc"; fn = putc_fn state; stack_bytes = 0 };
-          { Monitor.sym = "plat_rand"; fn = rand_fn state; stack_bytes = 0 };
-          { Monitor.sym = "plat_halt"; fn = halt_fn state; stack_bytes = 0 };
+          Builder.export "plat_putc" (putc_fn state) [];
+          Builder.export "plat_rand" (rand_fn state) [];
+          Builder.export "plat_halt" (halt_fn state) [];
         ]
   in
   (state, comp)

@@ -266,14 +266,14 @@ let make ?(sendfile = false) () =
         else [])
       @ [ Iface.Call { sym = "uk_pfree"; ptr_args = [] } ])
   in
-  let zc_iface =
+  let zc_exports =
     if not sendfile then []
     else
       [
         (* grant-and-forward: chunk pages enter the standing sf_win,
            opened for LWIP, which forwards the grant to NETDEV before
            the gather transmit touches the payload *)
-        Iface.fundecl ~derefs:[ 0 ] "ramfs_sendfile"
+        Builder.export ~derefs:[ 0 ] "ramfs_sendfile" (sendfile_fn state)
           [
             Iface.Loop [ Iface.Call { sym = "uk_palloc"; ptr_args = [] } ];
             Iface.Window_add
@@ -297,24 +297,23 @@ let make ?(sendfile = false) () =
           ];
       ]
   in
-  let zc_exports =
-    if not sendfile then []
-    else [ { Monitor.sym = "ramfs_sendfile"; fn = sendfile_fn state; stack_bytes = 0 } ]
-  in
   let comp =
     Builder.component "RAMFS" ~code_ops:768 ~heap_pages:8 ~stack_pages:4 ~init:(init state)
-      ~iface:
+      ~entries:
+        [
+          Iface.fundecl "__init"
+            [ Iface.Call { sym = "vfs_register_backend"; ptr_args = [] } ];
+        ]
+      ~exports:
         ([
-           Iface.fundecl "__init"
-             [ Iface.Call { sym = "vfs_register_backend"; ptr_args = [] } ];
-           Iface.fundecl ~derefs:[ 0 ] "ramfs_lookup" [];
-           Iface.fundecl ~derefs:[ 0 ] "ramfs_create" [];
+           Builder.export ~derefs:[ 0 ] "ramfs_lookup" (lookup_fn state) [];
+           Builder.export ~derefs:[ 0 ] "ramfs_create" (create_fn state) [];
            (* data ops read the iodesc (arg 0) and copy through the
               caller's buffer (arg 1) via shared libc, running with this
               cubicle's privileges *)
-           Iface.fundecl ~derefs:[ 0; 1 ] ~writes:[ 1 ] "ramfs_pread"
+           Builder.export ~derefs:[ 0; 1 ] ~writes:[ 1 ] "ramfs_pread" (pread_fn state)
              [ Iface.Loop [ Iface.Call { sym = "memcpy"; ptr_args = [] } ] ];
-           Iface.fundecl ~derefs:[ 0; 1 ] "ramfs_pwrite"
+           Builder.export ~derefs:[ 0; 1 ] "ramfs_pwrite" (pwrite_fn state)
              [
                Iface.Loop
                  [
@@ -322,28 +321,16 @@ let make ?(sendfile = false) () =
                    Iface.Call { sym = "memcpy"; ptr_args = [] };
                  ];
              ];
-           Iface.fundecl "ramfs_size" [];
-           Iface.fundecl "ramfs_truncate"
+           Builder.export "ramfs_size" (size_fn state) [];
+           Builder.export "ramfs_truncate" (truncate_fn state)
              [
                free_loop;
                Iface.Branch [ [ Iface.Call { sym = "memset"; ptr_args = [] } ]; [] ];
              ];
-           Iface.fundecl "ramfs_fsync" [];
-           Iface.fundecl ~derefs:[ 0 ] "ramfs_unlink" [ free_loop ];
-           Iface.fundecl ~derefs:[ 0; 2 ] "ramfs_rename" [ free_loop ];
-         ]
-        @ zc_iface)
-      ~exports:
-        ([
-           { Monitor.sym = "ramfs_lookup"; fn = lookup_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_create"; fn = create_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_pread"; fn = pread_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_pwrite"; fn = pwrite_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_size"; fn = size_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_truncate"; fn = truncate_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_fsync"; fn = fsync_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_unlink"; fn = unlink_fn state; stack_bytes = 0 };
-           { Monitor.sym = "ramfs_rename"; fn = rename_fn state; stack_bytes = 16 };
+           Builder.export "ramfs_fsync" (fsync_fn state) [];
+           Builder.export ~derefs:[ 0 ] "ramfs_unlink" (unlink_fn state) [ free_loop ];
+           Builder.export ~derefs:[ 0; 2 ] ~stack_bytes:16 "ramfs_rename" (rename_fn state)
+             [ free_loop ];
          ]
         @ zc_exports)
   in

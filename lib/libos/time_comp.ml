@@ -9,9 +9,8 @@ let now_cycles_fn (ctx : Monitor.ctx) _ = Hw.Cost.cycles (Monitor.cost ctx.mon)
 
 let component () =
   Builder.component "TIME" ~code_ops:128 ~heap_pages:1 ~stack_pages:1
-    ~iface:[ Iface.fundecl "uk_time_ns" []; Iface.fundecl "uk_time_cycles" [] ]
     ~exports:
       [
-        { Monitor.sym = "uk_time_ns"; fn = now_ns_fn; stack_bytes = 0 };
-        { Monitor.sym = "uk_time_cycles"; fn = now_cycles_fn; stack_bytes = 0 };
+        Builder.export "uk_time_ns" now_ns_fn [];
+        Builder.export "uk_time_cycles" now_cycles_fn [];
       ]

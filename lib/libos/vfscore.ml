@@ -184,13 +184,10 @@ let init state ctx =
      backend only ever reads paths and io descriptors through them *)
   Api.window_add ctx ~perm:Window.R state.path_wid ~ptr:state.path_buf ~size:4096
 
-(* CubiCheck summary. The backend is registered at runtime, so the
-   callee prefix is a parameter ([ramfs] by default, [fatfs] for the
-   persistent-disk stack); the registration-time [window_open] to the
-   dynamic backend caller is modelled as an init-time open to peer "*"
-   (documented soundness caveat: the summary cannot name a cubicle that
-   only exists at runtime). *)
-let iface ~backend ~sendfile =
+(* The exports with their CubiCheck summaries. The backend is
+   registered at runtime, so the callee prefix is a parameter ([ramfs]
+   by default, [fatfs] for the persistent-disk stack). *)
+let exports state ~backend ~sendfile =
   let b s = backend ^ "_" ^ s in
   let staged ~arg ~bytes = (arg, Iface.Local "path_staging", bytes) in
   (if not sendfile then []
@@ -198,52 +195,42 @@ let iface ~backend ~sendfile =
      [
        (* the iodesc goes through the staging window; no data buffer
           crosses here at all (the backend grants its own pages) *)
-       Iface.fundecl "vfs_sendfile"
+       Builder.export "vfs_sendfile" (wrap sendfile_fn state)
          [ Iface.Call { sym = b "sendfile"; ptr_args = [ staged ~arg:0 ~bytes:1040 ] } ];
      ])
   @ [
-    Iface.fundecl "__init"
-      [
-        Iface.Alloc { buf = "path_staging"; bytes = 4096 };
-        Iface.Window_add
-          {
-            win = "path_wid";
-            buf = Iface.Local "path_staging";
-            bytes = 4096;
-            standing = true;
-            rw = false;
-          };
-        Iface.Window_open { win = "path_wid"; peer = "*" };
-      ];
-    Iface.fundecl "vfs_register_backend" [];
-    Iface.fundecl "vfs_backend_cid" [];
-    Iface.fundecl ~derefs:[ 0 ] "vfs_open"
+    Builder.export "vfs_register_backend" (register_backend_fn state) [];
+    Builder.export "vfs_backend_cid" (backend_cid_fn state) [];
+    Builder.export ~derefs:[ 0 ] "vfs_open" (wrap open_fn state)
       [
         Iface.Call { sym = b "lookup"; ptr_args = [ staged ~arg:0 ~bytes:2048 ] };
         Iface.Branch
           [ [ Iface.Call { sym = b "create"; ptr_args = [ staged ~arg:0 ~bytes:2048 ] } ]; [] ];
       ];
-    Iface.fundecl "vfs_close" [];
+    Builder.export "vfs_close" (wrap close_fn state) [];
     (* data ops: the io descriptor goes through the staging window, the
        data buffer is forwarded zero-copy (arg 1 of the backend call) *)
-    Iface.fundecl "vfs_pread"
+    Builder.export "vfs_pread" (wrap pread_fn state)
       [
         Iface.Call
           { sym = b "pread"; ptr_args = [ staged ~arg:0 ~bytes:1040; (1, Iface.Param 1, 0) ] };
       ];
-    Iface.fundecl "vfs_pwrite"
+    Builder.export "vfs_pwrite" (wrap pwrite_fn state)
       [
         Iface.Call
           { sym = b "pwrite"; ptr_args = [ staged ~arg:0 ~bytes:1040; (1, Iface.Param 1, 0) ] };
       ];
-    Iface.fundecl "vfs_size" [ Iface.Call { sym = b "size"; ptr_args = [] } ];
-    Iface.fundecl "vfs_truncate" [ Iface.Call { sym = b "truncate"; ptr_args = [] } ];
-    Iface.fundecl "vfs_fsync" [ Iface.Call { sym = b "fsync"; ptr_args = [] } ];
-    Iface.fundecl ~derefs:[ 0 ] "vfs_unlink"
+    Builder.export "vfs_size" (wrap size_fn state)
+      [ Iface.Call { sym = b "size"; ptr_args = [] } ];
+    Builder.export "vfs_truncate" (wrap truncate_fn state)
+      [ Iface.Call { sym = b "truncate"; ptr_args = [] } ];
+    Builder.export "vfs_fsync" (wrap fsync_fn state)
+      [ Iface.Call { sym = b "fsync"; ptr_args = [] } ];
+    Builder.export ~derefs:[ 0 ] "vfs_unlink" (wrap unlink_fn state)
       [ Iface.Call { sym = b "unlink"; ptr_args = [ staged ~arg:0 ~bytes:2048 ] } ];
-    Iface.fundecl ~derefs:[ 0 ] "vfs_exists"
+    Builder.export ~derefs:[ 0 ] "vfs_exists" (wrap exists_fn state)
       [ Iface.Call { sym = b "lookup"; ptr_args = [ staged ~arg:0 ~bytes:2048 ] } ];
-    Iface.fundecl ~derefs:[ 0; 2 ] "vfs_rename"
+    Builder.export ~derefs:[ 0; 2 ] ~stack_bytes:16 "vfs_rename" (wrap rename_fn state)
       [
         Iface.Call
           {
@@ -265,21 +252,25 @@ let component ?(backend = "ramfs") ?(sendfile = false) () =
     }
   in
   Builder.component "VFSCORE" ~code_ops:1024 ~heap_pages:8 ~stack_pages:4
-    ~init:(init state) ~iface:(iface ~backend ~sendfile)
-    ~exports:
-      ((if not sendfile then []
-        else [ { Monitor.sym = "vfs_sendfile"; fn = wrap sendfile_fn state; stack_bytes = 0 } ])
-      @ [
-        { Monitor.sym = "vfs_register_backend"; fn = register_backend_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_backend_cid"; fn = backend_cid_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_open"; fn = wrap open_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_close"; fn = wrap close_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_pread"; fn = wrap pread_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_pwrite"; fn = wrap pwrite_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_size"; fn = wrap size_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_truncate"; fn = wrap truncate_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_fsync"; fn = wrap fsync_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_unlink"; fn = wrap unlink_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_exists"; fn = wrap exists_fn state; stack_bytes = 0 };
-        { Monitor.sym = "vfs_rename"; fn = wrap rename_fn state; stack_bytes = 16 };
-      ])
+    ~init:(init state)
+    (* the registration-time [window_open] to the dynamic backend caller
+       is modelled as an init-time open to peer "*" (documented soundness
+       caveat: the summary cannot name a cubicle that only exists at
+       runtime) *)
+    ~entries:
+      [
+        Iface.fundecl "__init"
+          [
+            Iface.Alloc { buf = "path_staging"; bytes = 4096 };
+            Iface.Window_add
+              {
+                win = "path_wid";
+                buf = Iface.Local "path_staging";
+                bytes = 4096;
+                standing = true;
+                rw = false;
+              };
+            Iface.Window_open { win = "path_wid"; peer = "*" };
+          ];
+      ]
+    ~exports:(exports state ~backend ~sendfile)

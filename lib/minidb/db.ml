@@ -194,8 +194,6 @@ let rollback t =
   t.tables <- Pager.with_page_image t.pager 0 (decode_catalog t.pager);
   t.dirty_catalog <- false
 
-let in_txn t = Pager.in_txn t.pager
-
 let with_txn t f =
   begin_txn t;
   match f () with

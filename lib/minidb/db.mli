@@ -39,7 +39,6 @@ val row_count : table -> int
 val begin_txn : t -> unit
 val commit : t -> unit
 val rollback : t -> unit
-val in_txn : t -> bool
 
 val with_txn : t -> (unit -> 'a) -> 'a
 (** Begin/commit around [f]; rolls back if [f] raises. *)

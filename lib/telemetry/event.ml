@@ -91,53 +91,3 @@ let pager_op_name = function
   | Rollback -> "rollback"
   | Wal_append -> "wal_append"
   | Checkpoint -> "checkpoint"
-
-let name = function
-  | Fault _ -> "fault"
-  | Retag _ -> "retag"
-  | Key_fault_in _ -> "key_fault_in"
-  | Key_evict _ -> "key_evict"
-  | Pkru_write _ -> "wrpkru"
-  | Call _ -> "call"
-  | Return _ -> "return"
-  | Shared_call _ -> "shared_call"
-  | Guard_fetch _ -> "guard_fetch"
-  | Rejected _ -> "rejected"
-  | Window _ -> "window"
-  | Window_access _ -> "window_access"
-  | Tlb _ -> "tlb"
-  | Sched_switch _ -> "sched_switch"
-  | Pager _ -> "pager"
-  | Mark _ -> "mark"
-
-let pp ppf ev =
-  match ev with
-  | Fault { addr; access; key; reason; resolved } ->
-      Format.fprintf ppf "fault addr=0x%x %s key=%d %s%s" addr (access_name access) key
-        (reason_name reason)
-        (if resolved then " (resolved)" else "")
-  | Retag { page; to_key } -> Format.fprintf ppf "retag page=%d -> key %d" page to_key
-  | Key_fault_in { cid; vkey; phys } ->
-      Format.fprintf ppf "key_fault_in cubicle=%d vkey=%d -> phys %d" cid vkey phys
-  | Key_evict { cid; vkey; phys; pages } ->
-      Format.fprintf ppf "key_evict cubicle=%d vkey=%d phys=%d (%d pages retagged)" cid vkey
-        phys pages
-  | Pkru_write { value } -> Format.fprintf ppf "wrpkru 0x%08x" value
-  | Call { caller; callee; sym } -> Format.fprintf ppf "call %s: %d -> %d" sym caller callee
-  | Return { caller; callee; sym } ->
-      Format.fprintf ppf "return %s: %d -> %d" sym callee caller
-  | Shared_call { caller; sym } -> Format.fprintf ppf "shared %s (caller %d)" sym caller
-  | Guard_fetch { cid; sym } -> Format.fprintf ppf "guard_fetch %s (cubicle %d)" sym cid
-  | Rejected { cid } -> Format.fprintf ppf "rejected (cubicle %d)" cid
-  | Window { cid; op; wid; peer; ptr; size; rw } ->
-      Format.fprintf ppf "window %s wid=%d (cubicle %d)" (window_op_name op) wid cid;
-      if peer >= 0 then Format.fprintf ppf " peer=%d" peer;
-      if size > 0 then Format.fprintf ppf " ptr=0x%x size=%d" ptr size;
-      if not rw then Format.fprintf ppf " ro"
-  | Window_access { cid; owner; page; access } ->
-      Format.fprintf ppf "window_access %s page=%d (cubicle %d -> owner %d)"
-        (access_name access) page cid owner
-  | Tlb op -> Format.fprintf ppf "tlb %s" (tlb_op_name op)
-  | Sched_switch { tid; cid } -> Format.fprintf ppf "sched tid=%d cid=%d" tid cid
-  | Pager op -> Format.fprintf ppf "pager %s" (pager_op_name op)
-  | Mark s -> Format.fprintf ppf "mark %s" s

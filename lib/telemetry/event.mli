@@ -96,8 +96,3 @@ val reason_name : fault_reason -> string
 val window_op_name : window_op -> string
 val tlb_op_name : tlb_op -> string
 val pager_op_name : pager_op -> string
-
-val name : t -> string
-(** Short kind name ("fault", "retag", …) used by the exporters. *)
-
-val pp : Format.formatter -> t -> unit

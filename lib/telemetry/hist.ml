@@ -22,13 +22,6 @@ type t = {
 
 let create () = { counts = Array.make nbuckets 0; n = 0; sum = 0; min_v = max_int; max_v = 0 }
 
-let reset t =
-  Array.fill t.counts 0 nbuckets 0;
-  t.n <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0
-
 (* floor(log2 v) for v > 0 *)
 let log2_floor v =
   let rec go v acc = if v <= 1 then acc else go (v lsr 1) (acc + 1) in

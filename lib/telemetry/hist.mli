@@ -10,7 +10,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val add : t -> int -> unit
 (** Record one sample; negative values clamp to 0. *)

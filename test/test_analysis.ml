@@ -543,6 +543,48 @@ let test_net_stack_clean () =
     Alcotest.failf "net stack: %d findings: %s" (List.length fs)
       (String.concat ", " (keys fs))
 
+(* Each live cubicle's summary list names every one of its exports
+   exactly once; any other summary is an [__init]/[__main] entry. *)
+let check_one_summary_per_export what built =
+  List.iter
+    (fun (name, cid, iface) ->
+      let syms = List.map (fun fd -> fd.Iface.fd_sym) iface in
+      let exports = Monitor.exports_of built.Builder.mon cid in
+      List.iter
+        (fun sym ->
+          check_int
+            (Printf.sprintf "%s: %s.%s summarised once" what name sym)
+            1
+            (List.length (List.filter (String.equal sym) syms)))
+        exports;
+      List.iter
+        (fun sym ->
+          check_bool
+            (Printf.sprintf "%s: %s.%s is an export or entry" what name sym)
+            true
+            (List.mem sym exports || sym = Ir.init_sym || sym = "__main"))
+        syms)
+    (Builder.live built)
+
+let test_one_summary_per_export () =
+  let fs merge_fs =
+    (Libos.Boot.fs_stack ~merge_fs ~protection:Types.Full ()).Libos.Boot.built
+  in
+  check_one_summary_per_export "fs" (fs false);
+  check_one_summary_per_export "merged fs" (fs true);
+  let net =
+    Libos.Boot.net_stack ~protection:Types.Full
+      ~extra:[ (Httpd.Server.component (), Types.Isolated) ]
+      ()
+  in
+  check_one_summary_per_export "net+NGINX" net.Libos.Boot.built;
+  let disk = Libos.Blkdev.create_disk ~sectors:4096 in
+  let fat = Libos.Boot.fat_stack ~protection:Types.Full ~disk () in
+  check_one_summary_per_export "fat" fat.Libos.Boot.built;
+  let tenants = Httpd.Tenant.boot ~mem_bytes:(64 * 1024 * 1024) () in
+  Httpd.Tenant.spawn tenants 0;
+  check_one_summary_per_export "tenant" (Httpd.Tenant.built tenants)
+
 (* --- qcheck properties ---------------------------------------------------- *)
 
 (* Random well-formed single-client programs plus five injectable
@@ -770,6 +812,7 @@ let () =
         [
           Alcotest.test_case "fs stack clean" `Quick test_fs_stack_clean;
           Alcotest.test_case "net stack clean" `Quick test_net_stack_clean;
+          Alcotest.test_case "one summary per export" `Quick test_one_summary_per_export;
         ] );
       ("properties", qsuite);
     ]

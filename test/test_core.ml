@@ -619,11 +619,11 @@ let mk_built () =
   let comps =
     [
       ( Builder.component
-          ~exports:[ { Monitor.sym = "alpha_fn"; fn = (fun _ _ -> 1); stack_bytes = 0 } ]
+          ~exports:[ Builder.export "alpha_fn" (fun _ _ -> 1) [] ]
           "ALPHA",
         Types.Isolated );
       ( Builder.component
-          ~exports:[ { Monitor.sym = "beta_fn"; fn = (fun _ _ -> 2); stack_bytes = 0 } ]
+          ~exports:[ Builder.export "beta_fn" (fun _ _ -> 2) [] ]
           "BETA",
         Types.Isolated );
     ]
@@ -635,17 +635,18 @@ let test_builder_and_call () =
   let alpha = Builder.cid built "ALPHA" in
   check_int "call works" 2 (Monitor.call built.Builder.mon ~caller:alpha "beta_fn" [||])
 
-let test_builder_rejects_undeclared_export () =
-  let mon = Monitor.create ~protection:Types.Full () in
-  let comp =
-    Builder.component ~exportsyms:[ "listed" ]
-      ~exports:[ { Monitor.sym = "unlisted"; fn = (fun _ _ -> 0); stack_bytes = 0 } ]
-      "BADCOMP"
-  in
-  check_bool "undeclared rejected" true
-    (match Builder.build mon [ (comp, Types.Isolated) ] with
+let test_builder_rejects_entry_naming_export () =
+  (* an entry summary for one of the component's own exports would be a
+     second, possibly disagreeing, declaration of that symbol *)
+  check_bool "entry naming an export rejected" true
+    (match
+       Builder.component
+         ~exports:[ Builder.export "dup_fn" (fun _ _ -> 0) [] ]
+         ~entries:[ Iface.fundecl "dup_fn" [] ]
+         "BADCOMP"
+     with
     | _ -> false
-    | exception Builder.Undeclared_export ("BADCOMP", "unlisted") -> true)
+    | exception Invalid_argument _ -> true)
 
 let test_guard_page_entry_allowed () =
   let built = mk_built () in
@@ -864,7 +865,7 @@ let test_spawn_guards_cover_existing_exports () =
   let built = mk_built () in
   let gamma_comp =
     Builder.component
-      ~exports:[ { Monitor.sym = "gamma_fn"; fn = (fun _ _ -> 3); stack_bytes = 0 } ]
+      ~exports:[ Builder.export "gamma_fn" (fun _ _ -> 3) [] ]
       "GAMMA"
   in
   let fresh = Builder.spawn built [ (gamma_comp, Types.Isolated) ] in
@@ -918,7 +919,7 @@ let test_extend_grows_guard_tables () =
   check_bool "name gone" true (is_error (fun () -> Builder.cid built "BETA"));
   let gamma_comp =
     Builder.component
-      ~exports:[ { Monitor.sym = "gamma_fn"; fn = (fun _ _ -> 3); stack_bytes = 0 } ]
+      ~exports:[ Builder.export "gamma_fn" (fun _ _ -> 3) [] ]
       "GAMMA"
   in
   let gamma = List.assoc "GAMMA" (Builder.spawn built [ (gamma_comp, Types.Isolated) ]) in
@@ -1464,7 +1465,8 @@ let () =
       ( "cfi",
         [
           Alcotest.test_case "builder calls" `Quick test_builder_and_call;
-          Alcotest.test_case "undeclared export" `Quick test_builder_rejects_undeclared_export;
+          Alcotest.test_case "entry naming an export" `Quick
+            test_builder_rejects_entry_naming_export;
           Alcotest.test_case "guard entry ok" `Quick test_guard_page_entry_allowed;
           Alcotest.test_case "rogue thunk fetch" `Quick test_rogue_thunk_fetch_faults;
           Alcotest.test_case "rogue cross fetch" `Quick test_rogue_cross_code_fetch_faults;

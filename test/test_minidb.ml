@@ -135,7 +135,18 @@ let test_pager_lru_order () =
   check_cache "1 evicted" [ 2; 3; 4; 5 ];
   read 7;
   check_cache "4 evicted" [ 2; 3; 5; 7 ];
-  check_int "evictions" 10 (Minidb.Pager.stats p).evictions;
+  (* pin 2, then touch every other frame so the pinned one ends up
+     coldest (order 7, 5, 3, 2): the miss must skip it and evict 3 *)
+  Minidb.Pager.read_page p (pg 2) (fun _ ->
+      read 3;
+      read 5;
+      read 7;
+      read 0;
+      check_cache "3 evicted, coldest frame pinned" [ 0; 2; 5; 7 ]);
+  (* unpinned again, 2 is the next victim *)
+  read 1;
+  check_cache "2 evicted after unpin" [ 0; 1; 5; 7 ];
+  check_int "evictions" 12 (Minidb.Pager.stats p).evictions;
   Minidb.Pager.close p
 
 let test_pager_commit () =

@@ -195,7 +195,7 @@ let test_failed_batch_spawn_unloads_batch () =
   let gw = Builder.cid built "GW" in
   let a =
     Builder.component ~heap_pages:2
-      ~exports:[ { Monitor.sym = "a_fn"; fn = (fun _ a -> a.(0) + 1); stack_bytes = 0 } ]
+      ~exports:[ Builder.export "a_fn" (fun _ a -> a.(0) + 1) [] ]
       "A"
   in
   let b heap_pages = Builder.component ~heap_pages "B" in
