@@ -1283,6 +1283,31 @@ let analyze ?(out = "ANALYSIS.json") ?baseline ?write_baseline () =
   describe "infer: net stack" net_inf net_prog;
   record "cross-check: trace-derived vs hand-written summaries (net stack)"
     (Analysis.Infer.check net_inf net_prog);
+  (* the FAT stack (UKFAT over BLKDEV): a file written and read back
+     through it, so its summaries face a trace too *)
+  let fat_sys =
+    Libos.Boot.fat_stack
+      ~disk:(Libos.Blkdev.create_disk ~sectors:1024)
+      ~extra:[ (Builder.component ~heap_pages:64 ~stack_pages:4 "APP", Types.Isolated) ]
+      ()
+  in
+  let fat_dyn, fat_inf, fat_events =
+    traced_replay fat_sys (fun () ->
+        let fio = Libos.Fileio.make (Libos.Boot.app_ctx fat_sys "APP") in
+        let data = String.init 5000 (fun i -> Char.chr (i * 7 land 0xff)) in
+        Libos.Fileio.write_file fio "/fat.bin" data;
+        if Libos.Fileio.read_file fio "/fat.bin" <> data then begin
+          fprintf "FATAL: analyze workload: /fat.bin read back differs on the FAT stack\n";
+          exit 1
+        end)
+  in
+  record
+    (Printf.sprintf "dynamic: FAT write + read-back replayed, %d events" fat_events)
+    fat_dyn;
+  let fat_prog = Analysis.Ir.of_built fat_sys.Libos.Boot.built in
+  describe "infer: fat stack" fat_inf fat_prog;
+  record "cross-check: trace-derived vs hand-written summaries (fat stack)"
+    (Analysis.Infer.check fat_inf fat_prog);
   (* the gate's own regression: a deliberately stale summary must fail.
      The net trace observes ramfs_pread writing the app's read buffer;
      dropping that claim from the summary must trip the cross-check. *)

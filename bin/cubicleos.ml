@@ -157,8 +157,7 @@ let attack_cmd =
       match f () with
       | _ -> Printf.printf "!! %-50s NOT BLOCKED\n" name
       | exception Hw.Fault.Violation _ -> Printf.printf "ok %-50s (%s)\n" name blocked_by
-      | exception Loader.Rejected _ -> Printf.printf "ok %-50s (%s)\n" name blocked_by
-      | exception Types.Error _ -> Printf.printf "ok %-50s (%s)\n" name blocked_by
+      | exception Types.Denied _ -> Printf.printf "ok %-50s (%s)\n" name blocked_by
     in
     let secret = Api.malloc_page_aligned app_ctx 32 in
     Monitor.run_as mon (Api.self app_ctx) (fun () ->

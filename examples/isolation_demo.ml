@@ -24,10 +24,10 @@ let attempt name f ~blocked_by =
       Printf.printf "  !! %-52s NOT BLOCKED\n" name
   | exception Hw.Fault.Violation _ ->
       Printf.printf "  ok %-52s blocked by %s\n" name blocked_by
-  | exception Loader.Rejected (_, hits) ->
+  | exception Types.Denied (Forbidden_code { hits; _ }) ->
       Printf.printf "  ok %-52s blocked by %s (%d forbidden sequences)\n" name blocked_by
         (List.length hits)
-  | exception Types.Error _ -> Printf.printf "  ok %-52s blocked by %s\n" name blocked_by
+  | exception Types.Denied _ -> Printf.printf "  ok %-52s blocked by %s\n" name blocked_by
 
 let () =
   print_endline "== CubicleOS isolation demo: attacks and their fate ==";

@@ -19,8 +19,6 @@ val toplevel_sym : string
 
 val create : unit -> t
 
-val feed : ?core:int -> t -> Telemetry.Event.t -> unit
-
 val run : t -> Telemetry.Bus.entry list -> unit
 
 type observation = {

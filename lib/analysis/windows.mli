@@ -9,12 +9,6 @@
     intersection; [Loop] bodies are analysed with the loop-entry state
     and may run zero times. *)
 
-val accessors : Ir.program -> string -> int -> Set.Make(String).t
-(** [accessors p sym idx]: components that may dereference argument
-    [idx] of export [sym], transitively through pointer forwarding.
-    Forwarding to shared code attributes the dereference to the
-    forwarder (shared code runs with the caller's privileges). *)
-
 val check : Ir.program -> Report.finding list
 (** Coverage findings (static, pass ["coverage"]):
     [no-grant] ([High]) — no live window grants the buffer at all;

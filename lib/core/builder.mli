@@ -63,7 +63,7 @@ val build : Monitor.t -> (component * Types.kind) list -> built
     monitor is a caller. *)
 
 val cid : built -> string -> Types.cid
-(** {!Monitor.lookup_cubicle}: raises {!Types.Error} for a name that is
+(** {!Monitor.lookup_cubicle}: raises [No_cubicle_named] for a name that is
     not live. *)
 
 val spawn :
@@ -77,7 +77,7 @@ val spawn :
     each loaded isolated cubicle for {e every} live export, and in each
     cubicle of [callers] for the new symbols), runs initialisers in
     declaration order, and returns the fresh [(name, cid)] pairs. Component names must not collide with live
-    cubicles ({!Types.Error} from the monitor if they do). All or
+    cubicles ([Duplicate_cubicle] from the monitor if they do). All or
     nothing: if a load, the trampoline extension or an initialiser
     raises, every cubicle this call loaded is unloaded again before the
     exception propagates. *)

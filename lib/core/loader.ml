@@ -14,13 +14,11 @@ type loaded = {
   data_base : int;
 }
 
-exception Rejected of string * Hw.Instr.forbidden list
-
 let scan img =
   if not img.signed then
     match Hw.Instr.scan_forbidden img.code with
     | [] -> ()
-    | hits -> raise (Rejected (img.img_name, hits))
+    | hits -> raise (Types.Denied (Forbidden_code { image = img.img_name; hits }))
 
 (* Copy a blob into freshly mapped pages owned by the cubicle. The blob
    is written with monitor privileges before the final (possibly

@@ -24,12 +24,6 @@ type loaded = {
   data_base : int;
 }
 
-exception Rejected of string * Hw.Instr.forbidden list
-(** Image name and the offending byte offsets. *)
-
-val scan : image -> unit
-(** Raises {!Rejected} if the image contains forbidden sequences. *)
-
 val load :
   Monitor.t ->
   image ->
@@ -38,7 +32,8 @@ val load :
   stack_pages:int ->
   exports:Monitor.export_spec list ->
   loaded
-(** Scan (unless signed), create the cubicle, map code pages
+(** Scan (unless signed; forbidden sequences raise
+    {!Types.Denied} [Forbidden_code]), create the cubicle, map code pages
     execute-only, rodata read-only, data read-write, populate the page
     metadata map, and register the exports so cross-cubicle calls
     resolve through trampolines. *)

@@ -94,7 +94,7 @@ let find t cid =
   if cid >= 0 && cid < Array.length t.cubs then Array.unsafe_get t.cubs cid else None
 
 let get t cid =
-  match find t cid with Some c -> c | None -> Types.error "no cubicle with id %d" cid
+  match find t cid with Some c -> c | None -> raise (Types.Denied (No_cubicle cid))
 
 let mpk_on t = match t.protection with Types.Mpk | Types.Full -> true | _ -> false
 
@@ -389,14 +389,14 @@ let release_runs t c =
   c.runs <- []
 
 let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
-  if Str_tbl.mem t.by_name name then Types.error "cubicle %s already exists" name;
+  if Str_tbl.mem t.by_name name then raise (Types.Denied (Duplicate_cubicle name));
   let cid =
     match t.free_cids with
     | c :: rest ->
         t.free_cids <- rest;
         c
     | [] ->
-        if t.next_cid >= max_cubicles then Types.error "too many cubicles";
+        if t.next_cid >= max_cubicles then raise (Types.Denied Too_many_cubicles);
         let c = t.next_cid in
         t.next_cid <- c + 1;
         c
@@ -416,9 +416,7 @@ let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
         | Some k -> k
         | None ->
             undo_cid ();
-            Types.error
-              "out of MPK protection keys (15 in use); enable tag virtualisation \
-               (libmpk-style) to run more isolated cubicles")
+            raise (Types.Denied (Out_of_keys { dedicated = false })))
   in
   let cub =
     new_cubicle ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages:(max 4 heap_pages)
@@ -470,7 +468,7 @@ let stack_base t cid = (get t cid).stack_base
 let lookup_cubicle t name =
   match Str_tbl.find_opt t.by_name name with
   | Some cid -> cid
-  | None -> Types.error "no cubicle named %s" name
+  | None -> raise (Types.Denied (No_cubicle_named name))
 
 let cubicle_exists t name = Str_tbl.mem t.by_name name
 
@@ -487,7 +485,7 @@ let register_exports t cid specs =
   let c = get t cid in
   List.iter
     (fun { sym; fn; stack_bytes } ->
-      if Str_tbl.mem t.symbols sym then Types.error "duplicate export symbol %s" sym;
+      if Str_tbl.mem t.symbols sym then raise (Types.Denied (Duplicate_symbol sym));
       let e_sid = Telemetry.Bus.intern_sym (bus t) sym in
       Str_tbl.replace t.symbols sym
         { e_sym = sym; e_sid; e_owner = cid; e_fn = fn; e_stack_bytes = stack_bytes };
@@ -517,7 +515,7 @@ let call t ~caller sym args =
     | None ->
         Telemetry.Bus.count_rejected (bus t);
         if tracing t then emit t (Telemetry.Event.Rejected { cid = caller });
-        Types.error "cross-cubicle call to unresolved symbol %s (CFI)" sym
+        raise (Types.Denied (Unresolved_symbol sym))
   in
   let callee = exp.e_owner in
   let callee_cub = get t callee in
@@ -614,7 +612,7 @@ let free t cid addr =
   charge_service t;
   let c = get t cid in
   let rec find = function
-    | [] -> Types.error "cubicle %s: free of foreign pointer 0x%x" c.name addr
+    | [] -> raise (Types.Denied (Foreign_free { name = c.name; addr }))
     | h :: rest -> (
         match Mm.Suballoc.block_size h addr with
         | Some _ -> Mm.Suballoc.free h addr
@@ -648,9 +646,8 @@ let free_pages t cid base =
   match if Hw.Addr.align_down base = base then freeable_run page c.runs else None with
   | None -> (
       match Mm.Page_meta.owner t.meta page with
-      | Some owner when owner <> cid ->
-          Types.error "free_pages: cubicle %d does not own 0x%x" cid base
-      | _ -> Types.error "free_pages: 0x%x is not an allocation base" base)
+      | Some owner when owner <> cid -> raise (Types.Denied (Run_not_owned { cid; base }))
+      | _ -> raise (Types.Denied (Not_allocation_base base)))
   | Some r ->
       c.runs <- without_run r c.runs;
       if mpk_on t then
@@ -731,20 +728,20 @@ let find_window t cid wid = Window.find (get t cid).windows wid
 (* Windows may only carry non-empty spans of memory the caller owns, of
    the window's data class. *)
 let check_range_owned t cid (w : Window.t) wid ~ptr ~size =
-  if size <= 0 then Types.error "window %d: non-positive range size %d" wid size;
+  if size <= 0 then raise (Types.Denied (Bad_range_size { wid; size }));
   let first = Hw.Addr.page_of ptr and last = Hw.Addr.page_of (ptr + size - 1) in
   for p = first to last do
     (match Mm.Page_meta.owner t.meta p with
     | Some o when o = cid -> ()
-    | Some o -> Types.error "window_add: page %d belongs to cubicle %d, not %d" p o cid
-    | None -> Types.error "window_add: page %d is unowned" p);
+    | Some o -> raise (Types.Denied (Foreign_page { page = p; owner = o; cid }))
+    | None -> raise (Types.Denied (Unowned_page p)));
     match Mm.Page_meta.kind t.meta p with
     | Some k when k = w.Window.klass -> ()
     | Some k ->
-        Types.error "window_add: page %d is %s data but window %d holds %s data" p
-          (Mm.Page_meta.kind_to_string k) wid
-          (Mm.Page_meta.kind_to_string w.Window.klass)
-    | None -> Types.error "window_add: page %d has no class" p
+        raise
+          (Types.Denied
+             (Wrong_class { page = p; page_class = k; wid; window_class = w.Window.klass }))
+    | None -> assert false (* an owned page has a class *)
   done
 
 (* Permission downgrade RW -> R of an existing grant, in place. Under
@@ -842,7 +839,7 @@ let window_add t cid ?(perm = Window.RW) wid ~ptr ~size =
 (* Atomic batch: every range is validated before any is granted, so a
    bad descriptor in the middle cannot leave a half-applied batch. *)
 let window_add_ranges t cid ?(perm = Window.RW) wid ranges =
-  if List.is_empty ranges then Types.error "window_add_ranges: empty range list";
+  if List.is_empty ranges then raise (Types.Denied (Empty_batch Ranges));
   charge_window_op t;
   charge_batch_extra t (List.length ranges);
   let w = find_window t cid wid in
@@ -850,7 +847,7 @@ let window_add_ranges t cid ?(perm = Window.RW) wid ranges =
   List.iter (fun (ptr, size) -> add_range t cid w wid ~perm ~ptr ~size) ranges
 
 let check_peer t cid other =
-  if other = cid then Types.error "window_open: cannot open a window to oneself";
+  if other = cid then raise (Types.Denied (Window_to_self { dedicated = false }));
   ignore (get t other)
 
 let emit_open t cid wid other =
@@ -865,7 +862,7 @@ let window_open t cid wid other =
 
 (* Every grant (and its eager retags) precedes the first Open event. *)
 let window_open_many t cid wid peers =
-  if List.is_empty peers then Types.error "window_open_many: empty peer list";
+  if List.is_empty peers then raise (Types.Denied (Empty_batch Peers));
   charge_window_op t;
   charge_batch_extra t (List.length peers);
   List.iter (check_peer t cid) peers;
@@ -883,13 +880,11 @@ let window_open_many t cid wid peers =
    the owner had opened it. *)
 let window_forward t cid ~owner wid other =
   charge_window_op t;
-  if other = owner then
-    Types.error "window_forward: cubicle %d already owns window %d" other wid;
+  if other = owner then raise (Types.Denied (Forward_to_owner { owner; wid }));
   ignore (get t other);
   let w = find_window t owner wid in
   if cid <> owner && not (Window.is_open_for w cid) then
-    Types.error "window_forward: window %d of cubicle %d is not open for forwarder %d" wid
-      owner cid;
+    raise (Types.Denied (Not_open_for_forwarder { wid; owner; forwarder = cid }));
   grant t w other;
   emit_window t owner Telemetry.Event.Forward ~wid ~peer:other ~ptr:0 ~size:0 ~rw:true
 
@@ -905,14 +900,10 @@ let window_grants ?(access = Window.Read) t cid ~peer ~ptr ~size =
 (* A window-specific tag comes from the one pool, pinned. Exhaustion
    and virtualisation are reported before anything is mutated. *)
 let pin_dedicated_key t =
-  if t.virtualise then
-    Types.error "window-specific tags are not supported with tag virtualisation";
+  if t.virtualise then raise (Types.Denied Dedicated_virtualised);
   match Hw.Keymux.pin t.keys with
   | Some k -> k
-  | None ->
-      Types.error
-        "out of MPK protection keys: window-specific tags consume one tag per \
-         shared buffer and exhaust the 16 keys quickly (paper §5.6)"
+  | None -> raise (Types.Denied (Out_of_keys { dedicated = true }))
 
 (* Refresh the active PKRU if an affected cubicle is executing. *)
 let refresh_pkru_if_current t cid other =
@@ -927,7 +918,7 @@ let refresh_pkru_if_current t cid other =
    emit, so a failing call changes nothing but the billed cycles. *)
 let window_open_dedicated t cid wid other =
   charge_window_op t;
-  if other = cid then Types.error "window_open_dedicated: cannot open to oneself";
+  if other = cid then raise (Types.Denied (Window_to_self { dedicated = true }));
   let grantee = get t other in
   let w = find_window t cid wid in
   let key =
@@ -1013,8 +1004,8 @@ let dedicated_keys_in_use t =
    and its MPK key — physical or virtual — and its cid go back to the
    pools for reuse by a later spawn. *)
 let destroy_cubicle t cid =
-  if cid = monitor_cid then Types.error "cannot destroy the monitor";
-  if current t = cid then Types.error "cannot destroy the executing cubicle";
+  if cid = monitor_cid then raise (Types.Denied Destroy_monitor);
+  if current t = cid then raise (Types.Denied Destroy_running);
   let c = get t cid in
   (* remove its exports *)
   List.iter (Str_tbl.remove t.symbols) c.exports;

@@ -5,7 +5,8 @@
 
     The monitor is cubicle 0. Shared cubicles' pages carry a single
     dedicated key that every thread's PKRU allows, so calls into them
-    never transit the monitor. *)
+    never transit the monitor. Every refusal raises {!Types.Denied}
+    with the constructor of the rule it enforces. *)
 
 type t
 
@@ -81,7 +82,7 @@ val current : t -> Types.cid
 val create_cubicle :
   t -> name:string -> kind:Types.kind -> heap_pages:int -> stack_pages:int -> Types.cid
 (** Allocates a cubicle id, an MPK key, a stack and an initial heap.
-    Raises {!Types.Error} when the 15 hardware tags are exhausted,
+    Raises [Out_of_keys] when the 15 hardware tags are exhausted,
     unless the monitor was created with [~virtualise:true] (libmpk-style
     tag virtualisation, the paper's §8 suggestion), in which case
     cubicles receive virtual keys mapped to physical ones on demand. *)
@@ -118,7 +119,7 @@ val cubicle_raw_key : t -> Types.cid -> int
 val cubicle_heap_bytes : t -> Types.cid -> int
 val stack_base : t -> Types.cid -> int
 val lookup_cubicle : t -> string -> Types.cid
-(** By name; raises {!Types.Error} if unknown. *)
+(** By name; raises [No_cubicle_named] if unknown. *)
 
 val cubicle_exists : t -> string -> bool
 val windows_of : t -> Types.cid -> Window.table
@@ -147,7 +148,7 @@ val owned_pages : t -> Types.cid -> int list
     the walk a key eviction makes; costs the cubicle's own page count. *)
 
 val register_exports : t -> Types.cid -> export_spec list -> unit
-(** Raises {!Types.Error} on duplicate symbols (the system has one flat
+(** Raises [Duplicate_symbol] (the system has one flat
     symbol namespace, as with Unikraft's exported-symbol lists). *)
 
 val exports_of : t -> Types.cid -> string list
@@ -157,7 +158,7 @@ val has_export : t -> string -> bool
 
 val call : t -> caller:Types.cid -> string -> int array -> int
 (** Resolve [sym] and transfer control:
-    - unknown symbol → {!Types.Error} (CFI: only registered public entry
+    - unknown symbol → [Unresolved_symbol] (CFI: only registered entry
       points can be reached);
     - shared cubicle → direct call with the caller's privileges;
     - isolated/trusted → trampoline: fixed cost, per-cubicle stack
@@ -189,7 +190,7 @@ val free_pages : t -> Types.cid -> int -> unit
 (** {1 Window management (Table 1; ownership enforced)} *)
 
 val window_init : t -> Types.cid -> klass:Mm.Page_meta.kind -> Types.wid
-(** Raises {!Types.Error} when the descriptor array for [klass] is full
+(** Raises [Descriptors_full] when the array for [klass] is full
     — call {!window_table_extend} first (paper §5.3). *)
 
 val window_table_extend : t -> Types.cid -> klass:Mm.Page_meta.kind -> unit
@@ -226,7 +227,7 @@ val window_add_ranges :
     of [(ptr, size)] grants, all carrying [perm] (default [RW]). Every
     range is validated before any is applied (atomic batch); one Add
     event is still emitted per range so replay mirrors and counters
-    stay exact. Raises {!Types.Error} on an empty list. *)
+    stay exact. Raises [Empty_batch] on an empty list. *)
 
 val window_open_many : t -> Types.cid -> Types.wid -> Types.cid list -> unit
 (** Batched {!window_open}: one monitor crossing amortised over a list
@@ -281,8 +282,8 @@ val destroy_cubicle : t -> Types.cid -> unit
     destroys its own windows, scrubs and releases all its pages, drops
     its guard table and interface summary, and returns its MPK key
     (virtual or physical) and its cid to the pools for reuse by a later
-    spawn. Every teardown path ends here. Raises {!Types.Error} for the
-    monitor or the currently executing cubicle. *)
+    spawn. Every teardown path ends here. Raises [Destroy_monitor] or
+    [Destroy_running] for the monitor or the executing cubicle. *)
 
 (** {1 Window-specific tags (ablation; §5.6/§8)} *)
 
@@ -290,16 +291,17 @@ val window_open_dedicated : t -> Types.cid -> Types.wid -> Types.cid -> unit
 (** Grant access through a dedicated MPK tag instead of trap-and-map:
     the window's pages are retagged once to a tag of their own, which
     both owner and grantee enable in PKRU — no faults on access, but
-    one of the 16 keys is consumed per window ({!Types.Error} on
-    exhaustion, and always under [~virtualise:true]). Failure-atomic:
-    the peer, the window and the tag are checked or allocated before
-    anything changes, so a failing call leaves no grant, no tag and no
-    event behind; only the service charge is billed. *)
+    one of the 16 keys is consumed per window ([Out_of_keys] on
+    exhaustion, [Dedicated_virtualised] under [~virtualise:true]).
+    Failure-atomic: the peer, the window and the tag are checked or
+    allocated before anything changes, so a failing call leaves no
+    grant, no tag and no event behind; only the service charge is
+    billed. *)
 
 val window_close_dedicated : t -> Types.cid -> Types.wid -> Types.cid -> unit
 (** Revoke a dedicated grant; when the last grantee goes, the tag is
     returned to the pool (scrubbed from every core's PKRU) and the pages
-    to their owner. An unknown window or peer raises {!Types.Error}
-    before anything changes or is emitted. *)
+    to their owner. An unknown window or peer is denied before anything
+    changes or is emitted. *)
 
 val dedicated_keys_in_use : t -> int

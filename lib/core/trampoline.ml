@@ -142,7 +142,7 @@ let guard_all t ~cids = guard t (sorted t) ~cids
 let thunk_addr t sym =
   match Str_tbl.find_opt t.thunks sym with
   | Some th -> th.addr
-  | None -> Types.error "no trampoline thunk for symbol %s" sym
+  | None -> raise (Types.Denied (No_thunk sym))
 
 (* The guard entry address for (cid, sym), 0 if there is none. *)
 let find_guard t cid sym =
@@ -153,7 +153,7 @@ let find_guard t cid sym =
 
 let guard_addr t cid sym =
   match find_guard t cid sym with
-  | 0 -> Types.error "no guard entry for cubicle %d, symbol %s" cid sym
+  | 0 -> raise (Types.Denied (No_guard { cid; sym }))
   | a -> a
 
 let has_thunk t sym = Str_tbl.mem t.thunks sym

@@ -35,7 +35,7 @@ val guard_all : t -> cids:Types.cid list -> unit
     Non-isolated cids are ignored. *)
 
 val thunk_addr : t -> string -> int
-(** Address of the thunk for a symbol. Raises {!Types.Error} if the
+(** Address of the thunk for a symbol. Raises [No_thunk] if the
     symbol has no thunk. *)
 
 val guard_addr : t -> Types.cid -> string -> int

@@ -73,11 +73,9 @@ let extend table klass = table.caps.(slot klass) <- 2 * capacity table klass
 
 let init table ~klass =
   if List.length (arr_of table klass) >= capacity table klass then
-    Types.error
-      "cubicle %d: %s window descriptor array is full (%d entries); extend it first"
-      table.tbl_owner
-      (Mm.Page_meta.kind_to_string klass)
-      (capacity table klass);
+    raise
+      (Types.Denied
+         (Descriptors_full { cid = table.tbl_owner; klass; capacity = capacity table klass }));
   let w =
     {
       wid = table.next_wid;
@@ -103,7 +101,7 @@ let rec from_wid wid = function
 
 let rec find_from table wid s =
   if s = Array.length table.arrs then
-    Types.error "window %d not found in cubicle %d" wid table.tbl_owner
+    raise (Types.Denied (No_window { wid; cid = table.tbl_owner }))
   else
     match from_wid wid table.arrs.(s) with
     | w :: _ -> w
@@ -113,7 +111,7 @@ let rec find_from table wid s =
    window op looks its window up. *)
 let find table wid = find_from table wid 0
 
-let check_alive w = if not w.alive then Types.error "window %d was destroyed" w.wid
+let check_alive w = if not w.alive then raise (Types.Denied (Window_destroyed w.wid))
 
 let range_touches_page r p =
   Hw.Addr.page_of r.ptr <= p && p <= Hw.Addr.page_of (r.ptr + r.size - 1)
@@ -162,7 +160,7 @@ let unindex_range table w r =
 
 let add_range ?(perm = RW) table w ~ptr ~size =
   check_alive w;
-  if size <= 0 then Types.error "window %d: non-positive range size %d" w.wid size;
+  if size <= 0 then raise (Types.Denied (Bad_range_size { wid = w.wid; size }));
   let r = { ptr; size; perm } in
   w.ranges <- r :: w.ranges;
   index_range table w r
@@ -174,7 +172,7 @@ let rec newest_at ptr = function
 let range_at w ~ptr =
   match newest_at ptr w.ranges with
   | Some r -> r
-  | None -> Types.error "window %d: no range starts at 0x%x" w.wid ptr
+  | None -> raise (Types.Denied (No_range_at { wid = w.wid; ptr }))
 
 (* In-place permission downgrade RW -> R of the (newest) grant rooted
    at [ptr]. Downgrading is always safe for the peer (it can only lose
@@ -280,16 +278,6 @@ let rec in_rw_ranges addr = function
 
 let writable w ~addr = w.alive && in_rw_ranges addr w.ranges
 
-(* Reference linear scan of the descriptor array (the paper's §5.3
-   step ❸). Kept as the oracle the page index must agree with. *)
-let search_linear table ~klass ~addr =
-  let rec scan inspected = function
-    | [] -> None
-    | w :: rest ->
-        if contains w addr then Some (w, inspected + 1) else scan (inspected + 1) rest
-  in
-  scan 0 (arr_of table klass)
-
 let rec newest_containing addr best = function
   | [] -> best
   | w :: rest ->
@@ -301,10 +289,10 @@ let rec newest_containing addr best = function
       newest_containing addr best rest
 
 let rec position w i = function
-  | [] -> Types.error "window index: wid %d missing from its array" w.wid
+  | [] -> assert false (* an indexed window is in its class's array *)
   | w' :: rest -> if w' == w then i else position w (i + 1) rest
 
-(* Page-indexed lookup, bit-identical to [search_linear]: descriptor
+(* Page-indexed lookup, bit-identical to a linear scan: descriptor
    arrays are newest-first with strictly descending (never reused)
    wids, so the linear scan's winner is the containing window with the
    largest wid, and the charged "inspected" count is that window's

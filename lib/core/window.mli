@@ -11,8 +11,7 @@
     per-table page index (standing sendfile grants make the ACL lookup
     hot); the result — including the charged "descriptors inspected"
     count — is bit-identical to the paper's linear search through the
-    descriptor array for the faulting page's class, which is kept as
-    {!search_linear} for differential testing. *)
+    descriptor array for the faulting page's class. *)
 
 type perm = R | RW
 (** A grant's permission. [R] lets the peer read the range; [RW] also
@@ -47,7 +46,7 @@ val owner : table -> Types.cid
 
 val init : table -> klass:Mm.Page_meta.kind -> t
 (** [cubicle_window_init]: fresh empty window in the array for
-    [klass]. Raises {!Types.Error} when that descriptor array is full
+    [klass]. Raises [Descriptors_full] when that array is full
     (fixed capacity, extended on request via {!extend} — paper §5.3). *)
 
 val capacity : table -> Mm.Page_meta.kind -> int
@@ -56,14 +55,14 @@ val extend : table -> Mm.Page_meta.kind -> unit
 (** Double the capacity of one descriptor array. *)
 
 val find : table -> Types.wid -> t
-(** Raises {!Types.Error} for an unknown or destroyed wid. *)
+(** Raises [No_window] for an unknown or destroyed wid. *)
 
 val add_range : ?perm:perm -> table -> t -> ptr:int -> size:int -> unit
 (** Adds a grant and enters its pages into the table's page index.
     [perm] defaults to [RW] (the paper's all-or-nothing grant). *)
 
 val range_at : t -> ptr:int -> range
-(** The newest range rooted at [ptr]. Raises {!Types.Error} if there is
+(** The newest range rooted at [ptr]. Raises [No_range_at] if there is
     none. *)
 
 val downgrade_range : t -> ptr:int -> unit
@@ -71,12 +70,12 @@ val downgrade_range : t -> ptr:int -> unit
     Downgrading is always safe for the peer — it can only lose write
     access; widening R back to RW is deliberately not provided (the
     owner re-grants instead, so a widening is always a visible window
-    op). Raises {!Types.Error} if no range starts at [ptr]. *)
+    op). Raises [No_range_at] if no range starts at [ptr]. *)
 
 val remove_range : table -> t -> ptr:int -> unit
 (** Removes exactly one range starting at [ptr] (the most recently
     added, if several share a base) and unindexes any page no other
-    range of the window still touches. Raises {!Types.Error} if no
+    range of the window still touches. Raises [No_range_at] if no
     range starts at [ptr]. *)
 
 val open_for : t -> Types.cid -> unit
@@ -120,11 +119,7 @@ val search : table -> klass:Mm.Page_meta.kind -> addr:int -> (t * int) option
 (** Page-indexed lookup of a live window containing [addr]; also
     returns the number of descriptors a linear scan would have
     inspected so the monitor can charge the same search cost. The
-    result is bit-identical to {!search_linear}. *)
-
-val search_linear : table -> klass:Mm.Page_meta.kind -> addr:int -> (t * int) option
-(** The original linear search of one descriptor array — the oracle
-    {!search} is differentially tested against. *)
+    result is bit-identical to a linear scan of the class's array. *)
 
 val set_dedicated_key : t -> int option -> unit
 

@@ -151,9 +151,6 @@ val memset : t -> int -> int -> char -> unit
 val fetch : t -> int -> int -> unit
 (** [fetch t addr len] models instruction fetch (Exec access). *)
 
-val check_range : t -> int -> int -> Fault.access -> unit
-(** Check without transferring data (used to model DMA setup etc.). *)
-
 (** {1 Privileged accessors} — monitor/loader/host-bridge only: bypass
     page-level and key checks but still charge memory cycles. *)
 

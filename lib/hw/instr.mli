@@ -23,9 +23,6 @@ type t =
   | Rdpkru
   | Syscall  (** forbidden in untrusted code *)
 
-val encode : t -> string
-(** Byte encoding of one instruction. *)
-
 val assemble : t list -> bytes
 (** Concatenated encoding of an instruction sequence. *)
 

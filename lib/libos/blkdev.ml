@@ -13,7 +13,6 @@ let create_disk ~sectors =
 type state = {
   disk : disk;
   mutable staging : int;  (* DMA page *)
-  mutable reads : int;
   mutable writes : int;
 }
 
@@ -34,7 +33,6 @@ let read_fn state ctx (args : int array) =
       (Bytes.sub state.disk.data (sector * sector_size) len);
     Api.memcpy ctx ~dst:buf ~src:state.staging ~len;
     charge ctx n;
-    state.reads <- state.reads + n;
     Sysdefs.ok
   end
 
@@ -57,18 +55,17 @@ let capacity_fn state _ctx _ = state.disk.sectors
 let init state ctx = state.staging <- Api.alloc_pages ctx 1 ~kind:Mm.Page_meta.Heap
 
 let make disk =
-  let state = { disk; staging = 0; reads = 0; writes = 0 } in
+  let state = { disk; staging = 0; writes = 0 } in
   let comp =
     Builder.component "BLKDEV" ~code_ops:512 ~heap_pages:4 ~stack_pages:2
       ~init:(init state)
       ~exports:
         [
-          Builder.export "blk_read" (read_fn state) [];
-          Builder.export "blk_write" (write_fn state) [];
+          Builder.export ~derefs:[ 0 ] ~writes:[ 0 ] "blk_read" (read_fn state) [];
+          Builder.export ~derefs:[ 0 ] "blk_write" (write_fn state) [];
           Builder.export "blk_capacity" (capacity_fn state) [];
         ]
   in
   (state, comp)
 
-let reads state = state.reads
 let writes state = state.writes

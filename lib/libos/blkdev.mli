@@ -22,5 +22,4 @@ val make : disk -> state * Cubicle.Builder.component
     0, [blk_capacity()] → total sectors. Each transfer charges a
     per-sector device cost. *)
 
-val reads : state -> int
 val writes : state -> int

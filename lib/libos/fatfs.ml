@@ -414,15 +414,15 @@ let make () =
     Builder.component "UKFAT" ~code_ops:1024 ~heap_pages:8 ~stack_pages:4 ~init:(init state)
       ~exports:
         [
-          Builder.export "fatfs_lookup" (lookup_fn state) [];
-          Builder.export "fatfs_create" (create_fn state) [];
-          Builder.export "fatfs_pread" (pread_fn state) [];
-          Builder.export "fatfs_pwrite" (pwrite_fn state) [];
+          Builder.export ~derefs:[ 0 ] "fatfs_lookup" (lookup_fn state) [];
+          Builder.export ~derefs:[ 0 ] "fatfs_create" (create_fn state) [];
+          Builder.export ~derefs:[ 0; 1 ] ~writes:[ 1 ] "fatfs_pread" (pread_fn state) [];
+          Builder.export ~derefs:[ 0; 1 ] "fatfs_pwrite" (pwrite_fn state) [];
           Builder.export "fatfs_size" (size_fn state) [];
           Builder.export "fatfs_truncate" (truncate_fn state) [];
           Builder.export "fatfs_fsync" (fsync_fn state) [];
-          Builder.export "fatfs_unlink" (unlink_fn state) [];
-          Builder.export ~stack_bytes:16 "fatfs_rename" (rename_fn state) [];
+          Builder.export ~derefs:[ 0 ] "fatfs_unlink" (unlink_fn state) [];
+          Builder.export ~derefs:[ 0; 2 ] ~stack_bytes:16 "fatfs_rename" (rename_fn state) [];
         ]
   in
   (state, comp)

@@ -29,6 +29,8 @@ let with_path t path f =
   Api.write_string t.ctx t.path_buf path;
   f t.path_buf len
 
+(* Expose a caller-owned heap buffer to VFSCORE and the backend for the
+   duration of [f] (open … call … close, as in Figure 2). *)
 let with_window ?(perm = Window.RW) t ~ptr ~size f =
   let teardown () =
     Api.window_close_all t.ctx t.data_wid;

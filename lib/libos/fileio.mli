@@ -16,13 +16,6 @@ val make : Cubicle.Monitor.ctx -> t
 
 val ctx : t -> Cubicle.Monitor.ctx
 
-val with_window :
-  ?perm:Cubicle.Window.perm -> t -> ptr:int -> size:int -> (unit -> 'a) -> 'a
-(** Expose a caller-owned heap buffer to VFSCORE and the backend for
-    the duration of [f] (open … call … close, as in Figure 2). [perm]
-    defaults to [RW] (what {!pread} needs — the backend fills the
-    buffer); {!pwrite} narrows it to [R]. *)
-
 val open_file : t -> string -> create:bool -> int
 val close_file : t -> int -> int
 val pread : t -> fd:int -> buf:int -> len:int -> off:int -> int

@@ -113,7 +113,6 @@ type state = {
 }
 
 let forward_key ~owner wid = (wid * Monitor.max_cubicles) + owner
-let nshards state = state.nshards
 let shard_of_conn state conn_id = conn_id mod state.nshards
 
 (* Pull every pending frame out of one NETDEV ring into per-connection

@@ -28,8 +28,6 @@ val make : ?nshards:int -> unit -> state * Cubicle.Builder.component
     host bridge must steer frames accordingly); [lwip_accept]'s
     optional argument selects the shard to pump and pop (default 0). *)
 
-val nshards : state -> int
-
 (** {1 Host-side frame protocol (used by test clients / siege)} *)
 
 module Frame : sig

@@ -22,8 +22,6 @@ val make : ?nrings:int -> unit -> state * Cubicle.Builder.component
     is pending on that ring. The ring argument defaults to 0, so
     single-ring callers are unchanged. Default [nrings] is 1. *)
 
-val nrings : state -> int
-
 (** {1 Host bridge (the wire; trusted, outside the cubicle system)} *)
 
 val host_inject : ?ring:int -> state -> bytes -> unit

@@ -25,8 +25,6 @@ val create : ?ncores:int -> Cubicle.Monitor.t -> t
     Preemption happens at yield points: a thread that never yields
     keeps its core, as under any cooperative model. *)
 
-val ncores : t -> int
-
 val spawn : ?core:int -> t -> Cubicle.Types.cid -> (unit -> unit) -> tid
 (** Queue a thread that will run inside the given cubicle, on [core]'s
     run queue (default: the least-loaded core). The placement is only

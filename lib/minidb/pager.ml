@@ -63,13 +63,11 @@ let page_count t = t.npages
 let cached_pages t =
   Array.fold_left (fun acc f -> if f.pageno < 0 then acc else f.pageno :: acc) [] t.pool
   |> List.sort compare
-let in_txn t = t.txn
 let ctx t = t.os.Os_iface.ctx
 
 let[@inline] emit_pager t op =
   let b = Hw.Cpu.bus (ctx t).Monitor.cpu in
   if b.Telemetry.Bus.tracing then Telemetry.Bus.emit b (Telemetry.Event.Pager op)
-let journal_mode t = t.mode
 let wal_pages t = t.wal_off / wal_record
 
 let open_db ?(cache_pages = 64) ?(journal_mode = Rollback) (os : Os_iface.t) ~path =

@@ -39,8 +39,6 @@ val open_db : ?cache_pages:int -> ?journal_mode:journal_mode -> Os_iface.t -> pa
     is recovered on open (its pages take precedence until the next
     checkpoint). *)
 
-val journal_mode : t -> journal_mode
-
 val checkpoint : t -> unit
 (** WAL mode: fold the log back into the database file and truncate it.
     No-op in rollback mode or when the WAL is empty. Raises inside a
@@ -92,7 +90,6 @@ val write_page_image : t -> int -> len:int -> (bytes -> unit) -> unit
     Outside {!with_page_image}, [fill] must write all [len] bytes. *)
 
 val begin_txn : t -> unit
-val in_txn : t -> bool
 val commit : t -> unit
 val rollback : t -> unit
 

@@ -74,14 +74,6 @@ let row_total r = Array.fold_left ( + ) 0 r
 
 let nrows t = Array.fold_left (fun acc rows -> max acc (Array.length rows)) 0 t.cores
 
-let cycles t ~cid cat =
-  if cid < 0 then 0
-  else
-    let i = cat_index cat in
-    Array.fold_left
-      (fun acc rows -> if cid < Array.length rows then acc + rows.(cid).(i) else acc)
-      0 t.cores
-
 let row t ~cid =
   let r = Array.make ncat 0 in
   if cid >= 0 then

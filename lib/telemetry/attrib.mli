@@ -66,7 +66,6 @@ val ncores : t -> int
 val charge : t -> category -> int -> unit
 (** Bill [n] cycles; allocation-free hot path. *)
 
-val cycles : t -> cid:int -> category -> int
 val row : t -> cid:int -> int array
 (** A copy of one cubicle's per-category cycles summed across all cores,
     in {!categories} order. *)

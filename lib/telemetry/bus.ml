@@ -69,7 +69,6 @@ let set_sampling t ~every =
   t.every <- every;
   t.countdown <- 1 (* the next emission is kept, deterministically *)
 
-let sampling t = t.every
 let sampled_out t = t.sampled_out
 let set_sink t f = t.sink <- f
 let set_latency t l = t.lat <- l

@@ -79,8 +79,6 @@ val set_sampling : t -> every:int -> unit
     is deterministic). Counter and latency planes are unaffected.
     Raises [Invalid_argument] for [every < 1]. *)
 
-val sampling : t -> int
-
 val sampled_out : t -> int
 (** Emissions discarded by sampling since the last {!clear_ring}. *)
 

@@ -14,11 +14,6 @@ type t = {
 
 let create () = { tbl = Hashtbl.create 16; stack = []; unmatched = 0 }
 
-let reset t =
-  Hashtbl.reset t.tbl;
-  t.stack <- [];
-  t.unmatched <- 0
-
 let on_call t ~caller ~callee ~at =
   t.stack <- { p_caller = caller; p_callee = callee; p_at = at } :: t.stack
 

@@ -14,7 +14,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
 val on_call : t -> caller:int -> callee:int -> at:int -> unit
 (** A call on edge [caller->callee] began at cycle [at]. *)

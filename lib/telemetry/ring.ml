@@ -11,7 +11,6 @@ let create ~capacity ~dummy =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { buf = Array.make capacity dummy; dummy; start = 0; len = 0; dropped = 0; total = 0 }
 
-let capacity t = Array.length t.buf
 let length t = t.len
 let dropped t = t.dropped
 let total t = t.total

@@ -11,8 +11,6 @@ val create : capacity:int -> dummy:'a -> 'a t
 (** [create ~capacity ~dummy] — [dummy] fills unused slots (and refills
     them on {!clear}) so the ring never retains stale elements. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Live elements currently held, [<= capacity]. *)
 

@@ -84,23 +84,12 @@ let plain_app_system mem_bytes =
   in
   (mon, Monitor.ctx_for mon cid)
 
-(* the application cubicle carries the paper's name for it *)
-let cubicle_system mem_bytes ~merge_fs =
+(* The library OS deployments: Unikraft is CubicleOS-4 without
+   protection. The application cubicle carries the paper's name for it. *)
+let libos_system mem_bytes ~protection ~merge_fs =
   let app = Builder.component ~heap_pages:512 ~stack_pages:4 "SQLITE" in
   let sys =
-    Libos.Boot.fs_stack ~protection:Types.Full ~merge_fs ~mem_bytes
-      ~extra:[ (app, Types.Isolated) ]
-      ()
-  in
-  let os = Minidb.Os_iface.cubicleos (Libos.Fileio.make (Libos.Boot.app_ctx sys "SQLITE")) in
-  { os; mon = sys.Libos.Boot.mon }
-
-let unikraft_system mem_bytes =
-  let app = Builder.component ~heap_pages:512 ~stack_pages:4 "SQLITE" in
-  let sys =
-    Libos.Boot.fs_stack ~protection:Types.None_ ~mem_bytes
-      ~extra:[ (app, Types.Isolated) ]
-      ()
+    Libos.Boot.fs_stack ~protection ~merge_fs ~mem_bytes ~extra:[ (app, Types.Isolated) ] ()
   in
   let os = Minidb.Os_iface.cubicleos (Libos.Fileio.make (Libos.Boot.app_ctx sys "SQLITE")) in
   { os; mon = sys.Libos.Boot.mon }
@@ -109,15 +98,15 @@ let make ?(mem_bytes = 192 * 1024 * 1024) = function
   | Linux ->
       let mon, ctx = plain_app_system mem_bytes in
       { os = Minidb.Os_iface.linux ctx; mon }
-  | Unikraft -> unikraft_system mem_bytes
+  | Unikraft -> libos_system mem_bytes ~protection:Types.None_ ~merge_fs:false
   | Genode3 k ->
       let mon, ctx = plain_app_system mem_bytes in
       { os = genode_os k ~split:false ctx; mon }
   | Genode4 k ->
       let mon, ctx = plain_app_system mem_bytes in
       { os = genode_os k ~split:true ctx; mon }
-  | Cubicle3 -> cubicle_system mem_bytes ~merge_fs:true
-  | Cubicle4 -> cubicle_system mem_bytes ~merge_fs:false
+  | Cubicle3 -> libos_system mem_bytes ~protection:Types.Full ~merge_fs:true
+  | Cubicle4 -> libos_system mem_bytes ~protection:Types.Full ~merge_fs:false
 
 let speedtest_run ?(n = 200) inst =
   let cost = Monitor.cost inst.mon in

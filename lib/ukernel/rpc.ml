@@ -12,7 +12,6 @@ let msg_buf_size = Hw.Addr.page_size
 let create ctx kern =
   { ctx; kern; buf = Api.malloc_page_aligned ctx msg_buf_size; rpcs = 0 }
 
-let kernel t = t.kern
 let rpc_count t = t.rpcs
 
 let cost t = Monitor.cost t.ctx.Monitor.mon

@@ -12,8 +12,6 @@ type t
 val create : Cubicle.Monitor.ctx -> Kernel.t -> t
 (** Allocates the session's message buffer page. *)
 
-val kernel : t -> Kernel.t
-
 val call : t -> payload:int -> (unit -> 'a) -> 'a
 (** One RPC round trip: marshal [payload] bytes in, kernel switch,
     run the server-side body, marshal the reply out, switch back. *)

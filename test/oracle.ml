@@ -11,6 +11,17 @@ let monitor_pages_owned_by mon cid =
     ~npages:(Hw.Cpu.npages (Cubicle.Monitor.cpu mon))
     cid
 
+(* The paper's linear scan of one class's descriptor array (§5.3 step
+   ❸): the first live window containing [addr], newest first, and how
+   many descriptors it inspected. [Window.search] must agree exactly. *)
+let window_search tbl ~klass ~addr =
+  let open Cubicle.Window in
+  let rec scan inspected = function
+    | [] -> None
+    | w :: rest -> if contains w addr then Some (w, inspected + 1) else scan (inspected + 1) rest
+  in
+  scan 0 (List.filter (fun w -> w.klass = klass) (live_windows tbl))
+
 (* First fit the slow, obvious way: one flag per unit of
    [base, base+size), and an allocation of [n] units takes the lowest
    [align]-aligned base whose [n] units are all free ([None] when there

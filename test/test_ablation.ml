@@ -165,22 +165,20 @@ let test_dedicated_tags_exhaust () =
        Api.window_add ctx wid ~ptr:buf ~size:4096;
        Api.window_open_dedicated ctx wid bar
      done
-   with Types.Error _ -> exhausted := true);
+   with Types.Denied (Out_of_keys { dedicated = true }) -> exhausted := true);
   check_bool "tags exhausted" true !exhausted;
   (* trap-and-map keeps working fine with many windows, provided the
      descriptor arrays are extended (paper §5.3) *)
   let mon', foo', bar' = mk_system () in
   let ctx' = Monitor.ctx_for mon' foo' in
-  check_bool "array fills up without extension" true
-    (match
-       for _ = 1 to 30 do
-         let buf = Api.malloc_page_aligned ctx' 4096 in
-         let wid = Api.window_init ctx' ~klass:Mm.Page_meta.Heap in
-         Api.window_add ctx' wid ~ptr:buf ~size:4096
-       done
-     with
-    | () -> false
-    | exception Types.Error _ -> true);
+  Deny.check "array fills up without extension"
+    (Descriptors_full { cid = foo'; klass = Mm.Page_meta.Heap; capacity = 8 })
+    (fun () ->
+      for _ = 1 to 30 do
+        let buf = Api.malloc_page_aligned ctx' 4096 in
+        let wid = Api.window_init ctx' ~klass:Mm.Page_meta.Heap in
+        Api.window_add ctx' wid ~ptr:buf ~size:4096
+      done);
   Api.window_table_extend ctx' ~klass:Mm.Page_meta.Heap;
   Api.window_table_extend ctx' ~klass:Mm.Page_meta.Heap;
   for _ = 1 to 20 do
@@ -215,11 +213,10 @@ let dedicated_events mon op =
          match e.Telemetry.Bus.ev with Telemetry.Event.Window w -> w.op = op | _ -> false)
        (Telemetry.Bus.events (Monitor.bus mon)))
 
-let check_failed_open mon ctx wid ~buf ~peer =
+let check_failed_open mon ctx wid ~buf ~peer expected =
   Telemetry.Bus.set_tracing (Monitor.bus mon) true;
-  (match Api.window_open_dedicated ctx wid peer with
-  | () -> Alcotest.fail "window_open_dedicated unexpectedly succeeded"
-  | exception Types.Error _ -> ());
+  Deny.check "window_open_dedicated refused" expected (fun () ->
+      Api.window_open_dedicated ctx wid peer);
   check_bool "no grant" false
     (Monitor.window_grants mon (Api.self ctx) ~peer ~ptr:buf ~size:4096);
   check_int "no tag" 0 (Monitor.dedicated_keys_in_use mon);
@@ -230,12 +227,12 @@ let test_dedicated_open_virtualised_atomic () =
   let foo = Monitor.create_cubicle mon ~name:"FOO" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
   let bar = Monitor.create_cubicle mon ~name:"BAR" ~kind:Types.Isolated ~heap_pages:8 ~stack_pages:2 in
   let ctx, buf, wid = windowed_buffer mon foo in
-  check_failed_open mon ctx wid ~buf ~peer:bar
+  check_failed_open mon ctx wid ~buf ~peer:bar Dedicated_virtualised
 
 let test_dedicated_open_unknown_peer_atomic () =
   let mon, foo, _ = mk_system () in
   let ctx, buf, wid = windowed_buffer mon foo in
-  check_failed_open mon ctx wid ~buf ~peer:77
+  check_failed_open mon ctx wid ~buf ~peer:77 (No_cubicle 77)
 
 let test_dedicated_open_exhausted_atomic () =
   let mon, foo, bar = mk_system () in
@@ -246,15 +243,14 @@ let test_dedicated_open_exhausted_atomic () =
          ~heap_pages:1 ~stack_pages:1)
   done;
   let ctx, buf, wid = windowed_buffer mon foo in
-  check_failed_open mon ctx wid ~buf ~peer:bar
+  check_failed_open mon ctx wid ~buf ~peer:bar (Out_of_keys { dedicated = true })
 
 let test_dedicated_close_unknown_window_silent () =
   let mon, foo, bar = mk_system () in
   let ctx = Monitor.ctx_for mon foo in
   Telemetry.Bus.set_tracing (Monitor.bus mon) true;
-  (match Api.window_close_dedicated ctx 999 bar with
-  | () -> Alcotest.fail "window_close_dedicated on wid 999 unexpectedly succeeded"
-  | exception Types.Error _ -> ());
+  Deny.check "window_close_dedicated on wid 999 refused" (No_window { wid = 999; cid = foo })
+    (fun () -> Api.window_close_dedicated ctx 999 bar);
   check_int "no event" 0 (dedicated_events mon Telemetry.Event.Close_dedicated)
 
 let test_hybrid_cheaper_for_hot_window () =
@@ -290,10 +286,8 @@ let test_free_pages_interior_refused () =
   let mon, foo, _ = mk_system () in
   let base = Monitor.alloc_pages mon foo 2 ~kind:Mm.Page_meta.Heap in
   let free_before = Monitor.free_page_count mon in
-  check_bool "interior address refused" true
-    (match Monitor.free_pages mon foo (base + 8) with
-    | () -> false
-    | exception Types.Error _ -> true);
+  Deny.check "interior address refused" (Not_allocation_base (base + 8)) (fun () ->
+      Monitor.free_pages mon foo (base + 8));
   check_int "no page freed" free_before (Monitor.free_page_count mon);
   check_bool "run still owned" true (Monitor.page_owner mon (Hw.Addr.page_of base) = Some foo);
   Monitor.free_pages mon foo base;

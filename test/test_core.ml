@@ -10,10 +10,6 @@ let is_violation f = match f () with
   | _ -> false
   | exception Hw.Fault.Violation _ -> true
 
-let is_error f = match f () with
-  | _ -> false
-  | exception Types.Error _ -> true
-
 (* A tiny two-cubicle system: FOO and BAR (the paper's Figure 1c),
    built directly through the monitor (no builder). *)
 let mk_system ?(protection = Types.Full) () =
@@ -63,7 +59,7 @@ let test_window_destroy () =
   let w = Window.init tbl ~klass:Mm.Page_meta.Heap in
   let wid = w.Window.wid in
   Window.destroy tbl w;
-  check_bool "find fails" true (is_error (fun () -> Window.find tbl wid));
+  Deny.check "find fails" (No_window { wid; cid = 1 }) (fun () -> Window.find tbl wid);
   check_int "no live windows" 0 (Window.count tbl)
 
 let test_window_remove_range () =
@@ -74,8 +70,8 @@ let test_window_remove_range () =
   Window.remove_range tbl w ~ptr:0x1000;
   check_bool "first gone" false (Window.contains w 0x1000);
   check_bool "second stays" true (Window.contains w 0x2000);
-  check_bool "remove unknown errors" true
-    (is_error (fun () -> Window.remove_range tbl w ~ptr:0x9999))
+  Deny.check "remove unknown errors" (No_range_at { wid = w.Window.wid; ptr = 0x9999 })
+    (fun () -> Window.remove_range tbl w ~ptr:0x9999)
 
 (* Regression: two grants sharing a base address are two ranges, and one
    remove_range must revoke exactly one of them (it used to delete every
@@ -90,8 +86,8 @@ let test_window_remove_range_duplicates () =
   check_int "exactly one range left" 1 (List.length w.Window.ranges);
   Window.remove_range tbl w ~ptr:0x1000;
   check_bool "second remove revokes the other" false (Window.contains w 0x1000);
-  check_bool "third remove errors" true
-    (is_error (fun () -> Window.remove_range tbl w ~ptr:0x1000))
+  Deny.check "third remove errors" (No_range_at { wid = w.Window.wid; ptr = 0x1000 })
+    (fun () -> Window.remove_range tbl w ~ptr:0x1000)
 
 (* --- batched window ops & grant forwarding ----------------------------------- *)
 
@@ -110,8 +106,8 @@ let test_window_add_ranges_batch () =
   register_bar mon bar;
   (* all three pages really are granted *)
   List.iter (fun p -> ignore (Monitor.call mon ~caller:foo "bar" [| p; 0 |])) [ a; b; c ];
-  check_bool "empty batch rejected" true
-    (is_error (fun () -> Api.window_add_ranges ctx wid []))
+  Deny.check "empty batch rejected" (Empty_batch Ranges) (fun () ->
+      Api.window_add_ranges ctx wid [])
 
 let test_window_add_ranges_atomic () =
   (* one bad range rejects the whole batch: nothing is granted *)
@@ -119,14 +115,14 @@ let test_window_add_ranges_atomic () =
   let ctx = Monitor.ctx_for mon foo in
   let a = Api.malloc_page_aligned ctx 4096 in
   let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
-  check_bool "batch with unowned range rejected" true
-    (is_error (fun () -> Api.window_add_ranges ctx wid [ (a, 4096); (0x10, 64) ]));
+  Deny.check "batch with unowned range rejected" (Unowned_page 0) (fun () ->
+      Api.window_add_ranges ctx wid [ (a, 4096); (0x10, 64) ]);
   let w = Window.find (Monitor.windows_of mon foo) wid in
   check_int "no range leaked from rejected batch" 0 (List.length w.Window.ranges);
   (* an empty span is rejected with the rest of the batch, not after
      the ranges before it were granted *)
-  check_bool "batch with an empty range rejected" true
-    (is_error (fun () -> Api.window_add_ranges ctx wid [ (a, 4096); (a, 0) ]));
+  Deny.check "batch with an empty range rejected" (Bad_range_size { wid; size = 0 })
+    (fun () -> Api.window_add_ranges ctx wid [ (a, 4096); (a, 0) ]);
   check_int "no range leaked from the empty-span batch" 0 (List.length w.Window.ranges)
 
 let test_window_open_many () =
@@ -144,8 +140,8 @@ let test_window_open_many () =
   check_int "one monitor crossing for two opens" 1 (Stats.window_ops stats - before);
   let w = Window.find (Monitor.windows_of mon foo) wid in
   check_bool "open for both peers" true (Window.is_open_for w bar && Window.is_open_for w baz);
-  check_bool "self in peer list rejected" true
-    (is_error (fun () -> Api.window_open_many ctx wid [ foo ]))
+  Deny.check "self in peer list rejected" (Window_to_self { dedicated = false }) (fun () ->
+      Api.window_open_many ctx wid [ foo ])
 
 let test_window_forward () =
   let mon, foo, bar = mk_system () in
@@ -166,11 +162,12 @@ let test_window_forward () =
   let wid = Api.window_init ctx_foo ~klass:Mm.Page_meta.Heap in
   Api.window_add ctx_foo wid ~ptr:buf ~size:4096;
   (* a holder can only forward a window that is open for it *)
-  check_bool "non-holder cannot forward" true
-    (is_error (fun () -> Api.window_forward ctx_bar ~owner:foo wid baz));
+  Deny.check "non-holder cannot forward"
+    (Not_open_for_forwarder { wid; owner = foo; forwarder = bar })
+    (fun () -> Api.window_forward ctx_bar ~owner:foo wid baz);
   Api.window_open ctx_foo wid bar;
-  check_bool "forward to the owner rejected" true
-    (is_error (fun () -> Api.window_forward ctx_bar ~owner:foo wid foo));
+  Deny.check "forward to the owner rejected" (Forward_to_owner { owner = foo; wid })
+    (fun () -> Api.window_forward ctx_bar ~owner:foo wid foo);
   Api.window_forward ctx_bar ~owner:foo wid baz;
   let w = Window.find (Monitor.windows_of mon foo) wid in
   check_bool "grant extended to third party" true (Window.is_open_for w baz);
@@ -262,13 +259,15 @@ let test_window_ownership_enforced () =
   let foo_buf = Api.malloc_page_aligned foo_ctx 16 in
   (* BAR cannot put FOO's memory into BAR's window *)
   let wid = Api.window_init bar_ctx ~klass:Mm.Page_meta.Heap in
-  check_bool "foreign memory rejected" true
-    (is_error (fun () -> Api.window_add bar_ctx wid ~ptr:foo_buf ~size:16));
+  Deny.check "foreign memory rejected"
+    (Foreign_page { page = Hw.Addr.page_of foo_buf; owner = foo; cid = bar })
+    (fun () -> Api.window_add bar_ctx wid ~ptr:foo_buf ~size:16);
   (* BAR cannot manage FOO's windows: wids are per-cubicle *)
   let foo_wid = Api.window_init foo_ctx ~klass:Mm.Page_meta.Heap in
   Api.window_add foo_ctx foo_wid ~ptr:foo_buf ~size:16;
   check_bool "bar cannot open foo's window via own table" true
-    (is_error (fun () -> Api.window_open bar_ctx foo_wid foo)
+    (Deny.raised (fun () -> Api.window_open bar_ctx foo_wid foo)
+     = Some (No_window { wid = foo_wid; cid = bar })
     || (* wid may exist in BAR's table too; then opening it must not
           grant access to FOO's buffer *)
     not (Window.contains (Window.find (Monitor.windows_of mon bar) foo_wid) foo_buf))
@@ -279,8 +278,15 @@ let test_window_class_mismatch () =
   let buf = Api.malloc_page_aligned ctx 16 in
   let wid = Api.window_init ctx ~klass:Mm.Page_meta.Stack in
   (* heap memory cannot enter a stack-class window *)
-  check_bool "class mismatch" true
-    (is_error (fun () -> Api.window_add ctx wid ~ptr:buf ~size:16))
+  Deny.check "class mismatch"
+    (Wrong_class
+       {
+         page = Hw.Addr.page_of buf;
+         page_class = Mm.Page_meta.Heap;
+         wid;
+         window_class = Mm.Page_meta.Stack;
+       })
+    (fun () -> Api.window_add ctx wid ~ptr:buf ~size:16)
 
 let test_stack_windows () =
   (* Figure 4's actual scenario: the shared buffer is a stack variable. *)
@@ -321,7 +327,8 @@ let test_self_open_rejected () =
   let mon, foo, _ = mk_system () in
   let ctx = Monitor.ctx_for mon foo in
   let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
-  check_bool "self-open rejected" true (is_error (fun () -> Api.window_open ctx wid foo))
+  Deny.check "self-open rejected" (Window_to_self { dedicated = false }) (fun () ->
+      Api.window_open ctx wid foo)
 
 (* --- protection levels ------------------------------------------------------ *)
 
@@ -353,8 +360,8 @@ let test_protection_full_needs_window () =
 
 let test_call_unknown_symbol_cfi () =
   let mon, foo, _ = mk_system () in
-  check_bool "unknown symbol rejected" true
-    (is_error (fun () -> Monitor.call mon ~caller:foo "no_such_entry" [||]));
+  Deny.check "unknown symbol rejected" (Unresolved_symbol "no_such_entry") (fun () ->
+      Monitor.call mon ~caller:foo "no_such_entry" [||]);
   check_int "counted as rejected" 1 (Stats.rejected (Monitor.stats mon))
 
 let test_call_counts_edges () =
@@ -518,10 +525,9 @@ let test_loader_rejects_wrpkru () =
       signed = false;
     }
   in
-  check_bool "rejected" true
-    (match Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[] with
-    | _ -> false
-    | exception Loader.Rejected ("EVIL", _) -> true)
+  Deny.check "rejected"
+    (Forbidden_code { image = "EVIL"; hits = [ { offset = 1; what = "wrpkru" } ] })
+    (fun () -> Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[])
 
 let test_loader_rejects_syscall () =
   let mon = Monitor.create ~protection:Types.Full () in
@@ -534,10 +540,9 @@ let test_loader_rejects_syscall () =
       signed = false;
     }
   in
-  check_bool "rejected" true
-    (match Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[] with
-    | _ -> false
-    | exception Loader.Rejected _ -> true)
+  Deny.check "rejected"
+    (Forbidden_code { image = "EVIL2"; hits = [ { offset = 0; what = "syscall" } ] })
+    (fun () -> Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[])
 
 let test_loader_rejects_hidden_sequence () =
   let mon = Monitor.create ~protection:Types.Full () in
@@ -550,10 +555,9 @@ let test_loader_rejects_hidden_sequence () =
       signed = false;
     }
   in
-  check_bool "hidden wrpkru rejected" true
-    (match Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[] with
-    | _ -> false
-    | exception Loader.Rejected _ -> true)
+  Deny.check "hidden wrpkru rejected"
+    (Forbidden_code { image = "SNEAKY"; hits = [ { offset = 2; what = "wrpkru" } ] })
+    (fun () -> Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[])
 
 let test_loader_accepts_signed_trusted_code () =
   let mon = Monitor.create ~protection:Types.Full () in
@@ -696,10 +700,8 @@ let test_key_exhaustion () =
       (Monitor.create_cubicle mon ~name:(Printf.sprintf "C%d" i) ~kind:Types.Isolated
          ~heap_pages:1 ~stack_pages:1)
   done;
-  check_bool "15th isolated cubicle fails" true
-    (is_error (fun () ->
-         Monitor.create_cubicle mon ~name:"C15" ~kind:Types.Isolated ~heap_pages:1
-           ~stack_pages:1));
+  Deny.check "15th isolated cubicle fails" (Out_of_keys { dedicated = false }) (fun () ->
+      Monitor.create_cubicle mon ~name:"C15" ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1);
   (* shared cubicles do not consume isolated keys *)
   ignore
     (Monitor.create_cubicle mon ~name:"SHARED" ~kind:Types.Shared ~heap_pages:1 ~stack_pages:0)
@@ -717,8 +719,8 @@ let test_malloc_heap_growth () =
 let test_free_foreign_pointer () =
   let mon, foo, bar = mk_system () in
   let bar_buf = Monitor.malloc mon bar 64 in
-  check_bool "foreign free rejected" true
-    (is_error (fun () -> Monitor.free mon foo bar_buf))
+  Deny.check "foreign free rejected" (Foreign_free { name = "FOO"; addr = bar_buf })
+    (fun () -> Monitor.free mon foo bar_buf)
 
 (* free_pages takes back exactly an alloc_pages run of the caller's:
    every other base is refused, with page ownership and the free page
@@ -738,7 +740,12 @@ let test_alloc_pages_ownership () =
   let state () = (Monitor.free_page_count mon, List.init npages (Monitor.page_owner mon)) in
   let refused what addr =
     let before = state () in
-    check_bool (what ^ " refused") true (is_error (fun () -> Monitor.free_pages mon foo addr));
+    let expected =
+      if Monitor.page_owner mon (Hw.Addr.page_of addr) = Some bar then
+        Types.Run_not_owned { cid = foo; base = addr }
+      else Not_allocation_base addr
+    in
+    Deny.check (what ^ " refused") expected (fun () -> Monitor.free_pages mon foo addr);
     check_bool (what ^ " changes nothing") true (state () = before)
   in
   refused "stack base" (Monitor.stack_base mon foo);
@@ -764,8 +771,8 @@ let test_destroy_cubicle () =
   check_bool "bar owned pages" true (bar_pages <> []);
   Monitor.destroy_cubicle mon bar;
   (* its exports are gone: CFI error, not a crash *)
-  check_bool "export unresolved" true
-    (is_error (fun () -> Monitor.call mon ~caller:foo "bar" [| buf; 0 |]));
+  Deny.check "export unresolved" (Unresolved_symbol "bar") (fun () ->
+      Monitor.call mon ~caller:foo "bar" [| buf; 0 |]);
   (* its pages were released *)
   check_bool "pages released" true (Oracle.monitor_pages_owned_by mon bar = []);
   (* the other cubicle is unaffected *)
@@ -916,7 +923,7 @@ let test_extend_grows_guard_tables () =
   Monitor.destroy_cubicle mon beta;
   check_bool "destroyed cubicle has no guards" false
     (List.exists (Trampoline.has_guard tr beta) (Trampoline.syms tr));
-  check_bool "name gone" true (is_error (fun () -> Builder.cid built "BETA"));
+  Deny.check "name gone" (No_cubicle_named "BETA") (fun () -> Builder.cid built "BETA");
   let gamma_comp =
     Builder.component
       ~exports:[ Builder.export "gamma_fn" (fun _ _ -> 3) [] ]
@@ -956,10 +963,10 @@ let test_destroy_full_slot_reuse () =
 
 let test_destroy_monitor_rejected () =
   let mon, foo, _ = mk_system () in
-  check_bool "monitor protected" true
-    (is_error (fun () -> Monitor.destroy_cubicle mon Monitor.monitor_cid));
+  Deny.check "monitor protected" Destroy_monitor (fun () ->
+      Monitor.destroy_cubicle mon Monitor.monitor_cid);
   (* Bad cids: negative, at the monitor's cubicle limit, and
-     destroyed. Each is a [Types.Error] naming the cid, never an
+     destroyed. Each is a [No_cubicle] denial naming the cid, never an
      [Invalid_argument], and changes no cubicle. *)
   let gone =
     Monitor.create_cubicle mon ~name:"GONE" ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1
@@ -970,17 +977,189 @@ let test_destroy_monitor_rejected () =
   let before = live () in
   List.iter
     (fun cid ->
-      let refused what f =
-        match f () with
-        | () -> Alcotest.failf "%s %d accepted" what cid
-        | exception Types.Error msg ->
-            Alcotest.(check string) what (Printf.sprintf "no cubicle with id %d" cid) msg
-      in
+      let refused what f = Deny.check what (No_cubicle cid) f in
       refused "cubicle_name" (fun () -> ignore (Monitor.cubicle_name mon cid));
       refused "window_open peer" (fun () -> Monitor.window_open mon foo wid cid);
       refused "destroy_cubicle" (fun () -> Monitor.destroy_cubicle mon cid);
       check_bool "cubicles unchanged" true (live () = before))
     [ -1; Monitor.max_cubicles; gone ]
+
+(* --- denials ------------------------------------------------------------------------ *)
+
+(* The rule a denial names. Exhaustive on purpose: a new constructor
+   does not compile until it has a row in [test_denial_table]. *)
+let rule : Types.denial -> int = function
+  | No_cubicle _ -> 0
+  | No_cubicle_named _ -> 1
+  | Duplicate_cubicle _ -> 2
+  | Too_many_cubicles -> 3
+  | Out_of_keys _ -> 4
+  | Destroy_monitor -> 5
+  | Destroy_running -> 6
+  | Duplicate_symbol _ -> 7
+  | Unresolved_symbol _ -> 8
+  | No_thunk _ -> 9
+  | No_guard _ -> 10
+  | Forbidden_code _ -> 11
+  | Foreign_free _ -> 12
+  | Run_not_owned _ -> 13
+  | Not_allocation_base _ -> 14
+  | Bad_range_size _ -> 15
+  | Foreign_page _ -> 16
+  | Unowned_page _ -> 17
+  | Wrong_class _ -> 18
+  | Empty_batch _ -> 19
+  | Window_to_self _ -> 20
+  | Forward_to_owner _ -> 21
+  | Not_open_for_forwarder _ -> 22
+  | Dedicated_virtualised -> 23
+  | Descriptors_full _ -> 24
+  | No_window _ -> 25
+  | Window_destroyed _ -> 26
+  | No_range_at _ -> 27
+
+(* Each rule raised once through a public path. The expected text is
+   the message the core raised before its refusals were typed, format
+   string copied verbatim; [Forbidden_code] replaces an exception that
+   carried no message. *)
+let test_denial_table () =
+  let mon, foo, bar = mk_system () in
+  let baz = Monitor.create_cubicle mon ~name:"BAZ" ~kind:Types.Isolated ~heap_pages:4 ~stack_pages:1 in
+  let ctx = Monitor.ctx_for mon foo and bar_ctx = Monitor.ctx_for mon bar in
+  let buf = Api.malloc_page_aligned ctx 4096 in
+  let bar_buf = Monitor.malloc mon bar 64 in
+  let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
+  Api.window_add ctx wid ~ptr:buf ~size:4096;
+  let stack_wid = Api.window_init ctx ~klass:Mm.Page_meta.Stack in
+  let run_base = Monitor.alloc_pages mon foo 2 ~kind:Mm.Page_meta.Heap in
+  let peer_base = Monitor.alloc_pages mon bar 1 ~kind:Mm.Page_meta.Heap in
+  let touch = { Monitor.sym = "foo_touch"; fn = (fun _ _ -> 0); stack_bytes = 0 } in
+  Monitor.register_exports mon foo [ touch ];
+  let tbl = Window.create_table ~owner:1 ~ncubicles:8 in
+  let dead = Window.init tbl ~klass:Mm.Page_meta.Heap in
+  Window.destroy tbl dead;
+  let built =
+    Builder.build
+      (Monitor.create ~protection:Types.Full ())
+      [ (Builder.component ~exports:[ Builder.export "alpha_fn" (fun _ _ -> 1) [] ] "ALPHA",
+         Types.Isolated) ]
+  in
+  let tr = built.Builder.trampolines and alpha = Builder.cid built "ALPHA" in
+  let isolated ?virtualise n =
+    let m = Monitor.create ?virtualise ~protection:Types.Full () in
+    ( m,
+      List.init n (fun i ->
+          Monitor.create_cubicle m ~name:(Printf.sprintf "C%d" i) ~kind:Types.Isolated
+            ~heap_pages:2 ~stack_pages:1) )
+  in
+  (* a system whose 14 isolated tags are all taken *)
+  let full, cs = isolated 14 in
+  let full_ctx = Monitor.ctx_for full (List.hd cs) in
+  let full_wid = Api.window_init full_ctx ~klass:Mm.Page_meta.Heap in
+  let virt, vs = isolated ~virtualise:true 2 in
+  let virt_ctx = Monitor.ctx_for virt (List.hd vs) in
+  let virt_wid = Api.window_init virt_ctx ~klass:Mm.Page_meta.Heap in
+  let crowded = Monitor.create ~protection:Types.Full () in
+  let page = Hw.Addr.page_of and sp = Printf.sprintf in
+  let rows =
+    [
+      (sp "no cubicle with id %d" 99, fun () -> ignore (Monitor.cubicle_name mon 99));
+      (sp "no cubicle named %s" "NOPE", fun () -> ignore (Monitor.lookup_cubicle mon "NOPE"));
+      ( sp "cubicle %s already exists" "FOO",
+        fun () ->
+          ignore
+            (Monitor.create_cubicle mon ~name:"FOO" ~kind:Types.Isolated ~heap_pages:1
+               ~stack_pages:1) );
+      ( "too many cubicles",
+        fun () ->
+          for i = 1 to Monitor.max_cubicles do
+            ignore
+              (Monitor.create_cubicle crowded ~name:(sp "S%d" i) ~kind:Types.Shared
+                 ~heap_pages:0 ~stack_pages:0)
+          done );
+      ( "out of MPK protection keys (15 in use); enable tag virtualisation (libmpk-style) to \
+         run more isolated cubicles",
+        fun () ->
+          ignore
+            (Monitor.create_cubicle full ~name:"C15" ~kind:Types.Isolated ~heap_pages:1
+               ~stack_pages:1) );
+      ( "out of MPK protection keys: window-specific tags consume one tag per shared buffer \
+         and exhaust the 16 keys quickly (paper §5.6)",
+        fun () -> Api.window_open_dedicated full_ctx full_wid (List.nth cs 1) );
+      ("cannot destroy the monitor", fun () -> Monitor.destroy_cubicle mon Monitor.monitor_cid);
+      ( "cannot destroy the executing cubicle",
+        fun () -> Monitor.run_as mon foo (fun () -> Monitor.destroy_cubicle mon foo) );
+      ( sp "duplicate export symbol %s" "foo_touch",
+        fun () -> Monitor.register_exports mon bar [ touch ] );
+      ( sp "cross-cubicle call to unresolved symbol %s (CFI)" "nope",
+        fun () -> ignore (Monitor.call mon ~caller:foo "nope" [||]) );
+      ( sp "no trampoline thunk for symbol %s" "nope",
+        fun () -> ignore (Trampoline.thunk_addr tr "nope") );
+      ( sp "no guard entry for cubicle %d, symbol %s" alpha "nope",
+        fun () -> ignore (Trampoline.guard_addr tr alpha "nope") );
+      ( "image EVIL: forbidden code at wrpkru@1",
+        fun () ->
+          ignore
+            (Loader.load mon
+               {
+                 Loader.img_name = "EVIL";
+                 code = Hw.Instr.assemble [ Nop; Wrpkru; Ret ];
+                 rodata = Bytes.empty;
+                 data = Bytes.empty;
+                 signed = false;
+               }
+               ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[]) );
+      ( sp "cubicle %s: free of foreign pointer 0x%x" "FOO" bar_buf,
+        fun () -> Monitor.free mon foo bar_buf );
+      ( sp "free_pages: cubicle %d does not own 0x%x" foo peer_base,
+        fun () -> Monitor.free_pages mon foo peer_base );
+      ( sp "free_pages: 0x%x is not an allocation base" (run_base + Hw.Addr.page_size),
+        fun () -> Monitor.free_pages mon foo (run_base + Hw.Addr.page_size) );
+      ( sp "window %d: non-positive range size %d" wid 0,
+        fun () -> Api.window_add ctx wid ~ptr:buf ~size:0 );
+      ( sp "window_add: page %d belongs to cubicle %d, not %d" (page bar_buf) bar foo,
+        fun () -> Api.window_add ctx wid ~ptr:bar_buf ~size:16 );
+      (sp "window_add: page %d is unowned" 0, fun () -> Api.window_add ctx wid ~ptr:0x10 ~size:16);
+      ( sp "window_add: page %d is %s data but window %d holds %s data" (page buf) "heap"
+          stack_wid "stack",
+        fun () -> Api.window_add ctx stack_wid ~ptr:buf ~size:16 );
+      ("window_add_ranges: empty range list", fun () -> Api.window_add_ranges ctx wid []);
+      ("window_open_many: empty peer list", fun () -> Api.window_open_many ctx wid []);
+      ("window_open: cannot open a window to oneself", fun () -> Api.window_open ctx wid foo);
+      ( "window_open_dedicated: cannot open to oneself",
+        fun () -> Api.window_open_dedicated ctx wid foo );
+      ( sp "window_forward: cubicle %d already owns window %d" foo wid,
+        fun () -> Api.window_forward bar_ctx ~owner:foo wid foo );
+      ( sp "window_forward: window %d of cubicle %d is not open for forwarder %d" wid foo bar,
+        fun () -> Api.window_forward bar_ctx ~owner:foo wid baz );
+      ( "window-specific tags are not supported with tag virtualisation",
+        fun () -> Api.window_open_dedicated virt_ctx virt_wid (List.nth vs 1) );
+      ( sp "cubicle %d: %s window descriptor array is full (%d entries); extend it first" foo
+          "heap" 8,
+        fun () ->
+          for _ = 1 to 8 do
+            ignore (Api.window_init ctx ~klass:Mm.Page_meta.Heap)
+          done );
+      ( sp "window %d not found in cubicle %d" 999 foo,
+        fun () -> Monitor.window_open mon foo 999 bar );
+      ( sp "window %d was destroyed" dead.Window.wid,
+        fun () -> Window.add_range tbl dead ~ptr:0x1000 ~size:64 );
+      ( sp "window %d: no range starts at 0x%x" wid (buf + 8),
+        fun () -> Monitor.window_downgrade mon foo wid ~ptr:(buf + 8) );
+    ]
+  in
+  let rules =
+    List.map
+      (fun (expected, f) ->
+        match Deny.raised f with
+        | None -> Alcotest.failf "not refused: %s" expected
+        | Some d ->
+            Alcotest.(check string) expected expected (Types.denial_message d);
+            rule d)
+      rows
+  in
+  Alcotest.(check (list int)) "every rule raised" (List.init 28 Fun.id)
+    (List.sort_uniq compare rules)
 
 (* --- properties -------------------------------------------------------------------- *)
 
@@ -1034,7 +1213,7 @@ let prop_search_index_matches_linear =
           (* sub-page granularity on purpose: ranges share pages, span
              several, start mid-page *)
           let ptr = 0x1000 + (page * 1024) and size = 1 + (sz * 700) in
-          let ignoring f = try f () with Types.Error _ -> () in
+          let ignoring f = try f () with Types.Denied _ -> () in
           match op with
           | 0 ->
               if List.length !windows < 12 then
@@ -1059,7 +1238,7 @@ let prop_search_index_matches_linear =
         let addr = 0x1000 + (a * 512) in
         if
           norm (Window.search tbl ~klass:Mm.Page_meta.Heap ~addr)
-          <> norm (Window.search_linear tbl ~klass:Mm.Page_meta.Heap ~addr)
+          <> norm (Oracle.window_search tbl ~klass:Mm.Page_meta.Heap ~addr)
         then searches_agree := false
       done;
       let naive_covers w ~ptr ~size =
@@ -1085,8 +1264,8 @@ let prop_search_index_matches_linear =
    stack and other cubicles' runs (invalid), and [free_pages] is also
    handed interior pages, stacks and heap runs: it must accept exactly
    the caller's own allocation bases. After every step each grantee's
-   grant index, [is_open_for], [search] against [search_linear] and the
-   free page count are checked. *)
+   grant index, [is_open_for], [search] against [Oracle.window_search]
+   and the free page count are checked. *)
 let prop_window_page_state_machine =
   QCheck.Test.make ~count:300 ~name:"monitor: window and page bookkeeping = model"
     QCheck.(
@@ -1113,7 +1292,7 @@ let prop_window_page_state_machine =
         List.filteri (fun i _ -> i < 3)
           (List.filter (fun (w : G.window) -> w.owner = cid) model.windows)
       in
-      let outcome f = match f () with () -> true | exception Types.Error _ -> false in
+      let outcome f = match f () with () -> true | exception Types.Denied _ -> false in
       let step (op, a, b, c) =
         let cid = cids.(a mod 3) in
         let peer = cids.(c mod 3) in
@@ -1136,7 +1315,8 @@ let prop_window_page_state_machine =
             | wid ->
                 G.init model ~owner:cid ~wid;
                 if full then Error "window_init" else Ok ()
-            | exception Types.Error _ -> if full then Ok () else Error "window_init")
+            | exception Types.Denied (Descriptors_full _) ->
+                if full then Ok () else Error "window_init")
         | 1 -> (
             match nth (windows_of cid) b with
             | None -> Ok ()
@@ -1256,7 +1436,7 @@ let prop_window_page_state_machine =
             List.for_all
               (fun addr ->
                 norm (Window.search tbl ~klass:Mm.Page_meta.Heap ~addr)
-                = norm (Window.search_linear tbl ~klass:Mm.Page_meta.Heap ~addr))
+                = norm (Oracle.window_search tbl ~klass:Mm.Page_meta.Heap ~addr))
               (probes ()))
           cids
         && Monitor.free_page_count mon = model.free_pages
@@ -1489,6 +1669,7 @@ let () =
           Alcotest.test_case "destroy monitor rejected" `Quick test_destroy_monitor_rejected;
           Alcotest.test_case "extend grows guard tables" `Quick test_extend_grows_guard_tables;
         ] );
+      ("denials", [ Alcotest.test_case "every rule, parent text" `Quick test_denial_table ]);
       ( "accessors",
         [
           Alcotest.test_case "read_into = read_bytes" `Quick test_read_into_matches_read_bytes;

@@ -609,7 +609,7 @@ let test_tlb_window_close_observed () =
     (try
        ignore (Monitor.call mon ~caller:foo "bar_peek" [| buf |]);
        false
-     with Hw.Fault.Violation _ | Types.Error _ -> true)
+     with Hw.Fault.Violation _ -> true)
 
 (* (c) A PKRU write must be observed by the next access. *)
 let test_tlb_wrpkru_observed () =

@@ -12,10 +12,6 @@ let is_violation f = match f () with
   | _ -> false
   | exception Hw.Fault.Violation _ -> true
 
-let is_error f = match f () with
-  | _ -> false
-  | exception Types.Error _ -> true
-
 let app_component () = Builder.component ~heap_pages:64 ~stack_pages:4 "APP"
 
 let boot_fs ?protection ?merge_fs () =
@@ -486,11 +482,9 @@ let test_with_window_rollback_on_failed_setup () =
   let buf = Api.malloc_page_aligned ctx 4096 in
   let ramfs_cid = Api.cid_of ctx "RAMFS" in
   Monitor.destroy_cubicle sys.Libos.Boot.mon ramfs_cid;
-  let is_err () =
-    is_error (fun () -> ignore (Libos.Fileio.pread fio ~fd ~buf ~len:64 ~off:0))
-  in
-  check_bool "pread raises" true (is_err ());
-  check_bool "second attempt raises too" true (is_err ());
+  let pread () = ignore (Libos.Fileio.pread fio ~fd ~buf ~len:64 ~off:0) in
+  Deny.check "pread raises" (No_cubicle ramfs_cid) pread;
+  Deny.check "second attempt raises too" (No_cubicle ramfs_cid) pread;
   let tbl = Monitor.windows_of sys.Libos.Boot.mon ctx.Monitor.self in
   let grants_over_buf =
     List.concat_map

@@ -91,10 +91,8 @@ let test_window_capacity_and_extend () =
   for _ = 1 to 8 do
     ignore (Window.init tbl ~klass:Mm.Page_meta.Heap)
   done;
-  check_bool "ninth rejected" true
-    (match Window.init tbl ~klass:Mm.Page_meta.Heap with
-    | _ -> false
-    | exception Types.Error _ -> true);
+  Deny.check "ninth rejected" (Descriptors_full { cid = 1; klass = Mm.Page_meta.Heap; capacity = 8 })
+    (fun () -> Window.init tbl ~klass:Mm.Page_meta.Heap);
   (* other classes are unaffected *)
   ignore (Window.init tbl ~klass:Mm.Page_meta.Stack);
   Window.extend tbl Mm.Page_meta.Heap;
@@ -120,10 +118,8 @@ let test_monitor_extend_api () =
   for _ = 1 to 8 do
     ignore (Api.window_init ctx ~klass:Mm.Page_meta.Heap)
   done;
-  check_bool "full" true
-    (match Api.window_init ctx ~klass:Mm.Page_meta.Heap with
-    | _ -> false
-    | exception Types.Error _ -> true);
+  Deny.check "full" (Descriptors_full { cid = c; klass = Mm.Page_meta.Heap; capacity = 8 })
+    (fun () -> Api.window_init ctx ~klass:Mm.Page_meta.Heap);
   Api.window_table_extend ctx ~klass:Mm.Page_meta.Heap;
   ignore (Api.window_init ctx ~klass:Mm.Page_meta.Heap)
 

@@ -112,13 +112,8 @@ let test_without_virtualise_still_fails () =
       (Monitor.create_cubicle mon ~name:(Printf.sprintf "K%d" i) ~kind:Types.Isolated
          ~heap_pages:1 ~stack_pages:1)
   done;
-  check_bool "15th fails without virtualise" true
-    (match
-       Monitor.create_cubicle mon ~name:"K15" ~kind:Types.Isolated ~heap_pages:1
-         ~stack_pages:1
-     with
-    | _ -> false
-    | exception Types.Error _ -> true)
+  Deny.check "15th fails without virtualise" (Out_of_keys { dedicated = false }) (fun () ->
+      Monitor.create_cubicle mon ~name:"K15" ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1)
 
 let test_virtualised_full_stack () =
   (* the whole library OS stack, plus enough extra isolated components
@@ -146,10 +141,8 @@ let test_dedicated_tags_rejected_under_virtualise () =
   let buf = Api.malloc_page_aligned ctx 32 in
   let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
   Api.window_add ctx wid ~ptr:buf ~size:32;
-  check_bool "dedicated tags rejected" true
-    (match Api.window_open_dedicated ctx wid (List.nth cids 1) with
-    | _ -> false
-    | exception Types.Error _ -> true)
+  Deny.check "dedicated tags rejected" Dedicated_virtualised (fun () ->
+      Api.window_open_dedicated ctx wid (List.nth cids 1))
 
 (* A failed spawn must leave the monitor exactly as it was: repeated
    oversized creations (stack pages land, then the heap allocation
@@ -168,7 +161,7 @@ let test_failed_spawns_leak_nothing () =
         ~stack_pages:2
     with
     | _ -> Alcotest.fail "oversized spawn unexpectedly succeeded"
-    | exception (Types.Error _ | Mm.Suballoc.Exhausted) -> ()
+    | exception Mm.Suballoc.Exhausted -> ()
   done;
   check_int "no pages leaked" free0 (Monitor.free_page_count mon);
   check_int "no cubicles leaked" n0 (Monitor.ncubicles mon);
@@ -206,7 +199,7 @@ let test_failed_batch_spawn_unloads_batch () =
        [ (a, Types.Isolated); (b 1_000_000, Types.Isolated) ]
    with
   | _ -> Alcotest.fail "oversized spawn unexpectedly succeeded"
-  | exception (Types.Error _ | Mm.Suballoc.Exhausted) -> ());
+  | exception Mm.Suballoc.Exhausted -> ());
   check_int "no cubicles left behind" n0 (Monitor.ncubicles mon);
   check_int "no pages leaked" free0 (Monitor.free_page_count mon);
   check_bool "A unloaded" false (Monitor.cubicle_exists mon "A");
