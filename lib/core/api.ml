@@ -66,6 +66,17 @@ let write_u8 (c : ctx) addr v =
   obs c addr 1 Telemetry.Event.Write;
   Hw.Cpu.write_u8 c.cpu addr v
 
+(* Traced, each store reports its own access, as the loop does. *)
+let store_run (c : ctx) addr buf ~pos ~len =
+  if (Hw.Cpu.bus c.cpu).Telemetry.Bus.tracing then begin
+    if pos < 0 || len < 0 || pos > Bytes.length buf - len then
+      invalid_arg "Api.store_run: host buffer range out of bounds";
+    for j = 0 to len - 1 do
+      write_u8 c (addr + j) (Bytes.get_uint8 buf (pos + j))
+    done
+  end
+  else Hw.Cpu.store_run c.cpu addr buf ~pos ~len
+
 let read_u16 (c : ctx) addr =
   obs c addr 2 Telemetry.Event.Read;
   Hw.Cpu.read_u16 c.cpu addr

@@ -78,6 +78,11 @@ val write_sub : ctx -> int -> bytes -> pos:int -> len:int -> unit
     charge as [write_bytes c addr (Bytes.sub buf pos len)], without the
     intermediate copy. *)
 
+val store_run : ctx -> int -> bytes -> pos:int -> len:int -> unit
+(** [store_run c addr buf ~pos ~len]: the same observation, checks and
+    charges as [write_u8 c (addr + j) buf.[pos + j]] for [j] from 0 to
+    [len - 1] ({!Hw.Cpu.store_run}). *)
+
 val read_u8 : ctx -> int -> int
 val write_u8 : ctx -> int -> int -> unit
 val read_u16 : ctx -> int -> int

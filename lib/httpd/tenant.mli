@@ -26,6 +26,12 @@ val spawn : t -> int -> unit
 (** Bring tenant [i]'s FS+WEB pair up. {!Cubicle.Types.Error} if already
     live or if [i] is negative. *)
 
+val components : t -> int -> Cubicle.Builder.component list
+(** Tenant [i]'s FS and WEB components. They are built at its first
+    spawn (before that: [[]]) and every respawn loads the same ones, so
+    closures, interface summaries and code images are built once per
+    tenant id. *)
+
 val teardown : t -> int -> unit
 (** Destroy tenant [i]'s pair: guard entries dropped, pages scrubbed and
     released, keys and cids recycled. {!Cubicle.Types.Error} if not live. *)

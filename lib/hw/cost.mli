@@ -73,7 +73,11 @@ val charge_cat : t -> Telemetry.Attrib.category -> int -> unit
 
 val charge_mem : t -> int -> unit
 (** [charge_mem t len] charges for moving [len] bytes (category
-    [Memcpy]). *)
+    [Memcpy]). Not linear in [len]: each move pays a fixed [mem_op]. *)
+
+val charge_mem_n : t -> int -> int -> unit
+(** [charge_mem_n t n len] is [n] calls of [charge_mem t len], billed
+    as one charge. *)
 
 val cycles : t -> int
 

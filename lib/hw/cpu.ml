@@ -382,6 +382,32 @@ let write_string t a s =
   Cost.charge_mem t.cost len;
   Phys_mem.write_string t.mem a s
 
+(* A page's later stores cannot be decided differently from its first:
+   a store changes no page table, key or PKRU. With the TLB on, the
+   first store leaves the page's Write decision cached, so each later
+   store of the loop is a [fast] hit. *)
+let store_run t a buf ~pos ~len =
+  check_host buf pos len;
+  if t.bus.Telemetry.Bus.tracing then
+    for j = 0 to len - 1 do
+      write_u8 t (a + j) (Bytes.get_uint8 buf (pos + j))
+    done
+  else begin
+    let j = ref 0 in
+    while !j < len do
+      let addr = a + !j in
+      write_u8 t addr (Bytes.get_uint8 buf (pos + !j));
+      let later = Int.min (len - !j) (Addr.page_size - Addr.offset addr) - 1 in
+      if later > 0 then begin
+        let tlb = t.cur.tlb in
+        if tlb.Tlb.enabled then tlb.Tlb.hits <- tlb.Tlb.hits + later;
+        Cost.charge_mem_n t.cost later 1;
+        Phys_mem.write_sub t.mem (addr + 1) buf ~pos:(pos + !j + 1) ~len:later
+      end;
+      j := !j + later + 1
+    done
+  end
+
 let memcpy t ~dst ~src ~len =
   if not (fast t src len 1) then check_range t src len Fault.Read;
   if not (fast t dst len 2) then check_range t dst len Fault.Write;
@@ -417,6 +443,11 @@ let priv_write_sub t a buf ~pos ~len =
 let priv_write_string t a s =
   Cost.charge_mem t.cost (String.length s);
   Phys_mem.write_string t.mem a s
+
+let priv_write_records t a buf ~size ~count =
+  check_host buf 0 (size * count);
+  Cost.charge_mem_n t.cost count size;
+  Phys_mem.write_sub t.mem a buf ~pos:0 ~len:(size * count)
 
 let priv_fill t a len c =
   Cost.charge_mem t.cost len;

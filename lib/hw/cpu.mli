@@ -144,6 +144,17 @@ val write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
     [write_bytes t addr (Bytes.sub buf pos len)], without the copy. A
     denied access raises before simulated memory changes. *)
 
+val store_run : t -> int -> bytes -> pos:int -> len:int -> unit
+(** [store_run t addr buf ~pos ~len] has the effect of [len] calls of
+    [write_u8], storing [buf.[pos + j]] at [addr + j] for ascending [j]:
+    the same memory, cycles, attribution, TLB counts, faults and
+    events. Each page's first store is a [write_u8]; the page's later
+    stores are charged [charge_mem 1] each, counted as the TLB hits the
+    loop would count, and copied at once. If a later page is denied,
+    the bytes stored before it stay written. With tracing on the run is
+    the loop itself, so its events are the loop's. An out-of-bounds
+    host range raises [Invalid_argument] before anything is stored. *)
+
 val memcpy : t -> dst:int -> src:int -> len:int -> unit
 (** Checked copy within simulated memory. *)
 
@@ -159,6 +170,11 @@ val priv_write_bytes : t -> int -> bytes -> unit
 val priv_write_string : t -> int -> string -> unit
 val priv_read_into : t -> int -> bytes -> pos:int -> len:int -> unit
 val priv_write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
+
+val priv_write_records : t -> int -> bytes -> size:int -> count:int -> unit
+(** [priv_write_records t addr buf ~size ~count] copies the first
+    [count] [size]-byte records of [buf] to [addr] in one copy, charged
+    as [count] separate [size]-byte {!priv_write_bytes}. *)
 
 val priv_fill : t -> int -> int -> char -> unit
 (** [priv_fill t addr len c]: charged like a [len]-byte
