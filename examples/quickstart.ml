@@ -26,6 +26,8 @@ let () =
         stack_bytes = 0;
       };
     ];
+  (* FOO's call site holds a handle on "bar", resolved at its first call. *)
+  let bar_fn = Monitor.import "bar" in
 
   (* 3. FOO allocates its array (page-aligned, so nothing else shares
         the window's page). *)
@@ -35,7 +37,7 @@ let () =
 
   (* 4. Without a window, the cross-cubicle write faults. *)
   (try
-     ignore (Monitor.call mon ~caller:foo "bar" [| array; 5 |]);
+     ignore (Monitor.call mon ~caller:foo bar_fn [| array; 5 |]);
      print_endline "!! unexpected: access was allowed"
    with Hw.Fault.Violation (f, _) ->
      Format.printf "without a window: %a -> protection fault (as expected)@." Hw.Fault.pp f);
@@ -44,7 +46,7 @@ let () =
   let wid = Api.window_init ctx ~klass:Mm.Page_meta.Heap in
   Api.window_add ctx wid ~ptr:array ~size:10;
   Api.window_open ctx wid bar;
-  ignore (Monitor.call mon ~caller:foo "bar" [| array; 5 |]);
+  ignore (Monitor.call mon ~caller:foo bar_fn [| array; 5 |]);
   Api.window_close ctx wid bar;
   Monitor.run_as mon foo (fun () ->
       Printf.printf "with a window:    array[5] = 0x%02X (written by BAR, zero-copy)\n"
@@ -52,7 +54,7 @@ let () =
 
   (* 6. Causal consistency: after FOO touches the page back, the closed
         window really is closed. *)
-  (try ignore (Monitor.call mon ~caller:foo "bar" [| array; 6 |]) with
+  (try ignore (Monitor.call mon ~caller:foo bar_fn [| array; 6 |]) with
   | Hw.Fault.Violation _ -> print_endline "after close:      BAR is locked out again");
 
   let stats = Monitor.stats mon in

@@ -231,7 +231,7 @@ let cross_core_race () =
       Api.window_open actx wid c);
   (* core 0: PEER1 writes, then a trampoline crossing *)
   Monitor.run_as mon b (fun () -> Api.write_u8 (Monitor.ctx_for mon b) buf 0x55);
-  ignore (Monitor.call mon ~caller:b "own_sync" [||]);
+  ignore (Monitor.call mon ~caller:b (Monitor.import "own_sync") [||]);
   (* core 1: PEER2 writes — same-core, the crossing would clear it *)
   Hw.Cpu.set_core (Monitor.cpu mon) 1;
   Monitor.run_as mon c (fun () -> Api.write_u8 (Monitor.ctx_for mon c) buf 0x66);

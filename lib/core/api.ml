@@ -18,7 +18,10 @@ let window_open_many (c : ctx) wid peers = Monitor.window_open_many c.mon c.self
 
 let window_forward (c : ctx) ~owner wid other =
   Monitor.window_forward c.mon c.self ~owner wid other
-let call (c : ctx) sym args = Monitor.call c.mon ~caller:c.self sym args
+type import = Monitor.import
+
+let import = Monitor.import
+let call (c : ctx) imp args = Monitor.call c.mon ~caller:c.self imp args
 let cid_of (c : ctx) name = Monitor.lookup_cubicle c.mon name
 let self (c : ctx) = c.self
 let malloc (c : ctx) ?align size = Monitor.malloc c.mon c.self ?align size

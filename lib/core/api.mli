@@ -42,7 +42,14 @@ val window_forward : ctx -> owner:Types.cid -> Types.wid -> Types.cid -> unit
 
 (** {1 Cross-cubicle calls} *)
 
-val call : ctx -> string -> int array -> int
+type import = Monitor.import
+
+val import : string -> import
+(** A handle on an exported symbol ({!Monitor.import}). Make it once per
+    call site, at module level or at a component's [init], not per
+    call. *)
+
+val call : ctx -> import -> int array -> int
 (** Call an exported symbol through its trampoline. *)
 
 val cid_of : ctx -> string -> Types.cid

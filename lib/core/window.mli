@@ -8,10 +8,11 @@
     its own memory) and is not represented here.
 
     The monitor's trap-and-map handler looks up the faulting page in a
-    per-table page index (standing sendfile grants make the ACL lookup
-    hot); the result — including the charged "descriptors inspected"
-    count — is bit-identical to the paper's linear search through the
-    descriptor array for the faulting page's class. *)
+    page-indexed array that every table shares (standing sendfile
+    grants make the ACL lookup hot); the result — including the charged
+    "descriptors inspected" count — is bit-identical to the paper's
+    linear search through the descriptor array for the faulting page's
+    class. *)
 
 type perm = R | RW
 (** A grant's permission. [R] lets the peer read the range; [RW] also
@@ -38,10 +39,22 @@ type t = private {
           ERIM/Hodor-style window-specific tags (paper §5.6/§8) *)
 }
 
+type index
+(** The window ACL index: for each page, every live window with a range
+    touching it, whatever its owner and class. One per monitor, shared
+    by all its tables. *)
+
+val create_index : int -> index
+(** [create_index npages]: an empty index over pages [0, npages). It
+    costs one word per page. *)
+
 type table
 (** The per-class descriptor arrays plus wid allocation. *)
 
-val create_table : owner:Types.cid -> ncubicles:int -> table
+val create_table : owner:Types.cid -> ncubicles:int -> index:index -> table
+(** Ranges added to the table's windows must lie on pages below the
+    [index]'s [npages]. *)
+
 val owner : table -> Types.cid
 
 val init : table -> klass:Mm.Page_meta.kind -> t
@@ -115,11 +128,23 @@ val writable : t -> addr:int -> bool
     access-agnostic so an R-only write fault is still {e found} (and
     its descriptor walk priced) before being rejected. *)
 
-val search : table -> klass:Mm.Page_meta.kind -> addr:int -> (t * int) option
-(** Page-indexed lookup of a live window containing [addr]; also
-    returns the number of descriptors a linear scan would have
-    inspected so the monitor can charge the same search cost. The
-    result is bit-identical to a linear scan of the class's array. *)
+val none : t
+(** {!search}'s answer when no window matches: a dead window, of no
+    table. *)
+
+val search : table -> klass:Mm.Page_meta.kind -> addr:int -> t
+(** Page-indexed lookup of the table's live [klass] window containing
+    [addr], or {!none}. It is the window a linear scan of the class's
+    array finds first, and it allocates nothing. *)
+
+val inspected : table -> t -> int
+(** How many descriptors a linear scan inspects to reach a live window
+    of the table: its 1-based position in its class's array. The
+    monitor charges the ACL search by it. *)
+
+val indexed : table -> page:int -> t list
+(** Every window the shared index lists for [page], whatever its owner
+    or class. For tests: each must be live, in its owner's table. *)
 
 val set_dedicated_key : t -> int option -> unit
 

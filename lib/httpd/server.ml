@@ -1,5 +1,17 @@
 open Cubicle
 
+(* Handles on the symbols this component calls, made once. *)
+module Import = struct
+  let lwip_listen = Api.import "lwip_listen"
+  let lwip_send = Api.import "lwip_send"
+  let lwip_close = Api.import "lwip_close"
+  let uk_palloc = Api.import "uk_palloc"
+  let uk_time_ns = Api.import "uk_time_ns"
+  let uk_pfree = Api.import "uk_pfree"
+  let lwip_accept = Api.import "lwip_accept"
+  let lwip_recv = Api.import "lwip_recv"
+end
+
 let chunk_size = 32 * 1024
 
 type conn = { id : int; mutable req : Buffer.t }
@@ -142,7 +154,7 @@ let start ?(shard = 0) ?(zerocopy = false) sys =
   let file_buf = Api.malloc_page_aligned ctx chunk_size in
   (* every worker binds the same port; LWIP's listen is idempotent, the
      shard argument to accept is what splits the backlog *)
-  let r = Api.call ctx "lwip_listen" [| 80 |] in
+  let r = Api.call ctx Import.lwip_listen [| 80 |] in
   if r <> 0 then Types.error "nginx: listen failed (%d)" r;
   { ctx; fio; lwip_cid; shard; req_buf; file_buf; zerocopy; conns = []; served = 0 }
 
@@ -163,7 +175,7 @@ let with_lwip_window ?(perm = Window.RW) t ~ptr ~size f =
 let send t conn_id ~ptr ~len =
   (* LWIP only reads the response bytes it segments onto the wire *)
   with_lwip_window ~perm:Window.R t ~ptr ~size:len (fun () ->
-      Api.call t.ctx "lwip_send" [| conn_id; ptr; len |])
+      Api.call t.ctx Import.lwip_send [| conn_id; ptr; len |])
 
 let send_string t conn_id s =
   Api.write_string t.ctx t.file_buf s;
@@ -172,7 +184,7 @@ let send_string t conn_id s =
 (* returns [keep] — whether the connection stays open *)
 let respond_error t conn_id status =
   send_string t conn_id (Http.response_header ~status ~content_length:0 ());
-  ignore (Api.call t.ctx "lwip_close" [| conn_id |]);
+  ignore (Api.call t.ctx Import.lwip_close [| conn_id |]);
   t.served <- t.served + 1;
   false
 
@@ -207,7 +219,7 @@ let serve_file t conn_id ~meth ~keep_alive path =
         stream 0
       end;
     ignore (Libos.Fileio.close_file t.fio fd);
-    if not keep_alive then ignore (Api.call t.ctx "lwip_close" [| conn_id |]);
+    if not keep_alive then ignore (Api.call t.ctx Import.lwip_close [| conn_id |]);
     t.served <- t.served + 1;
     keep_alive
   end
@@ -215,21 +227,21 @@ let serve_file t conn_id ~meth ~keep_alive path =
 let handle_request t conn raw =
   (* per-request connection state page (as NGINX pools per-request
      memory from the system allocator) and an access-log timestamp *)
-  let state_page = Api.call t.ctx "uk_palloc" [| 1 |] in
-  ignore (Api.call t.ctx "uk_time_ns" [||]);
+  let state_page = Api.call t.ctx Import.uk_palloc [| 1 |] in
+  ignore (Api.call t.ctx Import.uk_time_ns [||]);
   let keep =
     match Http.parse_request raw with
     | None -> respond_error t conn.id 400
     | Some { Http.meth; path; keep_alive } -> serve_file t conn.id ~meth ~keep_alive path
   in
-  ignore (Api.call t.ctx "uk_pfree" [| state_page |]);
+  ignore (Api.call t.ctx Import.uk_pfree [| state_page |]);
   keep
 
 let poll_inner t =
   let served_before = t.served in
   (* accept any pending connections *)
   let rec accept_loop () =
-    let c = Api.call t.ctx "lwip_accept" [| t.shard |] in
+    let c = Api.call t.ctx Import.lwip_accept [| t.shard |] in
     if c >= 0 then begin
       t.conns <- { id = c; req = Buffer.create 128 } :: t.conns;
       accept_loop ()
@@ -243,7 +255,7 @@ let poll_inner t =
       let rec drain () =
         let n =
           with_lwip_window t ~ptr:t.req_buf ~size:4096 (fun () ->
-              Api.call t.ctx "lwip_recv" [| conn.id; t.req_buf; 4096 |])
+              Api.call t.ctx Import.lwip_recv [| conn.id; t.req_buf; 4096 |])
         in
         if n > 0 then begin
           Buffer.add_string conn.req (Api.read_string t.ctx t.req_buf n);

@@ -63,6 +63,7 @@ let fs_component ~name ~read tenant =
    pulls the bytes from FS<i>, and leaves [u32 total][response bytes]
    in the response page, returning its address. *)
 let web_component ~name ~fs ~read ~get =
+  let read_fs = Api.import read in
   let chunk = ref 0 in
   let resp = ref 0 in
   let init ctx =
@@ -79,7 +80,7 @@ let web_component ~name ~fs ~read ~get =
     let req = args.(0) in
     let off = Api.read_u32 ctx req in
     let len = Api.read_u32 ctx (req + 4) in
-    ignore (Api.call ctx read [| !chunk; off; len |]);
+    ignore (Api.call ctx read_fs [| !chunk; off; len |]);
     let header = header_for len in
     let hlen = String.length header in
     Api.write_u32 ctx !resp (hlen + len);
@@ -98,7 +99,7 @@ let web_component ~name ~fs ~read ~get =
 type parts = {
   fs_cubicle : string;
   web_cubicle : string;
-  entry_sym : string;
+  entry : Api.import;
   comps : (Builder.component * Types.kind) list;
 }
 
@@ -107,7 +108,7 @@ let parts_for i =
   {
     fs_cubicle = fs;
     web_cubicle = web;
-    entry_sym = get;
+    entry = Api.import get;
     comps =
       [
         (fs_component ~name:fs ~read i, Types.Isolated);
@@ -115,9 +116,11 @@ let parts_for i =
       ];
   }
 
-(* A live tenant's cubicles and entry point, resolved once at spawn so
-   neither a request nor a teardown builds a string or looks a name up. *)
-type entry = { web : Types.cid; fs : Types.cid; get : string }
+(* A live tenant's cubicles and entry point, found once at spawn so
+   neither a request nor a teardown builds a string or looks a name up.
+   [get] is the tenant id's one handle: after a respawn its first call
+   resolves it again. *)
+type entry = { web : Types.cid; fs : Types.cid; get : Api.import }
 
 type t = {
   mon : Monitor.t;
@@ -181,7 +184,7 @@ let spawn t i =
       {
         web = List.assoc p.web_cubicle fresh;
         fs = List.assoc p.fs_cubicle fresh;
-        get = p.entry_sym;
+        get = p.entry;
       }
 
 let components t i =

@@ -1,5 +1,13 @@
 open Cubicle
 
+(* Handles on the symbols this component calls, made once. *)
+module Import = struct
+  let blk_read = Api.import "blk_read"
+  let blk_write = Api.import "blk_write"
+  let blk_capacity = Api.import "blk_capacity"
+  let vfs_register_backend = Api.import "vfs_register_backend"
+end
+
 let sector_size = Blkdev.sector_size
 let sectors_per_cluster = 8
 let cluster_size = sectors_per_cluster * sector_size
@@ -32,7 +40,7 @@ let read_sectors state ~sector ~n ~into =
   let ctx = ctx_exn state in
   (* the device fills our staging page; we then place the bytes where
      the caller of this helper wants them (both are our own memory) *)
-  let r = Api.call ctx "blk_read" [| state.staging; sector; n |] in
+  let r = Api.call ctx Import.blk_read [| state.staging; sector; n |] in
   if r <> 0 then Types.error "fatfs: blk_read failed (%d)" r;
   if into <> state.staging then
     Api.memcpy ctx ~dst:into ~src:state.staging ~len:(n * sector_size)
@@ -41,7 +49,7 @@ let write_sectors state ~sector ~n ~from =
   let ctx = ctx_exn state in
   if from <> state.staging then
     Api.memcpy ctx ~dst:state.staging ~src:from ~len:(n * sector_size);
-  let r = Api.call ctx "blk_write" [| state.staging; sector; n |] in
+  let r = Api.call ctx Import.blk_write [| state.staging; sector; n |] in
   if r <> 0 then Types.error "fatfs: blk_write failed (%d)" r
 
 (* --- metadata (de)serialisation, write-through ----------------------------- *)
@@ -59,7 +67,7 @@ let flush_fat_entry state cluster =
     let v = if base + i < state.nclusters then state.fat.(base + i) else 0 in
     Api.write_u16 ctx (state.staging + (2 * i)) v
   done;
-  let r = Api.call ctx "blk_write" [| state.staging; state.fat_start + sec; 1 |] in
+  let r = Api.call ctx Import.blk_write [| state.staging; state.fat_start + sec; 1 |] in
   if r <> 0 then Types.error "fatfs: FAT write-through failed (%d)" r
 
 let encode_entry state slot =
@@ -104,7 +112,7 @@ let mkfs state ~capacity_sectors =
   Api.write_u32 ctx state.staging magic;
   Api.write_u16 ctx (state.staging + 4) nclusters;
   Api.write_u16 ctx (state.staging + 6) root_entries;
-  let r = Api.call ctx "blk_write" [| state.staging; 0; 1 |] in
+  let r = Api.call ctx Import.blk_write [| state.staging; 0; 1 |] in
   if r <> 0 then Types.error "fatfs: superblock write failed";
   for s = 0 to fat_sectors state - 1 do
     flush_fat_entry state (s * (sector_size / 2))
@@ -115,7 +123,7 @@ let mkfs state ~capacity_sectors =
 
 let mount state =
   let ctx = ctx_exn state in
-  let capacity = Api.call ctx "blk_capacity" [||] in
+  let capacity = Api.call ctx Import.blk_capacity [||] in
   read_sectors state ~sector:0 ~n:1 ~into:state.staging;
   if Api.read_u32 ctx state.staging <> magic then mkfs state ~capacity_sectors:capacity
   else begin
@@ -394,7 +402,7 @@ let init state ctx =
   Api.window_add ctx wid ~ptr:state.staging ~size:Hw.Addr.page_size;
   Api.window_open ctx wid blk;
   mount state;
-  ignore (Api.call ctx "vfs_register_backend" [| 2 |])
+  ignore (Api.call ctx Import.vfs_register_backend [| 2 |])
 
 let make () =
   let state =

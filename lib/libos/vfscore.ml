@@ -1,23 +1,23 @@
 open Cubicle
 
-(* The registered backend and the names of its exports, built once at
-   registration so no backend call builds a string. *)
+(* The registered backend and handles on its exports, made once at
+   registration so no backend call builds a string or looks one up. *)
 type backend = {
   cid : Types.cid;
-  lookup : string;
-  create : string;
-  pread : string;
-  sendfile : string;
-  pwrite : string;
-  size : string;
-  truncate : string;
-  fsync : string;
-  unlink : string;
-  rename : string;
+  lookup : Api.import;
+  create : Api.import;
+  pread : Api.import;
+  sendfile : Api.import;
+  pwrite : Api.import;
+  size : Api.import;
+  truncate : Api.import;
+  fsync : Api.import;
+  unlink : Api.import;
+  rename : Api.import;
 }
 
 let backend_of ~prefix ~cid =
-  let sym suffix = prefix ^ "_" ^ suffix in
+  let sym suffix = Api.import (prefix ^ "_" ^ suffix) in
   {
     cid;
     lookup = sym "lookup";

@@ -1,5 +1,10 @@
 open Cubicle
 
+(* Handles on the symbols this component calls, made once. *)
+module Import = struct
+  let uk_time_ns = Api.import "uk_time_ns"
+end
+
 type group = Light | Heavy
 
 type query = { id : int; name : string; group : group }
@@ -266,8 +271,8 @@ let run st q =
   as_app st (fun () ->
       let ctx = Pager.ctx (Db.pager st.db) in
       let clock () =
-        if Monitor.has_export ctx.Monitor.mon "uk_time_ns" then
-          ignore (Api.call ctx "uk_time_ns" [||])
+        if Monitor.imported ctx.Monitor.mon Import.uk_time_ns then
+          ignore (Api.call ctx Import.uk_time_ns [||])
       in
       clock ();
       run_query st q;

@@ -22,6 +22,11 @@ let window_search tbl ~klass ~addr =
   in
   scan 0 (List.filter (fun w -> w.klass = klass) (live_windows tbl))
 
+(* [Window.search]'s answer in [window_search]'s shape. *)
+let indexed_search tbl ~klass ~addr =
+  let w = Cubicle.Window.search tbl ~klass ~addr in
+  if w == Cubicle.Window.none then None else Some (w, Cubicle.Window.inspected tbl w)
+
 (* First fit the slow, obvious way: one flag per unit of
    [base, base+size), and an allocation of [n] units takes the lowest
    [align]-aligned base whose [n] units are all free ([None] when there

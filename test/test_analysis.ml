@@ -320,7 +320,7 @@ let test_leak_ro_demoted () =
 (* --- window grant semantics (byte-exact coverage) ----------------------- *)
 
 let test_window_covers () =
-  let tbl = Window.create_table ~owner:1 ~ncubicles:4 in
+  let tbl = Window.create_table ~owner:1 ~ncubicles:4 ~index:(Window.create_index 64) in
   let w = Window.init tbl ~klass:Mm.Page_meta.Heap in
   Window.add_range tbl w ~ptr:0x1000 ~size:16;
   check_bool "exact" true (Window.covers w ~ptr:0x1000 ~size:16);
@@ -687,7 +687,7 @@ let prop_covers_reference =
     (QCheck.make gen_wscript)
     (fun script ->
       let base = 0x4000 in
-      let tbl = Window.create_table ~owner:1 ~ncubicles:4 in
+      let tbl = Window.create_table ~owner:1 ~ncubicles:4 ~index:(Window.create_index 64) in
       let w = Window.init tbl ~klass:Mm.Page_meta.Heap in
       (* reference: newest-first range list; down/revoke hit the newest
          range rooted at ptr, mirroring the Window implementation *)

@@ -86,7 +86,7 @@ let test_custom_model () =
 (* --- window descriptor array capacity (paper §5.3) ------------------------ *)
 
 let test_window_capacity_and_extend () =
-  let tbl = Window.create_table ~owner:1 ~ncubicles:4 in
+  let tbl = Window.create_table ~owner:1 ~ncubicles:4 ~index:(Window.create_index 64) in
   check_int "initial capacity" 8 (Window.capacity tbl Mm.Page_meta.Heap);
   for _ = 1 to 8 do
     ignore (Window.init tbl ~klass:Mm.Page_meta.Heap)
@@ -105,7 +105,7 @@ let test_window_capacity_and_extend () =
           (Window.live_windows tbl)))
 
 let test_window_destroy_frees_slot () =
-  let tbl = Window.create_table ~owner:1 ~ncubicles:4 in
+  let tbl = Window.create_table ~owner:1 ~ncubicles:4 ~index:(Window.create_index 64) in
   let ws = List.init 8 (fun _ -> Window.init tbl ~klass:Mm.Page_meta.Heap) in
   Window.destroy tbl (List.hd ws);
   (* a freed slot can be reused without extending *)
