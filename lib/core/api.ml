@@ -61,6 +61,14 @@ let write_sub (c : ctx) addr buf ~pos ~len =
   obs c addr len Telemetry.Event.Write;
   Hw.Cpu.write_sub c.cpu addr buf ~pos ~len
 
+let check_read (c : ctx) addr len =
+  obs c addr len Telemetry.Event.Read;
+  Hw.Cpu.check_read c.cpu addr len
+
+let check_write (c : ctx) addr len =
+  obs c addr len Telemetry.Event.Write;
+  Hw.Cpu.check_write c.cpu addr len
+
 let read_u8 (c : ctx) addr =
   obs c addr 1 Telemetry.Event.Read;
   Hw.Cpu.read_u8 c.cpu addr

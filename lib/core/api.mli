@@ -85,6 +85,15 @@ val write_sub : ctx -> int -> bytes -> pos:int -> len:int -> unit
     charge as [write_bytes c addr (Bytes.sub buf pos len)], without the
     intermediate copy. *)
 
+val check_read : ctx -> int -> int -> unit
+(** [check_read c addr len]: the observation, checks and charge of
+    [read_bytes c addr len], copying nothing ({!Hw.Cpu.check_read}). *)
+
+val check_write : ctx -> int -> int -> unit
+(** [check_write c addr len]: the observation, checks and charge of a
+    [len]-byte [write_bytes c addr], storing nothing
+    ({!Hw.Cpu.check_write}). *)
+
 val store_run : ctx -> int -> bytes -> pos:int -> len:int -> unit
 (** [store_run c addr buf ~pos ~len]: the same observation, checks and
     charges as [write_u8 c (addr + j) buf.[pos + j]] for [j] from 0 to

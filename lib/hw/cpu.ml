@@ -376,6 +376,14 @@ let write_sub t a buf ~pos ~len =
   Cost.charge_mem t.cost len;
   Phys_mem.write_sub t.mem a buf ~pos ~len
 
+let check_read t a len =
+  if not (fast t a len 1) then check_range t a len Fault.Read;
+  Cost.charge_mem t.cost len
+
+let check_write t a len =
+  if not (fast t a len 2) then check_range t a len Fault.Write;
+  Cost.charge_mem t.cost len
+
 let write_string t a s =
   let len = String.length s in
   if not (fast t a len 2) then check_range t a len Fault.Write;

@@ -144,6 +144,18 @@ val write_sub : t -> int -> bytes -> pos:int -> len:int -> unit
     [write_bytes t addr (Bytes.sub buf pos len)], without the copy. A
     denied access raises before simulated memory changes. *)
 
+val check_read : t -> int -> int -> unit
+(** [check_read t addr len] checks and charges exactly what
+    [read_bytes t addr len] does (same faults, TLB events and cycles)
+    and copies nothing: for a trusted reader that then reads the range
+    in place. *)
+
+val check_write : t -> int -> int -> unit
+(** [check_write t addr len] checks and charges exactly what a
+    [len]-byte {!write_bytes} at [addr] does and stores nothing: the
+    caller then stores the range in place. A denied access raises, as
+    [write_bytes] would. *)
+
 val store_run : t -> int -> bytes -> pos:int -> len:int -> unit
 (** [store_run t addr buf ~pos ~len] has the effect of [len] calls of
     [write_u8], storing [buf.[pos + j]] at [addr + j] for ascending [j]:

@@ -58,17 +58,16 @@ let encode_catalog t =
     t.tables;
   Buffer.contents b
 
-(* Decodes page 0 from the pager's page image; everything it returns is
-   copied out of the image. *)
-let decode_catalog pager b =
-  if Int32.to_int (Bytes.get_int32_le b 0) <> magic then
-    Types.error "db: bad catalog magic";
-  let ntables = Bytes.get_uint16_le b 4 in
+(* Decodes page 0 from its frame view; everything it returns is copied
+   out of the frame. *)
+let decode_catalog pager v =
+  if Pager.get_u32 v 0 <> magic then Types.error "db: bad catalog magic";
+  let ntables = Pager.get_u16 v 4 in
   let pos = ref 6 in
-  let u8 () = let v = Bytes.get_uint8 b !pos in incr pos; v in
-  let str n = let v = Bytes.sub_string b !pos n in pos := !pos + n; v in
-  let u32 () = let v = Int32.to_int (Bytes.get_int32_le b !pos) in pos := !pos + 4; v in
-  let i64 () = let v = Bytes.get_int64_le b !pos in pos := !pos + 8; v in
+  let u8 () = let x = Pager.get_u8 v !pos in incr pos; x in
+  let str n = let x = Pager.sub_string v !pos n in pos := !pos + n; x in
+  let u32 () = let x = Pager.get_u32 v !pos in pos := !pos + 4; x in
+  let i64 () = let x = Pager.get_i64 v !pos in pos := !pos + 8; x in
   List.init ntables (fun _ ->
       let name = str (u8 ()) in
       let root = u32 () in
@@ -103,7 +102,7 @@ let open_db ?cache_pages ?journal_mode os ~path =
     t
   end
   else begin
-    { pager; tables = Pager.with_page_image pager 0 (decode_catalog pager); dirty_catalog = false }
+    { pager; tables = Pager.with_page_view pager 0 (decode_catalog pager); dirty_catalog = false }
   end
 
 let close t =
@@ -191,7 +190,7 @@ let commit t =
 let rollback t =
   Pager.rollback t.pager;
   (* roots may have moved and been rolled back: reload the catalog *)
-  t.tables <- Pager.with_page_image t.pager 0 (decode_catalog t.pager);
+  t.tables <- Pager.with_page_view t.pager 0 (decode_catalog t.pager);
   t.dirty_catalog <- false
 
 let with_txn t f =

@@ -73,21 +73,69 @@ val write_page : t -> int -> (int -> 'a) -> 'a
 (** Like {!read_page} but journals the original content first (inside a
     transaction) and marks the frame dirty. *)
 
-val with_page_image : t -> int -> (bytes -> 'a) -> 'a
-(** [with_page_image t pageno f] pins the page, copies all [page_size]
-    bytes of its frame into the pager's one host page image (a checked,
-    charged read identical to [Api.read_bytes] of the frame) and calls
-    [f] on that image. The image is reused by the next page access:
-    [f] must not let any view into it outlive the call. From inside
-    [f], the only page access allowed is {!write_page_image} of the
-    same page, which then sees the image still holding the page and
-    can edit it in place; any other raises {!Cubicle.Types.Error}. *)
+(** {1 Frame views}
 
-val write_page_image : t -> int -> len:int -> (bytes -> unit) -> unit
-(** [write_page_image t pageno ~len fill] is {!write_page} whose
-    callback lets [fill] put the page's first [len] bytes into the page
-    image, copies them into the frame and zeroes the rest of the page.
-    Outside {!with_page_image}, [fill] must write all [len] bytes. *)
+    The B-tree codec reads and edits nodes in place in their cache
+    frames, through a view of the frame. *)
+
+type view
+(** One page held in a cache frame. Every accessor checks its offset
+    against the page and raises {!Cubicle.Types.Error} outside it; none
+    charges simulated cycles (the visit or write that hands out the
+    view has charged for the whole access). *)
+
+val with_page_view : t -> int -> (view -> 'a) -> 'a
+(** [with_page_view t pageno f] pins the page, makes the checked,
+    charged read of all [page_size] bytes of its frame that
+    [Api.read_bytes] of the frame makes, copying nothing, and calls [f]
+    on the frame's view. [f] must not use the view after it returns.
+    From inside [f], the only page access allowed is
+    {!write_page_view} of the same page; any other raises
+    {!Cubicle.Types.Error}. *)
+
+val write_page_view : t -> int -> len:int -> (view -> unit) -> unit
+(** [write_page_view t pageno ~len fill] is {!write_page} making the
+    checked, charged store of the page's first [len] bytes that
+    [Api.write_sub] of [len] bytes makes, then running [fill] on the
+    view to store them in place, then zeroing the rest of the page. A
+    denied store raises before any byte changes. Outside
+    {!with_page_view}, [fill] must write all [len] bytes. *)
+
+val get_u8 : view -> int -> int
+val get_u16 : view -> int -> int
+val get_u32 : view -> int -> int
+val get_i64 : view -> int -> int64
+val set_u8 : view -> int -> int -> unit
+val set_u16 : view -> int -> int -> unit
+val set_u32 : view -> int -> int -> unit
+val set_i64 : view -> int -> int64 -> unit
+
+val sub_bytes : view -> int -> int -> bytes
+val sub_string : view -> int -> int -> string
+val set_string : view -> int -> string -> unit
+
+val set_bytes : view -> int -> bytes -> pos:int -> len:int -> unit
+(** [set_bytes v off b ~pos ~len] stores [b.[pos .. pos+len-1]] at [off]. *)
+
+val blit : view -> src:int -> dst:int -> len:int -> unit
+(** A move within the page; the ranges may overlap. *)
+
+(** {2 The leaf offset memo}
+
+    Each frame keeps an int array and a count for the codec: the entry
+    offsets of the leaf it holds. The pager sets the count to -1
+    (unknown) whenever the frame's bytes may change behind the codec:
+    when a page is installed in the frame (loaded, allocated, or the
+    frame reused), in the {!read_page} and {!write_page} callbacks, and
+    before every {!write_page_view}'s [fill]. *)
+
+val memo_count : view -> int
+val memo : view -> int array
+val set_memo : view -> int array -> int -> unit
+
+val cached_views : t -> (int * view) list
+(** The cached pages with their views, sorted by page number, for
+    inspecting the memo. Pins nothing and charges nothing. *)
 
 val begin_txn : t -> unit
 val commit : t -> unit
