@@ -7,13 +7,14 @@ type component = {
   exports : Monitor.export_spec list;
   init : Monitor.ctx -> unit;
   iface : Iface.t;
-  image : Loader.image Lazy.t;
-      (* synthesised at the first spawn; the loader only reads it, so a
-         respawn of the same component maps the same bytes *)
+  image : Loader.scanned Lazy.t;
+      (* synthesised and scanned at the first spawn; the loader only
+         reads it and nothing else holds it, so a respawn of the same
+         component maps the same bytes without scanning them again *)
 }
 
 let image_of ~name ~data_bytes ~code_ops =
-  lazy (Loader.image_of_ops ~name ~data_bytes ~ops:code_ops ())
+  lazy (Loader.scan (Loader.image_of_ops ~name ~data_bytes ~ops:code_ops ()))
 
 type export = { spec : Monitor.export_spec; summary : Iface.fundecl }
 
@@ -86,7 +87,7 @@ let spawn ?(callers = []) built comps =
     List.iter
       (fun (c, kind) ->
         let l =
-          Loader.load built.mon (Lazy.force c.image) ~kind ~heap_pages:c.heap_pages
+          Loader.load_scanned built.mon (Lazy.force c.image) ~kind ~heap_pages:c.heap_pages
             ~stack_pages:c.stack_pages ~exports:c.exports
         in
         Monitor.set_iface built.mon l.Loader.cid c.iface;

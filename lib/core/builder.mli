@@ -43,8 +43,8 @@ val component :
 (** [component name] with defaults. [entries] summarises entry points
     that are not exports ([__init], [__main]); raises [Invalid_argument]
     if one names an export of the component. The component's code image
-    is synthesised at its first spawn, and every later spawn of the
-    same component loads that image again. *)
+    is synthesised and scanned at its first spawn, and every later
+    spawn of the same component loads that image again, unscanned. *)
 
 val merge : string -> component list -> component
 (** [merge name comps] links several components into a single cubicle

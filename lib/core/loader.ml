@@ -14,11 +14,19 @@ type loaded = {
   data_base : int;
 }
 
+type scanned = image
+
+let scans = ref 0
+let scan_count () = !scans
+
 let scan img =
-  if not img.signed then
+  if not img.signed then begin
+    incr scans;
     match Hw.Instr.scan_forbidden img.code with
     | [] -> ()
     | hits -> raise (Types.Denied (Forbidden_code { image = img.img_name; hits }))
+  end;
+  img
 
 (* Copy a blob into freshly mapped pages owned by the cubicle. The blob
    is written with monitor privileges before the final (possibly
@@ -40,8 +48,7 @@ let map_blob mon cid blob ~kind ~perm =
     base
   end
 
-let load mon img ~kind ~heap_pages ~stack_pages ~exports =
-  scan img;
+let load_scanned mon img ~kind ~heap_pages ~stack_pages ~exports =
   let cid = Monitor.create_cubicle mon ~name:img.img_name ~kind ~heap_pages ~stack_pages in
   (* Code pages are execute-only: CubicleOS never lets a cubicle read or
      change the permissions of code (§5.4 rule 1). *)
@@ -56,6 +63,8 @@ let load mon img ~kind ~heap_pages ~stack_pages ~exports =
     rodata_base;
     data_base;
   }
+
+let load mon img = load_scanned mon (scan img)
 
 let image_of_ops ~name ?(data_bytes = 256) ?(ops = 256) () =
   {

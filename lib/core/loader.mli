@@ -24,6 +24,31 @@ type loaded = {
   data_base : int;
 }
 
+type scanned
+(** An image whose scan passed (or a signed one). Only {!scan} makes
+    one, so a holder can load it again without scanning it again. The
+    image's bytes must not change after the scan: hand {!scan} an image
+    no one else holds. *)
+
+val scan : image -> scanned
+(** Scan an unsigned image for forbidden sequences; raises
+    {!Types.Denied} [Forbidden_code] if it holds any. *)
+
+val scan_count : unit -> int
+(** Unsigned images scanned so far by this process. *)
+
+val load_scanned :
+  Monitor.t ->
+  scanned ->
+  kind:Types.kind ->
+  heap_pages:int ->
+  stack_pages:int ->
+  exports:Monitor.export_spec list ->
+  loaded
+(** Create the cubicle, map code pages execute-only, rodata read-only,
+    data read-write, populate the page metadata map, and register the
+    exports so cross-cubicle calls resolve through trampolines. *)
+
 val load :
   Monitor.t ->
   image ->
@@ -32,11 +57,8 @@ val load :
   stack_pages:int ->
   exports:Monitor.export_spec list ->
   loaded
-(** Scan (unless signed; forbidden sequences raise
-    {!Types.Denied} [Forbidden_code]), create the cubicle, map code pages
-    execute-only, rodata read-only, data read-write, populate the page
-    metadata map, and register the exports so cross-cubicle calls
-    resolve through trampolines. *)
+(** [load mon img] is [load_scanned mon (scan img)]: every image
+    loaded this way is scanned, however often it was before. *)
 
 val image_of_ops : name:string -> ?data_bytes:int -> ?ops:int -> unit -> image
 (** Convenience: an unsigned image with synthesized (safe) code. *)

@@ -642,6 +642,43 @@ let test_loader_rejects_hidden_sequence () =
     (Forbidden_code { image = "SNEAKY"; hits = [ { offset = 2; what = "wrpkru" } ] })
     (fun () -> Loader.load mon img ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[])
 
+(* The loader scans every image handed to it directly, however often:
+   the same image with a planted wrpkru is refused each time. A builder
+   component's image is scanned once, at its first spawn; a respawn
+   after teardown loads it without scanning. *)
+let test_loader_scans_once_per_component () =
+  let mon = Monitor.create ~protection:Types.Full () in
+  let planted =
+    {
+      Loader.img_name = "PLANTED";
+      code = Hw.Instr.synth_code ~ops:64 "PLANTED";
+      rodata = Bytes.empty;
+      data = Bytes.empty;
+      signed = false;
+    }
+  in
+  let load () =
+    Loader.load mon planted ~kind:Types.Isolated ~heap_pages:1 ~stack_pages:1 ~exports:[]
+  in
+  let clean = load () in
+  Monitor.destroy_cubicle mon clean.Loader.cid;
+  Bytes.blit (Hw.Instr.assemble [ Wrpkru ]) 0 planted.code 16 3;
+  for _ = 1 to 2 do
+    let s0 = Loader.scan_count () in
+    Deny.check "planted wrpkru rejected"
+      (Forbidden_code { image = "PLANTED"; hits = [ { offset = 16; what = "wrpkru" } ] })
+      (fun () -> load ());
+    check_int "scanned again" (s0 + 1) (Loader.scan_count ())
+  done;
+  let comp = Builder.component ~heap_pages:1 ~stack_pages:1 "RESPAWN" in
+  let built = Builder.build (Monitor.create ~protection:Types.Full ()) [] in
+  let s0 = Loader.scan_count () in
+  let cid = List.assoc "RESPAWN" (Builder.spawn built [ (comp, Types.Isolated) ]) in
+  check_int "first spawn scans" (s0 + 1) (Loader.scan_count ());
+  Monitor.destroy_cubicle built.Builder.mon cid;
+  ignore (Builder.spawn built [ (comp, Types.Isolated) ]);
+  check_int "respawn does not scan" (s0 + 1) (Loader.scan_count ())
+
 let test_loader_accepts_signed_trusted_code () =
   let mon = Monitor.create ~protection:Types.Full () in
   let img =
@@ -1667,6 +1704,57 @@ let test_denied_access_changes_nothing () =
      | _ -> false
      | exception Invalid_argument _ -> true)
 
+(* [Api.check_read] and [Api.check_write] observe, check and charge
+   exactly what the copying accessors do and move no byte: the caller
+   then reads or stores the range in place (minidb's frame views). The
+   store below is that in-place store. Denied, they raise like their
+   copying twins. *)
+let test_check_matches_copy () =
+  List.iter
+    (fun (what, off, len) ->
+      let copied =
+        run_access ~window:true (fun ctx buf _ ->
+            for _ = 1 to 2 do
+              ignore (Api.read_bytes ctx (buf + off) len)
+            done)
+      in
+      let checked =
+        run_access ~window:true (fun ctx buf _ ->
+            for _ = 1 to 2 do
+              Api.check_read ctx (buf + off) len
+            done)
+      in
+      check_bool (what ^ ": read faulted") true
+        (checked.faults > 0 && has_fault_and_window_access checked);
+      check_same_run (what ^ " read") copied checked;
+      let src = Bytes.init len (fun i -> Char.chr ((5 * i) land 0xFF)) in
+      let copied =
+        run_access ~window:true (fun ctx buf _ ->
+            for _ = 1 to 2 do
+              Api.write_sub ctx (buf + off) src ~pos:0 ~len
+            done)
+      in
+      let checked =
+        run_access ~window:true (fun ctx buf _ ->
+            for _ = 1 to 2 do
+              Api.check_write ctx (buf + off) len;
+              Hw.Phys_mem.write_sub (Hw.Cpu.mem ctx.Monitor.cpu) (buf + off) src ~pos:0 ~len
+            done)
+      in
+      check_same_run (what ^ " write") copied checked)
+    accessor_cases;
+  let off = page - 200 and len = 500 in
+  let copied = run_access ~window:false (fun ctx buf _ -> ignore (Api.read_bytes ctx (buf + off) len)) in
+  let checked = run_access ~window:false (fun ctx buf _ -> Api.check_read ctx (buf + off) len) in
+  check_bool "check_read denied" true checked.raised;
+  check_same_run "denied check_read" copied checked;
+  let copied =
+    run_access ~window:false (fun ctx buf _ -> Api.write_bytes ctx (buf + off) (Bytes.make len 'W'))
+  in
+  let checked = run_access ~window:false (fun ctx buf _ -> Api.check_write ctx (buf + off) len) in
+  check_bool "check_write denied" true checked.raised;
+  check_same_run "denied check_write" copied checked
+
 (* --- store runs ---------------------------------------------------------------- *)
 
 (* [Api.store_run] must be the [Api.write_u8] loop it stands for. FOO
@@ -2024,6 +2112,7 @@ let () =
           Alcotest.test_case "rejects syscall" `Quick test_loader_rejects_syscall;
           Alcotest.test_case "rejects hidden" `Quick test_loader_rejects_hidden_sequence;
           Alcotest.test_case "accepts signed" `Quick test_loader_accepts_signed_trusted_code;
+          Alcotest.test_case "scans once per component" `Quick test_loader_scans_once_per_component;
           Alcotest.test_case "x-only code" `Quick test_loader_code_execute_only;
           Alcotest.test_case "data perms" `Quick test_loader_data_perms;
           Alcotest.test_case "page metadata" `Quick test_loader_page_metadata;
@@ -2062,6 +2151,7 @@ let () =
           Alcotest.test_case "write_sub = write_bytes" `Quick test_write_sub_matches_write_bytes;
           Alcotest.test_case "denied changes nothing" `Quick test_denied_access_changes_nothing;
           Alcotest.test_case "store run cases" `Quick test_store_run_cases;
+          Alcotest.test_case "check_read/write = copying twins" `Quick test_check_matches_copy;
         ] );
       ("properties", qsuite);
     ]
