@@ -68,10 +68,9 @@ module First_fit = struct
   let used t = Hashtbl.fold (fun _ n acc -> acc + n) t.blocks 0
 end
 
-(* The B-tree node codec as it stood before nodes were coded in place in
-   the pager's page image: a page decoded into arrays, re-encoded through
-   a [Buffer]. Every node page the tree writes must re-encode to exactly
-   its own bytes. *)
+(* The B-tree node codec as it stood before nodes were coded in place: a
+   page decoded into arrays, re-encoded through a [Buffer]. Every node
+   page the tree writes must re-encode to exactly its own bytes. *)
 type btree_node =
   | Leaf of { keys : int64 array; payloads : string array; next : int }
   | Interior of { keys : int64 array; children : int array }
