@@ -1829,7 +1829,11 @@ let sendfile ?(out = "BENCH_zerocopy.json") ?golden ?write_golden () =
    same workload (no keys, hence no evictions), the online race mirror
    rides the whole serving phase, and the Keymux attribution category
    must decompose exactly into fault-ins, page retags and shootdowns
-   priced at the model's rates. *)
+   priced at the model's rates. Each step also counts the guard entries
+   the live cubicles hold against the call edges their summaries
+   declare and the (caller, callee) edges the serving phase crossed:
+   guards follow declared edges, so at the top step they may be at
+   most twice the crossed ones. *)
 
 let keys_steps = [ 8; 32; 64; 128; 256 ]
 let keys_rounds = 2
@@ -1843,6 +1847,9 @@ type keys_row = {
   k_evictions : int;
   k_retag_pages : int;
   k_shootdowns : int;
+  k_guards : int;  (* guard entries over every live cubicle *)
+  k_declared : int;  (* cross-cubicle call edges the summaries declare *)
+  k_edges : int;  (* (caller, callee) edges the serving phase crossed *)
 }
 
 let keys_req ~tenant ~round =
@@ -1940,6 +1947,16 @@ let keys_run ~tenants =
     k_evictions = st.Hw.Keymux.evictions - e0;
     k_retag_pages = st.Hw.Keymux.retag_pages - r0;
     k_shootdowns = st.Hw.Keymux.key_shootdowns - s0;
+    k_guards =
+      List.fold_left
+        (fun acc cid ->
+          acc + Trampoline.guard_entries (Httpd.Tenant.built sys).Builder.trampolines cid)
+        0 (Monitor.live_cids mon);
+    k_declared =
+      List.length
+        (List.sort_uniq compare
+           (Analysis.Callgraph.edges (Analysis.Ir.of_built (Httpd.Tenant.built sys))));
+    k_edges = List.length (Stats.edges (Monitor.stats mon));
   }
 
 let keys_json_rows rows =
@@ -1955,6 +1972,9 @@ let keys_json_rows rows =
         (key "evictions", r.k_evictions);
         (key "retag_pages", r.k_retag_pages);
         (key "shootdowns", r.k_shootdowns);
+        (key "guard_entries", r.k_guards);
+        (key "declared_edges", r.k_declared);
+        (key "call_edges", r.k_edges);
       ])
     rows
 
@@ -1965,12 +1985,13 @@ let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
        (List.hd keys_steps)
        (List.nth keys_steps (List.length keys_steps - 1)));
   let rows = List.map (fun n -> keys_run ~tenants:n) keys_steps in
-  fprintf "%8s %9s %9s %14s %10s %10s %10s %11s\n" "tenants" "cubicles" "requests" "cyc/req"
-    "fault-ins" "evictions" "retags" "shootdowns";
+  fprintf "%8s %9s %9s %14s %10s %10s %10s %11s %7s %9s %6s\n" "tenants" "cubicles" "requests"
+    "cyc/req" "fault-ins" "evictions" "retags" "shootdowns" "guards" "declared" "edges";
   List.iter
     (fun r ->
-      fprintf "%8d %9d %9d %14d %10d %10d %10d %11d\n" r.k_tenants r.k_cubicles r.k_requests
-        (r.k_total / r.k_requests) r.k_fault_ins r.k_evictions r.k_retag_pages r.k_shootdowns)
+      fprintf "%8d %9d %9d %14d %10d %10d %10d %11d %7d %9d %6d\n" r.k_tenants r.k_cubicles
+        r.k_requests (r.k_total / r.k_requests) r.k_fault_ins r.k_evictions r.k_retag_pages
+        r.k_shootdowns r.k_guards r.k_declared r.k_edges)
     rows;
   let top = List.nth rows (List.length rows - 1) in
   if top.k_cubicles < 256 then begin
@@ -1984,6 +2005,13 @@ let keys ?(out = "BENCH_keys.json") ?golden ?write_golden () =
   end;
   fprintf "scale floor OK: %d concurrent cubicles multiplexed over 14 physical tags\n"
     top.k_cubicles;
+  if top.k_guards > 2 * top.k_edges then begin
+    fprintf "FATAL: keys: %d guard entries at %d tenants, more than twice the %d call edges\n"
+      top.k_guards top.k_tenants top.k_edges;
+    exit 1
+  end;
+  fprintf "guard floor OK: %d guard entries for %d call edges at %d tenants\n" top.k_guards
+    top.k_edges top.k_tenants;
   fprintf "byte-identity OK: every response matches the oracle and the no-protection baseline\n";
   fprintf "race sink OK: online window mirror saw zero violations at every step\n";
   Golden.emit ?golden ?write_golden ~out ~what:"key-pressure curve"

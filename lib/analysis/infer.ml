@@ -16,7 +16,15 @@
    caller's privileges, so its accesses are the caller's (the same rule
    the static accessors fixpoint uses). Accesses outside any frame
    (boot-time init touching staging pages) are folded under the
-   synthetic symbol [toplevel_sym] and ignored by the cross-check. *)
+   synthetic symbol [toplevel_sym] and ignored by the cross-check.
+
+   The same frames say which component called which symbol while
+   serving a call. Guard entries follow the summaries' declared calls,
+   and a crossing does not read its guard, so a call the caller's
+   summary omits is the soundness hole of an inert export: the check
+   reports it. A crossing outside any frame of its caller (boot-time
+   init, a harness driving a component's context) is exempt, like an
+   access there. *)
 
 open Cubicle
 
@@ -29,11 +37,15 @@ type t = {
   stacks : (int, (int * string) list ref) Hashtbl.t;
   (* (actor cid, sym) -> owner cid -> observed modes *)
   obs : (int * string, mode IMap.t ref) Hashtbl.t;
+  (* (caller cid, sym) of every traced crossing a cubicle made while
+     serving a call *)
+  crossings : (int * string, unit) Hashtbl.t;
 }
 
 let toplevel_sym = "<toplevel>"
 
-let create () = { stacks = Hashtbl.create 4; obs = Hashtbl.create 64 }
+let create () =
+  { stacks = Hashtbl.create 4; obs = Hashtbl.create 64; crossings = Hashtbl.create 64 }
 
 let stack_of t core =
   match Hashtbl.find_opt t.stacks core with
@@ -67,8 +79,10 @@ let record t ~cid ~sym ~owner ~(access : Telemetry.Event.access) =
 
 let feed ?(core = 0) t (ev : Telemetry.Event.t) =
   match ev with
-  | Telemetry.Event.Call { callee; sym; _ } ->
+  | Telemetry.Event.Call { caller; callee; sym } ->
       let s = stack_of t core in
+      if caller <> callee && List.exists (fun (c, _) -> c = caller) !s then
+        Hashtbl.replace t.crossings (caller, sym) ();
       s := (callee, sym) :: !s
   | Telemetry.Event.Return { callee; sym; _ } -> (
       (* pop the innermost matching frame; traces can drop events at
@@ -127,8 +141,32 @@ let observations t (p : Ir.program) =
     t.obs []
   |> List.sort compare
 
+(* A crossing by a component whose summary declares calls, to a symbol
+   none of them is. A component with an empty interface declares
+   nothing, so it has no edge to break (its guard entries fall back to
+   every export); callers that are no component (the monitor) are
+   skipped too. *)
+let undeclared_calls t (p : Ir.program) =
+  Hashtbl.fold
+    (fun (cid, sym) () acc ->
+      match List.find_opt (fun (c : Ir.comp) -> c.Ir.cid = cid) p.Ir.comps with
+      | Some c when c.Ir.iface <> [] && not (List.mem sym (Iface.calls c.Ir.iface)) ->
+          (c.Ir.name, sym) :: acc
+      | _ -> acc)
+    t.crossings []
+  |> List.sort compare
+  |> List.map (fun (comp, sym) ->
+         Report.make ~pass:"summary" ~severity:Report.Critical ~plane:Report.Dynamic
+           ~component:comp
+           ~detail:
+             (Printf.sprintf
+                "trace observed %s calling %s, but no interface summary of %s declares \
+                 that call — its guard entries and the static planes omit the edge"
+                comp sym comp)
+           ~key:(Printf.sprintf "summary:call:%s->%s" comp sym))
+
 let check t (p : Ir.program) =
-  let findings = ref [] in
+  let findings = ref (List.rev (undeclared_calls t p)) in
   List.iter
     (fun o ->
       if o.o_sym <> toplevel_sym then

@@ -37,6 +37,12 @@ val observations : t -> Ir.program -> observation list
 val check : t -> Ir.program -> Report.finding list
 (** Cross-check: observed write with no declared written pointer
     argument → [Critical] [summary:write:COMP.sym]; observed read with
-    no declared dereference at all → [High] [summary:read:COMP.sym].
+    no declared dereference at all → [High] [summary:read:COMP.sym];
+    a crossing traced from component [COMP], while it served a call, to
+    [sym] that no summary of [COMP] declares (its
+    {!Cubicle.Iface.calls}) → [Critical] [summary:call:COMP->sym]. A
+    component with an empty interface declares nothing, so its
+    crossings are not judged; nor are crossings outside any frame of
+    the caller.
     The converse (a declared access never observed) is {e not} flagged:
     one trace need not exercise every path. *)

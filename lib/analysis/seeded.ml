@@ -3,9 +3,9 @@ open Cubicle
 (* Deliberately-broken examples, one per detector. Each scenario names
    the pass and severity it must trip; the bench `analyze` command and
    the test suite both assert that CubiCheck catches every one. The
-   static four are synthetic IR programs; the dynamic five run real
-   monitor workloads under tracing, judged by replay or by the online
-   bus sink. *)
+   static four are synthetic IR programs; the dynamic six run real
+   monitor workloads under tracing, judged by replay, by the online
+   bus sink or by summary inference. *)
 
 type scenario = {
   sc_name : string;
@@ -308,6 +308,42 @@ let key_alias () =
     findings = replay_bus mon bus;
   }
 
+(* 10. An export calls a symbol its summary omits. CLIENT's exports
+   have empty bodies, so it declares no call and its guard page holds
+   no entry for srv_process; yet the crossing goes through, since a
+   crossing does not read its guard. Only the trace shows the edge. *)
+let undeclared_call ?(declared = false) () =
+  let mon = Monitor.create ~protection:Types.Full () in
+  let srv = Monitor.import "srv_process" in
+  let client_body = if declared then [ Iface.Call { sym = "srv_process"; ptr_args = [] } ] else [] in
+  let built =
+    Builder.build mon
+      [
+        ( Builder.component
+            ~exports:
+              [ Builder.export "client_main" (fun ctx _ -> Api.call ctx srv [||]) client_body ]
+            "CLIENT",
+          Types.Isolated );
+        ( Builder.component ~exports:[ Builder.export "srv_process" (fun _ _ -> 0) [] ] "SERVER",
+          Types.Isolated );
+        (Builder.component "DRIVER", Types.Isolated);
+      ]
+  in
+  let bus = Monitor.bus mon in
+  Telemetry.Bus.clear_ring bus;
+  Telemetry.Bus.set_tracing bus true;
+  ignore
+    (Monitor.call mon ~caller:(Builder.cid built "DRIVER") (Monitor.import "client_main") [||]);
+  Telemetry.Bus.set_tracing bus false;
+  let inf = Infer.create () in
+  Infer.run inf (Telemetry.Bus.events bus);
+  {
+    sc_name = "undeclared-call";
+    expect_pass = "summary";
+    expect_severity = Report.Critical;
+    findings = Infer.check inf (Ir.of_built built);
+  }
+
 let all () =
   [
     missing_trampoline ();
@@ -319,4 +355,5 @@ let all () =
     cross_core_race ();
     write_through_ro ();
     key_alias ();
+    undeclared_call ();
   ]

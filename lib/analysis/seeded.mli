@@ -27,4 +27,9 @@ val ro_write : unit -> scenario
 (** static, [Critical] — a summary-declared write reachable only
     through a read-only grant *)
 
+val undeclared_call : ?declared:bool -> unit -> scenario
+(** dynamic, [Critical] — an export's traced call to a symbol its
+    component's summary omits. [~declared:true] declares the call, the
+    fixed twin that must come out clean. *)
+
 val all : unit -> scenario list

@@ -75,11 +75,17 @@ val spawn :
   (string * Types.cid) list
 (** Load more components into a running system: the cubicle lifecycle's
     birth half, and the one link path. Loads each component, extends
-    the trampoline table (thunks for the new symbols; guard entries in
-    each loaded isolated cubicle for {e every} live export, and in each
-    cubicle of [callers] for the new symbols), runs initialisers in
-    declaration order, and returns the fresh [(name, cid)] pairs. Component names must not collide with live
-    cubicles ([Duplicate_cubicle] from the monitor if they do). All or
-    nothing: if a load, the trampoline extension or an initialiser
+    the trampoline table (thunks for the new symbols; guard entries for
+    them in each cubicle of [callers]), runs initialisers in
+    declaration order, and returns the fresh [(name, cid)] pairs.
+    Guard entries follow declared call edges: each loaded isolated
+    cubicle gets entries for the symbols its summary calls
+    ({!Iface.calls}); a component with an empty interface (no exports,
+    no entries) declares nothing and gets entries for every live export
+    instead, and one whose exports all have empty bodies gets none. A
+    live cubicle whose summary calls one of the new symbols gets its
+    entry when the symbol gets its first thunk. Component names must
+    not collide with live cubicles ([Duplicate_cubicle] from the
+    monitor if they do). All or nothing: if a load, the trampoline extension or an initialiser
     raises, every cubicle this call loaded is unloaded again before the
     exception propagates. *)

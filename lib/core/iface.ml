@@ -25,3 +25,13 @@ type t = fundecl list
 
 let fundecl ?(derefs = []) ?(writes = []) sym body =
   { fd_sym = sym; fd_derefs = derefs; fd_writes = writes; fd_body = body }
+
+let calls (t : t) =
+  let rec stmt acc = function
+    | Call { sym; _ } -> sym :: acc
+    | Branch arms -> List.fold_left (List.fold_left stmt) acc arms
+    | Loop body -> List.fold_left stmt acc body
+    | _ -> acc
+  in
+  List.sort_uniq String.compare
+    (List.fold_left (fun acc fd -> List.fold_left stmt acc fd.fd_body) [] t)

@@ -83,3 +83,9 @@ val fundecl : ?derefs:int list -> ?writes:int list -> string -> stmt list -> fun
 (** [fundecl ~derefs ~writes sym body]; [writes] (default none) lists
     the argument positions written through. *)
 
+
+val calls : t -> string list
+(** The symbols [t] declares calls to: every [Call]'s symbol in its
+    bodies, [Branch] arms and [Loop] bodies included, sorted and without
+    duplicates. [Direct_call]s bypass the trampolines, so they are not
+    among them. *)

@@ -24,8 +24,11 @@ type cubicle = {
   heap_grow_pages : int;
   mutable extra_keys : int list;  (* dedicated window tags this cubicle may use *)
   mutable runs : run list;  (* every page run it owns, newest first *)
+  mutable ascending : run list option;
+      (* [runs] by base page, kept until a run comes or goes *)
   mutable grants : Window.t list;  (* the peers' windows currently open for it *)
-  mutable guards : int array;  (* trampoline slot -> guard entry address, 0 for none *)
+  mutable guards : (int * int) list;
+      (* (thunk address, guard entry address), one per call edge *)
   mutable iface : Iface.t option;  (* the interface summary it was built with *)
 }
 
@@ -276,20 +279,36 @@ let handle_fault t (fault : Hw.Fault.t) =
 
 let monitor_reserved_pages = 16
 
+(* [c]'s runs change: forget their ascending order. *)
+let set_runs c runs =
+  c.runs <- runs;
+  c.ascending <- None
+
 (* Every page [cid] owns, in ascending order. [alloc_owned_pages] is the
    only way a page gets an owner and every release drops its run, so
    the runs are exactly the cubicle's pages; they never overlap, so
-   visiting them by base page visits the pages in ascending order. *)
+   visiting them by base page visits the pages in ascending order. The
+   order is sorted once per change of the runs, not once per walk: a
+   tenant's runs stay put while the eviction walk visits them again and
+   again. *)
 let iter_owned_pages t cid f =
   match find t cid with
   | None -> ()
   | Some c ->
+      let runs =
+        match c.ascending with
+        | Some runs -> runs
+        | None ->
+            let runs = List.sort (fun a b -> Int.compare a.first b.first) c.runs in
+            c.ascending <- Some runs;
+            runs
+      in
       List.iter
         (fun r ->
           for p = r.first to r.first + r.npages - 1 do
             f p
           done)
-        (List.sort (fun a b -> Int.compare a.first b.first) c.runs)
+        runs
 
 let owned_pages t cid =
   let acc = ref [] in
@@ -310,8 +329,9 @@ let new_cubicle t ~cid ~name ~kind ~key ~stack_pages ~heap_grow_pages =
     heap_grow_pages;
     extra_keys = [];
     runs = [];
+    ascending = None;
     grants = [];
-    guards = [||];
+    guards = [];
     iface = None;
   }
 
@@ -392,7 +412,7 @@ let alloc_run t cid n ~kind ~perm ~freeable =
     Hw.Cpu.map_page t.m_cpu p perm ~key;
     Mm.Page_meta.assign t.meta ~page:p ~owner:cid ~kind
   done;
-  c.runs <- { first = page; npages = n; freeable } :: c.runs;
+  set_runs c ({ first = page; npages = n; freeable } :: c.runs);
   Hw.Addr.base_of_page page
 
 let alloc_owned_pages t cid n ~kind ~perm = alloc_run t cid n ~kind ~perm ~freeable:false
@@ -412,7 +432,7 @@ let release_run t r =
    create_cubicle's failure rollback. *)
 let release_runs t c =
   List.iter (release_run t) c.runs;
-  c.runs <- []
+  set_runs c []
 
 let create_cubicle t ~name ~kind ~heap_pages ~stack_pages =
   if Str_tbl.mem t.by_name name then raise (Types.Denied (Duplicate_cubicle name));
@@ -497,9 +517,10 @@ let lookup_cubicle t name =
   | None -> raise (Types.Denied (No_cubicle_named name))
 
 let cubicle_exists t name = Str_tbl.mem t.by_name name
+let is_live t cid = Option.is_some (find t cid)
 
 (* A cid that is not live has no guard entries. *)
-let guards t cid = match find t cid with Some c -> c.guards | None -> [||]
+let guards t cid = match find t cid with Some c -> c.guards | None -> []
 let set_guards t cid g = (get t cid).guards <- g
 let iface t cid = (get t cid).iface
 let set_iface t cid iface = (get t cid).iface <- Some iface
@@ -700,7 +721,7 @@ let free_pages t cid base =
       | Some owner when owner <> cid -> raise (Types.Denied (Run_not_owned { cid; base }))
       | _ -> raise (Types.Denied (Not_allocation_base base)))
   | Some r ->
-      c.runs <- without_run r c.runs;
+      set_runs c (without_run r c.runs);
       if mpk_on t then
         Hw.Cost.charge_cat (cost t) Telemetry.Attrib.Mpk (r.npages * (cost t).model.pkey_set);
       (* scrubbed like a whole-cubicle teardown *)

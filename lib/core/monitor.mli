@@ -124,12 +124,16 @@ val lookup_cubicle : t -> string -> Types.cid
 val cubicle_exists : t -> string -> bool
 val windows_of : t -> Types.cid -> Window.table
 
-val guards : t -> Types.cid -> int array
-(** The cubicle's trampoline guard table, kept on its record for
-    {!Trampoline}: guard entry address by thunk slot, 0 for none. Empty
-    for a cid that is not live. *)
+val is_live : t -> Types.cid -> bool
+(** Whether [cid] names a live cubicle. *)
 
-val set_guards : t -> Types.cid -> int array -> unit
+val guards : t -> Types.cid -> (int * int) list
+(** The cubicle's trampoline guard table, kept on its record for
+    {!Trampoline}: one (thunk address, guard entry address) pair per
+    symbol it may enter through its guard page. Empty for a cid that is
+    not live. *)
+
+val set_guards : t -> Types.cid -> (int * int) list -> unit
 
 val iface : t -> Types.cid -> Iface.t option
 (** The interface summary {!Builder} loaded the cubicle with; [None]

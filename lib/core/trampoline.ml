@@ -1,19 +1,18 @@
-(* Every symbol with a thunk gets a slot, in thunk creation order; a
-   cubicle's guard table, kept on its monitor record, is an array
-   indexed by slot holding the guard entry address, 0 for none. Guard
-   entries never sit at address 0: page 0 belongs to the monitor. Slots
-   only grow, so a table shorter than the slot count simply lacks the
-   newer symbols. *)
-type thunk = { sym : string; slot : int; addr : int }
+(* Every symbol with a thunk has one thunk for good: a respawned
+   component's symbols reach the same thunks. A cubicle's guard table,
+   kept on its monitor record, pairs each thunk it may enter with its
+   guard entry there: one pair per call edge. Guard entries never sit at
+   address 0: page 0 belongs to the monitor. *)
+type thunk = { sym : string; addr : int }
 
 module Str_tbl = Hashtbl.Make (String)
 
 type t = {
   mon : Monitor.t;
   thunks : thunk Str_tbl.t;
-  mutable sorted : thunk array option;
-      (* every thunk in symbol order, until a thunk is added: the order
-         a fresh cubicle's guard entries are laid out in *)
+  waiting : Types.cid list Str_tbl.t;
+      (* a symbol with no thunk yet -> the live cubicles whose summaries
+         call it: they get their entries when it gets its thunk *)
   mutable guard_buf : Bytes.t;
       (* where a batch of guard entries is assembled before its one
          copy; grown to the largest batch and reused *)
@@ -40,7 +39,8 @@ let jmp_disp_off = Hw.Instr.length Wrpkru + 1
 
 (* Thunk pages: signed by the trusted builder, owned by the monitor's
    cubicle, execute-only. Only syms without a thunk get one, so
-   respawning a torn-down component reuses its old thunks. *)
+   respawning a torn-down component reuses its old thunks. Returns the
+   syms that got one. *)
 let alloc_thunks t syms =
   let fresh = List.filter (fun s -> not (Str_tbl.mem t.thunks s)) syms in
   if fresh <> [] then begin
@@ -60,94 +60,127 @@ let alloc_thunks t syms =
     for p = first to first + npages - 1 do
       Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
     done;
-    let first_slot = Str_tbl.length t.thunks in
     List.iteri
-      (fun i sym ->
-        Str_tbl.replace t.thunks sym
-          { sym; slot = first_slot + i; addr = thunk_base + (i * thunk_size) })
-      fresh;
-    t.sorted <- None
-  end
+      (fun i sym -> Str_tbl.replace t.thunks sym { sym; addr = thunk_base + (i * thunk_size) })
+      fresh
+  end;
+  fresh
 
-let sorted t =
-  match t.sorted with
-  | Some a -> a
-  | None ->
-      let a = Array.of_seq (Str_tbl.to_seq_values t.thunks) in
-      Array.sort (fun a b -> String.compare a.sym b.sym) a;
-      t.sorted <- Some a;
-      a
-
-(* [cid]'s guard table, grown to cover every slot. *)
-let guards_of t cid =
-  let old = Monitor.guards t.mon cid in
-  let nslots = Str_tbl.length t.thunks in
-  if Array.length old = nslots then old
-  else begin
-    let g = Array.make nslots 0 in
-    Array.blit old 0 g 0 (Array.length old);
-    Monitor.set_guards t.mon cid g;
-    g
-  end
+(* The guard entry address for (cid, thunk), 0 if there is none. *)
+let entry_in guards th =
+  let rec go = function
+    | [] -> 0
+    | (thunk, entry) :: rest -> if thunk = th.addr then entry else go rest
+  in
+  go guards
 
 (* Guard pages: in the calling cubicle's own pages so it can fetch
    them. Each batch of new entries gets its own page run; the run is
    owned by the cubicle, so destroy_cubicle releases it with the rest
    of its memory, and the guard table with the rest of its record.
    [thunks] are the candidates, in layout order; those [cid] already
-   has an entry for are skipped. The batch is assembled in [guard_buf]
-   and copied in once, charged as one 16-byte privileged write per
-   entry. *)
+   has an entry for are skipped, and a cubicle with no new entry gets no
+   page. The batch is assembled in [guard_buf] and copied in once,
+   charged as one 16-byte privileged write per entry. *)
 let write_guards t cid thunks =
-  let g = guards_of t cid in
-  let nfresh = ref 0 in
-  Array.iter (fun th -> if g.(th.slot) = 0 then incr nfresh) thunks;
-  if !nfresh > 0 then begin
-    let cpu = Monitor.cpu t.mon in
-    let gpages = Hw.Addr.pages_for (!nfresh * guard_entry_size) in
-    let gbase =
-      Monitor.alloc_owned_pages t.mon cid gpages ~kind:Mm.Page_meta.Code
-        ~perm:Hw.Page_table.perm_rw
-    in
-    assert (gbase <> 0);
-    let len = !nfresh * guard_entry_size in
-    if Bytes.length t.guard_buf < len then
-      t.guard_buf <- Bytes.create (max len (2 * Bytes.length t.guard_buf));
-    let buf = t.guard_buf in
-    let off = ref 0 in
-    Array.iter
-      (fun thunk ->
-        if g.(thunk.slot) = 0 then begin
-          let addr = gbase + !off in
-          Bytes.blit guard_template 0 buf !off guard_entry_size;
-          Bytes.set_int32_le buf (!off + jmp_disp_off) (Int32.of_int (thunk.addr - addr));
-          g.(thunk.slot) <- addr;
-          off := !off + guard_entry_size
-        end)
-      thunks;
-    Hw.Cpu.priv_write_records cpu gbase buf ~size:guard_entry_size ~count:!nfresh;
-    let gfirst = Hw.Addr.page_of gbase in
-    for p = gfirst to gfirst + gpages - 1 do
-      Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
-    done
-  end
+  let old = Monitor.guards t.mon cid in
+  match List.filter (fun th -> entry_in old th = 0) thunks with
+  | [] -> ()
+  | fresh ->
+      let n = List.length fresh in
+      let cpu = Monitor.cpu t.mon in
+      let len = n * guard_entry_size in
+      let gpages = Hw.Addr.pages_for len in
+      let gbase =
+        Monitor.alloc_owned_pages t.mon cid gpages ~kind:Mm.Page_meta.Code
+          ~perm:Hw.Page_table.perm_rw
+      in
+      assert (gbase <> 0);
+      if Bytes.length t.guard_buf < len then
+        t.guard_buf <- Bytes.create (max len (2 * Bytes.length t.guard_buf));
+      let buf = t.guard_buf in
+      let guards =
+        List.fold_left
+          (fun (off, acc) th ->
+            let addr = gbase + off in
+            Bytes.blit guard_template 0 buf off guard_entry_size;
+            Bytes.set_int32_le buf (off + jmp_disp_off) (Int32.of_int (th.addr - addr));
+            (off + guard_entry_size, (th.addr, addr) :: acc))
+          (0, old) fresh
+        |> snd
+      in
+      Monitor.set_guards t.mon cid guards;
+      Hw.Cpu.priv_write_records cpu gbase buf ~size:guard_entry_size ~count:n;
+      let gfirst = Hw.Addr.page_of gbase in
+      for p = gfirst to gfirst + gpages - 1 do
+        Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
+      done
+
+let isolated t cid = Monitor.cubicle_kind t.mon cid = Types.Isolated
 
 (* Guard entries for [thunks] in each listed isolated cubicle. *)
 let guard t thunks ~cids =
-  List.iter
-    (fun cid ->
-      if Monitor.cubicle_kind t.mon cid = Types.Isolated then write_guards t cid thunks)
-    cids
+  List.iter (fun cid -> if isolated t cid then write_guards t cid thunks) cids
 
 let create mon =
-  { mon; thunks = Str_tbl.create 16; sorted = None; guard_buf = Bytes.empty }
+  { mon; thunks = Str_tbl.create 16; waiting = Str_tbl.create 16; guard_buf = Bytes.empty }
+
+(* Whether the live cubicle [cid] is one whose summary calls [sym]: a
+   waiting cid may since have been recycled by another component. *)
+let declares t cid sym =
+  Monitor.is_live t.mon cid
+  && isolated t cid
+  && match Monitor.iface t.mon cid with
+     | Some iface -> List.mem sym (Iface.calls iface)
+     | None -> false
+
+(* The symbols that just got their first thunk: each live cubicle
+   waiting for some of them gets its entries for those, in one batch. *)
+let guard_waiting t fresh =
+  let wanted = Hashtbl.create 8 in
+  List.iter
+    (fun sym ->
+      match Str_tbl.find_opt t.waiting sym with
+      | None -> ()
+      | Some cids ->
+          Str_tbl.remove t.waiting sym;
+          List.iter
+            (fun cid ->
+              if declares t cid sym then
+                Hashtbl.replace wanted cid
+                  (Str_tbl.find t.thunks sym
+                  :: Option.value (Hashtbl.find_opt wanted cid) ~default:[]))
+            cids)
+    fresh;
+  List.iter
+    (fun cid -> write_guards t cid (List.rev (Hashtbl.find wanted cid)))
+    (List.sort_uniq Int.compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) wanted []))
 
 let extend t ~syms ~cids =
-  alloc_thunks t syms;
-  guard t (Array.of_list (List.map (Str_tbl.find t.thunks) syms)) ~cids
+  let fresh = alloc_thunks t syms in
+  guard t (List.map (Str_tbl.find t.thunks) syms) ~cids;
+  guard_waiting t fresh
 
-let syms t = Array.to_list (Array.map (fun th -> th.sym) (sorted t))
-let guard_all t ~cids = guard t (sorted t) ~cids
+let guard_calls t cid calls =
+  if isolated t cid then begin
+    let thunked, missing = List.partition (Str_tbl.mem t.thunks) calls in
+    write_guards t cid (List.map (Str_tbl.find t.thunks) thunked);
+    List.iter
+      (fun sym ->
+        let others =
+          List.filter
+            (fun c -> c <> cid && Monitor.is_live t.mon c)
+            (Option.value (Str_tbl.find_opt t.waiting sym) ~default:[])
+        in
+        Str_tbl.replace t.waiting sym (cid :: others))
+      missing
+  end
+
+let by_sym t =
+  List.sort (fun a b -> String.compare a.sym b.sym) (List.of_seq (Str_tbl.to_seq_values t.thunks))
+
+let syms t = List.map (fun th -> th.sym) (by_sym t)
+let guard_all t ~cids = guard t (by_sym t) ~cids
 
 let thunk_addr t sym =
   match Str_tbl.find_opt t.thunks sym with
@@ -156,10 +189,9 @@ let thunk_addr t sym =
 
 (* The guard entry address for (cid, sym), 0 if there is none. *)
 let find_guard t cid sym =
-  let g = Monitor.guards t.mon cid in
   match Str_tbl.find_opt t.thunks sym with
-  | Some th when th.slot < Array.length g -> g.(th.slot)
-  | _ -> 0
+  | Some th -> entry_in (Monitor.guards t.mon cid) th
+  | None -> 0
 
 let guard_addr t cid sym =
   match find_guard t cid sym with
@@ -168,6 +200,7 @@ let guard_addr t cid sym =
 
 let has_thunk t sym = Str_tbl.mem t.thunks sym
 let has_guard t cid sym = find_guard t cid sym <> 0
+let guard_entries t cid = List.length (Monitor.guards t.mon cid)
 
 (* Run [f] with the machine configured as if [cid] were executing:
    PKRU narrowed to the cubicle's own tags. *)

@@ -20,19 +20,28 @@ type t
 
 val create : Monitor.t -> t
 (** An empty table: no thunks. {!Builder.spawn} fills it through
-    {!extend} and {!guard_all}. Guard tables live on the monitor's
-    cubicle records, so a monitor has one trampoline table. *)
+    {!extend}, {!guard_calls} and {!guard_all}. Guard tables live on the
+    monitor's cubicle records, so a monitor has one trampoline table. *)
 
 val extend : t -> syms:string list -> cids:Types.cid list -> unit
 (** Install thunks for any of [syms] that lack one (respawned symbols
     reuse their old thunk) and guard entries for those symbols in each
     listed isolated cubicle: the live callers that will now reach the
-    new symbols. Non-isolated cids are ignored. *)
+    new symbols. Each live isolated cubicle whose summary calls a symbol
+    that just got its first thunk ({!guard_calls} left it waiting) gets
+    its entry too. Non-isolated cids are ignored. *)
+
+val guard_calls : t -> Types.cid -> string list -> unit
+(** [guard_calls t cid calls]: guard entries in the isolated cubicle
+    [cid] for the symbols of [calls] (its summary's {!Iface.calls}) that
+    have a thunk. The rest wait for {!extend} to install theirs. No
+    entry and no guard page for a cubicle that calls nothing. A
+    non-isolated cid is ignored. *)
 
 val guard_all : t -> cids:Types.cid list -> unit
 (** Guard entries for every symbol with a thunk in each listed isolated
-    cubicle that lacks them — what a freshly spawned cubicle needs.
-    Non-isolated cids are ignored. *)
+    cubicle that lacks them: the fallback for a component whose empty
+    interface declares nothing. Non-isolated cids are ignored. *)
 
 val thunk_addr : t -> string -> int
 (** Address of the thunk for a symbol. Raises [No_thunk] if the
@@ -53,6 +62,10 @@ val has_guard : t -> Types.cid -> string -> bool
     cubicles can only reach a thunk through their guard page. False for
     a cid that is not live: {!Monitor.destroy_cubicle} drops the guard
     table with the rest of the cubicle. *)
+
+val guard_entries : t -> Types.cid -> int
+(** The number of guard entries the cubicle holds: one per call edge
+    (0 for a cid that is not live). *)
 
 val enter_via_guard : t -> caller:Types.cid -> string -> unit
 (** Model a well-behaved call entry: fetch the guard entry (in the

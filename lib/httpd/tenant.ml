@@ -34,23 +34,22 @@ let header_for len = Printf.sprintf "HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r
 let expected ~tenant ~off ~len =
   header_for len ^ String.init len (fun j -> Char.chr (content_byte ~tenant (off + j)))
 
-(* The host buffer every FS builds its response bytes in. *)
-let fs_bytes = Bytes.create page
+(* Every file is one 95-periodic byte sequence: the residue of byte
+   [off + j] is the residue [r] of byte [off] plus [11 * j], mod 95. As
+   11 is coprime to 95, that is byte [start.(r) + j] of [cycle], whose
+   byte [k] has residue [11 * k mod 95]; 26 is the inverse of 11 mod
+   95. So any response of at most a page is one window of [cycle]. *)
+let cycle = Bytes.init (94 + page) (fun k -> Char.chr (32 + (k * 11 mod 95)))
+let start = Array.init 95 (fun r -> r * 26 mod 95)
 
 (* FS<i>: the tenant's file store. [t<i>_read dst off len] writes the
    file bytes into the caller's buffer — WEB's chunk page, reached
    through WEB's standing RW window — one byte store at a time, as one
-   store run. *)
+   store run from their window of [cycle]. *)
 let fs_component ~name ~read tenant =
   let fn ctx (args : int array) =
     let dst = args.(0) and off = args.(1) and len = args.(2) in
-    (* [content_byte ~tenant (off + j)], its residue stepped by 11 mod 95 *)
-    let r = ref (content_byte ~tenant off - 32) in
-    for j = 0 to len - 1 do
-      Bytes.set fs_bytes j (Char.unsafe_chr (32 + !r));
-      r := if !r >= 84 then !r - 84 else !r + 11
-    done;
-    Api.store_run ctx dst fs_bytes ~pos:0 ~len;
+    Api.store_run ctx dst cycle ~pos:start.(content_byte ~tenant off - 32) ~len;
     len
   in
   Builder.component ~heap_pages:2 ~stack_pages:1

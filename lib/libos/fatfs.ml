@@ -418,19 +418,56 @@ let make () =
       data_start = 0;
     }
   in
+  (* every sector moves through the staging page, which a standing RW
+     window opened at init lets BLKDEV read and fill *)
+  let sector_io syms =
+    [
+      Iface.Loop
+        [
+          Iface.Branch
+            (List.map
+               (fun sym ->
+                 [
+                   Iface.Call
+                     { sym; ptr_args = [ (0, Iface.Local "staging", Hw.Addr.page_size) ] };
+                 ])
+               syms);
+        ];
+    ]
+  in
+  let reads = sector_io [ "blk_read" ] and writes = sector_io [ "blk_write" ] in
+  let both = sector_io [ "blk_read"; "blk_write" ] in
+  let init_iface =
+    [
+      Iface.Alloc { buf = "staging"; bytes = Hw.Addr.page_size };
+      Iface.Window_add
+        {
+          win = "blk_win";
+          buf = Iface.Local "staging";
+          bytes = Hw.Addr.page_size;
+          standing = true;
+          rw = true;
+        };
+      Iface.Window_open { win = "blk_win"; peer = "BLKDEV" };
+      Iface.Call { sym = "blk_capacity"; ptr_args = [] };
+    ]
+    @ both
+    @ [ Iface.Call { sym = "vfs_register_backend"; ptr_args = [] } ]
+  in
   let comp =
     Builder.component "UKFAT" ~code_ops:1024 ~heap_pages:8 ~stack_pages:4 ~init:(init state)
+      ~entries:[ Iface.fundecl "__init" init_iface ]
       ~exports:
         [
           Builder.export ~derefs:[ 0 ] "fatfs_lookup" (lookup_fn state) [];
-          Builder.export ~derefs:[ 0 ] "fatfs_create" (create_fn state) [];
-          Builder.export ~derefs:[ 0; 1 ] ~writes:[ 1 ] "fatfs_pread" (pread_fn state) [];
-          Builder.export ~derefs:[ 0; 1 ] "fatfs_pwrite" (pwrite_fn state) [];
+          Builder.export ~derefs:[ 0 ] "fatfs_create" (create_fn state) writes;
+          Builder.export ~derefs:[ 0; 1 ] ~writes:[ 1 ] "fatfs_pread" (pread_fn state) reads;
+          Builder.export ~derefs:[ 0; 1 ] "fatfs_pwrite" (pwrite_fn state) both;
           Builder.export "fatfs_size" (size_fn state) [];
-          Builder.export "fatfs_truncate" (truncate_fn state) [];
+          Builder.export "fatfs_truncate" (truncate_fn state) both;
           Builder.export "fatfs_fsync" (fsync_fn state) [];
-          Builder.export ~derefs:[ 0 ] "fatfs_unlink" (unlink_fn state) [];
-          Builder.export ~derefs:[ 0; 2 ] ~stack_bytes:16 "fatfs_rename" (rename_fn state) [];
+          Builder.export ~derefs:[ 0 ] "fatfs_unlink" (unlink_fn state) writes;
+          Builder.export ~derefs:[ 0; 2 ] ~stack_bytes:16 "fatfs_rename" (rename_fn state) writes;
         ]
   in
   (state, comp)

@@ -498,6 +498,15 @@ let test_seeded_static_exactly_one () =
       Seeded.ro_write ();
     ]
 
+(* The undeclared-call scenario trips exactly its one rule, and the same
+   system with the call declared comes out clean. *)
+let test_seeded_undeclared_call () =
+  Alcotest.(check (list string)) "one undeclared edge"
+    [ "summary:call:CLIENT->srv_process" ]
+    (keys (Seeded.undeclared_call ()).Seeded.findings);
+  Alcotest.(check (list string)) "declared: clean" []
+    (keys (Seeded.undeclared_call ~declared:true ()).Seeded.findings)
+
 (* --- report / baseline --------------------------------------------------- *)
 
 let test_baseline_diff () =
@@ -802,6 +811,7 @@ let () =
         [
           Alcotest.test_case "all caught" `Quick test_seeded_all_caught;
           Alcotest.test_case "static exactly one" `Quick test_seeded_static_exactly_one;
+          Alcotest.test_case "undeclared call" `Quick test_seeded_undeclared_call;
         ] );
       ( "report",
         [

@@ -738,12 +738,17 @@ let test_loader_page_metadata () =
 
 (* --- trampolines / CFI --------------------------------------------------------- *)
 
+(* ALPHA's summary declares its call to BETA; BETA declares no call. *)
 let mk_built () =
   let mon = Monitor.create ~protection:Types.Full () in
   let comps =
     [
       ( Builder.component
-          ~exports:[ Builder.export "alpha_fn" (fun _ _ -> 1) [] ]
+          ~exports:
+            [
+              Builder.export "alpha_fn" (fun _ _ -> 1)
+                [ Iface.Call { sym = "beta_fn"; ptr_args = [] } ];
+            ]
           "ALPHA",
         Types.Isolated );
       ( Builder.component
@@ -775,9 +780,17 @@ let test_builder_rejects_entry_naming_export () =
 
 let test_guard_page_entry_allowed () =
   let built = mk_built () in
-  let alpha = Builder.cid built "ALPHA" in
-  (* entering through one's own guard page is fine *)
-  Trampoline.enter_via_guard built.Builder.trampolines ~caller:alpha "beta_fn"
+  let tr = built.Builder.trampolines in
+  let alpha = Builder.cid built "ALPHA" and beta = Builder.cid built "BETA" in
+  (* entering through one's own guard page, on a declared edge, is fine *)
+  Trampoline.enter_via_guard tr ~caller:alpha "beta_fn";
+  (* guard entries follow the summaries: ALPHA declares one call, BETA
+     none, and neither holds an entry for anything else *)
+  Alcotest.(check (list string)) "ALPHA guards its declared call" [ "beta_fn" ]
+    (List.filter (Trampoline.has_guard tr alpha) (Trampoline.syms tr));
+  check_int "BETA declares no call, so holds no entry" 0 (Trampoline.guard_entries tr beta);
+  Deny.check "no entry on an undeclared edge" (No_guard { cid = beta; sym = "alpha_fn" })
+    (fun () -> Trampoline.enter_via_guard tr ~caller:beta "alpha_fn")
 
 let test_rogue_thunk_fetch_faults () =
   (* Jumping directly into the monitor-owned trampoline thunk must
@@ -990,43 +1003,77 @@ let test_destroy_closes_only_open_grants () =
     (Window.live_windows (Monitor.windows_of mon foo))
 
 let test_spawn_guards_cover_existing_exports () =
-  (* A freshly spawned cubicle must be able to guard-call exports that
-     predate its own spawn batch, exactly like statically-built ones. *)
+  (* A freshly spawned cubicle must be able to guard-call the exports
+     its summary calls that predate its own spawn batch, exactly like
+     statically-built ones; it gets no entry for the ones it does not
+     call. *)
   let built = mk_built () in
+  let tr = built.Builder.trampolines in
   let gamma_comp =
     Builder.component
-      ~exports:[ Builder.export "gamma_fn" (fun _ _ -> 3) [] ]
+      ~exports:
+        [
+          Builder.export "gamma_fn" (fun _ _ -> 3)
+            [ Iface.Branch [ []; [ Iface.Loop [ Iface.Call { sym = "alpha_fn"; ptr_args = [] } ] ] ] ];
+        ]
       "GAMMA"
   in
   let fresh = Builder.spawn built [ (gamma_comp, Types.Isolated) ] in
   let gamma = List.assoc "GAMMA" fresh in
-  check_bool "guard entry for pre-existing export" true
-    (Trampoline.has_guard built.Builder.trampolines gamma "alpha_fn");
-  Trampoline.enter_via_guard built.Builder.trampolines ~caller:gamma "alpha_fn";
+  check_bool "guard entry for a called pre-existing export" true
+    (Trampoline.has_guard tr gamma "alpha_fn");
+  check_bool "no guard entry for an export it does not call" false
+    (Trampoline.has_guard tr gamma "beta_fn");
+  check_bool "nor for its own" false (Trampoline.has_guard tr gamma "gamma_fn");
+  Trampoline.enter_via_guard tr ~caller:gamma "alpha_fn";
   check_int "call to pre-existing export works" 1
     (Monitor.call built.Builder.mon ~caller:gamma (Monitor.import "alpha_fn") [||])
 
-(* Guard tables are indexed by thunk slot and grow as [extend] adds
-   thunks: a cubicle guarded for the new symbols gets entries for them,
-   another keeps its old entries and gains none until it is guarded
-   itself; a destroyed cubicle's table goes with it. *)
+(* Guard tables hold one entry per call edge, and grow as [extend] adds
+   thunks: a listed caller gets entries for all the new symbols, a live
+   cubicle whose summary calls one of them gets that one, and any other
+   cubicle gains none until it is guarded itself; a destroyed cubicle's
+   table goes with it. *)
 let test_extend_grows_guard_tables () =
   let built = mk_built () in
   let tr = built.Builder.trampolines in
+  let mon = built.Builder.mon in
   let alpha = Builder.cid built "ALPHA" and beta = Builder.cid built "BETA" in
-  let old_syms = Trampoline.syms tr in
-  let before = List.map (fun s -> (s, Trampoline.guard_addr tr beta s)) old_syms in
+  let pages cid = List.length (Monitor.owned_pages mon cid) in
+  (* DELTA calls BETA and late_a, which no component exports yet *)
+  let delta_comp =
+    Builder.component
+      ~entries:
+        [
+          Iface.fundecl "__main"
+            [
+              Iface.Call { sym = "late_a"; ptr_args = [] };
+              Iface.Call { sym = "beta_fn"; ptr_args = [] };
+            ];
+        ]
+      "DELTA"
+  in
+  let delta = List.assoc "DELTA" (Builder.spawn built [ (delta_comp, Types.Isolated) ]) in
+  Alcotest.(check (list string)) "DELTA guards what it calls and is exported" [ "beta_fn" ]
+    (List.filter (Trampoline.has_guard tr delta) (Trampoline.syms tr));
+  let alpha_entry = Trampoline.guard_addr tr alpha "beta_fn" in
+  let beta_pages = pages beta and delta_pages = pages delta in
   let fresh = [ "late_a"; "late_b"; "late_c" ] in
   Trampoline.extend tr ~syms:fresh ~cids:[ alpha ];
   List.iter
     (fun s ->
       check_bool ("thunk for " ^ s) true (Trampoline.has_thunk tr s);
       check_bool ("ALPHA guards " ^ s) true (Trampoline.has_guard tr alpha s);
-      check_bool ("BETA not yet guarding " ^ s) false (Trampoline.has_guard tr beta s))
+      check_bool ("BETA not guarding " ^ s) false (Trampoline.has_guard tr beta s);
+      check_bool ("DELTA guards " ^ s ^ " iff it calls it") (s = "late_a")
+        (Trampoline.has_guard tr delta s))
     fresh;
-  List.iter
-    (fun (s, a) -> check_int ("BETA keeps its entry for " ^ s) a (Trampoline.guard_addr tr beta s))
-    before;
+  check_int "ALPHA keeps its entry" alpha_entry (Trampoline.guard_addr tr alpha "beta_fn");
+  check_int "BETA, which calls nothing, gets no guard page" beta_pages (pages beta);
+  check_int "DELTA's new entry takes one guard page" (delta_pages + 1) (pages delta);
+  Trampoline.enter_via_guard tr ~caller:delta "late_a";
+  check_int "ALPHA: one entry per edge" 4 (Trampoline.guard_entries tr alpha);
+  check_int "DELTA: one entry per edge" 2 (Trampoline.guard_entries tr delta);
   Trampoline.guard_all tr ~cids:[ beta ];
   List.iter
     (fun s ->
@@ -1035,30 +1082,33 @@ let test_extend_grows_guard_tables () =
         (Trampoline.guard_addr tr beta s <> Trampoline.guard_addr tr alpha s);
       Trampoline.enter_via_guard tr ~caller:beta s)
     fresh;
-  List.iter
-    (fun (s, a) -> check_int ("BETA's old entry for " ^ s ^ " kept") a (Trampoline.guard_addr tr beta s))
-    before;
   check_bool "unknown symbol has no guard" false (Trampoline.has_guard tr alpha "never_exported");
   (* Tearing BETA down through the monitor alone drops everything the
      builder and the trampolines knew about it: a successor spawned
      into the recycled cid inherits none of it. *)
-  let mon = built.Builder.mon in
   Monitor.destroy_cubicle mon beta;
   check_bool "destroyed cubicle has no guards" false
     (List.exists (Trampoline.has_guard tr beta) (Trampoline.syms tr));
+  check_int "nor any entry" 0 (Trampoline.guard_entries tr beta);
   Deny.check "name gone" (No_cubicle_named "BETA") (fun () -> Builder.cid built "BETA");
   let gamma_comp =
     Builder.component
-      ~exports:[ Builder.export "gamma_fn" (fun _ _ -> 3) [] ]
+      ~exports:
+        [
+          Builder.export "gamma_fn" (fun _ _ -> 3)
+            [ Iface.Call { sym = "alpha_fn"; ptr_args = [] } ];
+        ]
       "GAMMA"
   in
   let gamma = List.assoc "GAMMA" (Builder.spawn built [ (gamma_comp, Types.Isolated) ]) in
   check_int "GAMMA reuses BETA's cid" beta gamma;
-  Alcotest.(check (list string)) "live" [ "ALPHA"; "GAMMA" ]
+  Alcotest.(check (list string)) "live" [ "ALPHA"; "GAMMA"; "DELTA" ]
     (List.map (fun (name, _, _) -> name) (Builder.live built));
   Alcotest.(check (list string)) "analysed"
-    [ "ALPHA"; "GAMMA" ]
+    [ "ALPHA"; "GAMMA"; "DELTA" ]
     (List.map (fun (c : Analysis.Ir.comp) -> c.name) (Analysis.Ir.of_built built).comps);
+  Alcotest.(check (list string)) "GAMMA guards only its own call" [ "alpha_fn" ]
+    (List.filter (Trampoline.has_guard tr gamma) (Trampoline.syms tr));
   check_bool "guard entry on GAMMA's own page" true
     (Monitor.page_owner mon (Hw.Addr.page_of (Trampoline.guard_addr tr gamma "alpha_fn"))
     = Some gamma);
@@ -2050,6 +2100,218 @@ let test_store_run_cases () =
       Alcotest.(check (option string)) (what ^ ": same as the loop") None (store_diff c))
     [ (true, false); (false, false); (true, true); (false, true) ]
 
+(* Guard entries follow declared call edges. Random scripts spawn and
+   tear down components over six symbols: random exports (only symbols
+   no live cubicle exports), random Call/Branch/Loop summaries, some
+   components with an empty interface, some shared or trusted ones,
+   and random [~callers]. A model kept from the script alone says which
+   symbols have a thunk (every export of an isolated or trusted
+   component, for good), which symbols each cubicle's summary calls
+   (walking the generated trees, not [Iface.calls]) and which it
+   received: every thunked symbol at the spawn of an empty-interface
+   component, and a batch's symbols as one of its callers. After every
+   step, for every live isolated cubicle [c] and symbol [s]:
+   [has_guard c s] iff [s] has a thunk and [c] calls it, or [c]
+   received it; [enter_via_guard] succeeds on each of those edges; each
+   entry sits on a page [c] owns; and [c] holds no other entry. *)
+type gtree = G_call of int | G_branch of gtree list list | G_loop of gtree list | G_alloc
+
+type gcomp = {
+  g_kind : int;  (* 0: shared, 1: trusted, otherwise isolated *)
+  g_exports : (int * gtree list) list;  (* symbol, summary body *)
+  g_entry : gtree list option;  (* a [__main] entry *)
+}
+
+type gop = G_spawn of gcomp list * int list | G_teardown of int
+
+let gsyms = Array.init 6 (Printf.sprintf "s%d")
+
+let gen_gtree =
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then frequency [ (4, map (fun i -> G_call i) (int_bound 5)); (1, return G_alloc) ]
+           else
+             frequency
+               [
+                 (3, map (fun i -> G_call i) (int_bound 5));
+                 (1, return G_alloc);
+                 ( 2,
+                   map (fun arms -> G_branch arms)
+                     (list_size (int_range 1 3) (list_size (int_bound 2) (self (n - 1)))) );
+                 (2, map (fun b -> G_loop b) (list_size (int_range 1 2) (self (n - 1))));
+               ]))
+
+let gen_gcomp =
+  QCheck.Gen.(
+    let body = list_size (int_bound 2) gen_gtree in
+    map3
+      (fun g_kind exports entry ->
+        { g_kind; g_exports = List.sort_uniq (fun (a, _) (b, _) -> compare a b) exports; g_entry = entry })
+      (int_bound 9)
+      (frequency [ (1, return []); (3, list_size (int_range 1 2) (pair (int_bound 5) body)) ])
+      (frequency [ (3, return None); (1, map Option.some body) ]))
+
+let gen_gop =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map2
+            (fun comps callers -> G_spawn (comps, callers))
+            (list_size (int_range 1 2) gen_gcomp)
+            (list_size (int_bound 2) (int_bound 7)) );
+        (1, map (fun i -> G_teardown i) (int_bound 7));
+      ])
+
+let rec print_gtree = function
+  | G_call i -> gsyms.(i)
+  | G_alloc -> "alloc"
+  | G_branch arms ->
+      "branch[" ^ String.concat " | " (List.map (fun a -> String.concat ";" (List.map print_gtree a)) arms) ^ "]"
+  | G_loop b -> "loop[" ^ String.concat ";" (List.map print_gtree b) ^ "]"
+
+let print_gop = function
+  | G_teardown i -> Printf.sprintf "teardown %d" i
+  | G_spawn (comps, callers) ->
+      Printf.sprintf "spawn [%s] callers [%s]"
+        (String.concat ", "
+           (List.map
+              (fun c ->
+                Printf.sprintf "kind %d exports {%s}%s" c.g_kind
+                  (String.concat "; "
+                     (List.map
+                        (fun (s, b) -> gsyms.(s) ^ ": " ^ String.concat ";" (List.map print_gtree b))
+                        c.g_exports))
+                  (match c.g_entry with
+                  | None -> ""
+                  | Some b -> " main: " ^ String.concat ";" (List.map print_gtree b)))
+              comps))
+        (String.concat ";" (List.map string_of_int callers))
+
+let rec gtree_stmt = function
+  | G_call i -> Iface.Call { sym = gsyms.(i); ptr_args = [] }
+  | G_alloc -> Iface.Alloc { buf = "b"; bytes = 8 }
+  | G_branch arms -> Iface.Branch (List.map (List.map gtree_stmt) arms)
+  | G_loop b -> Iface.Loop (List.map gtree_stmt b)
+
+let rec gtree_calls acc = function
+  | G_call i -> gsyms.(i) :: acc
+  | G_alloc -> acc
+  | G_branch arms -> List.fold_left (List.fold_left gtree_calls) acc arms
+  | G_loop b -> List.fold_left gtree_calls acc b
+
+let prop_guards_follow_declared_edges =
+  QCheck.Test.make ~count:300 ~name:"trampoline: guards = declared edges + fallback"
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "\n" (List.map print_gop ops))
+       QCheck.Gen.(list_size (int_range 1 25) gen_gop))
+    (fun ops ->
+      let mon = Monitor.create ~mem_bytes:(16 * 1024 * 1024) ~protection:Types.Full () in
+      let built = Builder.build mon [] in
+      let tr = built.Builder.trampolines in
+      let thunked = Hashtbl.create 8 in
+      (* cid -> (isolated, calls, received) of the live component *)
+      let model = Hashtbl.create 8 in
+      let exported = Hashtbl.create 8 in  (* sym -> cid of its live exporter *)
+      let fresh_name = ref 0 in
+      let live () = List.sort compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) model []) in
+      let teardown cid =
+        Monitor.destroy_cubicle mon cid;
+        Hashtbl.remove model cid;
+        Hashtbl.filter_map_inplace (fun _ c -> if c = cid then None else Some c) exported
+      in
+      let step op =
+        match op with
+        | G_teardown i -> (
+            match live () with [] -> () | l -> teardown (List.nth l (i mod List.length l)))
+        | G_spawn (comps, callers) ->
+            (* at most 10 live components, well within the 14 tags *)
+            while List.length (live ()) + List.length comps > 10 do
+              teardown (List.hd (live ()))
+            done;
+            let l = live () in
+            let callers =
+              if l = [] then [] else List.sort_uniq compare (List.map (fun i -> List.nth l (i mod List.length l)) callers)
+            in
+            let taken = Hashtbl.copy exported in
+            let comps =
+              List.map
+                (fun g ->
+                  incr fresh_name;
+                  let exports = List.filter (fun (s, _) -> not (Hashtbl.mem taken s)) g.g_exports in
+                  List.iter (fun (s, _) -> Hashtbl.replace taken s 0) exports;
+                  let kind =
+                    match g.g_kind with 0 -> Types.Shared | 1 -> Types.Trusted | _ -> Types.Isolated
+                  in
+                  let body b = List.map gtree_stmt b in
+                  let comp =
+                    Builder.component ~code_ops:16 ~heap_pages:1 ~stack_pages:1
+                      ~exports:
+                        (List.map
+                           (fun (s, b) -> Builder.export gsyms.(s) (fun _ _ -> 0) (body b))
+                           exports)
+                      ?entries:(Option.map (fun b -> [ Iface.fundecl "__main" (body b) ]) g.g_entry)
+                      (Printf.sprintf "C%d" !fresh_name)
+                  in
+                  let trees = List.concat_map snd exports @ Option.value g.g_entry ~default:[] in
+                  let calls = List.fold_left gtree_calls [] trees in
+                  let empty = exports = [] && g.g_entry = None in
+                  (comp, kind, exports, calls, empty))
+                comps
+            in
+            let fresh = Builder.spawn ~callers built (List.map (fun (c, k, _, _, _) -> (c, k)) comps) in
+            let batch =
+              List.concat_map
+                (fun (_, kind, exports, _, _) ->
+                  if kind = Types.Shared then [] else List.map (fun (s, _) -> gsyms.(s)) exports)
+                comps
+            in
+            List.iter (fun s -> Hashtbl.replace thunked s ()) batch;
+            List.iter
+              (fun cid ->
+                let iso, calls, received = Hashtbl.find model cid in
+                Hashtbl.replace model cid (iso, calls, batch @ received))
+              callers;
+            List.iter2
+              (fun (_, kind, exports, calls, empty) (_, cid) ->
+                List.iter (fun (s, _) -> Hashtbl.replace exported s cid) exports;
+                let received =
+                  if empty then Hashtbl.fold (fun s () acc -> s :: acc) thunked [] else []
+                in
+                Hashtbl.replace model cid (kind = Types.Isolated, calls, received))
+              comps fresh
+      in
+      let check i =
+        Hashtbl.iter
+          (fun cid (iso, calls, received) ->
+            let want s = iso && ((Hashtbl.mem thunked s && List.mem s calls) || List.mem s received) in
+            let n = ref 0 in
+            Array.iter
+              (fun s ->
+                let got = Trampoline.has_guard tr cid s in
+                if got <> want s then
+                  QCheck.Test.fail_reportf "step %d: C%s (cid %d) %s: has_guard %b, model %b" i
+                    (Monitor.cubicle_name mon cid) cid s got (want s);
+                if got then begin
+                  incr n;
+                  Trampoline.enter_via_guard tr ~caller:cid s;
+                  if Monitor.page_owner mon (Hw.Addr.page_of (Trampoline.guard_addr tr cid s)) <> Some cid
+                  then QCheck.Test.fail_reportf "step %d: cid %d's entry for %s on a foreign page" i cid s
+                end)
+              gsyms;
+            if Trampoline.guard_entries tr cid <> !n then
+              QCheck.Test.fail_reportf "step %d: cid %d holds %d entries, %d expected" i cid
+                (Trampoline.guard_entries tr cid) !n)
+          model
+      in
+      List.iteri
+        (fun i op ->
+          step op;
+          check i)
+        ops;
+      true)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -2059,6 +2321,7 @@ let qsuite =
       prop_shared_index_matches_linear;
       prop_window_page_state_machine;
       prop_store_run_is_the_loop;
+      prop_guards_follow_declared_edges;
     ]
 
 let () =

@@ -341,20 +341,37 @@ let test_tenant_guards_follow_teardown () =
   let table () = List.map (fun cid -> (cid, guards_of cid)) (Monitor.live_cids mon) in
   let count tbl = List.fold_left (fun acc (_, syms) -> acc + List.length syms) 0 tbl in
   List.iter (Httpd.Tenant.spawn sys) all;
-  (* tenant i's pair is spawned guarding the 2i syms live at the time;
-     the gateway gains each pair's syms as it arrives *)
-  check_int "guard entries after the initial spawns"
-    ((4 * (tenants * (tenants + 1) / 2)) + 256)
-    (count (table ()));
-  (* one teardown + respawn per tenant reaches the steady state: all
-     256 syms guarded in the gateway and all 256 tenant cubicles *)
+  (* guard entries follow declared call edges: WEB<i> declares its one
+     call to FS<i>, FS<i> declares none, and the gateway, whose empty
+     interface declares nothing, gains each pair's two syms as the
+     spawn's caller *)
+  let web_fs t =
+    ( Monitor.lookup_cubicle mon (Httpd.Tenant.web_name t),
+      Monitor.lookup_cubicle mon (Httpd.Tenant.fs_name t) )
+  in
+  let gw = Monitor.lookup_cubicle mon "GW" in
+  let per_tenant () =
+    List.iter
+      (fun t ->
+        let web, fs = web_fs t in
+        Alcotest.(check (list string))
+          (Printf.sprintf "WEB%d guards its declared call" t)
+          [ Printf.sprintf "t%d_read" t ] (guards_of web);
+        check_int (Printf.sprintf "FS%d calls nothing" t) 0 (Trampoline.guard_entries tr fs))
+      all;
+    check_int "the gateway guards every tenant sym" (2 * tenants) (List.length (guards_of gw))
+  in
+  per_tenant ();
+  check_int "guard entries after the initial spawns" (3 * tenants) (count (table ()));
+  (* one teardown + respawn per tenant changes none of it *)
   List.iter
     (fun t ->
       Httpd.Tenant.teardown sys t;
       Httpd.Tenant.spawn sys t)
     all;
+  per_tenant ();
   let before = table () in
-  check_int "guard entries at 128 tenants" 65_792 (count before);
+  check_int "guard entries at 128 tenants" 384 (count before);
   let churned = [ 37; 1; 128; 64 ] in
   List.iter
     (fun t ->
@@ -405,9 +422,9 @@ let test_tenant_respawn_reuses_components () =
 
 (* Each guard page holds exactly what writing its entries one at a
    time leaves: every entry assembled on its own (wrpkru, a jump to its
-   thunk, halt padding) and zero between and after them. With 129
-   tenants a respawned cubicle guards 258 symbols, a run over two
-   pages. *)
+   thunk, halt padding) and zero between and after them, on a page the
+   entry's cubicle owns. A respawned WEB guards its one call, and a
+   respawned FS, which calls nothing, owns no guard page at all. *)
 let test_tenant_guard_pages_match_entries () =
   let sys = Httpd.Tenant.boot ~virtualise:true ~mem_bytes:(64 * 1024 * 1024) () in
   List.iter (Httpd.Tenant.spawn sys) (List.init 129 (fun i -> i + 1));
@@ -424,6 +441,10 @@ let test_tenant_guard_pages_match_entries () =
         (fun sym ->
           if Trampoline.has_guard tr cid sym then begin
             let g = Trampoline.guard_addr tr cid sym in
+            check_bool
+              (Printf.sprintf "%s's entry for %s on its own page" (Monitor.cubicle_name mon cid) sym)
+              true
+              (Monitor.page_owner mon (Hw.Addr.page_of g) = Some cid);
             let body =
               Hw.Instr.assemble [ Wrpkru; Jmp (Trampoline.thunk_addr tr sym - g); Halt ]
             in
@@ -433,20 +454,24 @@ let test_tenant_guard_pages_match_entries () =
           end)
         (Trampoline.syms tr))
     (Monitor.live_cids mon);
+  let fs2 = Monitor.lookup_cubicle mon (Httpd.Tenant.fs_name 2) in
+  let web2 = Monitor.lookup_cubicle mon (Httpd.Tenant.web_name 2) in
+  check_int "the respawned WEB guards one sym" 1 (Trampoline.guard_entries tr web2);
+  check_int "the respawned FS guards none" 0 (Trampoline.guard_entries tr fs2);
+  (* the same FS image, heap and stack loaded with no guards at all *)
+  let bare = Monitor.create ~protection:Types.Full () in
+  let l =
+    Loader.load bare
+      (Loader.image_of_ops ~name:"FS" ~data_bytes:256 ~ops:256 ())
+      ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1 ~exports:[]
+  in
+  check_int "the respawned FS owns no guard page"
+    (List.length (Monitor.owned_pages bare l.Loader.cid))
+    (List.length (Monitor.owned_pages mon fs2));
   let pages =
     List.sort_uniq compare
       (Hashtbl.fold (fun a _ acc -> Hw.Addr.page_of a :: acc) expected [])
   in
-  let fs2 = Monitor.lookup_cubicle mon (Httpd.Tenant.fs_name 2) in
-  check_int "the respawned FS's guards span two pages" 2
-    (List.length
-       (List.sort_uniq compare
-          (List.filter_map
-             (fun sym ->
-               if Trampoline.has_guard tr fs2 sym then
-                 Some (Hw.Addr.page_of (Trampoline.guard_addr tr fs2 sym))
-               else None)
-             (Trampoline.syms tr))));
   List.iter
     (fun p ->
       let base = Hw.Addr.base_of_page p in
