@@ -7,10 +7,6 @@ type component = {
   exports : Monitor.export_spec list;
   init : Monitor.ctx -> unit;
   iface : Iface.t;
-  calls : string list option;
-      (* [Iface.calls iface], the symbols its guard entries are for;
-         [None] for an empty interface, which declares nothing and so
-         falls back to entries for every live export *)
   image : Loader.scanned Lazy.t;
       (* synthesised and scanned at the first spawn; the loader only
          reads it and nothing else holds it, so a respawn of the same
@@ -19,8 +15,6 @@ type component = {
 
 let image_of ~name ~data_bytes ~code_ops =
   lazy (Loader.scan (Loader.image_of_ops ~name ~data_bytes ~ops:code_ops ()))
-
-let calls_of = function [] -> None | iface -> Some (Iface.calls iface)
 
 type export = { spec : Monitor.export_spec; summary : Iface.fundecl }
 
@@ -39,7 +33,6 @@ let component ?(code_ops = 256) ?(heap_pages = 16) ?(stack_pages = 4)
           (Printf.sprintf "Builder.component %s: entry %s is an export" name fd.fd_sym))
     entries;
   let data_bytes = 256 in
-  let iface = entries @ List.map (fun e -> e.summary) exports in
   {
     name;
     code_ops;
@@ -48,13 +41,11 @@ let component ?(code_ops = 256) ?(heap_pages = 16) ?(stack_pages = 4)
     stack_pages;
     exports = List.map (fun e -> e.spec) exports;
     init;
-    iface;
-    calls = calls_of iface;
+    iface = entries @ List.map (fun e -> e.summary) exports;
     image = image_of ~name ~data_bytes ~code_ops;
   }
 
 let merge name comps =
-  let iface = List.concat_map (fun c -> c.iface) comps in
   let code_ops = List.fold_left (fun acc c -> acc + c.code_ops) 0 comps in
   let data_bytes = List.fold_left (fun acc c -> acc + c.data_bytes) 0 comps in
   {
@@ -65,8 +56,7 @@ let merge name comps =
     stack_pages = List.fold_left (fun acc c -> max acc c.stack_pages) 1 comps;
     exports = List.concat_map (fun c -> c.exports) comps;
     init = (fun ctx -> List.iter (fun c -> c.init ctx) comps);
-    iface;
-    calls = calls_of iface;
+    iface = List.concat_map (fun c -> c.iface) comps;
     image = image_of ~name ~data_bytes ~code_ops;
   }
 
@@ -87,9 +77,10 @@ let cid built name = Monitor.lookup_cubicle built.mon name
 (* The one link path: load more components into the system, extend the
    trampoline table and run the newcomers' initialisers. [callers] names
    already-live cubicles that will call into the new exports; they
-   receive guard entries for the fresh symbols. [build] is a spawn into an empty system. All or nothing:
-   if any step raises, the cubicles this call loaded are unloaded
-   again, newest first so their cids are recycled in load order. *)
+   receive guard entries for the fresh symbols. [build] is a spawn into
+   an empty system. All or nothing: if any step raises, the cubicles
+   this call loaded are unloaded again, newest first so their cids are
+   recycled in load order. *)
 let spawn ?(callers = []) built comps =
   let loaded = ref [] in
   try
@@ -123,9 +114,9 @@ let spawn ?(callers = []) built comps =
     Trampoline.extend built.trampolines ~syms ~cids:callers;
     List.iter2
       (fun (c, _) (_, cid) ->
-        match c.calls with
-        | Some calls -> Trampoline.guard_calls built.trampolines cid calls
-        | None -> Trampoline.guard_all built.trampolines ~cids:[ cid ])
+        match c.iface with
+        | [] -> Trampoline.guard_all built.trampolines ~cids:[ cid ]
+        | iface -> Trampoline.guard_calls built.trampolines cid (Iface.calls iface))
       comps fresh;
     (* Initialisers run in declaration order, each entered as its own
        cubicle (the loader jumps to the component's init through a

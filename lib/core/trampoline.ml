@@ -137,24 +137,19 @@ let declares t cid sym =
 (* The symbols that just got their first thunk: each live cubicle
    waiting for some of them gets its entries for those, in one batch. *)
 let guard_waiting t fresh =
-  let wanted = Hashtbl.create 8 in
+  let waiting =
+    List.map (fun sym -> (sym, Option.value (Str_tbl.find_opt t.waiting sym) ~default:[])) fresh
+  in
+  List.iter (Str_tbl.remove t.waiting) fresh;
   List.iter
-    (fun sym ->
-      match Str_tbl.find_opt t.waiting sym with
-      | None -> ()
-      | Some cids ->
-          Str_tbl.remove t.waiting sym;
-          List.iter
-            (fun cid ->
-              if declares t cid sym then
-                Hashtbl.replace wanted cid
-                  (Str_tbl.find t.thunks sym
-                  :: Option.value (Hashtbl.find_opt wanted cid) ~default:[]))
-            cids)
-    fresh;
-  List.iter
-    (fun cid -> write_guards t cid (List.rev (Hashtbl.find wanted cid)))
-    (List.sort_uniq Int.compare (Hashtbl.fold (fun cid _ acc -> cid :: acc) wanted []))
+    (fun cid ->
+      write_guards t cid
+        (List.filter_map
+           (fun (sym, cids) ->
+             if List.mem cid cids && declares t cid sym then Some (Str_tbl.find t.thunks sym)
+             else None)
+           waiting))
+    (List.sort_uniq Int.compare (List.concat_map snd waiting))
 
 let extend t ~syms ~cids =
   let fresh = alloc_thunks t syms in
