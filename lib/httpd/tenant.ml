@@ -207,6 +207,7 @@ let request t ~tenant ~off ~len =
     | None -> Types.error "tenant %d is not live" tenant
   in
   if len > page - 64 then Types.error "tenant request: %d bytes exceeds a response page" len;
+  if off < 0 || len < 0 then Types.error "tenant request: negative offset %d or length %d" off len;
   let ctx = Monitor.ctx_for t.mon t.gw in
   Monitor.run_as t.mon t.gw (fun () ->
       Api.write_u32 ctx t.gw_req off;

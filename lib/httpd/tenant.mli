@@ -39,7 +39,9 @@ val teardown : t -> int -> unit
 val request : t -> tenant:int -> off:int -> len:int -> string
 (** Serve one request through the gateway: full HTTP/1.0 response
     (header + [len] file bytes starting at [off]) as the gateway read it
-    back through the tenant's response window. *)
+    back through the tenant's response window. {!Cubicle.Types.Error} if
+    the tenant is not live, [off] or [len] is negative, or the response
+    would not fit a page. *)
 
 val expected : tenant:int -> off:int -> len:int -> string
 (** The response [request] must produce, computed host-side without

@@ -304,6 +304,10 @@ let test_tenant_teardown_errors () =
     (rejected (fun () -> Httpd.Tenant.request sys ~tenant:1000 ~off:0 ~len:8));
   check_bool "teardown past every id rejected" true
     (rejected (fun () -> Httpd.Tenant.teardown sys 1000));
+  Httpd.Tenant.spawn sys 1;
+  check_bool "negative offset rejected" true
+    (rejected (fun () -> Httpd.Tenant.request sys ~tenant:1 ~off:(-3) ~len:8));
+  Httpd.Tenant.teardown sys 1;
   (* ids need not be dense: the table grows to fit *)
   Httpd.Tenant.spawn sys 40;
   Alcotest.(check (list int)) "live" [ 40 ] (Httpd.Tenant.live sys);
