@@ -348,7 +348,7 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?ncores ?model ?(policy = default_pol
       meta = Mm.Page_meta.create npages;
       protection;
       policy;
-      stats = Stats.of_bus ~tlb:(Hw.Cpu.tlb cpu) (Hw.Cpu.bus cpu);
+      stats = Stats.of_bus ~tlbs:(Hw.Cpu.tlbs cpu) (Hw.Cpu.bus cpu);
       cubs = Array.make max_cubicles None;
       by_name = Str_tbl.create 64;
       next_cid = monitor_cid + 1;

@@ -1,20 +1,21 @@
 (* A read-side view over the telemetry bus: the monitor counts straight
    into Telemetry.Bus's always-on counter plane, and every getter here
-   delegates to it. TLB counters are read through the live Hw.Tlb.t, so
-   they can never go stale. *)
+   delegates to it. TLB counters are summed live over every core's
+   Hw.Tlb.t, so they can never go stale. *)
 
-type t = { bus : Telemetry.Bus.t; tlb : Hw.Tlb.t option }
+type t = { bus : Telemetry.Bus.t; tlbs : Hw.Tlb.t list }
 type snapshot = (Types.cid * Types.cid, int) Hashtbl.t
 
-let of_bus ?tlb bus = { bus; tlb }
+let of_bus ?(tlbs = []) bus = { bus; tlbs }
 
 let reset t =
   Telemetry.Bus.reset_counters t.bus;
-  Option.iter Hw.Tlb.reset_counters t.tlb
+  List.iter Hw.Tlb.reset_counters t.tlbs
 
-let tlb_hits t = match t.tlb with Some tlb -> Hw.Tlb.hits tlb | None -> 0
-let tlb_misses t = match t.tlb with Some tlb -> Hw.Tlb.misses tlb | None -> 0
-let tlb_flushes t = match t.tlb with Some tlb -> Hw.Tlb.flushes tlb | None -> 0
+let sum f t = List.fold_left (fun n tlb -> n + f tlb) 0 t.tlbs
+let tlb_hits = sum Hw.Tlb.hits
+let tlb_misses = sum Hw.Tlb.misses
+let tlb_flushes = sum Hw.Tlb.flushes
 
 let tlb_hit_rate t =
   let total = tlb_hits t + tlb_misses t in

@@ -4,19 +4,22 @@
 
     A read-side view over {!Telemetry.Bus}: the monitor counts into the
     bus's always-on counter plane (and, when tracing is enabled, its
-    event ring), and every getter folds over bus state. TLB counters are read live from
-    the machine's {!Hw.Tlb} — there is no sync step and no way for them
-    to go stale. *)
+    event ring), and every getter folds over bus state. TLB counters are
+    summed live over every core's {!Hw.Tlb} — there is no sync step and
+    no way for them to go stale. *)
 
 type t
 
-val of_bus : ?tlb:Hw.Tlb.t -> Telemetry.Bus.t -> t
+val of_bus : ?tlbs:Hw.Tlb.t list -> Telemetry.Bus.t -> t
 (** View over an existing bus (the monitor passes the machine's bus and
-    TLB). Without [?tlb] the TLB getters return 0. *)
+    every core's TLB). Without [?tlbs] the TLB getters return 0. *)
 
 val reset : t -> unit
+(** Zero the bus counters and every core's TLB counters. *)
 
 val tlb_hits : t -> int
+(** Summed over every core, as are [tlb_misses] and [tlb_flushes]. *)
+
 val tlb_misses : t -> int
 val tlb_flushes : t -> int
 

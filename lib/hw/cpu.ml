@@ -17,7 +17,7 @@ type t = {
   cost : Cost.t;
   bus : Telemetry.Bus.t;
   cores : core_state array;
-  mutable cur : core_state;  (* == cores.(core_id t); cached for the fast path *)
+  mutable cur : core_state;  (* == cores.(core_id t); cached for the checked accessors *)
   mutable mpk_enabled : bool;
   mutable exec_follows_access : bool;
   mutable handler : handler option;
@@ -76,6 +76,7 @@ let[@inline] emit_tlb_event t op =
 let page_table t = t.pt
 let cost t = t.cost
 let tlb t = t.cur.tlb
+let tlbs t = Array.fold_right (fun c l -> c.tlb :: l) t.cores []
 let set_tlb_enabled t b = Array.iter (fun c -> Tlb.set_enabled c.tlb b) t.cores
 let npages t = Phys_mem.npages t.mem
 let set_handler t h = t.handler <- h
@@ -207,16 +208,13 @@ let deliver_fault t fault =
 
 (* Check one page, delivering faults to the handler and retrying while
    the handler keeps resolving them (a resolved fault may still leave a
-   different denial in place, e.g. page-level perms). The TLB fast path
-   skips only the re-walk of an already-allowed decision; denials are
-   never cached, and no simulated cycles are charged on either path, so
-   fault behaviour and cycle counts are identical with the TLB off. *)
+   different denial in place, e.g. page-level perms). The TLB skips
+   only the re-walk of an already-allowed decision; denials are never
+   cached, and no simulated cycles are charged either way, so fault
+   behaviour and cycle counts are identical with the TLB off. *)
 let rec ensure_page t page access ~addr =
   let tlb = t.cur.tlb in
-  if Tlb.probe tlb page access then begin
-    Tlb.record_hit tlb;
-    emit_tlb_event t Telemetry.Event.Hit
-  end
+  if Tlb.probe tlb page access ~hits:1 then emit_tlb_event t Telemetry.Event.Hit
   else begin
     Tlb.record_miss tlb;
     if Tlb.enabled tlb then emit_tlb_event t Telemetry.Event.Miss;
@@ -233,9 +231,12 @@ let rec ensure_page t page access ~addr =
         else Fault.violation f)
   end
 
+(* A range that is not wholly inside memory faults [Not_present] before
+   any page is walked. The bound is written [addr > size - len] so that
+   no [addr] or [len] can overflow it. *)
 and check_range t addr len access =
   if len < 0 then invalid_arg "Cpu.check_range: negative length";
-  if addr < 0 || addr + len > Phys_mem.size t.mem then
+  if addr < 0 || addr > Phys_mem.size t.mem - len then
     Fault.violation
       { Fault.addr; access; key = 0; reason = Fault.Not_present }
   else if len > 0 then begin
@@ -245,117 +246,68 @@ and check_range t addr len access =
     done
   end
 
-(* Accessor fast path: the whole access lies in one page whose decision
-   is cached-allowed in the current core's TLB. One offset test, one
-   array load, one generation compare — everything [check_range] would
-   establish is implied: the cached allow proves presence, page perms
-   and key permission (kept current by invalidation), and a live entry
-   proves the page is within physical memory. [bit] is the {!Tlb} allow
-   bit of the access kind (1 = Read, 2 = Write, 4 = Exec); the probe is
-   open-coded on the exposed TLB representation to keep this
-   call-free. *)
-let[@inline] fast t a len bit =
-  let tlb = t.cur.tlb in
-  tlb.Tlb.enabled
-  && a >= 0
-  && len >= 0
-  && Addr.offset a + len <= Addr.page_size
-  && (let p = Addr.page_of a in
-      p < Array.length tlb.Tlb.entries
-      &&
-      let e = Array.unsafe_get tlb.Tlb.entries p in
-      e lsr 3 = tlb.Tlb.gen && e land bit <> 0)
-  &&
-  (tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-   if t.bus.Telemetry.Bus.tracing then
-     Telemetry.Bus.emit t.bus (Telemetry.Event.Tlb Telemetry.Event.Hit);
-   true)
+(* The one permission check of every checked access. If the whole
+   access lies in one page whose decision is cached-allowed in the
+   current core's TLB, that proves everything [check_range] would
+   establish: presence, page perms and key permission (kept current by
+   invalidation), and, since a live entry exists only for a page of
+   memory, that the access lies inside memory. Otherwise the range is
+   walked; an empty access touches no page, so it probes none. After
+   [check] returns, [a, a + len) is inside memory. *)
+let[@inline] check t a len access =
+  if
+    len > 0
+    && len <= Addr.page_size - Addr.offset a
+    && Tlb.probe t.cur.tlb (Addr.page_of a) access ~hits:1
+  then emit_tlb_event t Telemetry.Event.Hit
+  else check_range t a len access
+
+(* Every checked access below is this check, then one charge, then one
+   [Phys_mem] operation. Scalars use the unchecked loads and stores,
+   which the check has proven in bounds; bulk copies keep [Phys_mem]'s
+   checked copies, which check the host buffer too. *)
+let[@inline] checked t a len access =
+  check t a len access;
+  Cost.charge_mem t.cost len
 
 let read_u8 t a =
-  if fast t a 1 1 then begin
-    Cost.charge_mem t.cost 1;
-    Phys_mem.unsafe_get_u8 t.mem a
-  end
-  else begin
-    check_range t a 1 Fault.Read;
-    Cost.charge_mem t.cost 1;
-    Phys_mem.get_u8 t.mem a
-  end
+  checked t a 1 Fault.Read;
+  Phys_mem.unsafe_get_u8 t.mem a
 
 let write_u8 t a v =
-  if fast t a 1 2 then begin
-    Cost.charge_mem t.cost 1;
-    Phys_mem.unsafe_set_u8 t.mem a v
-  end
-  else begin
-    check_range t a 1 Fault.Write;
-    Cost.charge_mem t.cost 1;
-    Phys_mem.set_u8 t.mem a v
-  end
+  checked t a 1 Fault.Write;
+  Phys_mem.unsafe_set_u8 t.mem a v
 
 let read_u16 t a =
-  if fast t a 2 1 then begin
-    Cost.charge_mem t.cost 2;
-    Phys_mem.unsafe_get_u16 t.mem a
-  end
-  else begin
-    check_range t a 2 Fault.Read;
-    Cost.charge_mem t.cost 2;
-    Phys_mem.get_u16 t.mem a
-  end
+  checked t a 2 Fault.Read;
+  Phys_mem.unsafe_get_u16 t.mem a
 
 let write_u16 t a v =
-  if fast t a 2 2 then begin
-    Cost.charge_mem t.cost 2;
-    Phys_mem.unsafe_set_u16 t.mem a v
-  end
-  else begin
-    check_range t a 2 Fault.Write;
-    Cost.charge_mem t.cost 2;
-    Phys_mem.set_u16 t.mem a v
-  end
+  checked t a 2 Fault.Write;
+  Phys_mem.unsafe_set_u16 t.mem a v
 
 let read_u32 t a =
-  if fast t a 4 1 then begin
-    Cost.charge_mem t.cost 4;
-    Phys_mem.unsafe_get_u32 t.mem a
-  end
-  else begin
-    check_range t a 4 Fault.Read;
-    Cost.charge_mem t.cost 4;
-    Phys_mem.get_u32 t.mem a
-  end
+  checked t a 4 Fault.Read;
+  Phys_mem.unsafe_get_u32 t.mem a
 
 let write_u32 t a v =
-  if fast t a 4 2 then begin
-    Cost.charge_mem t.cost 4;
-    Phys_mem.unsafe_set_u32 t.mem a v
-  end
-  else begin
-    check_range t a 4 Fault.Write;
-    Cost.charge_mem t.cost 4;
-    Phys_mem.set_u32 t.mem a v
-  end
+  checked t a 4 Fault.Write;
+  Phys_mem.unsafe_set_u32 t.mem a v
 
 let read_i64 t a =
-  if not (fast t a 8 1) then check_range t a 8 Fault.Read;
-  Cost.charge_mem t.cost 8;
-  Phys_mem.get_i64 t.mem a
+  checked t a 8 Fault.Read;
+  Phys_mem.unsafe_get_i64 t.mem a
 
 let write_i64 t a v =
-  if not (fast t a 8 2) then check_range t a 8 Fault.Write;
-  Cost.charge_mem t.cost 8;
-  Phys_mem.set_i64 t.mem a v
+  checked t a 8 Fault.Write;
+  Phys_mem.unsafe_set_i64 t.mem a v
 
 let read_bytes t a len =
-  if not (fast t a len 1) then check_range t a len Fault.Read;
-  Cost.charge_mem t.cost len;
+  checked t a len Fault.Read;
   Phys_mem.read_bytes t.mem a len
 
 let write_bytes t a b =
-  let len = Bytes.length b in
-  if not (fast t a len 2) then check_range t a len Fault.Write;
-  Cost.charge_mem t.cost len;
+  checked t a (Bytes.length b) Fault.Write;
   Phys_mem.write_bytes t.mem a b
 
 (* The host range of a caller-supplied buffer is validated before any
@@ -366,34 +318,25 @@ let check_host buf pos len =
 
 let read_into t a buf ~pos ~len =
   check_host buf pos len;
-  if not (fast t a len 1) then check_range t a len Fault.Read;
-  Cost.charge_mem t.cost len;
+  checked t a len Fault.Read;
   Phys_mem.read_into t.mem a buf ~pos ~len
 
 let write_sub t a buf ~pos ~len =
   check_host buf pos len;
-  if not (fast t a len 2) then check_range t a len Fault.Write;
-  Cost.charge_mem t.cost len;
+  checked t a len Fault.Write;
   Phys_mem.write_sub t.mem a buf ~pos ~len
 
-let check_read t a len =
-  if not (fast t a len 1) then check_range t a len Fault.Read;
-  Cost.charge_mem t.cost len
-
-let check_write t a len =
-  if not (fast t a len 2) then check_range t a len Fault.Write;
-  Cost.charge_mem t.cost len
+let check_read t a len = checked t a len Fault.Read
+let check_write t a len = checked t a len Fault.Write
 
 let write_string t a s =
-  let len = String.length s in
-  if not (fast t a len 2) then check_range t a len Fault.Write;
-  Cost.charge_mem t.cost len;
+  checked t a (String.length s) Fault.Write;
   Phys_mem.write_string t.mem a s
 
 (* A page's later stores cannot be decided differently from its first:
    a store changes no page table, key or PKRU. With the TLB on, the
-   first store leaves the page's Write decision cached, so each later
-   store of the loop is a [fast] hit. *)
+   first store leaves the page's Write decision cached, so the probe
+   counts each later store of the loop as the hit it would be. *)
 let store_run t a buf ~pos ~len =
   check_host buf pos len;
   if t.bus.Telemetry.Bus.tracing then
@@ -407,8 +350,7 @@ let store_run t a buf ~pos ~len =
       write_u8 t addr (Bytes.get_uint8 buf (pos + !j));
       let later = Int.min (len - !j) (Addr.page_size - Addr.offset addr) - 1 in
       if later > 0 then begin
-        let tlb = t.cur.tlb in
-        if tlb.Tlb.enabled then tlb.Tlb.hits <- tlb.Tlb.hits + later;
+        ignore (Tlb.probe t.cur.tlb (Addr.page_of addr) Fault.Write ~hits:later);
         Cost.charge_mem_n t.cost later 1;
         Phys_mem.write_sub t.mem (addr + 1) buf ~pos:(pos + !j + 1) ~len:later
       end;
@@ -416,19 +358,19 @@ let store_run t a buf ~pos ~len =
     done
   end
 
+(* One [2 * len] charge: two [charge_mem len] would pay [mem_op]
+   twice. *)
 let memcpy t ~dst ~src ~len =
-  if not (fast t src len 1) then check_range t src len Fault.Read;
-  if not (fast t dst len 2) then check_range t dst len Fault.Write;
+  check t src len Fault.Read;
+  check t dst len Fault.Write;
   Cost.charge_mem t.cost (2 * len);
   Phys_mem.blit t.mem ~src ~dst ~len
 
 let memset t a len c =
-  if not (fast t a len 2) then check_range t a len Fault.Write;
-  Cost.charge_mem t.cost len;
+  checked t a len Fault.Write;
   Phys_mem.fill t.mem a len c
 
-let fetch t a len =
-  if not (fast t a len 4) then check_range t a len Fault.Exec
+let fetch t a len = check t a len Fault.Exec
 
 let priv_read_bytes t a len =
   Cost.charge_mem t.cost len;

@@ -74,6 +74,9 @@ val bus : t -> Telemetry.Bus.t
 val tlb : t -> Tlb.t
 (** The current core's TLB. *)
 
+val tlbs : t -> Tlb.t list
+(** Every core's TLB, core 0 first. *)
+
 val set_tlb_enabled : t -> bool -> unit
 (** Applies to every core. Off forces every access down the full-walk
     slow path (used by the benchmark harness to measure the TLB's

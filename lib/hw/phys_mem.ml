@@ -47,9 +47,8 @@ let check_host n pos len =
   if pos < 0 || len < 0 || pos > n - len then invalid_arg "Phys_mem: host range out of bounds"
 
 (* Unsafe scalar accessors: no bounds check, for callers that have
-   already proven the access in-bounds (the CPU's TLB fast path — a
-   live TLB entry implies the page, and so the whole single-page
-   access, lies inside memory). The u32 variants avoid Int32 boxing:
+   already proven the access in-bounds (the CPU's checked accessors,
+   after their permission check). The u32 variants avoid Int32 boxing:
    the load is consumed in place. The [t] annotations let ocamlopt
    inline the Bigarray primitives for the char kind. *)
 
@@ -79,38 +78,6 @@ let[@inline] unsafe_get_i64 t addr =
   if Sys.big_endian then swap64 v else v
 
 let[@inline] unsafe_set_i64 t addr v = set64 t addr (if Sys.big_endian then swap64 v else v)
-
-let get_u8 t addr =
-  check t addr 1;
-  unsafe_get_u8 t addr
-
-let set_u8 t addr v =
-  check t addr 1;
-  unsafe_set_u8 t addr v
-
-let get_u16 t addr =
-  check t addr 2;
-  unsafe_get_u16 t addr
-
-let set_u16 t addr v =
-  check t addr 2;
-  unsafe_set_u16 t addr v
-
-let get_u32 t addr =
-  check t addr 4;
-  unsafe_get_u32 t addr
-
-let set_u32 t addr v =
-  check t addr 4;
-  unsafe_set_u32 t addr v
-
-let get_i64 t addr =
-  check t addr 8;
-  unsafe_get_i64 t addr
-
-let set_i64 t addr v =
-  check t addr 8;
-  unsafe_set_i64 t addr v
 
 let read_bytes t addr len =
   check t addr len;

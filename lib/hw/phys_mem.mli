@@ -15,13 +15,11 @@ val create : int -> t
 val size : t -> int
 val npages : t -> int
 
-val get_u8 : t -> int -> int
-val set_u8 : t -> int -> int -> unit
-
 (** Unchecked scalar accessors for callers that have already proven the
-    access in-bounds: the CPU's TLB fast path, and minidb's frame views,
-    which check every offset against their page. Little-endian, like
-    their checked counterparts; the u32 variants avoid Int32 boxing. *)
+    access in-bounds: the CPU's checked accessors, after their
+    permission check, and minidb's frame views, which check every
+    offset against their page. Little-endian; the u32 variants avoid
+    Int32 boxing. *)
 
 val unsafe_get_u8 : t -> int -> int
 val unsafe_set_u8 : t -> int -> int -> unit
@@ -31,12 +29,6 @@ val unsafe_get_u32 : t -> int -> int
 val unsafe_set_u32 : t -> int -> int -> unit
 val unsafe_get_i64 : t -> int -> int64
 val unsafe_set_i64 : t -> int -> int64 -> unit
-val get_u16 : t -> int -> int
-val set_u16 : t -> int -> int -> unit
-val get_u32 : t -> int -> int
-val set_u32 : t -> int -> int -> unit
-val get_i64 : t -> int -> int64
-val set_i64 : t -> int -> int64 -> unit
 
 val read_bytes : t -> int -> int -> bytes
 (** [read_bytes t addr len] copies [len] bytes out of simulated memory. *)

@@ -15,21 +15,7 @@
     The TLB affects host wall-clock only. Simulated cycle counts, fault
     counts and wrpkru counts are identical with the TLB on or off. *)
 
-type t = {
-  mutable gen : int;  (** current permission generation; entries from
-                          older generations are dead. Never 0. *)
-  entries : int array;  (** per page: [(gen lsl 3) lor allow_bits] with
-                            allow bits 1 = Read, 2 = Write, 4 = Exec *)
-  mutable enabled : bool;
-  mutable hits : int;
-  mutable misses : int;
-  mutable flushes : int;
-  mutable invalidations : int;
-}
-(** The representation is exposed so {!Cpu}'s accessor fast path can
-    open-code the probe (one load, one compare, one bit test) without a
-    cross-module call. Treat it as owned by {!Cpu}: all other code must
-    go through the functions below. *)
+type t
 
 val create : int -> t
 (** [create npages] — all entries invalid, TLB enabled. *)
@@ -40,12 +26,11 @@ val set_enabled : t -> bool -> unit
 (** Disabling forces every access down the slow path (for benchmarking
     the TLB itself); re-enabling flushes. *)
 
-val probe : t -> int -> Fault.access -> bool
-(** [probe t page access] — true iff a live cached decision allows the
-    access. Pure (no counter updates, safe on out-of-range pages);
-    always false when disabled. *)
-
-val record_hit : t -> unit
+val probe : t -> int -> Fault.access -> hits:int -> bool
+(** [probe t page access ~hits] — true iff a live cached decision
+    allows [access] on [page], and then counts [hits] hits. Safe on any
+    page at or above 0; always false when disabled. The caller counts a
+    failed probe with {!record_miss} if it then walks the page. *)
 
 val record_miss : t -> unit
 (** No-op while disabled, so a disabled TLB reports zero lookups. *)

@@ -56,10 +56,10 @@ type t = {
   sym_ids : int Str_tbl.t;
   mutable sym_calls : int array;
 }
-(** The representation is exposed so the machine's accessor fast path
-    can open-code the [tracing] test without a cross-module call
-    (the same deal as [Hw.Tlb]). Treat it as owned by the machine: all
-    other code must go through the functions below. *)
+(** The representation is exposed so the machine's checked accessors
+    can test [tracing] without a cross-module call. Treat it as owned
+    by the machine: all other code must go through the functions
+    below. *)
 
 val create : ?capacity:int -> ?now:(unit -> int) -> ?ctx:Attrib.t -> unit -> t
 (** Tracing starts disabled, unsampled, with no sink and no latency

@@ -254,6 +254,34 @@ let test_tlb_read_through () =
   check_int "hits equal the machine's" (Hw.Tlb.hits (Hw.Cpu.tlb cpu)) (Stats.tlb_hits st);
   check_int "misses equal the machine's" (Hw.Tlb.misses (Hw.Cpu.tlb cpu)) (Stats.tlb_misses st)
 
+(* On a two-core monitor the counters sum both cores' TLBs, and a reset
+   zeroes both. *)
+let test_tlb_every_core () =
+  let mon = Monitor.create ~mem_bytes:(4 * 1024 * 1024) ~ncores:2 ~protection:Types.Full () in
+  let cpu = Monitor.cpu mon in
+  let st = Monitor.stats mon in
+  let base = Hw.Addr.base_of_page (Hw.Cpu.npages cpu - 1) in
+  Hw.Cpu.map_page cpu (Hw.Addr.page_of base) Hw.Page_table.perm_rw ~key:0;
+  let reads core n =
+    Hw.Cpu.set_core cpu core;
+    for _ = 1 to n do
+      ignore (Hw.Cpu.read_u8 cpu base)
+    done
+  in
+  Stats.reset st;
+  reads 0 3;
+  reads 1 5;
+  Hw.Cpu.set_core cpu 0;
+  let per_core f = List.map f (Hw.Cpu.tlbs cpu) in
+  Alcotest.(check (list int)) "per-core hits" [ 2; 4 ] (per_core Hw.Tlb.hits);
+  check_int "hits of both cores" 6 (Stats.tlb_hits st);
+  check_int "misses of both cores" 2 (Stats.tlb_misses st);
+  Stats.reset st;
+  reads 1 1;
+  Hw.Cpu.set_core cpu 0;
+  check_int "core 1's hits reset" 1 (Stats.tlb_hits st);
+  check_int "core 1's misses reset" 0 (Stats.tlb_misses st)
+
 (* --- standalone Stats (no machine) --------------------------------------- *)
 
 let test_standalone_stats_tlb_zero () =
@@ -686,6 +714,7 @@ let () =
         [
           Alcotest.test_case "read-through, no sync" `Quick test_tlb_read_through;
           Alcotest.test_case "standalone stats" `Quick test_standalone_stats_tlb_zero;
+          Alcotest.test_case "every core counted" `Quick test_tlb_every_core;
         ] );
       ( "bus",
         [
