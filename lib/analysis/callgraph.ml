@@ -56,6 +56,10 @@ let check (p : Ir.program) =
                        ~key:(Printf.sprintf "trampoline:direct:%s:%s" here sym))
               | `Call sym -> (
                   match Ir.owner_of p sym with
+                  | None when p.Ir.has_thunk sym ->
+                      (* its exporter was torn down; the thunk, and any
+                         guard entry for it, stay for a respawn *)
+                      ()
                   | None ->
                       add
                         (Report.make ~pass:"trampoline" ~severity:Report.High

@@ -13,4 +13,6 @@ val edges : Ir.program -> edge list
 
 val check : Ir.program -> Report.finding list
 (** Findings: [Critical] for a missing thunk or a declared direct call,
-    [High] for a missing guard entry or an unresolved symbol. *)
+    [High] for a missing guard entry or an unresolved symbol. A symbol
+    no live component exports but that has a thunk is not unresolved:
+    its exporter was torn down, and a respawn reaches the same thunk. *)

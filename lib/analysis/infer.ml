@@ -19,12 +19,13 @@
    synthetic symbol [toplevel_sym] and ignored by the cross-check.
 
    The same frames say which component called which symbol while
-   serving a call. Guard entries follow the summaries' declared calls,
-   and a crossing does not read its guard, so a call the caller's
-   summary omits is the soundness hole of an inert export: the check
-   reports it. A crossing outside any frame of its caller (boot-time
-   init, a harness driving a component's context) is exempt, like an
-   access there. *)
+   serving a call. Guard entries come only from the summaries' declared
+   calls, and a crossing does not read its guard, so a call the
+   caller's summary omits is the soundness hole of an inert export: the
+   check reports it, for a component with an empty interface as for any
+   other. A crossing outside any frame of its caller (boot-time init, a
+   harness driving a component's context) is exempt, like an access
+   there. *)
 
 open Cubicle
 
@@ -141,16 +142,15 @@ let observations t (p : Ir.program) =
     t.obs []
   |> List.sort compare
 
-(* A crossing by a component whose summary declares calls, to a symbol
-   none of them is. A component with an empty interface declares
-   nothing, so it has no edge to break (its guard entries fall back to
-   every export); callers that are no component (the monitor) are
-   skipped too. *)
+(* A crossing by a component to a symbol its summary does not declare
+   a call to. An empty interface declares nothing, so each of its
+   crossings is undeclared; callers that are no component (the
+   monitor) are skipped. *)
 let undeclared_calls t (p : Ir.program) =
   Hashtbl.fold
     (fun (cid, sym) () acc ->
       match List.find_opt (fun (c : Ir.comp) -> c.Ir.cid = cid) p.Ir.comps with
-      | Some c when c.Ir.iface <> [] && not (List.mem sym (Iface.calls c.Ir.iface)) ->
+      | Some c when not (List.mem sym (Iface.calls c.Ir.iface)) ->
           (c.Ir.name, sym) :: acc
       | _ -> acc)
     t.crossings []

@@ -41,8 +41,8 @@ val check : t -> Ir.program -> Report.finding list
     a crossing traced from component [COMP], while it served a call, to
     [sym] that no summary of [COMP] declares (its
     {!Cubicle.Iface.calls}) → [Critical] [summary:call:COMP->sym]. A
-    component with an empty interface declares nothing, so its
-    crossings are not judged; nor are crossings outside any frame of
-    the caller.
+    component with an empty interface declares nothing, so each of its
+    crossings is reported. Crossings outside any frame of the caller
+    are not judged.
     The converse (a declared access never observed) is {e not} flagged:
     one trace need not exercise every path. *)

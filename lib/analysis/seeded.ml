@@ -326,7 +326,11 @@ let undeclared_call ?(declared = false) () =
           Types.Isolated );
         ( Builder.component ~exports:[ Builder.export "srv_process" (fun _ _ -> 0) [] ] "SERVER",
           Types.Isolated );
-        (Builder.component "DRIVER", Types.Isolated);
+        ( Builder.component
+            ~entries:
+              [ Iface.fundecl "__main" [ Iface.Call { sym = "client_main"; ptr_args = [] } ] ]
+            "DRIVER",
+          Types.Isolated );
       ]
   in
   let bus = Monitor.bus mon in

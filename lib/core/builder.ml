@@ -75,13 +75,11 @@ let live built =
 let cid built name = Monitor.lookup_cubicle built.mon name
 
 (* The one link path: load more components into the system, extend the
-   trampoline table and run the newcomers' initialisers. [callers] names
-   already-live cubicles that will call into the new exports; they
-   receive guard entries for the fresh symbols. [build] is a spawn into
-   an empty system. All or nothing: if any step raises, the cubicles
-   this call loaded are unloaded again, newest first so their cids are
-   recycled in load order. *)
-let spawn ?(callers = []) built comps =
+   trampoline table and run the newcomers' initialisers. [build] is a
+   spawn into an empty system. All or nothing: if any step raises, the
+   cubicles this call loaded are unloaded again, newest first so their
+   cids are recycled in load order. *)
+let spawn built comps =
   let loaded = ref [] in
   try
     List.iter
@@ -105,18 +103,13 @@ let spawn ?(callers = []) built comps =
           | Types.Shared -> [])
         comps
     in
-    (* Guard entries follow declared call edges: the listed callers get
-       entries for the new symbols, and so does every live cubicle whose
-       summary calls one that just got its first thunk; each fresh
-       cubicle gets entries for the symbols its summary calls, in this
-       batch or earlier ones. A component with an empty interface
-       declares nothing, so it gets entries for every live export. *)
-    Trampoline.extend built.trampolines ~syms ~cids:callers;
+    (* Guard entries come only from declared call edges: every live
+       cubicle whose summary calls a symbol that just got its first
+       thunk gets its entry, and each fresh cubicle gets entries for the
+       symbols its summary calls, in this batch or earlier ones. *)
+    Trampoline.extend built.trampolines ~syms;
     List.iter2
-      (fun (c, _) (_, cid) ->
-        match c.iface with
-        | [] -> Trampoline.guard_all built.trampolines ~cids:[ cid ]
-        | iface -> Trampoline.guard_calls built.trampolines cid (Iface.calls iface))
+      (fun (c, _) (_, cid) -> Trampoline.guard_calls built.trampolines cid (Iface.calls c.iface))
       comps fresh;
     (* Initialisers run in declaration order, each entered as its own
        cubicle (the loader jumps to the component's init through a
@@ -133,5 +126,13 @@ let spawn ?(callers = []) built comps =
 
 let build mon comps =
   let built = { mon; trampolines = Trampoline.create mon } in
-  ignore (spawn ~callers:(Monitor.live_cids mon) built comps);
+  ignore (spawn built comps);
   built
+
+(* Entries go in front, as [component] puts them before the exports'
+   summaries. Only the new entries' calls are read, so a cubicle that
+   declares one call at a time does not re-read its whole summary. *)
+let declare built cid entries =
+  let iface = Option.value (Monitor.iface built.mon cid) ~default:[] in
+  Monitor.set_iface built.mon cid (entries @ iface);
+  Trampoline.guard_calls built.trampolines cid (Iface.calls entries)

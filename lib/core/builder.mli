@@ -61,31 +61,36 @@ val live : built -> (string * Types.cid * Iface.t) list
     [Analysis.Ir.of_built]. *)
 
 val build : Monitor.t -> (component * Types.kind) list -> built
-(** {!spawn} into an empty system: every cubicle already live in the
-    monitor is a caller. *)
+(** {!spawn} into a fresh trampoline table. Cubicles already live in the
+    monitor, which the builder did not load, declare nothing and get no
+    guard entry. *)
 
 val cid : built -> string -> Types.cid
 (** {!Monitor.lookup_cubicle}: raises [No_cubicle_named] for a name that is
     not live. *)
 
-val spawn :
-  ?callers:Types.cid list ->
-  built ->
-  (component * Types.kind) list ->
-  (string * Types.cid) list
+val spawn : built -> (component * Types.kind) list -> (string * Types.cid) list
 (** Load more components into a running system: the cubicle lifecycle's
     birth half, and the one link path. Loads each component, extends
-    the trampoline table (thunks for the new symbols; guard entries for
-    them in each cubicle of [callers]), runs initialisers in
-    declaration order, and returns the fresh [(name, cid)] pairs.
-    Guard entries follow declared call edges: each loaded isolated
-    cubicle gets entries for the symbols its summary calls
-    ({!Iface.calls}); a component with an empty interface (no exports,
-    no entries) declares nothing and gets entries for every live export
-    instead, and one whose exports all have empty bodies gets none. A
-    live cubicle whose summary calls one of the new symbols gets its
-    entry when the symbol gets its first thunk. Component names must
-    not collide with live cubicles ([Duplicate_cubicle] from the
-    monitor if they do). All or nothing: if a load, the trampoline extension or an initialiser
-    raises, every cubicle this call loaded is unloaded again before the
-    exception propagates. *)
+    the trampoline table (thunks for the new symbols), runs initialisers
+    in declaration order, and returns the fresh [(name, cid)] pairs.
+    Guard entries come only from declared call edges: each loaded
+    isolated cubicle gets entries for the symbols its summary calls
+    ({!Iface.calls}), and a live cubicle whose summary calls one of the
+    new symbols gets its entry when the symbol gets its first thunk. A
+    component with an empty interface (no exports, no entries), or whose
+    summaries call nothing, declares nothing and holds no entry.
+    Component names must not collide with live cubicles
+    ([Duplicate_cubicle] from the monitor if they do). All or nothing:
+    if a load, the trampoline extension or an initialiser raises, every
+    cubicle this call loaded is unloaded again before the exception
+    propagates. *)
+
+val declare : built -> Types.cid -> Iface.t -> unit
+(** [declare built cid entries] adds [entries] (summaries of entry
+    points, as {!component}'s [~entries]) to the live cubicle's
+    interface summary and gives it the guard entries their calls need,
+    as {!spawn} does for a loaded component: for a cubicle whose calls
+    grow at runtime, like a gateway that learns of each tenant as it is
+    spawned. It reads the calls of [entries] only, not the summary the
+    cubicle declared before. *)

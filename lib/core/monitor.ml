@@ -145,24 +145,21 @@ let pkru_for t cid =
         c.extra_keys
 
 (* Restoring a PKRU saved across a nested call/run is only sound when
-   the tags it grants still mean what they meant at save time. Under
-   tag virtualisation a physical tag in the saved value may have been
-   evicted and rebound to a *different* cubicle during the nested run;
-   [Keymux.scrub_cores] fixes live registers only, so writing the
-   saved value back would silently re-admit the recycled tag until the
-   context's next key fault. Recompute the register from the saved
-   cubicle instead (re-faulting its key in if it was evicted). A
-   fully-permissive register belongs to trusted context and is
-   restored verbatim, as is anything saved while a trusted cubicle was
-   current (host-side drivers may narrow PKRU without moving [cur]).
-   Without virtualisation the raw restore is kept, although tags are
-   recycled there too: [destroy_cubicle] and the last
-   [window_close_dedicated] return a pinned tag to the pool, and a
-   register saved before that may still grant it. *)
+   the tags it grants still mean what they meant at save time. A tag in
+   the saved value may have been freed and given to a *different*
+   cubicle during the nested run: under tag virtualisation an evicted
+   key's physical tag is rebound, and with pinned tags
+   [destroy_cubicle] and the last [window_close_dedicated] return a tag
+   to the pool. [Keymux.scrub_cores] fixes live registers only, so
+   writing the saved value back would silently re-admit the recycled
+   tag. Recompute the register from the saved cubicle instead
+   (re-faulting its key in if it was evicted). A fully-permissive
+   register belongs to trusted context and is restored verbatim, as is
+   anything saved while a trusted cubicle was current (host-side
+   drivers may narrow PKRU without moving [cur]). *)
 let restore_pkru t ~saved_cur ~saved_pkru =
   if
-    t.virtualise
-    && saved_pkru <> Hw.Pkru.all_allow
+    saved_pkru <> Hw.Pkru.all_allow
     && (match find t saved_cur with
        | Some c -> c.kind <> Types.Trusted
        | None -> false)

@@ -3,13 +3,11 @@
    kept on its monitor record, pairs each thunk it may enter with its
    guard entry there: one pair per call edge. Guard entries never sit at
    address 0: page 0 belongs to the monitor. *)
-type thunk = { sym : string; addr : int }
-
 module Str_tbl = Hashtbl.Make (String)
 
 type t = {
   mon : Monitor.t;
-  thunks : thunk Str_tbl.t;
+  thunks : int Str_tbl.t;  (* symbol -> its thunk's address *)
   waiting : Types.cid list Str_tbl.t;
       (* a symbol with no thunk yet -> the live cubicles whose summaries
          call it: they get their entries when it gets its thunk *)
@@ -61,16 +59,17 @@ let alloc_thunks t syms =
       Hw.Page_table.set_perm (Hw.Cpu.page_table cpu) p Hw.Page_table.perm_x
     done;
     List.iteri
-      (fun i sym -> Str_tbl.replace t.thunks sym { sym; addr = thunk_base + (i * thunk_size) })
+      (fun i sym -> Str_tbl.replace t.thunks sym (thunk_base + (i * thunk_size)))
       fresh
   end;
   fresh
 
-(* The guard entry address for (cid, thunk), 0 if there is none. *)
+(* The guard entry address for (cid, thunk address), 0 if there is
+   none. *)
 let entry_in guards th =
   let rec go = function
     | [] -> 0
-    | (thunk, entry) :: rest -> if thunk = th.addr then entry else go rest
+    | (thunk, entry) :: rest -> if thunk = th then entry else go rest
   in
   go guards
 
@@ -78,7 +77,8 @@ let entry_in guards th =
    them. Each batch of new entries gets its own page run; the run is
    owned by the cubicle, so destroy_cubicle releases it with the rest
    of its memory, and the guard table with the rest of its record.
-   [thunks] are the candidates, in layout order; those [cid] already
+   [thunks] are the candidate thunk addresses, in layout order; those
+   [cid] already
    has an entry for are skipped, and a cubicle with no new entry gets no
    page. The batch is assembled in [guard_buf] and copied in once,
    charged as one 16-byte privileged write per entry. *)
@@ -104,8 +104,8 @@ let write_guards t cid thunks =
           (fun (off, acc) th ->
             let addr = gbase + off in
             Bytes.blit guard_template 0 buf off guard_entry_size;
-            Bytes.set_int32_le buf (off + jmp_disp_off) (Int32.of_int (th.addr - addr));
-            (off + guard_entry_size, (th.addr, addr) :: acc))
+            Bytes.set_int32_le buf (off + jmp_disp_off) (Int32.of_int (th - addr));
+            (off + guard_entry_size, (th, addr) :: acc))
           (0, old) fresh
         |> snd
       in
@@ -117,10 +117,6 @@ let write_guards t cid thunks =
       done
 
 let isolated t cid = Monitor.cubicle_kind t.mon cid = Types.Isolated
-
-(* Guard entries for [thunks] in each listed isolated cubicle. *)
-let guard t thunks ~cids =
-  List.iter (fun cid -> if isolated t cid then write_guards t cid thunks) cids
 
 let create mon =
   { mon; thunks = Str_tbl.create 16; waiting = Str_tbl.create 16; guard_buf = Bytes.empty }
@@ -151,10 +147,7 @@ let guard_waiting t fresh =
            waiting))
     (List.sort_uniq Int.compare (List.concat_map snd waiting))
 
-let extend t ~syms ~cids =
-  let fresh = alloc_thunks t syms in
-  guard t (List.map (Str_tbl.find t.thunks) syms) ~cids;
-  guard_waiting t fresh
+let extend t ~syms = guard_waiting t (alloc_thunks t syms)
 
 let guard_calls t cid calls =
   if isolated t cid then begin
@@ -171,15 +164,11 @@ let guard_calls t cid calls =
       missing
   end
 
-let by_sym t =
-  List.sort (fun a b -> String.compare a.sym b.sym) (List.of_seq (Str_tbl.to_seq_values t.thunks))
-
-let syms t = List.map (fun th -> th.sym) (by_sym t)
-let guard_all t ~cids = guard t (by_sym t) ~cids
+let syms t = List.sort String.compare (List.of_seq (Str_tbl.to_seq_keys t.thunks))
 
 let thunk_addr t sym =
   match Str_tbl.find_opt t.thunks sym with
-  | Some th -> th.addr
+  | Some th -> th
   | None -> raise (Types.Denied (No_thunk sym))
 
 (* The guard entry address for (cid, sym), 0 if there is none. *)

@@ -20,28 +20,22 @@ type t
 
 val create : Monitor.t -> t
 (** An empty table: no thunks. {!Builder.spawn} fills it through
-    {!extend}, {!guard_calls} and {!guard_all}. Guard tables live on the
-    monitor's cubicle records, so a monitor has one trampoline table. *)
+    {!extend} and {!guard_calls}. Guard tables live on the monitor's
+    cubicle records, so a monitor has one trampoline table. *)
 
-val extend : t -> syms:string list -> cids:Types.cid list -> unit
+val extend : t -> syms:string list -> unit
 (** Install thunks for any of [syms] that lack one (respawned symbols
-    reuse their old thunk) and guard entries for those symbols in each
-    listed isolated cubicle: the live callers that will now reach the
-    new symbols. Each live isolated cubicle whose summary calls a symbol
-    that just got its first thunk ({!guard_calls} left it waiting) gets
-    its entry too. Non-isolated cids are ignored. *)
+    reuse their old thunk). Each live isolated cubicle whose summary
+    calls a symbol that just got its first thunk ({!guard_calls} left it
+    waiting) gets its guard entry for it. *)
 
 val guard_calls : t -> Types.cid -> string list -> unit
 (** [guard_calls t cid calls]: guard entries in the isolated cubicle
-    [cid] for the symbols of [calls] (its summary's {!Iface.calls}) that
-    have a thunk. The rest wait for {!extend} to install theirs. No
-    entry and no guard page for a cubicle that calls nothing. A
-    non-isolated cid is ignored. *)
-
-val guard_all : t -> cids:Types.cid list -> unit
-(** Guard entries for every symbol with a thunk in each listed isolated
-    cubicle that lacks them: the fallback for a component whose empty
-    interface declares nothing. Non-isolated cids are ignored. *)
+    [cid] for the symbols of [calls] (calls its summary declares) that
+    have a thunk. The rest wait for {!extend} to install theirs. This is
+    the only source of guard entries: a cubicle whose summary calls
+    nothing, an empty interface included, holds no entry and no guard
+    page. A non-isolated cid is ignored. *)
 
 val thunk_addr : t -> string -> int
 (** Address of the thunk for a symbol. Raises [No_thunk] if the

@@ -14,7 +14,13 @@ open Cubicle
    page, and the gateway reads it back through a standing R window.
    Every cross-cubicle entry resolves the callee's virtual key, so
    round-robin traffic over enough tenants faults keys in and out on
-   nearly every call. *)
+   nearly every call.
+
+   Guard entries follow declared calls: WEB<i> declares its call to
+   [t<i>_read], and the gateway declares its call to [t<i>_get] when
+   tenant id i is first spawned ({!Builder.declare}). The declaration
+   outlives a teardown, so a respawn declares nothing and finds the
+   gateway's entry still in place. *)
 
 let page = Hw.Addr.page_size
 
@@ -168,15 +174,17 @@ let spawn t i =
   if i < 0 then Types.error "tenant id %d is negative" i;
   if Option.is_some (find t i) then Types.error "tenant %d is already live" i;
   t.parts <- grown t.parts i;
-  let p =
+  let p, fresh =
     match t.parts.(i) with
-    | Some p -> p
+    | Some p -> (p, Builder.spawn t.built p.comps)
     | None ->
         let p = parts_for i in
+        let fresh = Builder.spawn t.built p.comps in
+        Builder.declare t.built t.gw
+          [ Iface.fundecl "__main" [ Iface.Call { sym = get_sym i; ptr_args = [] } ] ];
         t.parts.(i) <- Some p;
-        p
+        (p, fresh)
   in
-  let fresh = Builder.spawn ~callers:[ t.gw ] t.built p.comps in
   t.live <- grown t.live i;
   t.live.(i) <-
     Some

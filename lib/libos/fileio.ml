@@ -16,6 +16,64 @@ module Import = struct
   let vfs_rename = Api.import "vfs_rename"
 end
 
+(* The CubiCheck summary of the calls above, for a component that does
+   its file I/O here and exports nothing ([__main]: it is driven from
+   outside). Mirrors [make] (a standing read-only path window to
+   VFSCORE) and [with_window] (a data buffer granted to VFSCORE and the
+   backend, resolved at run time, around each pread or pwrite).
+   [vfs_sendfile] is left out: only a stack booted with the sendfile
+   path exports it, and its one user, NGINX, declares it itself. *)
+let entries =
+  let path sym = Iface.Call { sym; ptr_args = [ (0, Iface.Local "path_buf", 512) ] } in
+  let call sym = Iface.Call { sym; ptr_args = [] } in
+  let data ~rw sym =
+    [
+      Iface.Window_add
+        { win = "data_wid"; buf = Iface.Local "data"; bytes = 0; standing = false; rw };
+      Iface.Window_open { win = "data_wid"; peer = "VFSCORE" };
+      Iface.Window_open { win = "data_wid"; peer = "*" };
+      Iface.Call { sym; ptr_args = [ (1, Iface.Local "data", 0) ] };
+      Iface.Window_close_all { win = "data_wid" };
+      Iface.Window_remove { win = "data_wid"; buf = Iface.Local "data" };
+    ]
+  in
+  [
+    Iface.fundecl "__main"
+      [
+        call "vfs_backend_cid";
+        Iface.Alloc { buf = "path_buf"; bytes = 512 };
+        Iface.Window_add
+          { win = "path_wid"; buf = Iface.Local "path_buf"; bytes = 512; standing = true; rw = false };
+        Iface.Window_open { win = "path_wid"; peer = "VFSCORE" };
+        (* a caller heap buffer: granted whole *)
+        Iface.Alloc { buf = "data"; bytes = Hw.Addr.page_size };
+        Iface.Loop
+          [
+            Iface.Branch
+              [
+                [ path "vfs_open" ];
+                [ call "vfs_close" ];
+                (* the backend writes the buffer on a read *)
+                data ~rw:true "vfs_pread";
+                data ~rw:false "vfs_pwrite";
+                [ call "vfs_size" ];
+                [ call "vfs_truncate" ];
+                [ call "vfs_fsync" ];
+                [ path "vfs_unlink" ];
+                [ path "vfs_exists" ];
+                [
+                  Iface.Call
+                    {
+                      sym = "vfs_rename";
+                      ptr_args =
+                        [ (0, Iface.Local "path_buf", 256); (2, Iface.Local "path_buf", 256) ];
+                    };
+                ];
+              ];
+          ];
+      ];
+  ]
+
 type t = {
   ctx : Monitor.ctx;
   vfs_cid : Types.cid;

@@ -9,6 +9,15 @@
 
 type t
 
+val entries : Cubicle.Iface.t
+(** The interface summary of a component that does its file I/O through
+    this module and exports nothing: one [__main] entry declaring
+    {!make}'s standing path window to VFSCORE and the VFS calls the
+    wrappers make, each data buffer granted to VFSCORE and the backend
+    around its call. Pass it as [Builder.component ~entries], so the
+    component holds guard entries for those calls and CubiCheck checks
+    them. {!sendfile} is not in it. *)
+
 val make : Cubicle.Monitor.ctx -> t
 (** Resolves the VFSCORE and backend cubicle ids, allocates a
     page-aligned path staging buffer in the caller's heap and a

@@ -1,5 +1,8 @@
+(* The buffer is made on the first push and dropped by [clear], so a
+   ring that is never pushed to costs a record, not [capacity] slots. *)
 type 'a t = {
-  buf : 'a array;
+  mutable buf : 'a array;  (* [||] until the first push *)
+  capacity : int;
   dummy : 'a;
   mutable start : int;  (* index of the oldest live element *)
   mutable len : int;
@@ -9,14 +12,15 @@ type 'a t = {
 
 let create ~capacity ~dummy =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
-  { buf = Array.make capacity dummy; dummy; start = 0; len = 0; dropped = 0; total = 0 }
+  { buf = [||]; capacity; dummy; start = 0; len = 0; dropped = 0; total = 0 }
 
 let length t = t.len
 let dropped t = t.dropped
 let total t = t.total
 
 let push t x =
-  let cap = Array.length t.buf in
+  if Array.length t.buf = 0 then t.buf <- Array.make t.capacity t.dummy;
+  let cap = t.capacity in
   t.total <- t.total + 1;
   if t.len = cap then begin
     (* full: overwrite the oldest, counting it as dropped *)
@@ -30,17 +34,14 @@ let push t x =
   end
 
 let iter f t =
-  let cap = Array.length t.buf in
   for i = 0 to t.len - 1 do
-    f t.buf.((t.start + i) mod cap)
+    f t.buf.((t.start + i) mod t.capacity)
   done
 
-let to_list t =
-  let cap = Array.length t.buf in
-  List.init t.len (fun i -> t.buf.((t.start + i) mod cap))
+let to_list t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.capacity))
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) t.dummy;
+  t.buf <- [||];
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;

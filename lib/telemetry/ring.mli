@@ -1,15 +1,17 @@
 (** Fixed-capacity ring buffer for trace entries.
 
-    The storage is allocated once at creation; {!push} never allocates.
-    When the ring is full, pushing overwrites the oldest element and
+    The storage is allocated by the first {!push} and dropped by
+    {!clear}, so a ring nothing is pushed to holds no buffer; no other
+    push allocates. When the ring is full, pushing overwrites the oldest element and
     counts it in {!dropped}, so a trace always holds the most recent
     [capacity] entries and reports exactly how much history was lost. *)
 
 type 'a t
 
 val create : capacity:int -> dummy:'a -> 'a t
-(** [create ~capacity ~dummy] — [dummy] fills unused slots (and refills
-    them on {!clear}) so the ring never retains stale elements. *)
+(** [create ~capacity ~dummy] — [dummy] fills unused slots so the ring
+    never retains stale elements. Raises [Invalid_argument] if
+    [capacity <= 0]. *)
 
 val length : 'a t -> int
 (** Live elements currently held, [<= capacity]. *)
@@ -29,4 +31,5 @@ val to_list : 'a t -> 'a list
 (** Oldest first. *)
 
 val clear : 'a t -> unit
-(** Drop all elements and reset every counter. *)
+(** Drop all elements, the buffer with them, and reset every
+    counter. *)

@@ -205,6 +205,34 @@ let test_dedicated_reuse_after_release () =
   done;
   check_int "keys recycled" 0 (Monitor.dedicated_keys_in_use mon)
 
+(* BAR calls FOO, which closes BAR's dedicated window and so frees its
+   tag. The PKRU BAR returns to must be recomputed, not the one saved at
+   the call, which still admits the freed tag: the next cubicle gets
+   that tag, and BAR must not read its private pages with it. *)
+let test_dedicated_close_in_callee_drops_tag () =
+  let mon, foo, bar = mk_system () in
+  let ctx, _, wid = windowed_buffer mon foo in
+  Api.window_open_dedicated ctx wid bar;
+  Monitor.register_exports mon foo
+    [
+      {
+        Monitor.sym = "foo_revoke";
+        fn = (fun c _ -> Api.window_close_dedicated c wid bar; 0);
+        stack_bytes = 0;
+      };
+    ];
+  let bar_ctx = Monitor.ctx_for mon bar in
+  Monitor.run_as mon bar (fun () ->
+      ignore (Api.call bar_ctx (Api.import "foo_revoke") [||]);
+      check_int "tag returned" 0 (Monitor.dedicated_keys_in_use mon);
+      let baz =
+        Monitor.create_cubicle mon ~name:"BAZ" ~kind:Types.Isolated ~heap_pages:2 ~stack_pages:1
+      in
+      let secret = Monitor.stack_base mon baz in
+      Monitor.run_as mon baz (fun () -> Api.write_u8 (Monitor.ctx_for mon baz) secret 42);
+      check_bool "BAR cannot read BAZ's private page" true
+        (is_violation (fun () -> Api.read_u8 bar_ctx secret)))
+
 (* Failure atomicity: a failing dedicated-window service leaves no
    grant, no tag and no event behind (validate -> allocate -> mutate ->
    emit); only the service charge is billed. *)
@@ -319,6 +347,8 @@ let () =
           Alcotest.test_case "close returns key" `Quick test_dedicated_tag_close_returns_key;
           Alcotest.test_case "exhaustion" `Quick test_dedicated_tags_exhaust;
           Alcotest.test_case "key recycling" `Quick test_dedicated_reuse_after_release;
+          Alcotest.test_case "close in a callee drops the tag" `Quick
+            test_dedicated_close_in_callee_drops_tag;
           Alcotest.test_case "hybrid wins when hot" `Quick test_hybrid_cheaper_for_hot_window;
           Alcotest.test_case "failed open: virtualised" `Quick
             test_dedicated_open_virtualised_atomic;

@@ -507,6 +507,26 @@ let test_seeded_undeclared_call () =
   Alcotest.(check (list string)) "declared: clean" []
     (keys (Seeded.undeclared_call ~declared:true ()).Seeded.findings)
 
+(* An empty interface declares nothing, so a call traced from such a
+   component while it serves a call is undeclared like any other. The
+   synthetic APP exports [app_main] with no summary of it: the trace
+   enters APP there, and APP calls SERVER. *)
+let test_empty_interface_call_is_critical () =
+  let p = Ir.make [ ("APP", Types.Isolated, [ "app_main" ], []); server () ] in
+  let entry seq ev = { Telemetry.Bus.at = seq; core = 0; seq; ev } in
+  let inf = Infer.create () in
+  Infer.run inf
+    [
+      entry 0 (Telemetry.Event.Call { caller = 0; callee = 1; sym = "app_main" });
+      entry 1 (Telemetry.Event.Call { caller = 1; callee = 2; sym = "srv" });
+      entry 2 (Telemetry.Event.Return { caller = 1; callee = 2; sym = "srv" });
+      entry 3 (Telemetry.Event.Return { caller = 0; callee = 1; sym = "app_main" });
+    ];
+  let fs = Infer.check inf p in
+  Alcotest.(check (list string)) "APP's call is undeclared" [ "summary:call:APP->srv" ] (keys fs);
+  check_bool "and Critical" true
+    (List.for_all (fun f -> f.Report.severity = Report.Critical) fs)
+
 (* --- report / baseline --------------------------------------------------- *)
 
 let test_baseline_diff () =
@@ -812,6 +832,7 @@ let () =
           Alcotest.test_case "all caught" `Quick test_seeded_all_caught;
           Alcotest.test_case "static exactly one" `Quick test_seeded_static_exactly_one;
           Alcotest.test_case "undeclared call" `Quick test_seeded_undeclared_call;
+          Alcotest.test_case "empty interface call" `Quick test_empty_interface_call_is_critical;
         ] );
       ( "report",
         [

@@ -1029,11 +1029,10 @@ let test_spawn_guards_cover_existing_exports () =
   check_int "call to pre-existing export works" 1
     (Monitor.call built.Builder.mon ~caller:gamma (Monitor.import "alpha_fn") [||])
 
-(* Guard tables hold one entry per call edge, and grow as [extend] adds
-   thunks: a listed caller gets entries for all the new symbols, a live
-   cubicle whose summary calls one of them gets that one, and any other
-   cubicle gains none until it is guarded itself; a destroyed cubicle's
-   table goes with it. *)
+(* Guard tables hold one entry per declared call edge, and grow as
+   [extend] adds thunks: a live cubicle whose summary calls one of the
+   new symbols gets that one, and any other cubicle gains none; a
+   destroyed cubicle's table goes with it. *)
 let test_extend_grows_guard_tables () =
   let built = mk_built () in
   let tr = built.Builder.trampolines in
@@ -1057,40 +1056,35 @@ let test_extend_grows_guard_tables () =
   Alcotest.(check (list string)) "DELTA guards what it calls and is exported" [ "beta_fn" ]
     (List.filter (Trampoline.has_guard tr delta) (Trampoline.syms tr));
   let alpha_entry = Trampoline.guard_addr tr alpha "beta_fn" in
-  let beta_pages = pages beta and delta_pages = pages delta in
+  let alpha_pages = pages alpha and beta_pages = pages beta and delta_pages = pages delta in
   let fresh = [ "late_a"; "late_b"; "late_c" ] in
-  Trampoline.extend tr ~syms:fresh ~cids:[ alpha ];
+  Trampoline.extend tr ~syms:fresh;
   List.iter
     (fun s ->
       check_bool ("thunk for " ^ s) true (Trampoline.has_thunk tr s);
-      check_bool ("ALPHA guards " ^ s) true (Trampoline.has_guard tr alpha s);
+      check_bool ("ALPHA not guarding " ^ s) false (Trampoline.has_guard tr alpha s);
       check_bool ("BETA not guarding " ^ s) false (Trampoline.has_guard tr beta s);
       check_bool ("DELTA guards " ^ s ^ " iff it calls it") (s = "late_a")
         (Trampoline.has_guard tr delta s))
     fresh;
   check_int "ALPHA keeps its entry" alpha_entry (Trampoline.guard_addr tr alpha "beta_fn");
+  check_int "ALPHA, which calls none of them, gets no guard page" alpha_pages (pages alpha);
   check_int "BETA, which calls nothing, gets no guard page" beta_pages (pages beta);
   check_int "DELTA's new entry takes one guard page" (delta_pages + 1) (pages delta);
   Trampoline.enter_via_guard tr ~caller:delta "late_a";
-  check_int "ALPHA: one entry per edge" 4 (Trampoline.guard_entries tr alpha);
+  check_int "ALPHA: one entry per edge" 1 (Trampoline.guard_entries tr alpha);
   check_int "DELTA: one entry per edge" 2 (Trampoline.guard_entries tr delta);
-  Trampoline.guard_all tr ~cids:[ beta ];
-  List.iter
-    (fun s ->
-      check_bool ("BETA guards " ^ s ^ " once guarded") true (Trampoline.has_guard tr beta s);
-      check_bool "entries are per cubicle" true
-        (Trampoline.guard_addr tr beta s <> Trampoline.guard_addr tr alpha s);
-      Trampoline.enter_via_guard tr ~caller:beta s)
-    fresh;
+  check_bool "entries are per cubicle" true
+    (Trampoline.guard_addr tr delta "beta_fn" <> Trampoline.guard_addr tr alpha "beta_fn");
   check_bool "unknown symbol has no guard" false (Trampoline.has_guard tr alpha "never_exported");
-  (* Tearing BETA down through the monitor alone drops everything the
+  (* Tearing DELTA down through the monitor alone drops everything the
      builder and the trampolines knew about it: a successor spawned
      into the recycled cid inherits none of it. *)
-  Monitor.destroy_cubicle mon beta;
+  Monitor.destroy_cubicle mon delta;
   check_bool "destroyed cubicle has no guards" false
-    (List.exists (Trampoline.has_guard tr beta) (Trampoline.syms tr));
-  check_int "nor any entry" 0 (Trampoline.guard_entries tr beta);
-  Deny.check "name gone" (No_cubicle_named "BETA") (fun () -> Builder.cid built "BETA");
+    (List.exists (Trampoline.has_guard tr delta) (Trampoline.syms tr));
+  check_int "nor any entry" 0 (Trampoline.guard_entries tr delta);
+  Deny.check "name gone" (No_cubicle_named "DELTA") (fun () -> Builder.cid built "DELTA");
   let gamma_comp =
     Builder.component
       ~exports:
@@ -1101,11 +1095,11 @@ let test_extend_grows_guard_tables () =
       "GAMMA"
   in
   let gamma = List.assoc "GAMMA" (Builder.spawn built [ (gamma_comp, Types.Isolated) ]) in
-  check_int "GAMMA reuses BETA's cid" beta gamma;
-  Alcotest.(check (list string)) "live" [ "ALPHA"; "GAMMA"; "DELTA" ]
+  check_int "GAMMA reuses DELTA's cid" delta gamma;
+  Alcotest.(check (list string)) "live" [ "ALPHA"; "BETA"; "GAMMA" ]
     (List.map (fun (name, _, _) -> name) (Builder.live built));
   Alcotest.(check (list string)) "analysed"
-    [ "ALPHA"; "GAMMA"; "DELTA" ]
+    [ "ALPHA"; "BETA"; "GAMMA" ]
     (List.map (fun (c : Analysis.Ir.comp) -> c.name) (Analysis.Ir.of_built built).comps);
   Alcotest.(check (list string)) "GAMMA guards only its own call" [ "alpha_fn" ]
     (List.filter (Trampoline.has_guard tr gamma) (Trampoline.syms tr));
@@ -2100,20 +2094,18 @@ let test_store_run_cases () =
       Alcotest.(check (option string)) (what ^ ": same as the loop") None (store_diff c))
     [ (true, false); (false, false); (true, true); (false, true) ]
 
-(* Guard entries follow declared call edges. Random scripts spawn and
-   tear down components over six symbols: random exports (only symbols
-   no live cubicle exports), random Call/Branch/Loop summaries, some
-   components with an empty interface, some shared or trusted ones,
-   and random [~callers]. A model kept from the script alone says which
+(* Guard entries come only from declared call edges. Random scripts
+   spawn and tear down components over six symbols: random exports
+   (only symbols no live cubicle exports), random Call/Branch/Loop
+   summaries, some components with an empty interface and some shared
+   or trusted ones. A model kept from the script alone says which
    symbols have a thunk (every export of an isolated or trusted
-   component, for good), which symbols each cubicle's summary calls
-   (walking the generated trees, not [Iface.calls]) and which it
-   received: every thunked symbol at the spawn of an empty-interface
-   component, and a batch's symbols as one of its callers. After every
-   step, for every live isolated cubicle [c] and symbol [s]:
-   [has_guard c s] iff [s] has a thunk and [c] calls it, or [c]
-   received it; [enter_via_guard] succeeds on each of those edges; each
-   entry sits on a page [c] owns; and [c] holds no other entry. *)
+   component, for good) and which symbols each cubicle's summary calls
+   (walking the generated trees, not [Iface.calls]). After every step,
+   for every live isolated cubicle [c] and symbol [s]: [has_guard c s]
+   iff [s] has a thunk and [c] calls it; [enter_via_guard] succeeds on
+   each of those edges; each entry sits on a page [c] owns; and [c]
+   holds no other entry, so an empty interface holds none. *)
 type gtree = G_call of int | G_branch of gtree list list | G_loop of gtree list | G_alloc
 
 type gcomp = {
@@ -2122,7 +2114,7 @@ type gcomp = {
   g_entry : gtree list option;  (* a [__main] entry *)
 }
 
-type gop = G_spawn of gcomp list * int list | G_teardown of int
+type gop = G_spawn of gcomp list | G_teardown of int
 
 let gsyms = Array.init 6 (Printf.sprintf "s%d")
 
@@ -2156,11 +2148,7 @@ let gen_gop =
   QCheck.Gen.(
     frequency
       [
-        ( 3,
-          map2
-            (fun comps callers -> G_spawn (comps, callers))
-            (list_size (int_range 1 2) gen_gcomp)
-            (list_size (int_bound 2) (int_bound 7)) );
+        (3, map (fun comps -> G_spawn comps) (list_size (int_range 1 2) gen_gcomp));
         (1, map (fun i -> G_teardown i) (int_bound 7));
       ])
 
@@ -2173,8 +2161,8 @@ let rec print_gtree = function
 
 let print_gop = function
   | G_teardown i -> Printf.sprintf "teardown %d" i
-  | G_spawn (comps, callers) ->
-      Printf.sprintf "spawn [%s] callers [%s]"
+  | G_spawn comps ->
+      Printf.sprintf "spawn [%s]"
         (String.concat ", "
            (List.map
               (fun c ->
@@ -2187,7 +2175,6 @@ let print_gop = function
                   | None -> ""
                   | Some b -> " main: " ^ String.concat ";" (List.map print_gtree b)))
               comps))
-        (String.concat ";" (List.map string_of_int callers))
 
 let rec gtree_stmt = function
   | G_call i -> Iface.Call { sym = gsyms.(i); ptr_args = [] }
@@ -2202,7 +2189,7 @@ let rec gtree_calls acc = function
   | G_loop b -> List.fold_left gtree_calls acc b
 
 let prop_guards_follow_declared_edges =
-  QCheck.Test.make ~count:300 ~name:"trampoline: guards = declared edges + fallback"
+  QCheck.Test.make ~count:300 ~name:"trampoline: guards = declared edges"
     (QCheck.make ~shrink:QCheck.Shrink.list
        ~print:(fun ops -> String.concat "\n" (List.map print_gop ops))
        QCheck.Gen.(list_size (int_range 1 25) gen_gop))
@@ -2211,7 +2198,7 @@ let prop_guards_follow_declared_edges =
       let built = Builder.build mon [] in
       let tr = built.Builder.trampolines in
       let thunked = Hashtbl.create 8 in
-      (* cid -> (isolated, calls, received) of the live component *)
+      (* cid -> (isolated, calls) of the live component *)
       let model = Hashtbl.create 8 in
       let exported = Hashtbl.create 8 in  (* sym -> cid of its live exporter *)
       let fresh_name = ref 0 in
@@ -2225,15 +2212,11 @@ let prop_guards_follow_declared_edges =
         match op with
         | G_teardown i -> (
             match live () with [] -> () | l -> teardown (List.nth l (i mod List.length l)))
-        | G_spawn (comps, callers) ->
+        | G_spawn comps ->
             (* at most 10 live components, well within the 14 tags *)
             while List.length (live ()) + List.length comps > 10 do
               teardown (List.hd (live ()))
             done;
-            let l = live () in
-            let callers =
-              if l = [] then [] else List.sort_uniq compare (List.map (fun i -> List.nth l (i mod List.length l)) callers)
-            in
             let taken = Hashtbl.copy exported in
             let comps =
               List.map
@@ -2255,37 +2238,24 @@ let prop_guards_follow_declared_edges =
                       (Printf.sprintf "C%d" !fresh_name)
                   in
                   let trees = List.concat_map snd exports @ Option.value g.g_entry ~default:[] in
-                  let calls = List.fold_left gtree_calls [] trees in
-                  let empty = exports = [] && g.g_entry = None in
-                  (comp, kind, exports, calls, empty))
+                  (comp, kind, exports, List.fold_left gtree_calls [] trees))
                 comps
             in
-            let fresh = Builder.spawn ~callers built (List.map (fun (c, k, _, _, _) -> (c, k)) comps) in
-            let batch =
-              List.concat_map
-                (fun (_, kind, exports, _, _) ->
-                  if kind = Types.Shared then [] else List.map (fun (s, _) -> gsyms.(s)) exports)
-                comps
-            in
-            List.iter (fun s -> Hashtbl.replace thunked s ()) batch;
-            List.iter
-              (fun cid ->
-                let iso, calls, received = Hashtbl.find model cid in
-                Hashtbl.replace model cid (iso, calls, batch @ received))
-              callers;
+            let fresh = Builder.spawn built (List.map (fun (c, k, _, _) -> (c, k)) comps) in
             List.iter2
-              (fun (_, kind, exports, calls, empty) (_, cid) ->
-                List.iter (fun (s, _) -> Hashtbl.replace exported s cid) exports;
-                let received =
-                  if empty then Hashtbl.fold (fun s () acc -> s :: acc) thunked [] else []
-                in
-                Hashtbl.replace model cid (kind = Types.Isolated, calls, received))
+              (fun (_, kind, exports, calls) (_, cid) ->
+                List.iter
+                  (fun (s, _) ->
+                    Hashtbl.replace exported s cid;
+                    if kind <> Types.Shared then Hashtbl.replace thunked gsyms.(s) ())
+                  exports;
+                Hashtbl.replace model cid (kind = Types.Isolated, calls))
               comps fresh
       in
       let check i =
         Hashtbl.iter
-          (fun cid (iso, calls, received) ->
-            let want s = iso && ((Hashtbl.mem thunked s && List.mem s calls) || List.mem s received) in
+          (fun cid (iso, calls) ->
+            let want s = iso && Hashtbl.mem thunked s && List.mem s calls in
             let n = ref 0 in
             Array.iter
               (fun s ->

@@ -345,10 +345,9 @@ let test_tenant_guards_follow_teardown () =
   let table () = List.map (fun cid -> (cid, guards_of cid)) (Monitor.live_cids mon) in
   let count tbl = List.fold_left (fun acc (_, syms) -> acc + List.length syms) 0 tbl in
   List.iter (Httpd.Tenant.spawn sys) all;
-  (* guard entries follow declared call edges: WEB<i> declares its one
-     call to FS<i>, FS<i> declares none, and the gateway, whose empty
-     interface declares nothing, gains each pair's two syms as the
-     spawn's caller *)
+  (* guard entries come only from declared call edges: WEB<i> declares
+     its one call to FS<i>, FS<i> declares none, and the gateway
+     declares its call to WEB<i> at tenant i's first spawn *)
   let web_fs t =
     ( Monitor.lookup_cubicle mon (Httpd.Tenant.web_name t),
       Monitor.lookup_cubicle mon (Httpd.Tenant.fs_name t) )
@@ -363,10 +362,13 @@ let test_tenant_guards_follow_teardown () =
           [ Printf.sprintf "t%d_read" t ] (guards_of web);
         check_int (Printf.sprintf "FS%d calls nothing" t) 0 (Trampoline.guard_entries tr fs))
       all;
-    check_int "the gateway guards every tenant sym" (2 * tenants) (List.length (guards_of gw))
+    Alcotest.(check (list string))
+      "the gateway holds one entry per tenant id"
+      (List.sort compare (List.map (Printf.sprintf "t%d_get") all))
+      (guards_of gw)
   in
   per_tenant ();
-  check_int "guard entries after the initial spawns" (3 * tenants) (count (table ()));
+  check_int "guard entries after the initial spawns" (2 * tenants) (count (table ()));
   (* one teardown + respawn per tenant changes none of it *)
   List.iter
     (fun t ->
@@ -375,7 +377,7 @@ let test_tenant_guards_follow_teardown () =
     all;
   per_tenant ();
   let before = table () in
-  check_int "guard entries at 128 tenants" 384 (count before);
+  check_int "guard entries at 128 tenants" 256 (count before);
   let churned = [ 37; 1; 128; 64 ] in
   List.iter
     (fun t ->
@@ -390,6 +392,16 @@ let test_tenant_guards_follow_teardown () =
         dead;
       check_bool (Printf.sprintf "tenant %d: other cids' guards unchanged" t) true
         (table () = others);
+      (* the gateway keeps its declared call and its entry; the symbol
+         keeps its thunk, so the call is not an unresolved one *)
+      check_bool (Printf.sprintf "tenant %d down: the gateway keeps its entry" t) true
+        (Trampoline.has_guard tr gw (Printf.sprintf "t%d_get" t));
+      Alcotest.(check (list string))
+        (Printf.sprintf "tenant %d down: no call-graph finding" t)
+        []
+        (List.map
+           (fun (f : Analysis.Report.finding) -> f.key)
+           (Analysis.Callgraph.check (Analysis.Ir.of_built (Httpd.Tenant.built sys))));
       Httpd.Tenant.spawn sys t;
       let reborn = List.map (Monitor.lookup_cubicle mon) pair in
       Alcotest.(check (list int))

@@ -124,6 +124,26 @@ let some_ops = [ 1; 0; 0; 2; 0; 4; 3; 5; 1; 0; 4; 2; 4; 0; 3 ]
 
 (* --- tracing must not perturb the simulation ----------------------------- *)
 
+(* Trace rings are made at their first event: an untraced two-core
+   machine puts fewer words on the major heap, where an array as large
+   as a ring goes at once, than one ring's slots, and the first traced
+   event allocates its core's ring. *)
+let test_untraced_machine_has_no_ring () =
+  let words () = (Gc.quick_stat ()).Gc.major_words in
+  let w0 = words () in
+  let cpu = Hw.Cpu.create ~mem_bytes:(64 * Hw.Addr.page_size) ~ncores:2 () in
+  let created = words () -. w0 in
+  let bus = Hw.Cpu.bus cpu in
+  let slots = float_of_int (Telemetry.Bus.capacity bus) in
+  check_bool
+    (Printf.sprintf "Cpu.create: %.0f words, under one ring's %.0f slots" created slots)
+    true (created < slots);
+  Telemetry.Bus.set_tracing bus true;
+  let w1 = words () in
+  Telemetry.Bus.emit bus (Telemetry.Event.Mark "first");
+  check_bool "the first event makes its core's ring" true (words () -. w1 >= slots);
+  check_int "and is kept" 1 (Telemetry.Bus.captured bus)
+
 let test_cycle_identity () =
   let observe w =
     ( (Hw.Cost.cycles (Monitor.cost w.w_mon), Hw.Cpu.fault_count (Monitor.cpu w.w_mon)),
@@ -682,6 +702,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_ring_basic;
           Alcotest.test_case "wrap-around + drops" `Quick test_ring_wraparound;
           Alcotest.test_case "clear" `Quick test_ring_clear;
+          Alcotest.test_case "untraced machine has no ring" `Quick
+            test_untraced_machine_has_no_ring;
           QCheck_alcotest.to_alcotest prop_ring_model;
         ] );
       ( "hist",

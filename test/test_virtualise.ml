@@ -202,19 +202,14 @@ let test_failed_batch_spawn_unloads_batch () =
   let b heap_pages = Builder.component ~heap_pages "B" in
   let free0 = Monitor.free_page_count mon in
   let n0 = Monitor.ncubicles mon in
-  (match
-     Builder.spawn ~callers:[ gw ] built
-       [ (a, Types.Isolated); (b 1_000_000, Types.Isolated) ]
-   with
+  (match Builder.spawn built [ (a, Types.Isolated); (b 1_000_000, Types.Isolated) ] with
   | _ -> Alcotest.fail "oversized spawn unexpectedly succeeded"
   | exception Mm.Suballoc.Exhausted -> ());
   check_int "no cubicles left behind" n0 (Monitor.ncubicles mon);
   check_int "no pages leaked" free0 (Monitor.free_page_count mon);
   check_bool "A unloaded" false (Monitor.cubicle_exists mon "A");
   check_bool "a_fn unregistered" false (Monitor.has_export mon "a_fn");
-  let fresh =
-    Builder.spawn ~callers:[ gw ] built [ (a, Types.Isolated); (b 2, Types.Isolated) ]
-  in
+  let fresh = Builder.spawn built [ (a, Types.Isolated); (b 2, Types.Isolated) ] in
   check_int "retry loads both" 2 (List.length fresh);
   check_int "a_fn callable" 42
     (Monitor.run_as mon gw (fun () ->
