@@ -78,10 +78,9 @@ let entry_in guards th =
    owned by the cubicle, so destroy_cubicle releases it with the rest
    of its memory, and the guard table with the rest of its record.
    [thunks] are the candidate thunk addresses, in layout order; those
-   [cid] already
-   has an entry for are skipped, and a cubicle with no new entry gets no
-   page. The batch is assembled in [guard_buf] and copied in once,
-   charged as one 16-byte privileged write per entry. *)
+   [cid] already has an entry for are skipped, and a cubicle with no
+   new entry gets no page. The batch is assembled in [guard_buf] and
+   copied in once, charged as one 16-byte privileged write per entry. *)
 let write_guards t cid thunks =
   let old = Monitor.guards t.mon cid in
   match List.filter (fun th -> entry_in old th = 0) thunks with

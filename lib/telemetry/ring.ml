@@ -34,11 +34,14 @@ let push t x =
   end
 
 let iter f t =
+  let cap = Array.length t.buf in
   for i = 0 to t.len - 1 do
-    f t.buf.((t.start + i) mod t.capacity)
+    f t.buf.((t.start + i) mod cap)
   done
 
-let to_list t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.capacity))
+let to_list t =
+  let cap = Array.length t.buf in
+  List.init t.len (fun i -> t.buf.((t.start + i) mod cap))
 
 let clear t =
   t.buf <- [||];
