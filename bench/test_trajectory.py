@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Tests of bench/trajectory.py's row schema and compare, on made-up
-rows in a temporary file, and of ab's verdict on made-up samples.
+rows in a temporary file, of ab's verdict on made-up samples, and of
+its ELF section-size reader on made-up files.
 Run: python3 bench/test_trajectory.py"""
 
 import copy
 import io
 import json
 import os
+import struct
 import sys
 import tempfile
 import unittest
@@ -148,6 +150,66 @@ class Ab(unittest.TestCase):
     def test_unpaired_samples_are_an_error(self):
         with self.assertRaises(ValueError):
             trajectory.verdict([1.0, 2.0], [1.0], "higher")
+
+
+def fake_elf(wide, order, sections):
+    """An ELF file of [sections] ((name, size) pairs) and its section
+    name table, laid out by the ELF spec's own field lists."""
+    names = [n for n, _ in sections] + [".shstrtab"]
+    strtab = b"\0"
+    name_at = []
+    for n in names:
+        name_at.append(len(strtab))
+        strtab += n.encode() + b"\0"
+    ehsize = 64 if wide else 52
+    shoff = ehsize + len(strtab)
+    # sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, sh_link,
+    # sh_info, sh_addralign, sh_entsize
+    sh = order + ("IIQQQQIIQQ" if wide else "IIIIIIIIII")
+    headers = [struct.pack(sh, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)]
+    for (n, size), at in zip(sections, name_at):
+        headers.append(struct.pack(sh, at, 1, 0, 0, 0, size, 0, 0, 1, 0))
+    headers.append(struct.pack(sh, name_at[-1], 3, 0, 0, ehsize, len(strtab), 0, 0, 1, 0))
+    ident = b"\x7fELF" + bytes([2 if wide else 1, 1 if order == "<" else 2, 1]) + bytes(9)
+    # e_type .. e_shstrndx after e_ident
+    eh = order + ("HHIQQQIHHHHHH" if wide else "HHIIIIIHHHHHH")
+    head = ident + struct.pack(eh, 2, 62, 1, 0, 0, shoff, 0, ehsize, 0, 0,
+                               struct.calcsize(sh), len(headers), len(headers) - 1)
+    return head + strtab + b"".join(headers)
+
+
+class SectionSizes(unittest.TestCase):
+    def setUp(self):
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def sizes(self, data, **kw):
+        path = os.path.join(self.tmp.name, "exe")
+        with open(path, "wb") as f:
+            f.write(data)
+        return trajectory.section_sizes(path, **kw)
+
+    def test_64_bit_little_endian(self):
+        elf = fake_elf(True, "<", [(".text", 906386), (".rodata", 7), (".data", 637796)])
+        self.assertEqual(self.sizes(elf), {".text": 906386, ".data": 637796})
+
+    def test_32_bit_big_endian(self):
+        elf = fake_elf(False, ">", [(".data", 16), (".text", 249)])
+        self.assertEqual(self.sizes(elf), {".text": 249, ".data": 16})
+
+    def test_other_sections_by_name(self):
+        elf = fake_elf(True, "<", [(".text", 1), (".rodata", 7)])
+        self.assertEqual(self.sizes(elf, names=(".rodata",)), {".rodata": 7})
+
+    def test_a_missing_section_is_an_error(self):
+        with self.assertRaises(ValueError):
+            self.sizes(fake_elf(True, "<", [(".text", 1)]))
+
+    def test_a_file_that_is_not_elf_is_an_error(self):
+        with self.assertRaises(ValueError):
+            self.sizes(b"#!/bin/sh\n" + bytes(100))
 
 
 if __name__ == "__main__":

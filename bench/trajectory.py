@@ -43,7 +43,9 @@ metric it prints the median B/A ratio, how many pairs B won (k/N), the
 gap between the medians of B's and A's runs, and the IQR of A's runs.
 The verdict is "resolved better" (or "worse") only when B wins (or
 loses) at least 9 pairs in 10 and the gap exceeds A's IQR; otherwise
-"unresolved". It reads and writes no row.
+"unresolved". Beside peak_rss_mb it prints the .text and .data section
+sizes of each checkout's perfbench/main.exe, so that an RSS move that
+comes from code size shows. It reads and writes no row.
 """
 
 import argparse
@@ -51,6 +53,7 @@ import datetime
 import json
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -303,6 +306,46 @@ def compare(ref_a, ref_b):
     return 1 if moves else 0
 
 
+# --- code size --------------------------------------------------------------
+
+def section_sizes(path, names=(".text", ".data")):
+    """The sizes in bytes of the sections [names] of the ELF file at
+    [path], read from its section headers (32- or 64-bit, either byte
+    order). Raises ValueError if the file is not ELF or lacks one."""
+    with open(path, "rb") as f:
+        elf = f.read()
+    if elf[:4] != b"\x7fELF" or elf[4] not in (1, 2) or elf[5] not in (1, 2):
+        raise ValueError(f"{path}: not an ELF file")
+    wide = elf[4] == 2
+    order = "<" if elf[5] == 1 else ">"
+    # e_shoff, then e_shentsize, e_shnum, e_shstrndx
+    shoff = struct.unpack_from(order + ("Q" if wide else "I"), elf, 0x28 if wide else 0x20)[0]
+    entsize, count, strndx = struct.unpack_from(order + "HHH", elf, 0x3A if wide else 0x2E)
+    # per header: sh_name, and sh_offset and sh_size
+    layout = order + ("I20xQQ" if wide else "I12xII")
+
+    def header(i):
+        return struct.unpack_from(layout, elf, shoff + i * entsize)
+
+    strtab = header(strndx)[1]
+    sizes = {}
+    for i in range(count):
+        name_at, _, size = header(i)
+        start = strtab + name_at
+        name = elf[start:elf.index(b"\0", start)].decode()
+        if name in names:
+            sizes[name] = size
+    missing = [n for n in names if n not in sizes]
+    if missing:
+        raise ValueError(f"{path}: no section {', '.join(missing)}")
+    return sizes
+
+
+def perfbench_exe(checkout):
+    build = os.environ.get("CARGO_TARGET_DIR", ".bench_build")
+    return os.path.join(checkout, build, "default", "perfbench", "main.exe")
+
+
 # --- ab -------------------------------------------------------------------
 
 WIN_SHARE = 0.9  # a resolved move wins (or loses) at least 9 pairs in 10
@@ -366,6 +409,10 @@ def ab(a, b, pairs, seconds, workloads, seed):
             print(f"  {name:14s} {ma:11.4g} {mb:11.4g} {v['ratio']:7.3f} "
                   f"{v['wins']:>3d}/{v['n']:<2d} {v['gap']:10.4g} {v['iqr']:10.4g}  "
                   f"{v['verdict']}")
+        sizes = {side: section_sizes(perfbench_exe(c)) for side, c in checkouts.items()}
+        for sec in (".text", ".data"):
+            sa, sb = sizes["A"][sec], sizes["B"][sec]
+            print(f"  {sec + ' bytes':14s} {sa:11d} {sb:11d} {ratio(sa, sb):7.3f}")
     return 0
 
 

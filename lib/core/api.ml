@@ -35,7 +35,7 @@ let malloc_page_aligned (c : ctx) size = malloc c ~align:Hw.Addr.page_size size
    itself still goes through the machine's MPK checks below; the hook
    only makes non-faulting cross-owner accesses (open windows, stale
    tags after a causal-revocation close) visible to offline analysis. *)
-let[@inline] obs (c : ctx) addr len access = Monitor.observe_access c.mon ~addr ~len ~access
+let obs (c : ctx) addr len access = Monitor.observe_access c.mon ~addr ~len ~access
 
 let read_string (c : ctx) addr len =
   obs c addr len Telemetry.Event.Read;

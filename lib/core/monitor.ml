@@ -102,7 +102,7 @@ let bus t = Hw.Cpu.bus t.m_cpu
 
 let stats t = t.stats
 let meta t = t.meta
-let[@inline] current t = t.exec.Telemetry.Attrib.cur
+let current t = t.exec.Telemetry.Attrib.cur
 
 (* Every change of the executing cubicle goes through here, the one
    writer besides [Hw.Cpu.set_core] of the execution context, so cycle
@@ -111,7 +111,7 @@ let set_cur t cid = Telemetry.Attrib.set_current t.exec cid
 
 (* Event sites test [tracing] first, so an untraced run never builds
    the event. *)
-let[@inline] tracing t = (Hw.Cpu.bus t.m_cpu).Telemetry.Bus.tracing
+let tracing t = (Hw.Cpu.bus t.m_cpu).Telemetry.Bus.tracing
 let emit t ev = Telemetry.Bus.emit (Hw.Cpu.bus t.m_cpu) ev
 
 let find t cid =
@@ -571,7 +571,7 @@ let resolve t imp =
       found
   | None -> None
 
-let[@inline] resolved t imp =
+let resolved t imp =
   if imp.i_stamp = t.sym_stamp then Array.unsafe_get t.by_sid imp.i_sid else resolve t imp
 
 let imported t imp = Option.is_some (resolved t imp)

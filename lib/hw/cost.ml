@@ -56,25 +56,25 @@ let core_cycles t core = if core >= 0 && core < Array.length t.per_core then t.p
 (* [per_core] and the attribution table are sized from the same
    [ncores] and [Attrib.set_core] rejects a core outside it, so the
    unsafe accesses below stay in bounds. *)
-let[@inline] bump t n =
+let bump t n =
   t.cycles <- t.cycles + n;
   let c = t.attrib.Telemetry.Attrib.cur_core in
   Array.unsafe_set t.per_core c (Array.unsafe_get t.per_core c + n)
 
-let[@inline] charge_cat t cat n =
+let charge_cat t cat n =
   bump t n;
   Telemetry.Attrib.charge t.attrib cat n
 
-let[@inline] charge t n = charge_cat t Telemetry.Attrib.Other n
+let charge t n = charge_cat t Telemetry.Attrib.Other n
 
-let[@inline] mem_cycles t len = t.model.mem_op + (((len + 7) lsr 3) * t.model.mem_word)
+let mem_cycles t len = t.model.mem_op + (((len + 7) lsr 3) * t.model.mem_word)
 
-let[@inline] charge_memcpy t c =
+let charge_memcpy t c =
   bump t c;
   Telemetry.Attrib.charge t.attrib Telemetry.Attrib.Memcpy c
 
-let[@inline] charge_mem t len = charge_memcpy t (mem_cycles t len)
-let[@inline] charge_mem_n t n len = charge_memcpy t (n * mem_cycles t len)
+let charge_mem t len = charge_memcpy t (mem_cycles t len)
+let charge_mem_n t n len = charge_memcpy t (n * mem_cycles t len)
 
 let cycles t = t.cycles
 let cycles_per_ms = 2.2e6

@@ -119,13 +119,13 @@ let residents t =
   done;
   !acc
 
-let[@inline] touch t phys =
+let touch t phys =
   t.tick <- t.tick + 1;
   t.last_used.(phys) <- t.tick
 
 (* Event sites test [tracing] first, so an untraced run never builds
    the event. *)
-let[@inline] tracing t = (Cpu.bus t.cpu).Telemetry.Bus.tracing
+let tracing t = (Cpu.bus t.cpu).Telemetry.Bus.tracing
 let emit t ev = Telemetry.Bus.emit (Cpu.bus t.cpu) ev
 
 (* Scrub an evicted tag from every core still caching it: real MPK

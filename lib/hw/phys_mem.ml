@@ -52,32 +52,32 @@ let check_host n pos len =
    the load is consumed in place. The [t] annotations let ocamlopt
    inline the Bigarray primitives for the char kind. *)
 
-let[@inline] unsafe_get_u8 (t : t) addr = Char.code (Bigarray.Array1.unsafe_get t addr)
+let unsafe_get_u8 (t : t) addr = Char.code (Bigarray.Array1.unsafe_get t addr)
 
-let[@inline] unsafe_set_u8 (t : t) addr v =
+let unsafe_set_u8 (t : t) addr v =
   Bigarray.Array1.unsafe_set t addr (Char.unsafe_chr (v land 0xFF))
 
-let[@inline] unsafe_get_u16 t addr =
+let unsafe_get_u16 t addr =
   let v = get16 t addr in
   if Sys.big_endian then swap16 v else v
 
-let[@inline] unsafe_set_u16 t addr v =
+let unsafe_set_u16 t addr v =
   let v = v land 0xFFFF in
   set16 t addr (if Sys.big_endian then swap16 v else v)
 
-let[@inline] unsafe_get_u32 t addr =
+let unsafe_get_u32 t addr =
   let v = get32 t addr in
   Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFF_FFFF
 
-let[@inline] unsafe_set_u32 t addr v =
+let unsafe_set_u32 t addr v =
   let v = Int32.of_int v in
   set32 t addr (if Sys.big_endian then swap32 v else v)
 
-let[@inline] unsafe_get_i64 t addr =
+let unsafe_get_i64 t addr =
   let v = get64 t addr in
   if Sys.big_endian then swap64 v else v
 
-let[@inline] unsafe_set_i64 t addr v = set64 t addr (if Sys.big_endian then swap64 v else v)
+let unsafe_set_i64 t addr v = set64 t addr (if Sys.big_endian then swap64 v else v)
 
 let read_bytes t addr len =
   check t addr len;

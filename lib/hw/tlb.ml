@@ -22,7 +22,7 @@ type t = {
   mutable invalidations : int;
 }
 
-let[@inline] access_bit (a : Fault.access) =
+let access_bit (a : Fault.access) =
   match a with Fault.Read -> 1 | Fault.Write -> 2 | Fault.Exec -> 4
 
 let create npages =
@@ -58,7 +58,7 @@ let invalidate_page t p =
 (* One array load, one generation compare, one bit test; inlined into
    every checked access. [p] comes from [Addr.page_of], a logical
    shift, so it is never negative. *)
-let[@inline] probe t p access ~hits =
+let probe t p access ~hits =
   t.enabled
   && p < Array.length t.entries
   && (let e = Array.unsafe_get t.entries p in
@@ -66,7 +66,7 @@ let[@inline] probe t p access ~hits =
   && (t.hits <- t.hits + hits;
       true)
 
-let[@inline] record_miss t = if t.enabled then t.misses <- t.misses + 1
+let record_miss t = if t.enabled then t.misses <- t.misses + 1
 
 let fill t p access =
   if t.enabled then begin

@@ -28,7 +28,7 @@ let kept_chunks = 2
 (* Whether a frame of [len] bytes fits in a chunk already [off] bytes
    full; if not, it starts the next chunk. Transmit and drain both walk
    the wire by this rule. *)
-let[@inline] fits off len = off + len <= chunk_bytes
+let fits off len = off + len <= chunk_bytes
 
 type state = {
   rings : ring array;

@@ -37,8 +37,8 @@ let kind_interior = 2
 let header = 7
 let interior_max_keys = (page_size - 11) / 12
 let max_entries = (page_size - header) / 10 (* a leaf of empty payloads *)
-let[@inline] nkeys v = Pager.get_u16 v 1
-let[@inline] entry_len v pos = 10 + Pager.get_u16 v (pos + 8)
+let nkeys v = Pager.get_u16 v 1
+let entry_len v pos = 10 + Pager.get_u16 v (pos + 8)
 
 let set_header v ~kind ~n ~first =
   Pager.set_u8 v 0 kind;
@@ -82,7 +82,8 @@ let leaf_rank v n key =
   done;
   !lo
 
-let[@inline] holds v n i key = i < n && Pager.get_i64 v (Pager.memo v).(i) = key
+let key_at v i = Pager.get_i64 v (Pager.memo v).(i)
+let holds v n i key = i < n && key_at v i = key
 
 (* Entry [i]'s payload, copied out. *)
 let payload_at v offs i = Pager.sub_string v (offs.(i) + 10) (offs.(i + 1) - offs.(i) - 10)
@@ -109,7 +110,7 @@ let child_index v key =
   done;
   !lo
 
-let[@inline] child_at v i = Pager.get_u32 v (3 + (12 * i))
+let child_at v i = Pager.get_u32 v (3 + (12 * i))
 
 (* A leaf decoded into arrays, for splitting. *)
 type leaf = { lkeys : int64 array; lpayloads : string array; next : int }
@@ -368,58 +369,79 @@ let insert t ~key ~payload =
 
 (* --- range scans ---------------------------------------------------------------- *)
 
-(* The entries of a leaf with lo <= key <= hi, copied out, the
-   next-leaf link, and whether the scan ends in this leaf (a key above
-   [hi], or no next leaf). The slice starts at the rank of [lo]. *)
-let leaf_slice v ~lo ~hi =
+(* The ranks [i, j) of the entries of the leaf in [v] with
+   lo <= key <= hi, and whether the scan ends in this leaf (a key above
+   [hi], or no next leaf). [i] is the rank of [lo]. *)
+let leaf_span v ~lo ~hi =
   let n = leaf_entries v in
-  let offs = Pager.memo v in
-  let keys = ref [] and payloads = ref [] in
-  let rec go i =
-    if i = n then Pager.get_u32 v 3 = 0
-    else
-      let k = Pager.get_i64 v offs.(i) in
-      if k > hi then true
-      else begin
-        keys := k :: !keys;
-        payloads := payload_at v offs i :: !payloads;
-        go (i + 1)
-      end
-  in
-  let last = go (leaf_rank v n lo) in
-  (List.rev !keys, List.rev !payloads, Pager.get_u32 v 3, last)
+  let i = leaf_rank v n lo in
+  let j = ref i in
+  while !j < n && key_at v !j <= hi do
+    incr j
+  done;
+  (i, !j, !j < n || Pager.get_u32 v 3 = 0)
 
-let iter_range t ~lo ~hi f =
+(* The leaf walk under every scan: [visit v i j] runs in each leaf's
+   view on the ranks [i, j) in range and must copy out what it returns;
+   [use] gets that once the view is released (it may read pages) and
+   says whether to go on to the next leaf. Every scan visits the same
+   pages in the same order, whatever it reads of them. *)
+let walk_leaves t ~lo ~hi visit use =
   if lo <= hi then begin
-    let rec walk (keys, payloads, next, last) =
-      (* the view is released here: [f] may read pages *)
-      List.iter2 f keys payloads;
-      if not last then
-        walk
+    let step v =
+      let i, j, last = leaf_span v ~lo ~hi in
+      (visit v i j, Pager.get_u32 v 3, last)
+    in
+    let rec go (x, next, last) =
+      if use x && not last then
+        go
           (Pager.with_page_view t.pager (next - 1) (fun v ->
                if node_kind v <> kind_leaf then
                  Types.error "btree: leaf chain reaches interior node";
-               leaf_slice v ~lo ~hi))
+               step v))
     in
-    walk (descend t lo (fun _ v -> leaf_slice v ~lo ~hi))
+    go (descend t lo (fun _ v -> step v))
   end
 
-let fold_range t ~lo ~hi ~init ~f =
-  let acc = ref init in
-  iter_range t ~lo ~hi (fun k p -> acc := f !acc k p);
-  !acc
+let iter_range t ~lo ~hi f =
+  walk_leaves t ~lo ~hi
+    (fun v i j ->
+      let offs = Pager.memo v in
+      ( List.init (j - i) (fun k -> key_at v (i + k)),
+        List.init (j - i) (fun k -> payload_at v offs (i + k)) ))
+    (fun (keys, payloads) ->
+      List.iter2 f keys payloads;
+      true)
 
-let count_range t ~lo ~hi = fold_range t ~lo ~hi ~init:0 ~f:(fun acc _ _ -> acc + 1)
 let iter_all t f = iter_range t ~lo:Int64.min_int ~hi:Int64.max_int f
 
-let min_key t =
-  let exception Found of int64 in
-  try
-    iter_all t (fun k _ -> raise (Found k));
-    None
-  with Found k -> Some k
+(* The key-only scans read keys in the frame and copy no payload. *)
+let count_range t ~lo ~hi =
+  let n = ref 0 in
+  walk_leaves t ~lo ~hi
+    (fun _ i j -> j - i)
+    (fun k ->
+      n := !n + k;
+      true);
+  !n
 
-let max_key t = fold_range t ~lo:Int64.min_int ~hi:Int64.max_int ~init:None ~f:(fun _ k _ -> Some k)
+let min_key t =
+  let found = ref None in
+  walk_leaves t ~lo:Int64.min_int ~hi:Int64.max_int
+    (fun v i j -> if i < j then Some (key_at v i) else None)
+    (fun k ->
+      found := k;
+      Option.is_none k);
+  !found
+
+let max_key t =
+  let found = ref None in
+  walk_leaves t ~lo:Int64.min_int ~hi:Int64.max_int
+    (fun v i j -> if i < j then Some (key_at v (j - 1)) else None)
+    (fun k ->
+      if Option.is_some k then found := k;
+      true);
+  !found
 
 let depth t =
   let rec go pageno acc =

@@ -33,10 +33,15 @@ val delete : t -> int64 -> bool
 val iter_range : t -> lo:int64 -> hi:int64 -> (int64 -> string -> unit) -> unit
 (** In key order over [lo, hi] inclusive. *)
 
-val count_range : t -> lo:int64 -> hi:int64 -> int
 val iter_all : t -> (int64 -> string -> unit) -> unit
+
+(* The key-only scans below copy no payload out of the frames, but
+   visit the same pages in the same order as [iter_range] over the same
+   range, so their pager counters and charges are the same. *)
+val count_range : t -> lo:int64 -> hi:int64 -> int
 val min_key : t -> int64 option
 val max_key : t -> int64 option
+
 val depth : t -> int
 
 val leaf_locate : Pager.view -> int64 -> int * int * bool

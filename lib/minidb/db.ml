@@ -8,6 +8,47 @@ let rowid_mask = Int64.of_int ((1 lsl rowid_bits) - 1)
 let composite v rowid =
   Int64.add (Int64.shift_left v rowid_bits) (Int64.logand rowid rowid_mask)
 
+(* An index entry's payload is its rowid in decimal, the bytes
+   [Int64.to_string] writes; these two read and write them without
+   going through Printf's format interpreter. *)
+let format_rowid n =
+  let buf = Bytes.create 20 and pos = ref 20 in
+  (* the digits of the non-positive [m], so min_int needs no special case *)
+  let m = ref (if Int64.compare n 0L < 0 then n else Int64.neg n) and more = ref true in
+  while !more do
+    let q = Int64.div !m 10L in
+    let digit = Int64.to_int (Int64.sub (Int64.mul q 10L) !m) in
+    decr pos;
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr (48 + digit));
+    m := q;
+    more := not (Int64.equal q 0L)
+  done;
+  if Int64.compare n 0L < 0 then begin
+    decr pos;
+    Bytes.unsafe_set buf !pos '-'
+  end;
+  Bytes.sub_string buf !pos (20 - !pos)
+
+(* The inverse of [format_rowid]: it accepts only what that writes
+   (an optional '-', then digits with no leading zero, and no "-0") and
+   raises {!Types.Error} on anything else, an overflow included. *)
+let parse_rowid s =
+  let len = String.length s in
+  let neg = len > 0 && s.[0] = '-' in
+  let start = if neg then 1 else 0 in
+  let bad () = Types.error "db: bad rowid payload %S" s in
+  if len = start || len - start > 19 || (s.[start] = '0' && (neg || len > start + 1)) then bad ();
+  (* the non-positive value, which reaches min_int; [acc * 10 - d]
+     wraps to a positive number exactly when it is below min_int *)
+  let acc = ref 0L in
+  for i = start to len - 1 do
+    let d = Char.code s.[i] - 48 in
+    if d < 0 || d > 9 || Int64.compare !acc (-922337203685477580L) < 0 then bad ();
+    acc := Int64.sub (Int64.mul !acc 10L) (Int64.of_int d);
+    if Int64.compare !acc 0L > 0 then bad ()
+  done;
+  if neg then !acc else if Int64.equal !acc Int64.min_int then bad () else Int64.neg !acc
+
 let text_key s =
   (* stable 38-bit hash for equality-only text indexes *)
   let h = ref 5381 in
@@ -156,7 +197,7 @@ let create_index t tbl ~col ~name =
   Btree.iter_all tbl.tree (fun rowid payload ->
       let row = Record.decode payload in
       Btree.insert idx.idx_tree ~key:(index_key idx rowid row)
-        ~payload:(Int64.to_string rowid));
+        ~payload:(format_rowid rowid));
   tbl.indexes <- tbl.indexes @ [ idx ];
   t.dirty_catalog <- true;
   idx
@@ -213,7 +254,7 @@ let insert t tbl row =
   List.iter
     (fun idx ->
       Btree.insert idx.idx_tree ~key:(index_key idx rowid row)
-        ~payload:(Int64.to_string rowid))
+        ~payload:(format_rowid rowid))
     tbl.indexes;
   rowid
 
@@ -230,7 +271,7 @@ let update t tbl rowid row =
           let new_key = index_key idx rowid row in
           if not (Int64.equal old_key new_key) then begin
             ignore (Btree.delete idx.idx_tree old_key);
-            Btree.insert idx.idx_tree ~key:new_key ~payload:(Int64.to_string rowid)
+            Btree.insert idx.idx_tree ~key:new_key ~payload:(format_rowid rowid)
           end)
         tbl.indexes;
       Btree.insert tbl.tree ~key:rowid ~payload:(Record.encode row);
@@ -263,14 +304,14 @@ let index_range idx tbl ~lo ~hi f =
   let lo64 = Int64.shift_left (Int64.of_int lo) rowid_bits in
   let hi64 = Int64.add (Int64.shift_left (Int64.of_int hi) rowid_bits) rowid_mask in
   Btree.iter_range idx.idx_tree ~lo:lo64 ~hi:hi64 (fun _ payload ->
-      fetch_for tbl f (Int64.of_string payload))
+      fetch_for tbl f (parse_rowid payload))
 
 let index_eq_text idx tbl s f =
   let v = text_key s in
   let lo64 = Int64.shift_left v rowid_bits in
   let hi64 = Int64.add lo64 rowid_mask in
   Btree.iter_range idx.idx_tree ~lo:lo64 ~hi:hi64 (fun _ payload ->
-      let rowid = Int64.of_string payload in
+      let rowid = parse_rowid payload in
       (* hash index: verify the actual value *)
       match get tbl rowid with
       | Some row when Record.to_text (col_value row idx.idx_col) = s -> f rowid row
@@ -293,7 +334,7 @@ let integrity_check t =
           let ok = ref true in
           Btree.iter_all idx.idx_tree (fun key payload ->
               incr entries;
-              let rowid = Int64.of_string payload in
+              let rowid = parse_rowid payload in
               match get tbl rowid with
               | None -> ok := false
               | Some row -> if not (Int64.equal key (index_key idx rowid row)) then ok := false);

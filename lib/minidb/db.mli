@@ -69,3 +69,14 @@ val max_rowid : table -> int64
 val integrity_check : t -> bool
 (** Walk every table and index; verify every index entry resolves to a
     live row with the indexed value, and row/entry counts agree. *)
+
+(** {1 Index payloads} *)
+
+val format_rowid : int64 -> string
+(** An index entry's payload: the rowid in decimal, the same bytes as
+    [Int64.to_string]. *)
+
+val parse_rowid : string -> int64
+(** The inverse of {!format_rowid}. Raises {!Cubicle.Types.Error} on any
+    string [format_rowid] does not write: a sign other than a leading
+    '-', a leading zero, "-0", a non-digit, or a value outside int64. *)

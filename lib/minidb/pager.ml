@@ -326,15 +326,15 @@ let read_page t pageno f =
 let[@inline never] outside v off n =
   Types.error "pager: access [%d, +%d) outside page %d" off n v.pageno
 
-let[@inline] in_page v off n = if off < 0 || off > page_size - n then outside v off n
-let[@inline] get_u8 v off = in_page v off 1; Hw.Phys_mem.unsafe_get_u8 v.mem (v.addr + off)
-let[@inline] get_u16 v off = in_page v off 2; Hw.Phys_mem.unsafe_get_u16 v.mem (v.addr + off)
-let[@inline] get_u32 v off = in_page v off 4; Hw.Phys_mem.unsafe_get_u32 v.mem (v.addr + off)
-let[@inline] get_i64 v off = in_page v off 8; Hw.Phys_mem.unsafe_get_i64 v.mem (v.addr + off)
-let[@inline] set_u8 v off x = in_page v off 1; Hw.Phys_mem.unsafe_set_u8 v.mem (v.addr + off) x
-let[@inline] set_u16 v off x = in_page v off 2; Hw.Phys_mem.unsafe_set_u16 v.mem (v.addr + off) x
-let[@inline] set_u32 v off x = in_page v off 4; Hw.Phys_mem.unsafe_set_u32 v.mem (v.addr + off) x
-let[@inline] set_i64 v off x = in_page v off 8; Hw.Phys_mem.unsafe_set_i64 v.mem (v.addr + off) x
+let in_page v off n = if off < 0 || off > page_size - n then outside v off n
+let get_u8 v off = in_page v off 1; Hw.Phys_mem.unsafe_get_u8 v.mem (v.addr + off)
+let get_u16 v off = in_page v off 2; Hw.Phys_mem.unsafe_get_u16 v.mem (v.addr + off)
+let get_u32 v off = in_page v off 4; Hw.Phys_mem.unsafe_get_u32 v.mem (v.addr + off)
+let get_i64 v off = in_page v off 8; Hw.Phys_mem.unsafe_get_i64 v.mem (v.addr + off)
+let set_u8 v off x = in_page v off 1; Hw.Phys_mem.unsafe_set_u8 v.mem (v.addr + off) x
+let set_u16 v off x = in_page v off 2; Hw.Phys_mem.unsafe_set_u16 v.mem (v.addr + off) x
+let set_u32 v off x = in_page v off 4; Hw.Phys_mem.unsafe_set_u32 v.mem (v.addr + off) x
+let set_i64 v off x = in_page v off 8; Hw.Phys_mem.unsafe_set_i64 v.mem (v.addr + off) x
 
 let sub_bytes v off len =
   in_page v off len;
@@ -355,8 +355,8 @@ let blit v ~src ~dst ~len =
   in_page v dst len;
   Hw.Phys_mem.blit v.mem ~src:(v.addr + src) ~dst:(v.addr + dst) ~len
 
-let[@inline] memo_count v = v.nent
-let[@inline] memo v = v.offs
+let memo_count v = v.nent
+let memo v = v.offs
 
 let set_memo v offs n =
   v.offs <- offs;

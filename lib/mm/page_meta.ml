@@ -21,12 +21,12 @@ let check (t : t) page =
   if page < 0 || page >= Array.length t then
     invalid_arg (Printf.sprintf "Page_meta: page %d out of range" page)
 
-let[@inline] owner_id (t : t) page =
+let owner_id (t : t) page =
   check t page;
   let e = Array.unsafe_get t page in
   if e = 0 then -1 else e lsr 3
 
-let[@inline] kind_code (t : t) page =
+let kind_code (t : t) page =
   check t page;
   Array.unsafe_get t page land 7
 

@@ -66,7 +66,7 @@ let set_core t core =
 
 let ncores t = Array.length t.cores
 
-let[@inline] charge t cat n =
+let charge t cat n =
   let i = cat_index cat in
   Array.unsafe_set t.cur_row i (Array.unsafe_get t.cur_row i + n)
 

@@ -421,6 +421,67 @@ let test_btree_min_max () =
   check_bool "min" true (Minidb.Btree.min_key t = Some (-3L));
   check_bool "max" true (Minidb.Btree.max_key t = Some 42L)
 
+(* Two identically built trees in a 4-page cache, the first 400 keys
+   deleted so that the leftmost leaves are empty: the key-only scans
+   and their copying equivalents through [iter_range] must return the
+   same values and move the pager counters and the simulated cycles by
+   the same amounts, i.e. visit the same pages in the same order. *)
+let test_btree_key_scans () =
+  let build () =
+    let os = mk_os () in
+    let p = Minidb.Pager.open_db ~cache_pages:4 os ~path:"/keys.db" in
+    let t = Minidb.Btree.create p in
+    for i = 1 to 2000 do
+      Minidb.Btree.insert t ~key:(Int64.of_int i) ~payload:(String.make (i mod 40) 'k')
+    done;
+    for i = 1 to 400 do
+      ignore (Minidb.Btree.delete t (Int64.of_int i))
+    done;
+    (t, p, Monitor.cost os.Minidb.Os_iface.ctx.Monitor.mon)
+  in
+  let a = build () and b = build () in
+  let observe (t, p, cost) scan =
+    let snap () =
+      let s = Minidb.Pager.stats p in
+      [ s.hits; s.misses; s.evictions; s.page_reads; s.page_writes; s.commits; s.rollbacks ]
+    in
+    let s0 = snap () and c0 = Hw.Cost.cycles cost in
+    let v = scan t in
+    (v, List.map2 ( - ) (snap ()) s0, Hw.Cost.cycles cost - c0)
+  in
+  let same name expected key_only copying =
+    let va, sa, ca = observe a key_only and vb, sb, cb = observe b copying in
+    check_bool (name ^ ": value") true (va = expected && vb = expected);
+    Alcotest.(check (list int)) (name ^ ": pager stats move") sb sa;
+    check_bool (name ^ ": the cache misses") true (List.nth sa 1 > 0);
+    check_int (name ^ ": cycles") cb ca
+  in
+  let count lo hi t =
+    let n = ref 0 in
+    Minidb.Btree.iter_range t ~lo ~hi (fun _ _ -> incr n);
+    !n
+  in
+  let first t =
+    let exception Found of int64 in
+    try
+      Minidb.Btree.iter_all t (fun k _ -> raise (Found k));
+      None
+    with Found k -> Some k
+  in
+  let last t =
+    let m = ref None in
+    Minidb.Btree.iter_all t (fun k _ -> m := Some k);
+    !m
+  in
+  same "count all" 1600
+    (fun t -> Minidb.Btree.count_range t ~lo:Int64.min_int ~hi:Int64.max_int)
+    (count Int64.min_int Int64.max_int);
+  same "count part" 1001 (fun t -> Minidb.Btree.count_range t ~lo:500L ~hi:1500L) (count 500L 1500L);
+  same "min" (Some 401L) Minidb.Btree.min_key first;
+  same "max" (Some 2000L) Minidb.Btree.max_key last;
+  let t, _, _ = a in
+  check_bool "several levels" true (Minidb.Btree.depth t > 1)
+
 (* Four small entries then three full-size ones fill a leaf; a fourth
    full-size entry overflows it, and splitting by entry count would put
    all four big ones in the right half, which cannot fit a page. *)
@@ -564,6 +625,50 @@ let test_view_charges () =
             Api.memset ctx (addr + len) (page_size - len) '\000'))
   in
   check_same_charges "write" sub write
+
+(* --- index payloads ------------------------------------------------------------- *)
+
+let int64_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, ui64);
+        (4, map Int64.of_int small_signed_int);
+        (1, oneofl [ 0L; 1L; -1L; 10L; -10L; Int64.min_int; Int64.max_int ]);
+      ])
+
+let prop_rowid_codec =
+  QCheck.Test.make ~count:2000 ~name:"db: rowid payloads are Int64.to_string's bytes"
+    (QCheck.make ~print:Int64.to_string int64_gen)
+    (fun n ->
+      let s = Minidb.Db.format_rowid n in
+      String.equal s (Int64.to_string n) && Int64.equal (Minidb.Db.parse_rowid s) n)
+
+let parses s = match Minidb.Db.parse_rowid s with _ -> true | exception Types.Error _ -> false
+
+(* A string parses exactly when it is what [format_rowid] writes. *)
+let prop_rowid_parse_strict =
+  QCheck.Test.make ~count:2000 ~name:"db: a rowid payload parses only in canonical form"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '+'; 'x'; '_'; ' ' ]) (int_bound 21)))
+    (fun s ->
+      match Minidb.Db.parse_rowid s with
+      | n -> String.equal (Minidb.Db.format_rowid n) s
+      | exception Types.Error _ -> (
+          match Int64.of_string s with
+          | n -> not (String.equal (Int64.to_string n) s)
+          | exception Failure _ -> true))
+
+let test_rowid_refusals () =
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S refused" s) false (parses s))
+    [
+      ""; "-"; "+1"; "0x10"; "1_0"; " 1"; "12a"; "01"; "-0"; "9223372036854775808";
+      "-9223372036854775809"; "99999999999999999999";
+    ];
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S parses" s) true (parses s))
+    [ "0"; "7"; "-1"; "9223372036854775807"; "-9223372036854775808" ]
 
 let prop_btree_matches_map =
   QCheck.Test.make ~count:20 ~name:"btree: agrees with a reference map"
@@ -1240,6 +1345,8 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_record_roundtrip;
+      prop_rowid_codec;
+      prop_rowid_parse_strict;
       prop_btree_matches_map;
       prop_btree_iter_sorted;
       prop_btree_model;
@@ -1287,6 +1394,7 @@ let () =
           Alcotest.test_case "range order" `Quick test_btree_range_order;
           Alcotest.test_case "delete" `Quick test_btree_delete;
           Alcotest.test_case "min/max" `Quick test_btree_min_max;
+          Alcotest.test_case "key-only scans" `Quick test_btree_key_scans;
           Alcotest.test_case "payload cap" `Quick test_btree_payload_cap;
           Alcotest.test_case "uneven split" `Quick test_btree_uneven_split;
           Alcotest.test_case "corrupt leaf raises" `Quick test_btree_corrupt_leaf_raises;
@@ -1301,6 +1409,7 @@ let () =
           Alcotest.test_case "text index" `Quick test_db_text_index;
           Alcotest.test_case "txn" `Quick test_db_txn_commit_rollback;
           Alcotest.test_case "persistence" `Quick test_db_persistence;
+          Alcotest.test_case "rowid payload refusals" `Quick test_rowid_refusals;
         ] );
       ( "speedtest",
         [
