@@ -308,10 +308,13 @@ def compare(ref_a, ref_b):
 
 # --- code size --------------------------------------------------------------
 
-def section_sizes(path, names=(".text", ".data")):
-    """The sizes in bytes of the sections [names] of the ELF file at
-    [path], read from its section headers (32- or 64-bit, either byte
-    order). Raises ValueError if the file is not ELF or lacks one."""
+SECTIONS = (".text", ".data")
+
+
+def section_sizes(path):
+    """The sizes in bytes of the .text and .data sections of the ELF
+    file at [path], read from its section headers (32- or 64-bit, either
+    byte order). Raises ValueError if the file is not ELF or lacks one."""
     with open(path, "rb") as f:
         elf = f.read()
     if elf[:4] != b"\x7fELF" or elf[4] not in (1, 2) or elf[5] not in (1, 2):
@@ -333,9 +336,9 @@ def section_sizes(path, names=(".text", ".data")):
         name_at, _, size = header(i)
         start = strtab + name_at
         name = elf[start:elf.index(b"\0", start)].decode()
-        if name in names:
+        if name in SECTIONS:
             sizes[name] = size
-    missing = [n for n in names if n not in sizes]
+    missing = [n for n in SECTIONS if n not in sizes]
     if missing:
         raise ValueError(f"{path}: no section {', '.join(missing)}")
     return sizes
@@ -409,10 +412,11 @@ def ab(a, b, pairs, seconds, workloads, seed):
             print(f"  {name:14s} {ma:11.4g} {mb:11.4g} {v['ratio']:7.3f} "
                   f"{v['wins']:>3d}/{v['n']:<2d} {v['gap']:10.4g} {v['iqr']:10.4g}  "
                   f"{v['verdict']}")
-        sizes = {side: section_sizes(perfbench_exe(c)) for side, c in checkouts.items()}
-        for sec in (".text", ".data"):
-            sa, sb = sizes["A"][sec], sizes["B"][sec]
-            print(f"  {sec + ' bytes':14s} {sa:11d} {sb:11d} {ratio(sa, sb):7.3f}")
+    sizes = {side: section_sizes(perfbench_exe(c)) for side, c in checkouts.items()}
+    print("perfbench/main.exe")
+    for sec in SECTIONS:
+        sa, sb = sizes["A"][sec], sizes["B"][sec]
+        print(f"  {sec + ' bytes':14s} {sa:11d} {sb:11d} {ratio(sa, sb):7.3f}")
     return 0
 
 
