@@ -425,7 +425,10 @@ let test_btree_min_max () =
    deleted so that the leftmost leaves are empty: the key-only scans
    and their copying equivalents through [iter_range] must return the
    same values and move the pager counters and the simulated cycles by
-   the same amounts, i.e. visit the same pages in the same order. *)
+   the same amounts, i.e. visit the same pages in the same order. Both
+   run through the same leaf walk, so this cannot see a change in that
+   walk's own page order; the pager rows of bench/golden_perfbench.json
+   pin it. *)
 let test_btree_key_scans () =
   let build () =
     let os = mk_os () in
